@@ -104,48 +104,6 @@ def test_sweep_lowering_amortized(benchmark):
     benchmark.extra_info["configs_per_lowering"] = points // distinct_traces
 
 
-def test_sweep_result_store_comparison(benchmark, tmp_path):
-    """SQLite vs JSON result store on the warm re-run both must ace.
-
-    Measures the warm (all-hits) re-run against each ``--result-store``
-    backend over the same populated root and records both wall times — the
-    store choice moves per-hit I/O cost, never the numbers.  Functional
-    equality and zero-simulation are asserted for both.
-    """
-    sweep = _sweep()
-    stores = {}
-    for kind in ("json", "sqlite"):
-        root = str(tmp_path / kind)
-        cold = SweepEngine(jobs=1, cache_dir=root, result_store=kind)
-        stores[kind] = cold.run(sweep)
-        assert cold.last_simulated == len(stores[kind])
-    assert [r.sim for r in stores["json"]] == [r.sim for r in stores["sqlite"]]
-
-    def warm(kind):
-        engine = SweepEngine(jobs=1, cache_dir=str(tmp_path / kind),
-                             result_store=kind)
-        return engine.run(sweep), engine
-
-    start = time.perf_counter()
-    json_results, json_engine = warm("json")
-    json_elapsed = time.perf_counter() - start
-    assert json_engine.last_simulated == 0
-    assert [r.sim for r in json_results] == [r.sim for r in stores["json"]]
-
-    (sqlite_results, sqlite_engine) = benchmark.pedantic(
-        warm, args=("sqlite",), rounds=1, iterations=1)
-    assert sqlite_engine.last_simulated == 0
-    assert sqlite_engine.last_cached == len(sqlite_results)
-    assert [r.sim for r in sqlite_results] == [r.sim for r in stores["json"]]
-
-    sqlite_elapsed = benchmark.stats.stats.mean
-    benchmark.extra_info["points"] = len(sqlite_results)
-    benchmark.extra_info["json_warm_s"] = round(json_elapsed, 4)
-    benchmark.extra_info["sqlite_warm_s"] = round(sqlite_elapsed, 4)
-    benchmark.extra_info["sqlite_vs_json"] = round(
-        json_elapsed / sqlite_elapsed, 2)
-
-
 def test_sweep_journal_replay(benchmark, tmp_path):
     """Journal replay: resuming a completed sweep re-simulates nothing and
     costs one linear read of the journal file."""

@@ -24,10 +24,8 @@ The CLI exposes the experiment drivers without writing any Python:
 
 Every sweep-backed command accepts ``--jobs N`` (process-parallel
 execution), ``--cache-dir DIR`` (on-disk result + trace caches; warm
-re-runs do zero simulations, warm *misses* do zero trace builds),
-``--result-store {json,sqlite}`` (layout of the result cache under
-``--cache-dir``: one JSON file per point, or one SQLite database per
-cache root), ``--stream-jsonl PATH`` (append one JSON line per point as
+re-runs do zero simulations, warm *misses* do zero trace builds; one JSON
+file per result), ``--stream-jsonl PATH`` (append one JSON line per point as
 it completes, including the sweep's cumulative simulated
 instructions/second), ``--resume PATH`` (write-ahead journal: every
 completed point is appended durably, and re-running with the same PATH
@@ -75,8 +73,8 @@ from repro.experiments.runner import run_kernel_all_isas
 from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import KERNELS, kernel_names
-from repro.sweep import (RESULT_STORES, PointResult, SweepEngine, SweepPoint,
-                         cache_stats, clear_cache, gc_cache, resolve_spec)
+from repro.sweep import (PointResult, SweepEngine, SweepPoint, cache_stats,
+                         clear_cache, gc_cache, resolve_spec)
 from repro.timing.config import MachineConfig
 from repro.timing.dispatch import BACKENDS
 from repro.workloads.generators import WorkloadSpec
@@ -103,12 +101,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="directory for the on-disk result + trace "
                              "caches (default: no caching)")
-    parser.add_argument("--result-store", default="json",
-                        choices=list(RESULT_STORES),
-                        help="result-cache layout under --cache-dir: one "
-                             "JSON file per point (default) or one SQLite "
-                             "database per cache root; both speak the same "
-                             "keys and repro cache manages either")
     parser.add_argument("--stream-jsonl", default=None, metavar="PATH",
                         help="append one JSON line per sweep point to PATH "
                              "as results complete")
@@ -154,11 +146,10 @@ def add_sweep_arguments(parser: argparse.ArgumentParser,
 
 def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     """Build a :class:`SweepEngine` from parsed ``--jobs``/``--cache-dir``
-    (plus ``--backend``/``--result-store``/``--resume`` where the command
+    (plus ``--backend``/``--resume`` where the command
     defines them)."""
     return SweepEngine(jobs=args.jobs, cache_dir=args.cache_dir,
                        backend=getattr(args, "backend", "auto"),
-                       result_store=getattr(args, "result_store", "json"),
                        journal=getattr(args, "resume", None),
                        task_timeout=getattr(args, "task_timeout", None),
                        max_pool_restarts=getattr(args, "max_pool_restarts",
@@ -414,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--cache-dir", default=None,
                          help="result + trace cache root shared by every "
                               "job (default: no caching)")
-    serve_p.add_argument("--result-store", default="json",
-                         choices=list(RESULT_STORES),
-                         help="result-cache layout under --cache-dir")
     serve_p.add_argument("--backend", default="auto",
                          choices=list(BACKENDS),
                          help="timing backend for group simulations")
@@ -654,7 +642,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            cache_dir=args.cache_dir,
                            jobs=args.jobs,
                            max_queue=args.max_queue,
-                           result_store=args.result_store,
                            backend=args.backend,
                            task_timeout=args.task_timeout,
                            max_pool_restarts=args.max_pool_restarts)
@@ -824,9 +811,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  total    {stats.total_entries:6d} entr"
               f"{'y' if stats.total_entries == 1 else 'ies'}, "
               f"{_format_bytes(stats.total_bytes)}")
-        if stats.sqlite_entries:
-            print(f"  of the results, {stats.sqlite_entries} row(s) in "
-                  f"results.db (sqlite store)")
         if stats.entries["traces"]:
             print(f"  lowered payloads: {stats.lowered_entries} current, "
                   f"{stats.stale_lowered_entries} stale/absent")
@@ -903,6 +887,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
+def _check_machine_args(parser: argparse.ArgumentParser,
+                        args: argparse.Namespace) -> None:
+    """Reject issue widths and latencies no machine can have before any
+    work runs, with :class:`MachineConfig`'s message naming the field."""
+    ways = getattr(args, "ways", None) or [getattr(args, "way", 4)]
+    latencies = (getattr(args, "latencies", None)
+                 or [getattr(args, "mem_latency", 1)])
+    try:
+        for way in ways:
+            for latency in latencies:
+                MachineConfig.for_way(way, mem_latency=latency)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 class _Terminated(BaseException):
     """Raised by the SIGTERM handler inside :func:`main`.
 
@@ -957,7 +956,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     every completed point is already in the journal and the exit message
     says how to pick up.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_machine_args(parser, args)
     try:
         with _sigterm_raises():
             return _dispatch(args)

@@ -9,12 +9,10 @@ The sweep subsystem is the shared engine behind every experiment driver
   runs them, optionally over a :class:`concurrent.futures.ProcessPoolExecutor`
   (with a deterministic in-process fallback), with streaming results via
   :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``;
-* :class:`~repro.sweep.cache.ResultCache` /
-  :class:`~repro.sweep.sqlite_store.SQLiteResultStore` — content-addressed
-  storage of simulation results keyed by a stable hash of (kernel, ISA,
-  machine configuration, workload spec, timing-model version), as one JSON
-  file per point or one SQLite database per cache root
-  (:func:`~repro.sweep.cache.make_result_store` picks by name);
+* :class:`~repro.sweep.cache.ResultCache` — content-addressed storage of
+  simulation results, one JSON file per point, keyed by a stable hash of
+  (kernel, ISA, machine configuration, workload spec, timing-model and
+  builder versions);
 * :class:`~repro.sweep.journal.SweepJournal` — a write-ahead JSONL journal
   of completed points enabling crash-safe, resumable sweeps
   (``repro sweep --resume``);
@@ -39,8 +37,7 @@ The sweep subsystem is the shared engine behind every experiment driver
 See ``docs/sweep-engine.md`` for the full guide.
 """
 
-from repro.sweep.cache import (RESULT_STORES, ResultCache, make_result_store,
-                               point_key)
+from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.client import ServiceClient, ServiceError
 from repro.sweep.engine import PointResult, SweepEngine, ensure_engine
 from repro.sweep.faults import FAULT_ENV, FaultPlan, FaultRule, InjectedFault
@@ -52,7 +49,6 @@ from repro.sweep.service import (QueueFull, ServiceHTTPServer, SweepService,
                                  UnknownJob, job_id_for, normalize_submission,
                                  submission_points)
 from repro.sweep.spec import SweepPoint, SweepSpec, resolve_spec
-from repro.sweep.sqlite_store import SQLiteResultStore
 from repro.sweep.supervisor import (PointFailure, PoolSupervisor,
                                     SupervisorPolicy)
 from repro.sweep.tracecache import TraceCache, trace_key
@@ -68,9 +64,7 @@ __all__ = [
     "PointResult",
     "PoolSupervisor",
     "QueueFull",
-    "RESULT_STORES",
     "ResultCache",
-    "SQLiteResultStore",
     "ServiceClient",
     "ServiceError",
     "ServiceHTTPServer",
@@ -88,7 +82,6 @@ __all__ = [
     "ensure_engine",
     "gc_cache",
     "job_id_for",
-    "make_result_store",
     "normalize_submission",
     "point_key",
     "read_jsonl",

@@ -2,10 +2,12 @@
 
 Each cached entry is one JSON file named by a stable SHA-256 hash of the
 fully-resolved point description: kernel, ISA, every machine-configuration
-field (including the per-opclass latency table), the workload spec and the
-timing-model version.  Any change to any of those — including bumping
-:data:`repro.timing.core.MODEL_VERSION` when the timing model's numbers
-change — therefore produces a different key and a clean cache miss; stale
+field (including the per-opclass latency table), the workload spec, the
+timing-model version and the front-end builder version.  Any change to any
+of those — including bumping :data:`repro.timing.core.MODEL_VERSION` when
+the timing model's numbers change, or
+:data:`repro.frontend.builders.BUILDER_VERSION` when an emitted stream
+changes — therefore produces a different key and a clean cache miss; stale
 results can never be returned.
 
 Layout::
@@ -32,7 +34,7 @@ from typing import Any, Dict, Optional
 
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
-
+from repro.frontend import builders
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
 from repro.timing.core import MODEL_VERSION
@@ -40,31 +42,8 @@ from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 from repro.sweep.spec import SweepPoint
 
-__all__ = ["RESULT_STORES", "ResultCache", "make_result_store", "point_key",
-           "sim_to_dict", "sim_from_dict", "stats_to_dict", "stats_from_dict"]
-
-#: Result-store backends the engine and CLI accept (``--result-store``).
-RESULT_STORES = ("json", "sqlite")
-
-
-def make_result_store(kind: str, cache_dir: str,
-                      version: Optional[str] = None):
-    """Build a result store of the requested backend over ``cache_dir``.
-
-    ``"json"`` is the one-file-per-point :class:`ResultCache`; ``"sqlite"``
-    is the single-database
-    :class:`~repro.sweep.sqlite_store.SQLiteResultStore`.  Both share the
-    same interface, key anatomy and tolerance rules, so callers never need
-    to know which one they hold.
-    """
-    if kind == "json":
-        return ResultCache(cache_dir, version=version)
-    if kind == "sqlite":
-        from repro.sweep.sqlite_store import SQLiteResultStore
-
-        return SQLiteResultStore(cache_dir, version=version)
-    raise ValueError(f"unknown result store {kind!r}; "
-                     f"choose from {RESULT_STORES}")
+__all__ = ["ResultCache", "point_key", "sim_to_dict", "sim_from_dict",
+           "stats_to_dict", "stats_from_dict"]
 
 
 def _config_to_dict(config: MachineConfig) -> Dict[str, Any]:
@@ -83,12 +62,14 @@ def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
     """Stable content hash of a (resolved) sweep point.
 
     ``version`` defaults to the current timing-model version; tests override
-    it to exercise cache invalidation.
+    it to exercise cache invalidation.  The builder version is read at call
+    time, so every store and journal keyed here misses after a bump.
     """
     point = point.resolved()
     spec = point.spec
     payload = {
         "model_version": version if version is not None else MODEL_VERSION,
+        "builder_version": builders.BUILDER_VERSION,
         "kernel": point.kernel,
         "isa": point.isa,
         "config": _config_to_dict(point.config),

@@ -9,9 +9,8 @@ points get executed:
   deterministic) spec, so no large arrays cross the process boundary and
   parallel results are bit-identical to serial ones,
 * optionally backed by an on-disk result store — the one-file-per-point
-  :class:`~repro.sweep.cache.ResultCache` or the single-database
-  :class:`~repro.sweep.sqlite_store.SQLiteResultStore` (re-running a sweep
-  whose points are already cached does zero simulations) — and an on-disk
+  :class:`~repro.sweep.cache.ResultCache` (re-running a sweep whose points
+  are already cached does zero simulations) — and an on-disk
   :class:`~repro.sweep.tracecache.TraceCache` (a point whose *result*
   misses but whose functional trace is cached skips the dominant
   trace-rebuild cost — in every process, parent or worker),
@@ -67,8 +66,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from repro.sweep import faults
-from repro.sweep.cache import (RESULT_STORES, make_result_store, point_key,
-                               sim_from_dict, stats_from_dict)
+from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
+                               stats_from_dict)
 from repro.sweep.journal import SweepJournal
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.supervisor import (POOL_INFRA_ERRORS, PointFailure,
@@ -317,13 +316,6 @@ class SweepEngine:
         :data:`~repro.timing.vector.VECTOR_MIN_BATCH` configurations,
         the per-config lowered interpreter otherwise).  Results are
         bit-identical across backends, so cache keys ignore it.
-    result_store:
-        On-disk layout of the result cache, one of
-        :data:`~repro.sweep.cache.RESULT_STORES`: ``"json"`` (one file per
-        point — inspectable, the default) or ``"sqlite"`` (one
-        ``results.db`` per cache root — what million-point sweeps want).
-        Identical keys and semantics either way; ignored without a
-        ``cache_dir``.
     journal:
         Write-ahead journal for crash-safe sweeps: a
         :class:`~repro.sweep.journal.SweepJournal`, a path for one, or
@@ -353,7 +345,7 @@ class SweepEngine:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  check: bool = True, version: Optional[str] = None,
                  trace_cache: Union[None, bool, str] = None,
-                 backend: str = "auto", result_store: str = "json",
+                 backend: str = "auto",
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None,
@@ -364,21 +356,16 @@ class SweepEngine:
         if backend not in BACKENDS:
             raise ValueError(f"unknown timing backend {backend!r}; "
                              f"choose from {BACKENDS}")
-        if result_store not in RESULT_STORES:
-            raise ValueError(f"unknown result store {result_store!r}; "
-                             f"choose from {RESULT_STORES}")
         if resume_failed not in ("retry", "skip"):
             raise ValueError(f"unknown resume_failed mode {resume_failed!r}; "
                              f"choose from ('retry', 'skip')")
         self.backend = backend
-        self.result_store = result_store
         self.policy = policy_with_overrides(supervision, task_timeout,
                                             max_pool_restarts)
         self.resume_failed = resume_failed
         self.jobs = max(1, int(jobs))
         self._version = version
-        self.cache = (make_result_store(result_store, cache_dir,
-                                        version=version)
+        self.cache = (ResultCache(cache_dir, version=version)
                       if cache_dir else None)
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)

@@ -30,9 +30,10 @@ identical framing and are equally likely to end mid-line after a crash.
 What a record means
 -------------------
 
-The key embeds the timing-model version, every machine-configuration field,
-the kernel, ISA and workload — so replay can never serve a stale result: a
-model bump (or any other change) changes the key and the old records simply
+The key (:func:`~repro.sweep.cache.point_key`) embeds the timing-model and
+builder versions, every machine-configuration field, the kernel, ISA and
+workload — so replay can never serve a stale result: a model or builder
+bump (or any other change) changes the key and the old records simply
 match nothing.  Records from runs that skipped golden-reference
 verification carry ``"checked": false`` and replay with that flag intact.
 
@@ -49,8 +50,7 @@ it — the retry won.
 The journal is an *execution log*, not a cache: it is keyed to one sweep's
 points and replays in O(points), with no eviction policy.  Long-lived
 cross-sweep storage is the result cache's job
-(:class:`~repro.sweep.cache.ResultCache` or
-:class:`~repro.sweep.sqlite_store.SQLiteResultStore`).
+(:class:`~repro.sweep.cache.ResultCache`).
 
 Single-writer lock
 ------------------

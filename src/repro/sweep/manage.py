@@ -3,18 +3,14 @@
 One cache root holds every store the engine uses —
 
 * JSON result entries at ``<cache_dir>/<key[:2]>/<key>.json``
-  (:class:`~repro.sweep.cache.ResultCache`),
-* SQLite result rows in ``<cache_dir>/results.db``
-  (:class:`~repro.sweep.sqlite_store.SQLiteResultStore`; present when the
-  sweep ran with ``--result-store sqlite``), and
+  (:class:`~repro.sweep.cache.ResultCache`) and
 * trace entries at ``<cache_dir>/traces/<key[:2]>/<key>.json``
   (:class:`~repro.sweep.tracecache.TraceCache`)
 
 — and this module treats them uniformly: every entry is one
-:class:`CacheEntry` whose last-use timestamp (file mtime, or the SQLite
-row's access time) doubles as its age.  All stores are content-addressed,
-so eviction is always safe — a removed entry is a future cache miss, never
-a correctness problem.
+:class:`CacheEntry` whose last-use timestamp (the file's mtime) doubles as
+its age.  All stores are content-addressed, so eviction is always safe — a
+removed entry is a future cache miss, never a correctness problem.
 
 Eviction policy (:func:`gc_cache`):
 
@@ -75,17 +71,12 @@ TMP_GRACE_SECONDS = 3600.0
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One cache entry: a result file, a SQLite result row, or a trace.
-
-    ``key`` is set only for SQLite rows (whose ``path`` is the shared
-    database file) — it is what eviction deletes by.
-    """
+    """One cache entry: a result file or a trace file."""
 
     path: str
     section: str  # "results" or "traces"
-    size: int     # bytes (payload size for SQLite rows)
+    size: int     # bytes
     mtime: float  # POSIX timestamp of the last use
-    key: Optional[str] = None  # SQLite row key; None for plain files
 
 
 @dataclass
@@ -97,8 +88,6 @@ class CacheStats:
         default_factory=lambda: {s: 0 for s in _SECTIONS})
     bytes: Dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in _SECTIONS})
-    #: Of the result entries, how many are rows of ``results.db``.
-    sqlite_entries: int = 0
     #: Trace entries carrying a lowered payload of the *live*
     #: LOWERING_VERSION (a warm read of these skips the lowering pass too).
     lowered_entries: int = 0
@@ -138,7 +127,6 @@ class CacheStats:
             "bytes": dict(self.bytes),
             "total_entries": self.total_entries,
             "total_bytes": self.total_bytes,
-            "sqlite_entries": self.sqlite_entries,
             "lowered_entries": self.lowered_entries,
             "stale_lowered_entries": self.stale_lowered_entries,
             "tmp_files": self.tmp_files,
@@ -197,23 +185,9 @@ def _iter_section(root: str, section: str) -> Iterator[CacheEntry]:
                              size=st.st_size, mtime=st.st_mtime)
 
 
-def _iter_sqlite_results(cache_dir: str) -> Iterator[CacheEntry]:
-    """Rows of the root's ``results.db`` as uniform cache entries."""
-    from repro.sweep import sqlite_store
-
-    path = sqlite_store.db_path(cache_dir)
-    for key, size, atime in sqlite_store.iter_rows(cache_dir):
-        yield CacheEntry(path=path, section="results", size=size,
-                         mtime=atime, key=key)
-
-
 def iter_cache_entries(cache_dir: str) -> Iterator[CacheEntry]:
-    """Yield every entry under a shared cache root (results, then traces).
-
-    Result entries cover both layouts: JSON files and SQLite rows.
-    """
+    """Yield every entry under a shared cache root (results, then traces)."""
     yield from _iter_section(cache_dir, "results")
-    yield from _iter_sqlite_results(cache_dir)
     yield from _iter_section(os.path.join(cache_dir, TRACE_SUBDIR), "traces")
 
 
@@ -278,8 +252,6 @@ def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
     for entry in iter_cache_entries(cache_dir):
         stats.entries[entry.section] += 1
         stats.bytes[entry.section] += entry.size
-        if entry.key is not None:
-            stats.sqlite_entries += 1
         if entry.section == "traces":
             if _has_live_lowering(entry.path):
                 stats.lowered_entries += 1
@@ -300,15 +272,7 @@ def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
     return stats
 
 
-def _remove(entry: CacheEntry, report: GCReport,
-            sqlite_doomed: List[str]) -> None:
-    if entry.key is not None:
-        # SQLite rows are deleted in one batch after the scan; account now
-        # so the size arithmetic matches the file path.
-        sqlite_doomed.append(entry.key)
-        report.removed += 1
-        report.bytes_freed += entry.size
-        return
+def _remove(entry: CacheEntry, report: GCReport) -> None:
     try:
         os.unlink(entry.path)
     except OSError:
@@ -362,7 +326,7 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     Parameters
     ----------
     cache_dir:
-        Shared cache root (results — JSON and SQLite — plus traces).
+        Shared cache root (results plus traces).
     max_bytes:
         Keep total on-disk size at or under this many bytes, evicting
         least-recently-used entries first.  ``None`` puts no size bound.
@@ -386,8 +350,6 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     """
     import time
 
-    from repro.sweep import sqlite_store
-
     reference = time.time() if now is None else now
     protected = frozenset(keep)
     unknown = protected.difference(_SECTIONS)
@@ -396,20 +358,19 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     entries: List[CacheEntry] = sorted(iter_cache_entries(cache_dir),
                                        key=lambda e: e.mtime)
     report = GCReport()
-    sqlite_doomed: List[str] = []
 
     survivors: List[CacheEntry] = []
     for entry in entries:
         if (entry.section not in protected
                 and max_age_seconds is not None
                 and reference - entry.mtime > max_age_seconds):
-            _remove(entry, report, sqlite_doomed)
+            _remove(entry, report)
         else:
             survivors.append(entry)
 
     if max_bytes is not None:
         total = sum(e.size for e in survivors)
-        removed_ids = set()
+        removed_paths = set()
         # survivors are least-recently-used-first: evict evictable entries
         # from the front until the total fits.
         for entry in survivors:
@@ -417,14 +378,11 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
                 break
             if entry.section in protected:
                 continue
-            _remove(entry, report, sqlite_doomed)
-            removed_ids.add((entry.path, entry.key))
+            _remove(entry, report)
+            removed_paths.add(entry.path)
             total -= entry.size
-        survivors = [e for e in survivors
-                     if (e.path, e.key) not in removed_ids]
+        survivors = [e for e in survivors if e.path not in removed_paths]
 
-    if sqlite_doomed:
-        sqlite_store.delete_keys(cache_dir, sqlite_doomed)
     _sweep_tmp_files(cache_dir, report, reference, tmp_grace_seconds)
     _sweep_corrupt_files(cache_dir, report)
 
@@ -436,21 +394,12 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
 def clear_cache(cache_dir: str) -> GCReport:
     """Remove every entry under a cache root; returns what was freed.
 
-    Clears all three stores (JSON results, SQLite results, traces) and
-    every orphaned tempfile regardless of age.
+    Clears both stores (results and traces) and every orphaned tempfile
+    regardless of age.
     """
-    from repro.sweep import sqlite_store
-
     report = GCReport()
-    sqlite_doomed: List[str] = []
     for entry in list(iter_cache_entries(cache_dir)):
-        _remove(entry, report, sqlite_doomed)
-    if sqlite_doomed:
-        sqlite_store.delete_keys(cache_dir, sqlite_doomed, vacuum=False)
-    # An emptied database file is pure overhead — drop it (and its WAL
-    # sidecars) so "clear" really returns the root to pristine.
-    if sqlite_doomed or os.path.exists(sqlite_store.db_path(cache_dir)):
-        sqlite_store.remove_store(cache_dir)
+        _remove(entry, report)
     _sweep_tmp_files(cache_dir, report, reference=float("inf"),
                      grace_seconds=0.0)
     _sweep_corrupt_files(cache_dir, report)

@@ -17,9 +17,9 @@ already trusts:
   engine replays each journal — completed points re-simulate **zero**
   work and the final results are byte-identical to an uninterrupted run.
 * **Idempotent submission.**  A job's id is a content hash of its
-  normalized submission (plus the timing-model version), so resubmitting
-  the same sweep — a retrying client, a confused script — *attaches* to
-  the existing job instead of running it twice.
+  normalized submission (plus the timing-model and builder versions), so
+  resubmitting the same sweep — a retrying client, a confused script —
+  *attaches* to the existing job instead of running it twice.
 * **Backpressure.**  The job queue is bounded (``--max-queue``); a
   submission over the bound is rejected with HTTP 429 and a
   ``Retry-After`` header instead of letting memory and latency grow
@@ -43,6 +43,8 @@ Wire format (all JSON)::
                            "latencies": [...], "scale": N|null, "seed": N,
                            "deadline_seconds": S|null, "check": bool}
                           -> 201 {job} new, 200 {job} attached,
+                             400 bad submission or Content-Length,
+                             413 body over MAX_BODY_BYTES,
                              429 queue full (Retry-After), 503 draining
     GET  /jobs            -> 200 {"jobs": [{job}, ...]}
     GET  /jobs/<id>       -> 200 {job}
@@ -77,6 +79,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.atomicio import atomic_write_json
+from repro.frontend import builders
 from repro.sweep import faults
 from repro.sweep.engine import SweepEngine
 from repro.sweep.journal import SweepJournal, read_jsonl
@@ -85,13 +88,17 @@ from repro.timing.config import MachineConfig
 from repro.timing.core import MODEL_VERSION
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["JOB_TERMINAL_STATES", "QueueFull", "ServiceHTTPServer",
-           "SweepService", "UnknownJob", "job_id_for",
+__all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "QueueFull",
+           "ServiceHTTPServer", "SweepService", "UnknownJob", "job_id_for",
            "normalize_submission", "submission_points"]
 
 #: Job states with nothing left to run; anything else is re-enqueued when
 #: a restarted server recovers its state directory.
 JOB_TERMINAL_STATES = ("done", "failed")
+
+#: Largest request body the service reads; a bigger ``Content-Length`` is
+#: answered 413 before any byte of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 #: Fault-injection stage names the service fires
 #: (:func:`repro.sweep.faults.fire_stage`).
@@ -105,6 +112,10 @@ class QueueFull(RuntimeError):
     def __init__(self, limit: int) -> None:
         self.limit = limit
         super().__init__(f"job queue is full ({limit} queued); retry later")
+
+
+class BodyTooLarge(ValueError):
+    """The request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class UnknownJob(KeyError):
@@ -155,6 +166,9 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
 
     ways = [int(w) for w in data.get("ways", [4])]
     latencies = [int(m) for m in data.get("latencies", [1])]
+    for name, values in (("ways", ways), ("latencies", latencies)):
+        if any(v < 1 for v in values):
+            raise ValueError(f"{name} must all be >= 1, got {values}")
     if not (kernels and isas and ways and latencies):
         raise ValueError("submission expands to zero points")
     scale = data.get("scale")
@@ -174,16 +188,18 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
 def job_id_for(submission: Dict[str, Any]) -> str:
     """Content-hash id of a normalized submission (idempotency key).
 
-    Folds in the timing-model version: after a model bump the "same"
-    submission is a different job, matching the cache-key rule everywhere
-    else in the stack.  The deadline is excluded — it shapes *how long*
-    the job may run, not *what* it computes, so resubmitting with a longer
-    deadline attaches to the job instead of forking a duplicate.
+    Folds in the timing-model and builder versions (the builder version
+    read at call time): after either bump the "same" submission is a
+    different job, matching the cache-key rule everywhere else in the
+    stack.  The deadline is excluded — it shapes *how long* the job may
+    run, not *what* it computes, so resubmitting with a longer deadline
+    attaches to the job instead of forking a duplicate.
     """
     import hashlib
 
     body = {k: v for k, v in submission.items() if k != "deadline_seconds"}
     body["model_version"] = MODEL_VERSION
+    body["builder_version"] = builders.BUILDER_VERSION
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -223,7 +239,7 @@ class SweepService:
         Durable home of the service: job files under ``jobs/``, one
         write-ahead journal per job under ``journals/``.  Everything a
         restart needs lives here.
-    cache_dir / jobs / result_store / backend / task_timeout /
+    cache_dir / jobs / backend / task_timeout /
     max_pool_restarts:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
         built for each job run — one shared cache root, one parallelism
@@ -237,7 +253,6 @@ class SweepService:
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
                  max_queue: int = 16,
-                 result_store: str = "json",
                  backend: str = "auto",
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
@@ -245,7 +260,6 @@ class SweepService:
         self.cache_dir = cache_dir
         self.engine_jobs = jobs
         self.max_queue = max_queue
-        self.result_store = result_store
         self.backend = backend
         self.task_timeout = task_timeout
         self.max_pool_restarts = max_pool_restarts
@@ -473,7 +487,6 @@ class SweepService:
             jobs=self.engine_jobs,
             cache_dir=self.cache_dir,
             backend=self.backend,
-            result_store=self.result_store,
             check=submission["check"],
             journal=self.journal_path(job_id),
             task_timeout=self.task_timeout,
@@ -590,6 +603,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         try:
             self.wfile.write(body)
@@ -601,7 +616,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(code, {"error": message}, headers=headers)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: nothing after it can be parsed.
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length {declared!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise BodyTooLarge(f"request body of {length} bytes exceeds "
+                               f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
@@ -681,6 +708,9 @@ class _Handler(BaseHTTPRequestHandler):
             job, created = service.submit(data)
         except QueueFull as exc:
             self._error(429, str(exc), headers={"Retry-After": "5"})
+            return
+        except BodyTooLarge as exc:
+            self._error(413, str(exc))
             return
         except ValueError as exc:
             self._error(400, f"bad submission: {exc}")

@@ -64,6 +64,16 @@ class MachineConfig:
     #: Execution latencies per operation class.
     latencies: Dict[OpClass, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
 
+    def __post_init__(self) -> None:
+        # A latency below one cycle has no physical meaning; reject it here
+        # rather than simulate it.
+        if self.mem_latency < 1:
+            raise ValueError(f"mem_latency must be >= 1, got {self.mem_latency}")
+        for op, latency in self.latencies.items():
+            if latency < 1:
+                raise ValueError(f"latencies[{op.value}] must be >= 1, "
+                                 f"got {latency}")
+
     def latency_of(self, opclass: OpClass) -> int:
         """Base execution latency of an operation class.
 
@@ -90,7 +100,7 @@ class MachineConfig:
         with added multimedia units, as in the paper).
         """
         if way < 1:
-            raise ValueError("issue width must be >= 1")
+            raise ValueError(f"way (issue width) must be >= 1, got {way}")
         cfg = cls(
             name=f"way{way}",
             fetch_width=way,

@@ -142,6 +142,30 @@ class TestCache:
         v2.run(sweep)
         assert v2.last_simulated == len(sweep), "version bump must miss the cache"
 
+    def test_builder_version_bump_misses_store_journal_and_job_id(
+            self, tmp_path, monkeypatch):
+        """A stream-changing edit bumps BUILDER_VERSION; nothing produced
+        under the old version may be served after the bump."""
+        from repro.frontend import builders
+        from repro.sweep.service import job_id_for, normalize_submission
+
+        sweep = small_sweep()
+        journal = str(tmp_path / "sweep.jsonl")
+        SweepEngine(cache_dir=str(tmp_path / "cache")).run(sweep)
+        SweepEngine(journal=journal).run(sweep)
+        submission = normalize_submission({"kernels": ["comp"], "scale": 1})
+        job_id = job_id_for(submission)
+
+        monkeypatch.setattr(builders, "BUILDER_VERSION", "bumped")
+        cache = ResultCache(str(tmp_path / "cache"))
+        assert all(cache.get(point) is None for point in sweep.points())
+        assert cache.hits == 0 and cache.misses == len(sweep)
+        resumed = SweepEngine(journal=journal)
+        resumed.run(sweep)
+        assert resumed.last_journaled == 0
+        assert resumed.last_simulated == len(sweep)
+        assert job_id_for(submission) != job_id
+
     def test_partial_cache(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         a = SweepPoint("comp", "mom", cfg, _SPEC)

@@ -28,7 +28,8 @@ from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import kernel_names
 from repro.sweep.client import ServiceClient, ServiceError
 from repro.sweep.journal import SweepJournal
-from repro.sweep.service import (JOB_TERMINAL_STATES, QueueFull,
+from repro.sweep.service import (JOB_TERMINAL_STATES, MAX_BODY_BYTES,
+                                 QueueFull,
                                  ServiceHTTPServer, SweepService, UnknownJob,
                                  job_id_for, normalize_submission,
                                  submission_points)
@@ -89,6 +90,13 @@ class TestNormalizeSubmission:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             normalize_submission(["comp"])
+
+    @pytest.mark.parametrize("field, values", [
+        ("ways", [4, 0]), ("ways", [-1]),
+        ("latencies", [1, 0]), ("latencies", [-5])])
+    def test_nonphysical_machine_rejected(self, field, values):
+        with pytest.raises(ValueError, match=f"{field} must all be >= 1"):
+            normalize_submission({field: values})
 
 
 class TestJobId:
@@ -392,6 +400,49 @@ class TestHTTP:
         assert excinfo.value.status == 400
         assert "unknown kernel" in str(excinfo.value)
         assert sleeps == []  # 4xx is the caller's bug: no retry loop
+
+    def test_nonphysical_latency_is_400_before_any_job(self, http_stack):
+        service, _server, client = http_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(SMALL, latencies=[-5]))
+        assert excinfo.value.status == 400
+        assert "latencies must all be >= 1" in str(excinfo.value)
+        assert service.list_jobs() == []
+
+    @staticmethod
+    def _post_with_length(server, length: str, body: bytes = b""):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          server.server_address[1],
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_invalid_content_length_is_400(self, http_stack, length):
+        service, server, _client = http_stack
+        status, payload = self._post_with_length(server, length, b"{}")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert service.list_jobs() == []
+
+    def test_oversized_body_is_413_before_reading(self, http_stack):
+        service, server, _client = http_stack
+        # Only the headers are sent: the server must answer without
+        # waiting for a body it will never read.
+        status, payload = self._post_with_length(
+            server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert service.list_jobs() == []
 
     def test_unknown_job_is_404(self, http_stack):
         _service, _server, client = http_stack

@@ -22,6 +22,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fft"])
 
+    def test_result_store_flag_is_gone(self):
+        for command in (["sweep"], ["serve", "--state-dir", "x"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--result-store", "json"])
+
+    @pytest.mark.parametrize("argv, field", [
+        (["figure5", "--kernels", "comp", "--latencies", "-5"], "mem_latency"),
+        (["sweep", "--kernels", "comp", "--latencies", "1", "0"],
+         "mem_latency"),
+        (["sweep", "--kernels", "comp", "--ways", "0"], "way"),
+        (["run", "comp", "--mem-latency", "0"], "mem_latency"),
+    ])
+    def test_nonphysical_machine_exits_with_the_field(self, capsys, argv,
+                                                      field):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err and ">= 1" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_list(self, capsys):

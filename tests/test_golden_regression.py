@@ -13,22 +13,40 @@ If a change is *supposed* to alter the numbers, regenerate the snapshot with
 
 and bump :data:`repro.timing.core.MODEL_VERSION` in the same commit (the
 sweep result cache keys on it).
+
+``tests/golden/streams.json`` pins a SHA-256 of every emitted stream under
+the live :data:`repro.frontend.builders.BUILDER_VERSION`, so a stream change
+fails here until the version is bumped and the fingerprints regenerated
+together (result keys, journal records and service job ids all fold the
+builder version in).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 
 import pytest
 
 from repro.experiments.runner import run_kernel
+from repro.frontend.builders import BUILDER_VERSION
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import get_kernel, kernel_names
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "way4_lat1.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "way4_lat1.json")
+STREAMS_PATH = os.path.join(GOLDEN_DIR, "streams.json")
+
+
+def _load_regenerate():
+    spec = importlib.util.spec_from_file_location(
+        "golden_regenerate", os.path.join(GOLDEN_DIR, "regenerate.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_golden():
@@ -65,3 +83,25 @@ def test_golden_cycles_exact(point):
         f"(got {got}, expected {expected}); if intentional, regenerate "
         f"tests/golden/way4_lat1.json and bump MODEL_VERSION"
     )
+
+
+def test_stream_fingerprints_move_with_builder_version():
+    regenerate = _load_regenerate()
+    with open(STREAMS_PATH, "r", encoding="utf-8") as f:
+        pinned = json.load(f)
+    changed = regenerate.changed_streams(pinned["streams"],
+                                         regenerate.stream_fingerprints())
+    assert pinned["builder_version"] == BUILDER_VERSION and not changed, (
+        f"emitted streams changed: {changed or 'none'}; pinned under "
+        f"BUILDER_VERSION {pinned['builder_version']!r}, live "
+        f"{BUILDER_VERSION!r}. BUILDER_VERSION and tests/golden/streams.json "
+        f"must move together: bump BUILDER_VERSION, then run "
+        f"tests/golden/regenerate.py")
+
+
+def test_changed_streams_names_every_difference():
+    changed_streams = _load_regenerate().changed_streams
+    assert changed_streams({"a/mom": "1", "b/mmx": "2"},
+                           {"a/mom": "1", "b/mmx": "3", "c/mdmx": "4"}) == [
+        "b/mmx", "c/mdmx"]
+    assert changed_streams({"a/mom": "1"}, {"a/mom": "1"}) == []

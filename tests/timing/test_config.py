@@ -27,8 +27,24 @@ class TestForWay:
             assert cfg.phys_acc_regs > cfg.arch_acc_regs
 
     def test_invalid_way(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="way"):
             MachineConfig.for_way(0)
+
+    @pytest.mark.parametrize("latency", [0, -5])
+    def test_nonphysical_mem_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="mem_latency must be >= 1"):
+            MachineConfig.for_way(4, mem_latency=latency)
+        with pytest.raises(ValueError, match="mem_latency"):
+            MachineConfig(mem_latency=latency)
+
+    @pytest.mark.parametrize("latency", [0, -1])
+    def test_nonphysical_opclass_latency_rejected(self, latency):
+        latencies = dict(MachineConfig().latencies)
+        latencies[OpClass.IMUL] = latency
+        with pytest.raises(ValueError, match=r"latencies\[imul\] must be >= 1"):
+            MachineConfig(latencies=latencies)
+        with pytest.raises(ValueError, match="latencies"):
+            MachineConfig().with_updates(latencies=latencies)
 
     def test_mem_latency_passthrough(self):
         cfg = MachineConfig.for_way(4, mem_latency=50)
