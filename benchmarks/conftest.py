@@ -15,18 +15,3 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-
-import pytest
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_vector_cutover(monkeypatch):
-    """Benchmarks assert routing against the VECTOR_MIN_BATCH constant;
-    ignore any persisted `repro calibrate` measurement on this machine."""
-    from repro.timing import vector
-    from repro.timing.calibrate import CALIBRATION_ENV
-
-    monkeypatch.setenv(CALIBRATION_ENV, "off")
-    vector.set_min_batch_override(None)
-    yield
-    vector.set_min_batch_override(None)

@@ -18,9 +18,6 @@ The CLI exposes the experiment drivers without writing any Python:
 * ``client``   — talk to a running service: ``submit`` a sweep, ``watch``
   its live progress, ``fetch`` its results, ``list`` its jobs.  Retries
   with deterministic backoff and honours 429 ``Retry-After``.
-* ``calibrate`` — measure the vector backend's loop-vs-vector cut-over on
-  this machine and persist it for the ``auto`` backend rule
-  (``~/.cache/repro/calibration.json`` or ``$REPRO_CALIBRATION``).
 
 Every sweep-backed command accepts ``--jobs N`` (process-parallel
 execution), ``--cache-dir DIR`` (on-disk result + trace caches; warm
@@ -33,9 +30,9 @@ replays the journal instead of re-simulating — crash-safe sweeps),
 ``--resume-failed {retry,skip}`` (what a resume does with journaled
 *failure* records), ``--task-timeout SECONDS`` / ``--max-pool-restarts N``
 (supervised pool execution: hung-worker deadlines, bounded pool respawns
-with backoff, poison-point quarantine — see ``docs/sweep-engine.md``) and
-``--backend {auto,object,lowered,vector}`` (timing backend for the group
-simulations; identical numbers, different wall time).  A live
+with backoff, poison-point quarantine — see ``docs/sweep-engine.md``).
+The timing backend is not a flag: each trace group's size picks it (see
+:func:`repro.timing.dispatch.resolve_execution`).  A live
 ``done/total`` progress line with the simulated instr/s rate is written
 to stderr when it is a TTY, and ``repro cache stats --json`` emits the
 cache statistics as one JSON object for scripting.
@@ -54,7 +51,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import signal
 import sys
 import time
@@ -76,7 +72,6 @@ from repro.kernels.registry import KERNELS, kernel_names
 from repro.sweep import (PointResult, SweepEngine, SweepPoint, cache_stats,
                          clear_cache, gc_cache, resolve_spec)
 from repro.timing.config import MachineConfig
-from repro.timing.dispatch import BACKENDS
 from repro.workloads.generators import WorkloadSpec
 
 __all__ = ["add_sweep_arguments", "build_parser", "engine_from_args",
@@ -125,12 +120,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker-pool respawns (after crashes, hangs or "
                              "submit failures) before the run degrades to "
                              "serial execution (default 6)")
-    parser.add_argument("--backend", default="auto", choices=list(BACKENDS),
-                        help="timing backend for group simulations "
-                             "(default auto: the NumPy vector batch "
-                             "backend for large config groups, the "
-                             "lowered interpreter otherwise; results are "
-                             "identical across backends)")
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser,
@@ -146,10 +135,9 @@ def add_sweep_arguments(parser: argparse.ArgumentParser,
 
 def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     """Build a :class:`SweepEngine` from parsed ``--jobs``/``--cache-dir``
-    (plus ``--backend``/``--resume`` where the command
+    (plus ``--resume`` and the supervision flags where the command
     defines them)."""
     return SweepEngine(jobs=args.jobs, cache_dir=args.cache_dir,
-                       backend=getattr(args, "backend", "auto"),
                        journal=getattr(args, "resume", None),
                        task_timeout=getattr(args, "task_timeout", None),
                        max_pool_restarts=getattr(args, "max_pool_restarts",
@@ -185,9 +173,7 @@ class _ProgressLine:
     """Live ``done/total`` progress on stderr (TTY only, ``\\r``-updated).
 
     Tracks the cumulative *simulated* instruction count (cache hits
-    simulate nothing) and shows the resulting instructions/second — the
-    number the backend choice moves, so ``--backend`` A/B runs can be read
-    straight off the progress line.
+    simulate nothing) and shows the resulting instructions/second.
     """
 
     def __init__(self, total: int, enabled: Optional[bool] = None) -> None:
@@ -405,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--cache-dir", default=None,
                          help="result + trace cache root shared by every "
                               "job (default: no caching)")
-    serve_p.add_argument("--backend", default="auto",
-                         choices=list(BACKENDS),
-                         help="timing backend for group simulations")
     serve_p.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per worker-pool task deadline (hung-worker "
@@ -459,26 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fetch", help="print a finished job's full results as JSON")
     fetch_p.add_argument("job_id")
     client_sub.add_parser("list", help="list the server's jobs")
-
-    cal_p = sub.add_parser(
-        "calibrate",
-        help="measure the vector backend's batch cut-over on this machine "
-             "and persist it for the auto backend rule")
-    cal_p.add_argument("--path", default=None,
-                       help="calibration file to write (default: "
-                            "$REPRO_CALIBRATION or "
-                            "~/.cache/repro/calibration.json)")
-    cal_p.add_argument("--instructions", type=int, default=1536,
-                       help="synthetic trace length for the measurement "
-                            "(default 1536)")
-    cal_p.add_argument("--repeats", type=int, default=3,
-                       help="timing repetitions per batch size; the best "
-                            "of each is kept (default 3)")
-    cal_p.add_argument("--dry-run", action="store_true",
-                       help="measure and report without persisting")
-    cal_p.add_argument("--json", action="store_true",
-                       help="emit the full measurement report as JSON on "
-                            "stdout")
 
     cache_p = sub.add_parser(
         "cache", help="inspect or prune the on-disk result/trace caches")
@@ -642,7 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            cache_dir=args.cache_dir,
                            jobs=args.jobs,
                            max_queue=args.max_queue,
-                           backend=args.backend,
                            task_timeout=args.task_timeout,
                            max_pool_restarts=args.max_pool_restarts)
     resumed = service.recover()
@@ -748,55 +710,6 @@ def _format_bytes(n: int) -> str:
     return f"{n:.1f} GiB"  # pragma: no cover - unreachable
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.timing.calibrate import (CALIBRATION_ENV, calibration_path,
-                                        measure_vector_cutover,
-                                        save_calibration, synthetic_trace)
-    from repro.timing.vector import VECTOR_MIN_BATCH, set_min_batch_override
-
-    # Under --json only the report goes to stdout; status lines move to
-    # stderr so the output stays machine-readable.
-    status = sys.stderr if args.json else sys.stdout
-
-    lowered = synthetic_trace(num_instructions=args.instructions).lower()
-    report = measure_vector_cutover(lowered, repeats=args.repeats)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"{'batch':>6s} {'loop ms':>9s} {'vector ms':>10s}  winner")
-        for row in report["measurements"]:
-            winner = "vector" if row["vector_wins"] else "loop"
-            print(f"{row['batch']:6d} {row['loop_s'] * 1e3:9.2f} "
-                  f"{row['vector_s'] * 1e3:10.2f}  {winner}")
-        print(f"\nmeasured cut-over: {report['vector_min_batch']} "
-              f"configuration(s) (constant fallback: {VECTOR_MIN_BATCH})")
-    if args.dry_run:
-        print("dry run: nothing persisted", file=status)
-        return 0
-    if calibration_path(args.path) is None:
-        print(f"error: calibration persistence is disabled "
-              f"({CALIBRATION_ENV} is off); pass --path or --dry-run",
-              file=sys.stderr)
-        return 2
-    path = save_calibration(report, path=args.path)
-    # Forget any lazily-cached value so this very process routes on the
-    # fresh measurement too.
-    set_min_batch_override(None)
-    print(f"persisted to {path}", file=status)
-    read_path = calibration_path(None)
-    if args.path is not None and (
-            read_path is None
-            or os.path.abspath(read_path) != os.path.abspath(path)):
-        # The auto rule only reads $REPRO_CALIBRATION / the default path;
-        # an explicit --path elsewhere is inert until pointed at.
-        where = (read_path if read_path is not None
-                 else f"nothing ({CALIBRATION_ENV} is off)")
-        print(f"note: the auto backend rule reads {where}; export "
-              f"{CALIBRATION_ENV}={path} to activate this file",
-              file=status)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         stats = cache_stats(args.cache_dir)
@@ -880,8 +793,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "client":
         return _cmd_client(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
     if args.command == "cache":
         return _cmd_cache(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
@@ -889,8 +800,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _check_machine_args(parser: argparse.ArgumentParser,
                         args: argparse.Namespace) -> None:
-    """Reject issue widths and latencies no machine can have before any
-    work runs, with :class:`MachineConfig`'s message naming the field."""
+    """Reject machines, workloads and engine settings that make no sense
+    before any work runs: the message of the class that owns the rule
+    (:class:`MachineConfig`, :class:`WorkloadSpec`, :class:`SweepEngine`)
+    names the field."""
     ways = getattr(args, "ways", None) or [getattr(args, "way", 4)]
     latencies = (getattr(args, "latencies", None)
                  or [getattr(args, "mem_latency", 1)])
@@ -898,6 +811,14 @@ def _check_machine_args(parser: argparse.ArgumentParser,
         for way in ways:
             for latency in latencies:
                 MachineConfig.for_way(way, mem_latency=latency)
+        if getattr(args, "scale", None) is not None:
+            WorkloadSpec(scale=args.scale)
+        if hasattr(args, "jobs"):
+            # Without a cache or journal the engine touches no file.
+            SweepEngine(jobs=args.jobs,
+                        task_timeout=getattr(args, "task_timeout", None),
+                        max_pool_restarts=getattr(args, "max_pool_restarts",
+                                                  None))
     except ValueError as exc:
         parser.error(str(exc))
 

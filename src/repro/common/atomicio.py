@@ -1,6 +1,6 @@
 """Atomic JSON file writes and entry integrity, shared by every on-disk store.
 
-The result cache, the trace cache and the calibration file all follow the
+The result cache, the trace cache and the service's job files all follow the
 same durability rule: a reader may never observe a half-written entry, so
 every write goes to a same-directory temporary file first and lands with
 one atomic :func:`os.replace`.  This module is the single implementation

@@ -223,15 +223,14 @@ def _acquire_trace(point: SweepPoint, check: bool,
 
 def _simulate_group(points: Sequence[SweepPoint], check: bool,
                     trace_cache: Optional[TraceCache],
-                    backend: str = "auto",
                     ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]],
                                int, Tuple[int, str]]:
     """Run one trace-sharing group of resolved points in this process.
 
     The trace is acquired once and lowered once; every configuration in
     the group is simulated off the shared flat arrays through the timing
-    package's batch dispatch (``backend`` selects object/lowered/vector;
-    ``auto`` picks the vector array program for large groups).  Returns
+    package's batch dispatch, whose ``auto`` rule picks the vector array
+    program for large groups and the lowered interpreter otherwise.  Returns
     the per-point ``(sim, stats, trace_cached)`` rows, how many front-end
     builds ran (0 or 1), and the group's ``(size, executed backend)``.
     """
@@ -245,10 +244,10 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
         faults.fire_faults(point)
     trace, from_cache = _acquire_trace(points[0], check, trace_cache)
     stats = summarize_trace(trace)
-    sims = simulate_batch(trace, [p.config for p in points], backend=backend)
+    sims = simulate_batch(trace, [p.config for p in points])
     rows = [(sim, stats, from_cache) for sim in sims]
     execution = (len(points),
-                 resolve_execution(backend, len(points), len(trace)))
+                 resolve_execution("auto", len(points), len(trace)))
     return rows, 0 if from_cache else 1, execution
 
 
@@ -267,8 +266,7 @@ def _simulate_point_with_build(point: SweepPoint, check: bool,
     return run.sim, run.stats, run.build
 
 
-def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str],
-                             str]
+def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str]]
                  ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
                             Tuple[int, str]]:
     """Top-level (picklable) worker for the process pool: one trace group.
@@ -279,9 +277,9 @@ def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str],
     travel back to the parent.
     """
     faults.mark_worker()
-    points, check, trace_dir, backend = args
+    points, check, trace_dir = args
     trace_cache = TraceCache(trace_dir) if trace_dir else None
-    return _simulate_group(points, check, trace_cache, backend)
+    return _simulate_group(points, check, trace_cache)
 
 
 class SweepEngine:
@@ -290,8 +288,9 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Worker-process count.  ``jobs <= 1`` selects the deterministic
-        in-process path; ``jobs > 1`` uses a ``ProcessPoolExecutor``.
+        Worker-process count, at least 1.  ``jobs == 1`` selects the
+        deterministic in-process path; ``jobs > 1`` uses a
+        ``ProcessPoolExecutor``.
     cache_dir:
         Root directory for the on-disk caches; ``None`` disables both.
         Results live at ``<cache_dir>/<key[:2]>/<key>.json`` and serialized
@@ -309,13 +308,6 @@ class SweepEngine:
         ``<cache_dir>/traces`` when ``cache_dir`` is set, a string selects
         an explicit directory, and ``False`` disables trace caching even
         with a ``cache_dir``.
-    backend:
-        Timing backend for the group simulations, one of
-        :data:`~repro.timing.dispatch.BACKENDS` (default ``"auto"``:
-        the vector array program for groups of at least
-        :data:`~repro.timing.vector.VECTOR_MIN_BATCH` configurations,
-        the per-config lowered interpreter otherwise).  Results are
-        bit-identical across backends, so cache keys ignore it.
     journal:
         Write-ahead journal for crash-safe sweeps: a
         :class:`~repro.sweep.journal.SweepJournal`, a path for one, or
@@ -345,25 +337,20 @@ class SweepEngine:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  check: bool = True, version: Optional[str] = None,
                  trace_cache: Union[None, bool, str] = None,
-                 backend: str = "auto",
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None,
                  supervision: Optional[SupervisorPolicy] = None,
                  resume_failed: str = "retry") -> None:
-        from repro.timing.dispatch import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown timing backend {backend!r}; "
-                             f"choose from {BACKENDS}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if resume_failed not in ("retry", "skip"):
             raise ValueError(f"unknown resume_failed mode {resume_failed!r}; "
                              f"choose from ('retry', 'skip')")
-        self.backend = backend
         self.policy = policy_with_overrides(supervision, task_timeout,
                                             max_pool_restarts)
         self.resume_failed = resume_failed
-        self.jobs = max(1, int(jobs))
+        self.jobs = int(jobs)
         self._version = version
         self.cache = (ResultCache(cache_dir, version=version)
                       if cache_dir else None)
@@ -622,8 +609,7 @@ class SweepEngine:
         for group in _group_by_trace(points, sorted(remaining)):
             try:
                 rows, builds, execution = _simulate_group(
-                    [points[i] for i in group], self.check, self.trace_cache,
-                    self.backend)
+                    [points[i] for i in group], self.check, self.trace_cache)
             except Exception:
                 yield from self._isolate_serial_group(points, group,
                                                       remaining)
@@ -650,7 +636,7 @@ class SweepEngine:
             self.last_retries += 1
             try:
                 rows, builds, execution = _simulate_group(
-                    [points[i]], self.check, self.trace_cache, self.backend)
+                    [points[i]], self.check, self.trace_cache)
             except Exception as exc:
                 remaining.discard(i)
                 point = points[i]
@@ -749,7 +735,7 @@ class SweepEngine:
 
         def make_args(indices: Sequence[int]) -> tuple:
             return (tuple(points[i] for i in indices), self.check,
-                    trace_dir, self.backend)
+                    trace_dir)
 
         supervisor = PoolSupervisor(
             points, groups, make_args, _pool_worker, workers,
@@ -798,8 +784,7 @@ class SweepEngine:
 
 
 def ensure_engine(engine: Optional[SweepEngine], jobs: int = 1,
-                  cache_dir: Optional[str] = None,
-                  backend: str = "auto") -> SweepEngine:
+                  cache_dir: Optional[str] = None) -> SweepEngine:
     """Return ``engine`` if given, else a fresh one from the plain options.
 
     Shared by every experiment driver that accepts either a pre-configured
@@ -807,4 +792,4 @@ def ensure_engine(engine: Optional[SweepEngine], jobs: int = 1,
     """
     if engine is not None:
         return engine
-    return SweepEngine(jobs=jobs, cache_dir=cache_dir, backend=backend)
+    return SweepEngine(jobs=jobs, cache_dir=cache_dir)

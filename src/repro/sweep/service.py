@@ -45,6 +45,7 @@ Wire format (all JSON)::
                           -> 201 {job} new, 200 {job} attached,
                              400 bad submission or Content-Length,
                              413 body over MAX_BODY_BYTES,
+                             422 more than MAX_JOB_POINTS points,
                              429 queue full (Retry-After), 503 draining
     GET  /jobs            -> 200 {"jobs": [{job}, ...]}
     GET  /jobs/<id>       -> 200 {job}
@@ -69,6 +70,7 @@ file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -88,8 +90,9 @@ from repro.timing.config import MachineConfig
 from repro.timing.core import MODEL_VERSION
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "QueueFull",
-           "ServiceHTTPServer", "SweepService", "UnknownJob", "job_id_for",
+__all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
+           "MAX_SCALE", "QueueFull", "ServiceHTTPServer", "SweepService",
+           "TooManyPoints", "UnknownJob", "job_id_for",
            "normalize_submission", "submission_points"]
 
 #: Job states with nothing left to run; anything else is re-enqueued when
@@ -99,6 +102,14 @@ JOB_TERMINAL_STATES = ("done", "failed")
 #: Largest request body the service reads; a bigger ``Content-Length`` is
 #: answered 413 before any byte of the body is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Largest workload ``scale`` a submission may ask for (HTTP 400 above);
+#: head-room over 16, the largest scale any shipped command uses.
+MAX_SCALE = 64
+
+#: Most points one job may expand to (HTTP 422 above); head-room over the
+#: 2304-point dense grid, the largest sweep the repository runs.
+MAX_JOB_POINTS = 10_000
 
 #: Fault-injection stage names the service fires
 #: (:func:`repro.sweep.faults.fire_stage`).
@@ -118,6 +129,10 @@ class BodyTooLarge(ValueError):
     """The request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
+class TooManyPoints(ValueError):
+    """The submission expands to over :data:`MAX_JOB_POINTS` points (422)."""
+
+
 class UnknownJob(KeyError):
     """No job with the requested id exists in this state directory."""
 
@@ -132,6 +147,10 @@ class _DeadlineExceeded(Exception):
 
 # ----------------------------------------------------------------------
 # Submissions: normalization, identity, expansion.
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     """Canonical form of a submission: defaults filled, junk rejected.
@@ -164,23 +183,39 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     if bad:
         raise ValueError(f"unknown isa(s): {bad}")
 
-    ways = [int(w) for w in data.get("ways", [4])]
-    latencies = [int(m) for m in data.get("latencies", [1])]
+    ways = data.get("ways", [4])
+    latencies = data.get("latencies", [1])
     for name, values in (("ways", ways), ("latencies", latencies)):
+        if not isinstance(values, list) or not all(map(_is_int, values)):
+            raise ValueError(f"{name} must be a list of integers, "
+                             f"got {values!r}")
         if any(v < 1 for v in values):
             raise ValueError(f"{name} must all be >= 1, got {values}")
-    if not (kernels and isas and ways and latencies):
+    points = len(kernels) * len(isas) * len(ways) * len(latencies)
+    if not points:
         raise ValueError("submission expands to zero points")
+    if points > MAX_JOB_POINTS:
+        raise TooManyPoints(f"submission expands to {points} points, over "
+                            f"the {MAX_JOB_POINTS}-point limit")
     scale = data.get("scale")
+    if scale is not None and not (_is_int(scale)
+                                  and 1 <= scale <= MAX_SCALE):
+        raise ValueError(f"scale must be an integer in 1..{MAX_SCALE}, "
+                         f"got {scale!r}")
     deadline = data.get("deadline_seconds")
+    if deadline is not None:
+        deadline = float(deadline)
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline_seconds must be a finite number "
+                             f"> 0, got {deadline}")
     return {
         "kernels": list(kernels),
         "isas": list(isas),
         "ways": ways,
         "latencies": latencies,
-        "scale": int(scale) if scale is not None else None,
+        "scale": scale,
         "seed": int(data.get("seed", 1999)),
-        "deadline_seconds": float(deadline) if deadline is not None else None,
+        "deadline_seconds": deadline,
         "check": bool(data.get("check", True)),
     }
 
@@ -239,8 +274,7 @@ class SweepService:
         Durable home of the service: job files under ``jobs/``, one
         write-ahead journal per job under ``journals/``.  Everything a
         restart needs lives here.
-    cache_dir / jobs / backend / task_timeout /
-    max_pool_restarts:
+    cache_dir / jobs / task_timeout / max_pool_restarts:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
         built for each job run — one shared cache root, one parallelism
         setting, for every job.
@@ -253,14 +287,12 @@ class SweepService:
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
                  max_queue: int = 16,
-                 backend: str = "auto",
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         self.state_dir = os.fspath(state_dir)
         self.cache_dir = cache_dir
         self.engine_jobs = jobs
         self.max_queue = max_queue
-        self.backend = backend
         self.task_timeout = task_timeout
         self.max_pool_restarts = max_pool_restarts
 
@@ -486,7 +518,6 @@ class SweepService:
         engine = SweepEngine(
             jobs=self.engine_jobs,
             cache_dir=self.cache_dir,
-            backend=self.backend,
             check=submission["check"],
             journal=self.journal_path(job_id),
             task_timeout=self.task_timeout,
@@ -711,6 +742,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except BodyTooLarge as exc:
             self._error(413, str(exc))
+            return
+        except TooManyPoints as exc:
+            self._error(422, str(exc))
             return
         except ValueError as exc:
             self._error(400, f"bad submission: {exc}")

@@ -111,6 +111,14 @@ class SupervisorPolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.task_timeout is not None and not self.task_timeout > 0:
+            raise ValueError(
+                f"task_timeout must be > 0 seconds, got {self.task_timeout}")
+        if self.max_pool_restarts < 0:
+            raise ValueError(f"max_pool_restarts must be >= 0, "
+                             f"got {self.max_pool_restarts}")
+
 
 @dataclass
 class PointFailure:

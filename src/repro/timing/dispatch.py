@@ -17,10 +17,10 @@ The timing package has three executions of the same interval model:
 All three are bit-identical (pinned by the golden snapshots and the
 equivalence suites), so picking one is purely a performance decision.
 :func:`simulate_batch` is that decision point: the sweep engine routes
-every trace-sharing group of configurations through it, and the CLI's
-``--backend`` flag plumbs down to the ``backend`` argument.  The default
-``auto`` resolves to ``vector`` for large batches and ``lowered``
-otherwise (:func:`resolve_execution`).
+every trace-sharing group of configurations through it with the default
+``auto``, which resolves to ``vector`` for large batches and ``lowered``
+otherwise (:func:`resolve_execution`).  The explicit names exist for the
+equivalence suites, which pin the three executions against each other.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ def resolve_execution(backend: str, num_configs: int,
                       num_instructions: int = 0) -> str:
     """The concrete backend a ``simulate_batch`` call will execute.
 
-    ``auto`` resolves to ``"vector"`` when the batch reaches the live
-    loop-vs-vector cut-over — the machine's persisted ``repro calibrate``
-    measurement when one exists, the
-    :data:`~repro.timing.vector.VECTOR_MIN_BATCH` constant otherwise (see
-    :func:`~repro.timing.vector.effective_min_batch`) — and the
+    ``auto`` resolves to ``"vector"`` when the batch reaches
+    :data:`~repro.timing.vector.VECTOR_MIN_BATCH` configurations and the
     ``instructions x configs`` working set fits the vector backend's
     :data:`~repro.timing.vector.VECTOR_AUTO_CELL_BUDGET` memory budget;
     ``"lowered"`` otherwise.  Explicit names resolve to themselves.

@@ -48,8 +48,8 @@ trace, asymptotically bounded by the per-row array work.
 :func:`run_lowered_batch` picks the faster strategy automatically:
 batches smaller than :data:`VECTOR_MIN_BATCH` run the per-config lowered
 interpreter, larger ones run the array program; ``force_vector`` overrides
-in both directions (the CLI's ``--backend vector`` forces the array
-program, ``--backend lowered`` avoids this module entirely).
+in both directions (the equivalence suites use it to pin the array program
+against the interpreter).
 """
 
 from __future__ import annotations
@@ -66,54 +66,19 @@ from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
 
 __all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH", "add_batch_hook",
-           "effective_min_batch", "remove_batch_hook", "run_lowered_batch",
-           "set_min_batch_override"]
+           "effective_min_batch", "remove_batch_hook", "run_lowered_batch"]
 
 #: Smallest batch for which the array program is worth its per-row NumPy
 #: dispatch overhead; below it :func:`run_lowered_batch` loops the
 #: per-config lowered interpreter instead.  Measured cut-over on the
 #: reference trace is ~45-60 configs; the margin keeps the loop path on
-#: machines where NumPy dispatch is relatively more expensive.  This
-#: constant is the *fallback*: ``repro calibrate``
-#: (:mod:`repro.timing.calibrate`) measures the cut-over on the local
-#: machine and persists it, and :func:`effective_min_batch` prefers that
-#: measurement when one exists.
+#: machines where NumPy dispatch is relatively more expensive.
 VECTOR_MIN_BATCH = 64
-
-# Calibration state for effective_min_batch(): an in-process override
-# (tests, or a just-finished `repro calibrate`) beats the persisted file,
-# which is read lazily exactly once and beats the constant.
-_MIN_BATCH_OVERRIDE: Optional[int] = None
-_FILE_MIN_BATCH: Optional[int] = None
-_FILE_CHECKED = False
-
-
-def set_min_batch_override(value: Optional[int]) -> None:
-    """Pin (or with None clear) the in-process ``auto`` cut-over.
-
-    Clearing also forgets the lazily-read persisted calibration, so the
-    next :func:`effective_min_batch` call re-reads the file — which is
-    what the CLI and the tests need after writing one.
-    """
-    global _MIN_BATCH_OVERRIDE, _FILE_MIN_BATCH, _FILE_CHECKED
-    _MIN_BATCH_OVERRIDE = None if value is None else max(1, int(value))
-    _FILE_MIN_BATCH = None
-    _FILE_CHECKED = False
 
 
 def effective_min_batch() -> int:
-    """The live ``auto`` cut-over: override, else persisted calibration,
-    else :data:`VECTOR_MIN_BATCH`."""
-    global _FILE_MIN_BATCH, _FILE_CHECKED
-    if _MIN_BATCH_OVERRIDE is not None:
-        return _MIN_BATCH_OVERRIDE
-    if not _FILE_CHECKED:
-        from repro.timing.calibrate import load_calibration
-
-        _FILE_MIN_BATCH = load_calibration()
-        _FILE_CHECKED = True
-    if _FILE_MIN_BATCH is not None:
-        return _FILE_MIN_BATCH
+    """The ``auto`` cut-over: always :data:`VECTOR_MIN_BATCH`.  Kept as a
+    function because ``perfbench/run.py`` checks routing against it."""
     return VECTOR_MIN_BATCH
 
 #: Upper bound on ``instructions x configs`` for the *automatic* vector
@@ -129,7 +94,7 @@ VECTOR_AUTO_CELL_BUDGET = 1 << 24
 def _auto_uses_vector(num_configs: int, num_instructions: int) -> bool:
     """The ``auto`` rule shared by :func:`run_lowered_batch` and the
     dispatch layer's :func:`~repro.timing.dispatch.resolve_execution`."""
-    return (num_configs >= effective_min_batch()
+    return (num_configs >= VECTOR_MIN_BATCH
             and num_configs * num_instructions <= VECTOR_AUTO_CELL_BUDGET)
 
 #: Observers called as ``hook(trace_name, isa, num_configs, mode)`` after

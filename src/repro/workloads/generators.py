@@ -29,6 +29,12 @@ class WorkloadSpec:
     scale: int = 4
     seed: int = 1999  # the paper's publication year, for determinism
 
+    def __post_init__(self) -> None:
+        # The kernels would clamp a smaller scale to 1, but it would still
+        # key a separate cache entry for the same trace.
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
+
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 

@@ -10,24 +10,6 @@ from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_vector_cutover(monkeypatch):
-    """Keep backend routing deterministic for every test.
-
-    A developer machine may carry a persisted ``repro calibrate``
-    measurement; tests assert against the :data:`VECTOR_MIN_BATCH`
-    constant, so calibration reading is disabled and any cached state is
-    cleared (tests that exercise calibration opt back in explicitly).
-    """
-    from repro.timing import vector
-    from repro.timing.calibrate import CALIBRATION_ENV
-
-    monkeypatch.setenv(CALIBRATION_ENV, "off")
-    vector.set_min_batch_override(None)
-    yield
-    vector.set_min_batch_override(None)
-
-
 @pytest.fixture
 def machine() -> FunctionalMachine:
     """A fresh functional machine."""

@@ -379,9 +379,8 @@ class TestFigure4ThroughEngine:
 
 class TestBackendRouting:
     """Every simulated trace group goes through the timing package's batch
-    dispatch, the engine records each group's (size, executed backend),
-    and ``backend=`` selects the execution without changing a single
-    number."""
+    dispatch, and the engine records each group's (size, executed
+    backend): the group size alone picks the backend."""
 
     def _figure4_grid(self):
         """The Figure 4 grid as `repro sweep` would expand it: every ISA of
@@ -437,26 +436,6 @@ class TestBackendRouting:
         baseline = SweepEngine().run(sweep)
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
-    def test_backend_vector_forces_the_array_program(self, batch_hook):
-        sweep = self._figure4_grid()
-        engine = SweepEngine(backend="vector")
-        results = engine.run(sweep)
-        assert {mode for _n, mode in engine.last_batches} == {"vector"}
-        assert {m for _k, _i, _n, m in batch_hook} == {"vector"}
-        baseline = SweepEngine(backend="lowered").run(sweep)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
-
-    def test_backend_object_matches_and_skips_the_batch_module(
-            self, batch_hook):
-        points = [SweepPoint("comp", "mom", MachineConfig.for_way(w), _SPEC)
-                  for w in (1, 4)]
-        engine = SweepEngine(backend="object")
-        results = engine.run(points)
-        assert engine.last_batches == [(2, "object")]
-        assert batch_hook == []  # object backend never enters vector.py
-        baseline = SweepEngine().run(points)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
-
     def test_auto_uses_vector_for_large_groups(self):
         from repro.timing.vector import VECTOR_MIN_BATCH
 
@@ -468,19 +447,14 @@ class TestBackendRouting:
         engine.run(sweep)
         assert engine.last_batches == [(VECTOR_MIN_BATCH, "vector")]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown timing backend"):
-            SweepEngine(backend="fpga")
+    def test_backend_is_not_an_engine_option(self):
+        with pytest.raises(TypeError):
+            SweepEngine(backend="vector")
 
-    def test_backend_is_not_part_of_the_cache_key(self, tmp_path):
-        """Backends are bit-identical, so a result cached by one backend
-        must be served to every other."""
-        point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
-        SweepEngine(cache_dir=str(tmp_path), backend="vector").run([point])
-        warm = SweepEngine(cache_dir=str(tmp_path), backend="object")
-        warm.run([point])
-        assert warm.last_cached == 1
-        assert warm.last_simulated == 0
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepEngine(jobs=jobs)
 
 
 class TestColumnFastPathAccounting:

@@ -29,7 +29,7 @@ from repro.kernels.registry import kernel_names
 from repro.sweep.client import ServiceClient, ServiceError
 from repro.sweep.journal import SweepJournal
 from repro.sweep.service import (JOB_TERMINAL_STATES, MAX_BODY_BYTES,
-                                 QueueFull,
+                                 MAX_JOB_POINTS, MAX_SCALE, QueueFull,
                                  ServiceHTTPServer, SweepService, UnknownJob,
                                  job_id_for, normalize_submission,
                                  submission_points)
@@ -407,6 +407,48 @@ class TestHTTP:
             client.submit(dict(SMALL, latencies=[-5]))
         assert excinfo.value.status == 400
         assert "latencies must all be >= 1" in str(excinfo.value)
+        assert service.list_jobs() == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 0),
+        ("scale", -3),
+        ("scale", 10 ** 9),
+        ("scale", MAX_SCALE + 1),
+        ("scale", True),
+        ("deadline_seconds", -1),
+        ("deadline_seconds", 0),
+        ("deadline_seconds", float("nan")),
+        ("deadline_seconds", float("inf")),
+        ("ways", [True]),
+        ("ways", [4.7]),
+        ("ways", ["4"]),
+        ("ways", 4),
+        ("latencies", [True, 2]),
+        ("latencies", [12.5]),
+    ])
+    def test_out_of_bounds_field_is_400_naming_it(self, http_stack, field,
+                                                  value):
+        service, _server, client = http_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(SMALL, **{field: value}))
+        assert excinfo.value.status == 400
+        assert f"{field} must be" in str(excinfo.value)
+        assert service.list_jobs() == []
+
+    def test_largest_shipped_scale_and_grid_fit_the_bounds(self):
+        assert MAX_SCALE > 16
+        dense_grid = len(kernel_names()) * len(ISA_VARIANTS) * 4 * 16
+        assert dense_grid == 2304 < MAX_JOB_POINTS
+        assert normalize_submission({"ways": [1, 2, 4, 8],
+                                     "latencies": list(range(1, 17)),
+                                     "scale": MAX_SCALE})["scale"] == MAX_SCALE
+
+    def test_oversized_job_is_422_before_any_job(self, http_stack):
+        service, _server, client = http_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"ways": [4] * 100000})
+        assert excinfo.value.status == 422
+        assert str(MAX_JOB_POINTS) in str(excinfo.value)
         assert service.list_jobs() == []
 
     @staticmethod

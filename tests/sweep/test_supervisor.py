@@ -88,6 +88,18 @@ class TestPolicy:
         kept = policy_with_overrides(custom, None, None)
         assert kept.max_group_retries == 3
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"task_timeout": -1}, "task_timeout"),
+        ({"task_timeout": 0}, "task_timeout"),
+        ({"task_timeout": float("nan")}, "task_timeout"),
+        ({"max_pool_restarts": -1}, "max_pool_restarts"),
+    ])
+    def test_nonsense_knobs_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SupervisorPolicy(**kwargs)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SweepEngine(**kwargs)
+
     def test_engine_rejects_bad_resume_failed(self):
         with pytest.raises(ValueError, match="resume_failed"):
             SweepEngine(resume_failed="ignore")

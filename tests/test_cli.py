@@ -43,6 +43,38 @@ class TestParser:
         assert f"error: {field}" in err and ">= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--kernels", "comp", "--jobs", "0"], "jobs"),
+        (["figure4", "--kernels", "comp", "--jobs", "-3"], "jobs"),
+        (["sweep", "--kernels", "comp", "--task-timeout", "-1"],
+         "task_timeout"),
+        (["sweep", "--kernels", "comp", "--task-timeout", "0"],
+         "task_timeout"),
+        (["tables", "--kernels", "comp", "--task-timeout", "nan"],
+         "task_timeout"),
+        (["sweep", "--kernels", "comp", "--max-pool-restarts", "-1"],
+         "max_pool_restarts"),
+        (["sweep", "--kernels", "comp", "--scale", "0"], "scale"),
+        (["run", "comp", "--scale", "-2"], "scale"),
+    ])
+    def test_nonsense_engine_or_workload_exits_with_the_field(
+            self, capsys, argv, field):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--backend", "vector"],
+        ["figure4", "--backend", "lowered"],
+        ["serve", "--backend", "lowered", "--state-dir", "x"],
+    ])
+    def test_backend_knobs_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -122,33 +154,33 @@ class TestCommands:
 
 
 class TestBackendFlag:
-    def test_backend_defaults_to_auto(self):
-        args = build_parser().parse_args(["sweep", "--kernels", "comp"])
-        assert args.backend == "auto"
-
-    def test_backend_choices(self):
-        for backend in ("auto", "object", "lowered", "vector"):
-            args = build_parser().parse_args(
-                ["sweep", "--kernels", "comp", "--backend", backend])
-            assert args.backend == backend
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--kernels", "comp", "--backend", "fpga"])
-
-    def test_backend_flag_on_every_sweep_command(self):
-        for command in (["figure4"], ["figure5"], ["tables"]):
-            args = build_parser().parse_args(
-                command + ["--kernels", "comp", "--backend", "vector"])
-            assert args.backend == "vector"
-
     @pytest.mark.parametrize("backend", ["object", "lowered", "vector"])
     def test_sweep_backends_print_identical_numbers(self, capsys, backend):
-        base = ["sweep", "--kernels", "comp", "--isas", "scalar", "mom",
-                "--scale", "1"]
-        assert main(base) == 0
-        auto_out = capsys.readouterr().out
-        assert main(base + ["--backend", backend]) == 0
-        assert capsys.readouterr().out == auto_out
+        """There is no backend flag: a group of VECTOR_MIN_BATCH configs is
+        routed to the vector backend and prints the numbers every backend
+        computes for it."""
+        from repro.experiments.runner import build_kernel_variant
+        from repro.timing.config import MachineConfig
+        from repro.timing.dispatch import resolve_execution, simulate_batch
+        from repro.timing.vector import VECTOR_MIN_BATCH
+        from repro.workloads.generators import WorkloadSpec
+
+        latencies = list(range(1, VECTOR_MIN_BATCH + 1))
+        assert main(["sweep", "--kernels", "comp", "--isas", "mom",
+                     "--ways", "4", "--latencies", *map(str, latencies),
+                     "--scale", "1"]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[1:] if line]
+        trace = build_kernel_variant(
+            "comp", "mom", spec=WorkloadSpec(scale=1)).trace
+        assert resolve_execution("auto", len(latencies),
+                                 len(trace)) == "vector"
+        configs = [MachineConfig.for_way(4, mem_latency=lat)
+                   for lat in latencies]
+        want = simulate_batch(trace, configs, backend=backend)
+        assert [(int(r[3]), int(r[4]), int(r[5])) for r in rows] == [
+            (c.mem_latency, sim.cycles, sim.instructions)
+            for c, sim in zip(configs, want)]
 
 
 class TestCacheStatsJson:

@@ -32,6 +32,11 @@ class TestWorkloadSpec:
         b = WorkloadSpec(seed=4).rng().integers(0, 1000, 10)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scale", [0, -2])
+    def test_nonpositive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            WorkloadSpec(scale=scale)
+
 
 class TestGenerators:
     def test_u8_image_range_and_shape(self):
