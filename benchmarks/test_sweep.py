@@ -70,31 +70,22 @@ def test_sweep_warm_cache(benchmark, tmp_path):
     assert [r.sim for r in warm_results] == [r.sim for r in cold_results]
 
 
-def test_sweep_lowering_amortized(benchmark):
+def test_sweep_lowering_amortized(benchmark, build_counter,
+                                  lowering_counter):
     """Trace batching amortises lowering: one lowering (and one build) per
     *distinct trace* per sweep, however many machine configurations share
     it — the per-point lowering cost is ~zero."""
-    from repro.kernels.base import add_build_hook, remove_build_hook
-    from repro.timing.lowered import add_lowering_hook, remove_lowering_hook
-
     sweep = figure4_sweep(kernels=_KERNELS, ways=(1, 2, 4, 8), spec=_SPEC)
     distinct_traces = len(_KERNELS) * 4          # kernels x ISAs
     points = distinct_traces * 4                 # x ways
+    builds, lowerings = build_counter, lowering_counter
 
-    lowerings, builds = [], []
-    lower_hook = add_lowering_hook(lambda name, isa, n: lowerings.append(name))
-    build_hook = add_build_hook(lambda kernel, isa: builds.append(kernel))
-    try:
-        def run():
-            lowerings.clear()
-            builds.clear()
-            return SweepEngine(jobs=1).run(sweep)
+    def run():
+        lowerings.clear()
+        builds.clear()
+        return SweepEngine(jobs=1).run(sweep)
 
-        results = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        remove_lowering_hook(lower_hook)
-        remove_build_hook(build_hook)
-
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(results) == points
     assert len(builds) == distinct_traces, "one front-end build per trace"
     assert len(lowerings) == distinct_traces, "one lowering per trace"

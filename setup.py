@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` works in offline environments without the
-``wheel`` package (pip then falls back to ``setup.py develop``).
+This file is the project's only build configuration.  ``pip install -e .``
+works in offline environments without the ``wheel`` package (pip then
+falls back to ``setup.py develop``); running from a checkout needs no
+install at all with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

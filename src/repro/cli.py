@@ -26,11 +26,11 @@ file per result), ``--stream-jsonl PATH`` (append one JSON line per point as
 it completes, including the sweep's cumulative simulated
 instructions/second), ``--resume PATH`` (write-ahead journal: every
 completed point is appended durably, and re-running with the same PATH
-replays the journal instead of re-simulating — crash-safe sweeps),
-``--resume-failed {retry,skip}`` (what a resume does with journaled
-*failure* records), ``--task-timeout SECONDS`` / ``--max-pool-restarts N``
-(supervised pool execution: hung-worker deadlines, bounded pool respawns
-with backoff, poison-point quarantine — see ``docs/sweep-engine.md``).
+replays the journal instead of re-simulating — crash-safe sweeps; points
+journaled as failed are re-run), ``--task-timeout SECONDS`` /
+``--max-pool-restarts N`` (supervised pool execution: hung-worker
+deadlines, bounded pool respawns with backoff, poison-point quarantine —
+see ``docs/sweep-engine.md``).
 The timing backend is not a flag: each trace group's size picks it (see
 :func:`repro.timing.dispatch.resolve_execution`).  A live
 ``done/total`` progress line with the simulated instr/s rate is written
@@ -104,11 +104,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "point to PATH and, on a re-run with the same "
                              "PATH, replay it instead of re-simulating "
                              "(crash-safe, resumable sweeps)")
-    parser.add_argument("--resume-failed", default="retry",
-                        choices=("retry", "skip"),
-                        help="what --resume does with journaled failure "
-                             "records: re-run those points (default) or "
-                             "replay them as failures without re-running")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock deadline per worker-pool task; an "
@@ -141,8 +136,7 @@ def engine_from_args(args: argparse.Namespace) -> SweepEngine:
                        journal=getattr(args, "resume", None),
                        task_timeout=getattr(args, "task_timeout", None),
                        max_pool_restarts=getattr(args, "max_pool_restarts",
-                                                 None),
-                       resume_failed=getattr(args, "resume_failed", "retry"))
+                                                 None))
 
 
 def engine_summary(engine: SweepEngine) -> str:
@@ -182,13 +176,13 @@ class _ProgressLine:
         self.cached = 0
         self.failed = 0
         self.sim_instructions = 0
-        self.started = time.time()
+        self.started = time.monotonic()
         self.enabled = (sys.stderr.isatty() if enabled is None else enabled)
 
     @property
     def instr_per_sec(self) -> int:
         """Simulated instructions per wall-clock second so far."""
-        elapsed = time.time() - self.started
+        elapsed = time.monotonic() - self.started
         if elapsed <= 0 or not self.sim_instructions:
             return 0
         return round(self.sim_instructions / elapsed)
@@ -203,7 +197,7 @@ class _ProgressLine:
             self.sim_instructions += result.sim.instructions
         if not self.enabled:
             return
-        elapsed = time.time() - self.started
+        elapsed = time.monotonic() - self.started
         rate = (f", {self.instr_per_sec / 1e6:.2f}M instr/s"
                 if self.sim_instructions else "")
         failed = f", {self.failed} failed" if self.failed else ""
@@ -811,8 +805,9 @@ def _check_machine_args(parser: argparse.ArgumentParser,
         for way in ways:
             for latency in latencies:
                 MachineConfig.for_way(way, mem_latency=latency)
-        if getattr(args, "scale", None) is not None:
-            WorkloadSpec(scale=args.scale)
+        WorkloadSpec(**{field: getattr(args, field)
+                        for field in ("scale", "seed")
+                        if getattr(args, field, None) is not None})
         if hasattr(args, "jobs"):
             # Without a cache or journal the engine touches no file.
             SweepEngine(jobs=args.jobs,

@@ -15,8 +15,8 @@ those arguments measurable in the reproduction:
   workloads documented in DESIGN.md.
 
 All three route their points through the shared
-:class:`~repro.sweep.SweepEngine` (pass ``jobs``/``cache_dir`` or an engine
-to parallelise or cache them).
+:class:`~repro.sweep.SweepEngine` (pass a configured ``engine`` to
+parallelise, cache or journal them).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.kernels.base import ISA_VARIANTS
-from repro.sweep import (PointResult, SweepEngine, SweepPoint, ensure_engine,
-                         resolve_spec)
+from repro.sweep import PointResult, SweepEngine, SweepPoint, resolve_spec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -41,8 +40,6 @@ def run_lane_ablation(
     lanes: Sequence[int] = (1, 2, 4),
     way: int = 4,
     spec: Optional[WorkloadSpec] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[int, "object"]:
@@ -58,8 +55,7 @@ def run_lane_ablation(
         )
         for lane_count in lanes
     ]
-    results = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir).run(
-        points, on_result=on_result)
+    results = (engine or SweepEngine()).run(points, on_result=on_result)
     return {lane_count: result for lane_count, result in zip(lanes, results)}
 
 
@@ -68,8 +64,6 @@ def run_rob_ablation(
     rob_sizes: Sequence[int] = (16, 32, 64, 128),
     way: int = 4,
     spec: Optional[WorkloadSpec] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[int, Dict[str, "object"]]:
@@ -84,8 +78,7 @@ def run_rob_ablation(
         for rob in rob_sizes
         for isa in ISA_VARIANTS
     ]
-    flat = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir).run(
-        points, on_result=on_result)
+    flat = (engine or SweepEngine()).run(points, on_result=on_result)
     results: Dict[int, Dict[str, object]] = {}
     for point, result in zip(points, flat):
         results.setdefault(point.config.rob_size, {})[point.isa] = result
@@ -96,8 +89,6 @@ def run_trace_length_sensitivity(
     kernel_name: str,
     scales: Sequence[int] = (1, 2, 4, 8),
     way: int = 4,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[int, Dict[str, "object"]]:
@@ -109,8 +100,7 @@ def run_trace_length_sensitivity(
         for scale in scales
         for isa in ISA_VARIANTS
     ]
-    flat = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir).run(
-        points, on_result=on_result)
+    flat = (engine or SweepEngine()).run(points, on_result=on_result)
     results: Dict[int, Dict[str, object]] = {}
     for point, result in zip(points, flat):
         results.setdefault(point.spec.scale, {})[point.isa] = result

@@ -5,15 +5,15 @@ cores with an idealized 1-cycle-latency memory and reports the speed-up of
 each multimedia ISA over the scalar (Alpha) code.
 
 The sweep itself is a :class:`~repro.sweep.SweepSpec` declaration executed
-by the shared :class:`~repro.sweep.SweepEngine`; pass ``jobs``/``cache_dir``
-(or a pre-configured engine) to parallelise or cache the regeneration.
+by the shared :class:`~repro.sweep.SweepEngine`; pass a configured
+``engine`` to parallelise, cache or journal the regeneration.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from repro.sweep import PointResult, SweepEngine, SweepSpec, ensure_engine
+from repro.sweep import PointResult, SweepEngine, SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -40,8 +40,6 @@ def run_figure4(
     ways: Sequence[int] = (1, 2, 4, 8),
     spec: Optional[WorkloadSpec] = None,
     mem_latency: int = 1,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[str, Dict[str, Dict[int, "object"]]]:
@@ -53,7 +51,7 @@ def run_figure4(
     point's result as it completes — see
     :meth:`~repro.sweep.engine.SweepEngine.run`.
     """
-    engine = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir)
+    engine = engine or SweepEngine()
     results: Dict[str, Dict[str, Dict[int, object]]] = {}
     for result in engine.run(figure4_sweep(kernels, ways, spec, mem_latency),
                              on_result=on_result):

@@ -5,15 +5,15 @@ The paper varies the idealized memory latency over 1, 12 and 50 cycles
 scalar, MMX, MDMX and MOM versions of every kernel on the 4-way core.
 
 The sweep is a :class:`~repro.sweep.SweepSpec` executed by the shared
-:class:`~repro.sweep.SweepEngine`; pass ``jobs``/``cache_dir`` (or a
-pre-configured engine) to parallelise or cache the regeneration.
+:class:`~repro.sweep.SweepEngine`; pass a configured ``engine`` to
+parallelise, cache or journal the regeneration.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from repro.sweep import PointResult, SweepEngine, SweepSpec, ensure_engine
+from repro.sweep import PointResult, SweepEngine, SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -40,8 +40,6 @@ def run_figure5(
     latencies: Sequence[int] = (1, 12, 50),
     way: int = 4,
     spec: Optional[WorkloadSpec] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[str, Dict[str, Dict[int, "object"]]]:
@@ -49,7 +47,7 @@ def run_figure5(
 
     ``on_result`` (if given) streams each point's result as it completes.
     """
-    engine = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir)
+    engine = engine or SweepEngine()
     results: Dict[str, Dict[str, Dict[int, object]]] = {}
     for result in engine.run(figure5_sweep(kernels, latencies, way, spec),
                              on_result=on_result):

@@ -98,22 +98,18 @@ def run_kernel_all_isas(
     config: Optional[MachineConfig] = None,
     spec: Optional[WorkloadSpec] = None,
     check: bool = True,
-) -> Dict[str, "object"]:
+) -> Dict[str, RunResult]:
     """Run all four ISA variants of a kernel on a shared workload.
 
-    The points go through a serial :class:`~repro.sweep.SweepEngine` with
-    the functional builds retained (callers rely on ``.build``), so workload
-    resolution follows the same :func:`~repro.sweep.spec.resolve_spec` rule
-    as every sweep driver: the seeded spec regenerates identical data for
-    each variant.  For parallel/cached multi-kernel sweeps use a
-    :class:`~repro.sweep.SweepSpec` and the engine directly — cached
-    results cannot carry builds.
+    The spec is resolved once by the same
+    :func:`~repro.sweep.spec.resolve_spec` rule every sweep driver uses, so
+    the seeded spec regenerates identical data for each variant.  For
+    parallel/cached multi-kernel sweeps use a :class:`~repro.sweep.SweepSpec`
+    and the engine directly.
     """
-    from repro.sweep import SweepEngine, SweepPoint, resolve_spec
+    from repro.sweep.spec import resolve_spec
 
-    config = config if config is not None else MachineConfig.for_way(4)
     spec = resolve_spec(kernel_name, spec)
-    points = [SweepPoint(kernel=kernel_name, isa=isa, config=config, spec=spec)
-              for isa in ISA_VARIANTS]
-    results = SweepEngine(check=check).run(points, keep_builds=True)
-    return {point.isa: result for point, result in zip(points, results)}
+    return {isa: run_kernel(kernel_name, isa, config=config, spec=spec,
+                            check=check)
+            for isa in ISA_VARIANTS}

@@ -5,8 +5,8 @@ latency, the IPC, OPI, R, S, F, VLx and VLy of the scalar, MMX, MDMX and MOM
 versions (Tables 1 to 9).
 
 The underlying runs go through the shared :class:`~repro.sweep.SweepEngine`;
-pass ``jobs``/``cache_dir`` (or a pre-configured engine) to parallelise or
-cache the regeneration.
+pass a configured ``engine`` to parallelise, cache or journal the
+regeneration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.analysis.metrics import KernelMetrics, compute_metrics
-from repro.sweep import PointResult, SweepEngine, SweepSpec, ensure_engine
+from repro.sweep import PointResult, SweepEngine, SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -47,8 +47,6 @@ def run_breakdown_tables(
     way: int = 4,
     mem_latency: int = 1,
     spec: Optional[WorkloadSpec] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[str, Dict[str, KernelMetrics]]:
@@ -56,7 +54,7 @@ def run_breakdown_tables(
 
     ``on_result`` (if given) streams each point's result as it completes.
     """
-    engine = ensure_engine(engine, jobs=jobs, cache_dir=cache_dir)
+    engine = engine or SweepEngine()
     sweep = SweepSpec.make(
         kernels=kernels,
         configs=[MachineConfig.for_way(way, mem_latency=mem_latency)],
@@ -73,12 +71,10 @@ def breakdown_for_kernel(
     way: int = 4,
     mem_latency: int = 1,
     spec: Optional[WorkloadSpec] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Dict[str, KernelMetrics]:
     """Compute one breakdown table (IPC / OPI / R / S / F / VLx / VLy)."""
     return run_breakdown_tables(
         kernels=[kernel_name], way=way, mem_latency=mem_latency, spec=spec,
-        jobs=jobs, cache_dir=cache_dir, engine=engine,
+        engine=engine,
     )[kernel_name]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
@@ -28,31 +28,10 @@ from repro.frontend.scalar_builder import ScalarBuilder
 from repro.trace.container import Trace
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["Kernel", "KernelBuildResult", "ISA_VARIANTS",
-           "add_build_hook", "remove_build_hook"]
+__all__ = ["Kernel", "KernelBuildResult", "ISA_VARIANTS"]
 
 #: ISA variant names in the paper's reporting order.
 ISA_VARIANTS = ("scalar", "mmx", "mdmx", "mom")
-
-#: Observers called as ``hook(kernel_name, isa)`` every time a kernel variant
-#: is actually *built* (functional front end executed, trace emitted).  The
-#: trace-cache tests register a counter here to assert that warm sweeps do
-#: zero builds.
-_BUILD_HOOKS: List[Callable[[str, str], None]] = []
-
-
-def add_build_hook(hook: Callable[[str, str], None]) -> Callable[[str, str], None]:
-    """Register an observer for kernel-variant builds; returns ``hook``."""
-    _BUILD_HOOKS.append(hook)
-    return hook
-
-
-def remove_build_hook(hook: Callable[[str, str], None]) -> None:
-    """Unregister a previously added build hook (no-op if absent)."""
-    try:
-        _BUILD_HOOKS.remove(hook)
-    except ValueError:
-        pass
 
 
 @dataclass
@@ -146,14 +125,11 @@ class Kernel(abc.ABC):
         may be supplied (the latter lets callers run all four variants on
         identical data).  ``columns`` selects the trace emission path (the
         column fast path by default; ``False`` forces the object path for
-        the front-end benchmarks) — the build-counter hook fires for both,
-        so warm-sweep "zero builds" accounting covers the fast path too.
+        the front-end benchmarks).
         """
         if workload is None:
             workload = self.make_workload(spec if spec is not None else WorkloadSpec(
                 scale=self.default_scale))
-        for hook in _BUILD_HOOKS:
-            hook(self.name, isa)
         machine = FunctionalMachine()
         builder = make_builder(isa, machine, name=self.name, columns=columns)
         output = self.build(isa, builder, workload)

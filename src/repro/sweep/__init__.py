@@ -39,7 +39,7 @@ See ``docs/sweep-engine.md`` for the full guide.
 
 from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.client import ServiceClient, ServiceError
-from repro.sweep.engine import PointResult, SweepEngine, ensure_engine
+from repro.sweep.engine import PointResult, SweepEngine
 from repro.sweep.faults import FAULT_ENV, FaultPlan, FaultRule, InjectedFault
 from repro.sweep.journal import (JournalLockedError, SweepJournal,
                                  read_jsonl)
@@ -79,7 +79,6 @@ __all__ = [
     "UnknownJob",
     "cache_stats",
     "clear_cache",
-    "ensure_engine",
     "gc_cache",
     "job_id_for",
     "normalize_submission",

@@ -70,21 +70,14 @@ from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
 from repro.sweep.journal import SweepJournal
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.sweep.supervisor import (POOL_INFRA_ERRORS, PointFailure,
-                                    PoolSupervisor, SupervisorPolicy,
-                                    policy_with_overrides)
+from repro.sweep.supervisor import (PointFailure, PoolSupervisor,
+                                    SupervisorPolicy)
 from repro.sweep.tracecache import TRACE_SUBDIR, TraceCache
 from repro.timing.results import SimResult
 from repro.trace.container import Trace
 from repro.trace.stats import TraceStats
 
-__all__ = ["PointResult", "SweepEngine", "ensure_engine"]
-
-#: Exceptions that count as pool *infrastructure* failures (retried with
-#: pool respawns, then degraded to the serial path — never a failed
-#: sweep).  Re-exported from the supervisor under the engine's historical
-#: name.
-_POOL_FALLBACK_ERRORS = POOL_INFRA_ERRORS
+__all__ = ["PointResult", "SweepEngine"]
 
 #: Callback type for streaming results: called once per completed point.
 OnResult = Callable[["PointResult"], None]
@@ -113,10 +106,6 @@ class PointResult:
     trace_cached:
         True when the simulation ran but its functional trace came from the
         trace cache (no front-end build ran).
-    build:
-        The functional build (trace plus verified outputs); only present for
-        fresh in-process runs with ``keep_builds=True`` — cached, trace-cached
-        and worker-pool results carry ``None``.
     checked:
         Whether this result is backed by a golden-reference verification:
         either this run checked the build, or the cache entry it came from
@@ -139,7 +128,6 @@ class PointResult:
     cached: bool = False
     journaled: bool = False
     trace_cached: bool = False
-    build: Optional[object] = None
     checked: bool = True
     index: int = -1
     failure: Optional[PointFailure] = None
@@ -166,17 +154,10 @@ class PointResult:
 
     @property
     def correct(self) -> bool:
-        """Functional correctness of the build behind this result.
-
-        Without a retained build this is only knowable when the run (or the
-        cached work it came from) verified against the golden reference.
-        A failed point is never correct.
-        """
-        if self.failure is not None:
-            return False
-        if self.build is not None:
-            return self.build.correct
-        return self.checked
+        """Functional correctness of the build behind this result: known
+        only when the run (or the cached work it came from) verified
+        against the golden reference.  A failed point is never correct."""
+        return self.failure is None and self.checked
 
 
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
@@ -251,21 +232,6 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
     return rows, 0 if from_cache else 1, execution
 
 
-def _simulate_point_with_build(point: SweepPoint, check: bool,
-                               ) -> Tuple[SimResult, TraceStats, object]:
-    """Run one resolved point keeping its functional build (serial only).
-
-    Builds hold traces and NumPy arrays that should not be shipped between
-    processes, and a cached trace carries no outputs to retain — so this
-    path always builds, bypassing the trace cache for reads.
-    """
-    from repro.experiments.runner import run_kernel
-
-    run = run_kernel(point.kernel, point.isa, config=point.config,
-                     spec=point.spec, check=check)
-    return run.sim, run.stats, run.build
-
-
 def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str]]
                  ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
                             Tuple[int, str]]:
@@ -314,8 +280,8 @@ class SweepEngine:
         ``None`` (default, no journaling).  Every completed point is
         appended as it lands; on the next run over the same journal the
         recorded points replay instantly and are neither re-simulated nor
-        re-built (``repro sweep --resume PATH``).  A per-call ``journal=``
-        on :meth:`run` / :meth:`iter_results` overrides this.
+        re-built (``repro sweep --resume PATH``).  Journaled *failure*
+        records are not replayed: a resume re-runs those points.
     task_timeout:
         Wall-clock seconds one pool task (a trace group) may run before its
         worker is presumed hung and the pool recycled; ``None`` (default)
@@ -324,14 +290,6 @@ class SweepEngine:
         Pool respawns per run before the serial fallback takes over;
         ``None`` keeps the :class:`~repro.sweep.supervisor.SupervisorPolicy`
         default.  CLI: ``--max-pool-restarts``.
-    supervision:
-        Full :class:`~repro.sweep.supervisor.SupervisorPolicy` for the
-        supervised pool loop (retry counts, backoff schedule); the bare
-        ``task_timeout``/``max_pool_restarts`` knobs override its fields.
-    resume_failed:
-        What ``--resume`` does with journaled *failure* records:
-        ``"retry"`` (default) re-runs those points, ``"skip"`` replays them
-        as failed results without re-running.
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
@@ -339,17 +297,12 @@ class SweepEngine:
                  trace_cache: Union[None, bool, str] = None,
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
-                 max_pool_restarts: Optional[int] = None,
-                 supervision: Optional[SupervisorPolicy] = None,
-                 resume_failed: str = "retry") -> None:
+                 max_pool_restarts: Optional[int] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if resume_failed not in ("retry", "skip"):
-            raise ValueError(f"unknown resume_failed mode {resume_failed!r}; "
-                             f"choose from ('retry', 'skip')")
-        self.policy = policy_with_overrides(supervision, task_timeout,
-                                            max_pool_restarts)
-        self.resume_failed = resume_failed
+        restarts = ({} if max_pool_restarts is None
+                    else {"max_pool_restarts": max_pool_restarts})
+        self.policy = SupervisorPolicy(task_timeout=task_timeout, **restarts)
         self.jobs = int(jobs)
         self._version = version
         self.cache = (ResultCache(cache_dir, version=version)
@@ -362,6 +315,10 @@ class SweepEngine:
                            if cache_dir else False)
         self.trace_cache = (TraceCache(trace_cache) if trace_cache else None)
         self.check = check
+        self._reset_counters()
+
+    def _reset_counters(self) -> None:
+        """Zero the ``last_*`` record of the most recent run."""
         #: Number of points actually simulated by the most recent run.
         self.last_simulated = 0
         #: Number of points served whole from the result cache.
@@ -406,10 +363,7 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     def run(self, sweep: Union[SweepSpec, Iterable[SweepPoint]],
-            keep_builds: bool = False,
-            on_result: Optional[OnResult] = None,
-            journal: Union[None, str, SweepJournal] = None,
-            ) -> List[PointResult]:
+            on_result: Optional[OnResult] = None) -> List[PointResult]:
         """Execute a sweep and return one :class:`PointResult` per point, in
         the sweep's deterministic expansion order.
 
@@ -418,34 +372,17 @@ class SweepEngine:
         sweep:
             A :class:`~repro.sweep.spec.SweepSpec` or an iterable of
             :class:`~repro.sweep.spec.SweepPoint`\\ s.
-        keep_builds:
-            Retain the functional builds on the results; forces the
-            in-process path (builds hold traces and NumPy arrays that should
-            not be shipped between processes) and bypasses both caches for
-            reads.
         on_result:
             Optional callback invoked with each :class:`PointResult` as it
             completes (completion order, not expansion order) — the barrier
             return value is unaffected.
-        journal:
-            Write-ahead journal for this run, overriding the engine-level
-            one (see the class docstring); recorded points replay without
-            simulation, fresh completions are appended as they land.
         """
         results = {r.index: r
-                   for r in self.iter_results(sweep, keep_builds=keep_builds,
-                                              on_result=on_result,
-                                              journal=journal)}
+                   for r in self.iter_results(sweep, on_result=on_result)}
         return [results[i] for i in range(len(results))]
 
-    def run_point(self, point: SweepPoint) -> PointResult:
-        """Convenience: run a single point and return its result."""
-        return self.run([point])[0]
-
     def iter_results(self, sweep: Union[SweepSpec, Iterable[SweepPoint]],
-                     keep_builds: bool = False,
                      on_result: Optional[OnResult] = None,
-                     journal: Union[None, str, SweepJournal] = None,
                      ) -> Iterator[PointResult]:
         """Yield one :class:`PointResult` per point *as each completes*.
 
@@ -459,67 +396,46 @@ class SweepEngine:
         ``on_result`` (if given) is called with every result just before it
         is yielded, which suits callers that both stream and collect.
 
-        With a ``journal`` (here or on the engine), every non-replayed
-        result is appended to it *before* ``on_result`` runs — a crash
-        inside the callback still leaves the point recorded for resume.
+        With the engine's ``journal``, every non-replayed result is
+        appended to it *before* ``on_result`` runs — a crash inside the
+        callback still leaves the point recorded for resume.
         """
         points = [p.resolved() for p in
                   (sweep.points() if isinstance(sweep, SweepSpec) else sweep)]
-        self.last_simulated = 0
-        self.last_cached = 0
-        self.last_journaled = 0
-        self.last_trace_hits = 0
-        self.last_trace_builds = 0
-        self.last_pool_tasks = 0
-        self.last_fallback_reason = None
-        self.last_batches = []
-        self.last_retries = 0
-        self.last_pool_restarts = 0
-        self.last_timeouts = 0
-        self.last_failures = []
-        self.last_quarantined = 0
-
-        if isinstance(journal, (str, os.PathLike)):
-            journal = SweepJournal(journal)
-        if journal is None:
-            journal = self.journal
-        use_journal = journal is not None and not keep_builds
-        completed = journal.load() if use_journal else {}
+        self._reset_counters()
+        journal = self.journal
+        completed = journal.load() if journal is not None else {}
 
         try:
-            yield from self._iter_results_journaled(
-                points, journal, use_journal, completed, on_result,
-                keep_builds)
+            yield from self._iter_results_journaled(points, completed,
+                                                    on_result)
         finally:
             # Release the journal's writer lock (and file handle) whether
             # the run completed, raised, or the consumer abandoned the
             # generator — a later run (this process or another) must be
             # able to take the lock.
-            if use_journal:
+            if journal is not None:
                 journal.close()
 
     def _iter_results_journaled(self, points: Sequence[SweepPoint],
-                                journal: Optional[SweepJournal],
-                                use_journal: bool,
                                 completed: Dict[str, Dict[str, Any]],
-                                on_result: Optional[
-                                    Callable[[PointResult], None]],
-                                keep_builds: bool) -> Iterator[PointResult]:
+                                on_result: Optional[OnResult],
+                                ) -> Iterator[PointResult]:
+        journal = self.journal
+
         def key_of(point: SweepPoint) -> str:
             if self.cache is not None:
                 return self.cache.key_for(point)
             return point_key(point, version=self._version)
 
         def emit(result: PointResult) -> PointResult:
-            if use_journal and not result.journaled:
+            if journal is not None and not result.journaled:
                 journal.record(key_of(result.point), result)
             if on_result is not None:
                 on_result(result)
             return result
 
         # Serve what we can from the journal, then the result cache.
-        skip_failed = (use_journal and self.resume_failed == "skip"
-                       and journal.failed)
         todo: List[int] = []
         for i, point in enumerate(points):
             if completed:
@@ -534,20 +450,7 @@ class SweepEngine:
                                                record.get("checked", True)),
                                            index=i))
                     continue
-            if skip_failed:
-                record = journal.failed.get(key_of(point))
-                if record is not None:
-                    failure = PointFailure.from_dict(record["failure"])
-                    failure.index = i
-                    self.last_journaled += 1
-                    self.last_failures.append(failure)
-                    if failure.quarantined:
-                        self.last_quarantined += 1
-                    yield emit(PointResult(point=point, journaled=True,
-                                           checked=False, failure=failure,
-                                           index=i))
-                    continue
-            if self.cache is not None and not keep_builds:
+            if self.cache is not None:
                 cached = self.cache.get(point)
                 if cached is not None:
                     sim, stats = cached
@@ -564,20 +467,19 @@ class SweepEngine:
         # list's remove() would make every landing an O(n) scan.  Order for
         # the serial path comes from sorting, not from insertion.
         remaining: Set[int] = set(todo)
-        if self.jobs > 1 and len(todo) > 1 and not keep_builds:
+        if self.jobs > 1 and len(todo) > 1:
             for result in self._iter_pool(points, remaining):
                 yield emit(self._record(result))
             # On pool fallback `remaining` still holds what the pool did
             # not finish; the serial loop below completes the sweep.
 
-        for result in self._iter_serial(points, remaining, keep_builds):
+        for result in self._iter_serial(points, remaining):
             yield emit(self._record(result))
 
     # ------------------------------------------------------------------
 
     def _iter_serial(self, points: Sequence[SweepPoint],
-                     remaining: Set[int],
-                     keep_builds: bool) -> Iterator[PointResult]:
+                     remaining: Set[int]) -> Iterator[PointResult]:
         """Yield the remaining points' results, simulated in this process.
 
         Points are batched by trace identity — one trace acquisition and
@@ -586,26 +488,11 @@ class SweepEngine:
         vector backend can amortise the instruction walk), yielded one
         point at a time.  The generator stays lazy at group granularity:
         no group beyond the one being consumed is simulated ahead of the
-        consumer.  ``keep_builds`` disables batching: every point runs its
-        own front-end build so each result can retain one.
+        consumer.
 
         A group that raises is re-run point by point so one bad point
         cannot abort the sweep (:meth:`_isolate_serial_group`).
         """
-        if keep_builds:
-            for i in sorted(remaining):
-                sim, stats, build = _simulate_point_with_build(
-                    points[i], self.check)
-                remaining.discard(i)
-                self.last_trace_builds += 1
-                # keep_builds bypasses both caches for *reads*, but a fresh
-                # verified trace is still published for later sweeps.
-                if self.trace_cache is not None and self.check:
-                    self.trace_cache.put(points[i], build.trace)
-                yield PointResult(point=points[i], sim=sim, stats=stats,
-                                  build=build, checked=self.check, index=i)
-            return
-
         for group in _group_by_trace(points, sorted(remaining)):
             try:
                 rows, builds, execution = _simulate_group(
@@ -782,14 +669,3 @@ class SweepEngine:
             if supervisor.fallback_reason is not None:
                 self.last_fallback_reason = supervisor.fallback_reason
 
-
-def ensure_engine(engine: Optional[SweepEngine], jobs: int = 1,
-                  cache_dir: Optional[str] = None) -> SweepEngine:
-    """Return ``engine`` if given, else a fresh one from the plain options.
-
-    Shared by every experiment driver that accepts either a pre-configured
-    engine or bare ``jobs``/``cache_dir`` keyword arguments.
-    """
-    if engine is not None:
-        return engine
-    return SweepEngine(jobs=jobs, cache_dir=cache_dir)

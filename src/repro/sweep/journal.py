@@ -42,10 +42,8 @@ kernel exceptions) are journaled too, as **failure records**: same key,
 no ``sim``/``stats``, and a ``failure`` object holding the
 :meth:`~repro.sweep.supervisor.PointFailure.to_dict` payload.  :meth:`load`
 reports them separately (:attr:`SweepJournal.failed`) and never as
-completed, so a resumed sweep retries failed points by default
-(``--resume-failed retry``) or replays them as failures without re-running
-(``--resume-failed skip``).  A success recorded after a failure supersedes
-it — the retry won.
+completed, so a resumed sweep retries failed points.  A success recorded
+after a failure supersedes it — the retry won.
 
 The journal is an *execution log*, not a cache: it is keyed to one sweep's
 points and replays in O(points), with no eviction policy.  Long-lived

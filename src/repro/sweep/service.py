@@ -202,6 +202,9 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
                                   and 1 <= scale <= MAX_SCALE):
         raise ValueError(f"scale must be an integer in 1..{MAX_SCALE}, "
                          f"got {scale!r}")
+    seed = data.get("seed", 1999)
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     deadline = data.get("deadline_seconds")
     if deadline is not None:
         deadline = float(deadline)
@@ -214,7 +217,7 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
         "ways": ways,
         "latencies": latencies,
         "scale": scale,
-        "seed": int(data.get("seed", 1999)),
+        "seed": seed,
         "deadline_seconds": deadline,
         "check": bool(data.get("check", True)),
     }

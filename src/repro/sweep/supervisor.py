@@ -59,7 +59,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -125,7 +125,7 @@ class PointFailure:
     """Structured record of one sweep point that could not be completed.
 
     Carried on :attr:`~repro.sweep.engine.PointResult.failure`, written to
-    the write-ahead journal (so ``--resume`` can retry or skip the point)
+    the write-ahead journal (so ``--resume`` retries the point)
     and to ``--stream-jsonl`` records.
 
     Attributes
@@ -171,21 +171,6 @@ class PointFailure:
             "attempts": self.attempts,
             "quarantined": self.quarantined,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PointFailure":
-        """Inverse of :meth:`to_dict` (tolerates missing optional keys)."""
-        return cls(
-            index=int(data.get("index", -1)),
-            kernel=str(data.get("kernel", "")),
-            isa=str(data.get("isa", "")),
-            config=str(data.get("config", "")),
-            error_type=str(data.get("error_type", "")),
-            message=str(data.get("message", "")),
-            phase=str(data.get("phase", "")),
-            attempts=int(data.get("attempts", 0)),
-            quarantined=bool(data.get("quarantined", False)),
-        )
 
 
 def backoff_delay(attempt: int, token: str = "",
@@ -520,17 +505,3 @@ class PoolSupervisor:
             yield from self._handle_task_failure(task, timeout_exc, "timeout")
         self._restart_pool(timeout_exc)
 
-
-def policy_with_overrides(policy: Optional[SupervisorPolicy],
-                          task_timeout: Optional[float] = None,
-                          max_pool_restarts: Optional[int] = None,
-                          ) -> SupervisorPolicy:
-    """The engine/CLI rule for combining a policy object with bare knobs:
-    explicit keyword knobs win over the (possibly default) policy."""
-    policy = policy if policy is not None else SupervisorPolicy()
-    updates: Dict[str, Any] = {}
-    if task_timeout is not None:
-        updates["task_timeout"] = task_timeout
-    if max_pool_restarts is not None:
-        updates["max_pool_restarts"] = max_pool_restarts
-    return replace(policy, **updates) if updates else policy

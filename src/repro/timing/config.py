@@ -14,6 +14,20 @@ from typing import Dict
 from repro.isa.opclasses import OpClass, DEFAULT_LATENCIES
 
 
+#: Fields that count hardware (widths, the ROB, functional units, lanes,
+#: port widths, architectural registers) or a latency: each needs >= 1.
+_AT_LEAST_ONE = ("fetch_width", "issue_width", "commit_width", "rob_size",
+                 "num_int_alu", "num_int_mul", "num_mem_ports",
+                 "num_media_fu", "media_lanes", "mem_port_width",
+                 "mem_latency", "arch_int_regs", "arch_media_regs",
+                 "arch_matrix_regs", "arch_acc_regs")
+
+
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Parameters of one simulated machine.
@@ -32,7 +46,8 @@ class MachineConfig:
     commit_width: int = 4
     #: Reorder-buffer entries.
     rob_size: int = 64
-    #: Issue-queue entries per domain (integer, memory, multimedia).
+    #: Issue-queue entries per domain (integer, memory, multimedia); 0
+    #: means an unbounded queue.
     int_queue_size: int = 32
     mem_queue_size: int = 32
     media_queue_size: int = 32
@@ -51,7 +66,8 @@ class MachineConfig:
     #: Extra pipeline latency of a MOM pipelined accumulator reduction
     #: (section 3.1: "adding some additional cycles of latency").
     mom_reduction_latency: int = 4
-    #: Physical registers (total, including architectural) per file.
+    #: Physical registers (total, including architectural) per file, at
+    #: least the architectural count; equal counts mean no rename limit.
     phys_int_regs: int = 80
     phys_media_regs: int = 64
     phys_matrix_regs: int = 24
@@ -65,10 +81,20 @@ class MachineConfig:
     latencies: Dict[OpClass, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
 
     def __post_init__(self) -> None:
-        # A latency below one cycle has no physical meaning; reject it here
-        # rather than simulate it.
-        if self.mem_latency < 1:
-            raise ValueError(f"mem_latency must be >= 1, got {self.mem_latency}")
+        # Reject machines with no physical meaning here rather than
+        # simulate them: below these bounds the timing backends raise deep
+        # inside the model, or disagree with each other.
+        for name in _AT_LEAST_ONE:
+            _check_at_least(name, getattr(self, name), 1)
+        for name in ("int_queue_size", "mem_queue_size", "media_queue_size",
+                     "mom_reduction_latency"):
+            _check_at_least(name, getattr(self, name), 0)
+        for regs in ("int", "media", "matrix", "acc"):
+            arch = getattr(self, f"arch_{regs}_regs")
+            phys = getattr(self, f"phys_{regs}_regs")
+            if phys < arch:
+                raise ValueError(f"phys_{regs}_regs must be >= arch_{regs}_regs "
+                                 f"({arch}), got {phys}")
         for op, latency in self.latencies.items():
             if latency < 1:
                 raise ValueError(f"latencies[{op.value}] must be >= 1, "

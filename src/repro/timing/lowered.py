@@ -39,15 +39,14 @@ suite and the equivalence tests in ``tests/timing/test_lowered.py`` pin that.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.isa.opclasses import OpClass, RegFile
 
 __all__ = ["LOWERING_VERSION", "LOWERED_PAYLOAD_FORMAT", "REG_POOL_ORDER",
-           "LoweredTrace", "add_lowering_hook", "remove_lowering_hook",
-           "lower_trace"]
+           "LoweredTrace", "lower_trace"]
 
 #: Version tag of the lowering pass.  Folded into every lowered payload the
 #: trace cache stores; a reader that finds a different version ignores the
@@ -67,39 +66,6 @@ REG_POOL_ORDER: Tuple[RegFile, ...] = (RegFile.INT, RegFile.MEDIA,
                                        RegFile.VL)
 
 _POOL_INDEX = {file: i for i, file in enumerate(REG_POOL_ORDER)}
-
-#: Observers called as ``hook(trace_name, isa, num_instructions)`` every time
-#: a trace is actually *lowered* (not served from a memo or a cached
-#: payload).  The sweep benchmarks register a counter here to assert that
-#: lowering is amortised: one lowering per distinct trace per sweep.
-_LOWERING_HOOKS: List[Callable[[str, str, int], None]] = []
-
-
-def add_lowering_hook(hook: Callable[[str, str, int], None]
-                      ) -> Callable[[str, str, int], None]:
-    """Register an observer for lowering passes; returns ``hook``."""
-    _LOWERING_HOOKS.append(hook)
-    return hook
-
-
-def remove_lowering_hook(hook: Callable[[str, str, int], None]) -> None:
-    """Unregister a previously added lowering hook (no-op if absent)."""
-    try:
-        _LOWERING_HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
-def _notify_lowered(lowered: "LoweredTrace") -> None:
-    """Fire the lowering hooks for one fresh compilation.
-
-    Called by :func:`lower_trace` and by the column recorder's zero-copy
-    adoption (:meth:`repro.trace.columns.TraceColumns.adopt_lowered`) —
-    both are the one compile event of their trace, so the sweep tests'
-    "one lowering per distinct trace" accounting holds on either path.
-    """
-    for hook in _LOWERING_HOOKS:
-        hook(lowered.name, lowered.isa, lowered.num_instructions)
 
 
 class LoweredTrace:
@@ -418,7 +384,7 @@ def lower_trace(trace) -> LoweredTrace:
             opcodes.append(instr.opcode)
         opcode_ids.append(oid)
 
-    lowered = LoweredTrace(
+    return LoweredTrace(
         name=trace.name,
         isa=trace.isa,
         num_instructions=len(shape_ids),
@@ -431,5 +397,3 @@ def lower_trace(trace) -> LoweredTrace:
         opcodes=opcodes,
         opcode_ids=opcode_ids,
     )
-    _notify_lowered(lowered)
-    return lowered

@@ -54,7 +54,7 @@ against the interpreter).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +65,8 @@ from repro.timing.core import (VL_RENAME_SLOTS, OutOfOrderCore,
 from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
 
-__all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH", "add_batch_hook",
-           "effective_min_batch", "remove_batch_hook", "run_lowered_batch"]
+__all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH",
+           "effective_min_batch", "run_lowered_batch"]
 
 #: Smallest batch for which the array program is worth its per-row NumPy
 #: dispatch overhead; below it :func:`run_lowered_batch` loops the
@@ -97,28 +97,7 @@ def _auto_uses_vector(num_configs: int, num_instructions: int) -> bool:
     return (num_configs >= VECTOR_MIN_BATCH
             and num_configs * num_instructions <= VECTOR_AUTO_CELL_BUDGET)
 
-#: Observers called as ``hook(trace_name, isa, num_configs, mode)`` after
-#: every :func:`run_lowered_batch` call, with ``mode`` one of ``"vector"``
-#: (array program) or ``"lowered"`` (per-config interpreter loop).  The
-#: engine tests and benchmarks register counters here to assert routing.
-_BATCH_HOOKS: List[Callable[[str, str, int, str], None]] = []
-
 _HUGE = 1 << 60
-
-
-def add_batch_hook(hook: Callable[[str, str, int, str], None]
-                   ) -> Callable[[str, str, int, str], None]:
-    """Register an observer for batch simulations; returns ``hook``."""
-    _BATCH_HOOKS.append(hook)
-    return hook
-
-
-def remove_batch_hook(hook: Callable[[str, str, int, str], None]) -> None:
-    """Unregister a previously added batch hook (no-op if absent)."""
-    try:
-        _BATCH_HOOKS.remove(hook)
-    except ValueError:
-        pass
 
 
 def run_lowered_batch(lowered: LoweredTrace,
@@ -158,20 +137,14 @@ def run_lowered_batch(lowered: LoweredTrace,
     if use_vector and lowered.has_same_pool_multi_dst:
         use_vector = False
     if use_vector:
-        results = _run_vector(lowered, configs, record_timeline)
-        mode = "vector"
-    else:
-        results = []
-        for config in configs:
-            core = OutOfOrderCore(config)
-            result = core.run_lowered(lowered,
-                                      record_timeline=record_timeline)
-            if record_timeline:
-                result.timeline = core.timeline
-            results.append(result)
-        mode = "lowered"
-    for hook in _BATCH_HOOKS:
-        hook(lowered.name, lowered.isa, len(configs), mode)
+        return _run_vector(lowered, configs, record_timeline)
+    results = []
+    for config in configs:
+        core = OutOfOrderCore(config)
+        result = core.run_lowered(lowered, record_timeline=record_timeline)
+        if record_timeline:
+            result.timeline = core.timeline
+        results.append(result)
     return results
 
 

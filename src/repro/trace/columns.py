@@ -208,10 +208,8 @@ class TraceColumns:
         is the zero-copy replacement for running ``lower_trace`` over
         materialised objects, and it is structurally identical to doing so
         (same first-use interning order; the equivalence suite pins it).
-        Fires the lowering hooks: this is the trace's one compilation
-        event, exactly what ``lower_trace`` would have been.
         """
-        from repro.timing.lowered import LoweredTrace, _notify_lowered
+        from repro.timing.lowered import LoweredTrace
 
         lowered = LoweredTrace(
             name=name,
@@ -227,7 +225,6 @@ class TraceColumns:
             opcode_ids=self.opcode_ids,
         )
         self._adopted = True
-        _notify_lowered(lowered)
         return lowered
 
     # ------------------------------------------------------------------

@@ -34,6 +34,10 @@ class WorkloadSpec:
         # key a separate cache entry for the same trace.
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
+        # NumPy's seeding rejects a negative seed, but only deep inside
+        # the first build.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

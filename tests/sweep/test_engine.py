@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import run_kernel
 from repro.sweep import (
     PointResult,
@@ -99,16 +100,6 @@ class TestEquivalence:
         assert engine.last_fallback_reason is not None
         baseline = SweepEngine(jobs=1).run(small_sweep())
         assert [r.sim for r in results] == [r.sim for r in baseline]
-
-    def test_keep_builds_serial_path(self):
-        engine = SweepEngine(jobs=4)
-        results = engine.run(
-            [SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)],
-            keep_builds=True,
-        )
-        assert results[0].build is not None
-        assert results[0].correct
-        assert results[0].sim.instructions == len(results[0].build.trace)
 
 
 class TestCache:
@@ -245,25 +236,6 @@ class TestTraceBatching:
             spec=_SPEC,
         )
 
-    @pytest.fixture
-    def build_counter(self):
-        from repro.kernels.base import add_build_hook, remove_build_hook
-
-        counts = []
-        hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
-        yield counts
-        remove_build_hook(hook)
-
-    @pytest.fixture
-    def lowering_counter(self):
-        from repro.timing.lowered import (add_lowering_hook,
-                                          remove_lowering_hook)
-
-        counts = []
-        hook = add_lowering_hook(lambda name, isa, n: counts.append((name, isa)))
-        yield counts
-        remove_lowering_hook(hook)
-
     def test_serial_sweep_builds_each_trace_once(self, build_counter,
                                                  lowering_counter):
         sweep = self._multi_config_sweep()
@@ -307,20 +279,6 @@ class TestTraceBatching:
         results = engine.run(self._multi_config_sweep())
         assert all(not r.checked for r in results)
 
-    def test_keep_builds_still_publishes_verified_traces(self, tmp_path):
-        """keep_builds bypasses cache *reads* but a checked build's trace
-        is still written for later sweeps to hit."""
-        point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
-        engine = SweepEngine(cache_dir=str(tmp_path))
-        engine.run([point], keep_builds=True)
-        assert engine.trace_cache.get(point) is not None
-
-        warm_miss = SweepEngine(cache_dir=str(tmp_path))
-        results = warm_miss.run(
-            [SweepPoint("comp", "mom", MachineConfig.for_way(2), _SPEC)])
-        assert warm_miss.last_trace_builds == 0
-        assert results[0].trace_cached
-
     def test_warm_groups_split_to_fill_the_pool(self, tmp_path):
         """A config-heavy sweep over few distinct traces must not collapse
         to one pool task per trace once the trace cache is warm."""
@@ -358,8 +316,6 @@ class TestFigure4ThroughEngine:
     nothing."""
 
     def test_parallel_figure4_matches_golden_snapshot(self, tmp_path):
-        from repro.experiments.figure4 import run_figure4
-
         golden_path = os.path.join(os.path.dirname(__file__), "..", "golden",
                                    "way4_lat1.json")
         with open(golden_path) as f:
@@ -389,24 +345,18 @@ class TestBackendRouting:
 
         return figure4_sweep(kernels=["comp"], ways=(1, 2, 4, 8), spec=_SPEC)
 
-    @pytest.fixture
-    def batch_hook(self):
-        from repro.timing.vector import add_batch_hook, remove_batch_hook
-
-        calls = []
-        hook = add_batch_hook(
-            lambda name, isa, n, mode: calls.append((name, isa, n, mode)))
-        yield calls
-        remove_batch_hook(hook)
-
     def test_warm_figure4_grid_routes_through_batch_backend_serially(
-            self, tmp_path, batch_hook):
+            self, tmp_path, count_calls):
         """Acceptance: a warm (trace-cached) figure-4 grid sweep simulates
         every group through run_lowered_batch on the serial path."""
+        from repro.timing import dispatch, vector
+
         sweep = self._figure4_grid()
         SweepEngine(trace_cache=str(tmp_path)).run(sweep)  # warm the traces
 
-        batch_hook.clear()
+        batches = count_calls(dispatch, "run_lowered_batch",
+                              lambda lowered, configs, **kw: len(configs))
+        vector_runs = count_calls(vector, "_run_vector")
         engine = SweepEngine(trace_cache=str(tmp_path))
         results = engine.run(sweep)
         assert engine.last_trace_builds == 0, "trace cache must be warm"
@@ -414,9 +364,9 @@ class TestBackendRouting:
         assert len(results) == groups * 4
         # the engine's own record: every group went through the dispatch
         assert sorted(engine.last_batches) == [(4, "lowered")] * groups
-        # and the batch backend itself observed every group
-        assert sorted(n for _k, _i, n, _m in batch_hook) == [4] * groups
-        assert {m for _k, _i, _n, m in batch_hook} == {"lowered"}
+        # and the batch backend itself ran every group, none vectorised
+        assert batches == [4] * groups
+        assert vector_runs == []
 
     def test_warm_figure4_grid_routes_through_batch_backend_with_jobs(
             self, tmp_path):
@@ -451,6 +401,19 @@ class TestBackendRouting:
         with pytest.raises(TypeError):
             SweepEngine(backend="vector")
 
+    @pytest.mark.parametrize("call", [
+        lambda: SweepEngine(supervision=None),
+        lambda: SweepEngine(resume_failed="skip"),
+        lambda: SweepEngine().run([], keep_builds=True),
+        lambda: SweepEngine().run([], journal="j.jsonl"),
+        lambda: run_figure4(jobs=2),
+    ], ids=["supervision", "resume_failed", "keep_builds", "run-journal",
+            "driver-jobs"])
+    def test_removed_options_are_gone(self, call):
+        """One way to configure a run: the engine's constructor."""
+        with pytest.raises(TypeError):
+            call()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -462,20 +425,15 @@ class TestColumnFastPathAccounting:
     builds run through, and the build-counter / zero-build guarantees of
     the trace cache hold for it unchanged."""
 
-    def test_cold_build_goes_through_columns_and_fires_hook(self, tmp_path):
-        from repro.kernels.base import add_build_hook, remove_build_hook
+    def test_cold_build_goes_through_columns_and_fires_hook(self, tmp_path,
+                                                            build_counter):
         from repro.sweep.tracecache import TraceCache
 
-        counts = []
-        hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
-        try:
-            engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-            engine.run(small_sweep())
-        finally:
-            remove_build_hook(hook)
+        engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        engine.run(small_sweep())
         distinct = len(_KERNELS) * 4
-        assert len(counts) == distinct, \
-            "column-path builds must fire the build hook"
+        assert len(build_counter) == distinct, \
+            "every column-path build must be counted"
         assert engine.last_trace_builds == distinct
         # the cache entries written from columns revive as full traces
         cache = TraceCache(os.path.join(str(tmp_path), "traces"))
@@ -486,22 +444,18 @@ class TestColumnFastPathAccounting:
                             spec=_SPEC)
         assert revived.to_payload() == direct.build.trace.to_payload()
 
-    def test_warm_sweep_does_zero_builds_through_new_path(self, tmp_path):
-        from repro.kernels.base import add_build_hook, remove_build_hook
-
+    def test_warm_sweep_does_zero_builds_through_new_path(self, tmp_path,
+                                                          build_counter):
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run(small_sweep())
         # warm *miss*: a configuration the result cache has not seen, so
         # every point simulates — off cached traces, zero front-end builds
         miss = SweepSpec.make(kernels=_KERNELS,
                               configs=[MachineConfig.for_way(2)], spec=_SPEC)
-        counts = []
-        hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
-        try:
-            engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-            results = engine.run(miss)
-        finally:
-            remove_build_hook(hook)
+        build_counter.clear()
+        engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        results = engine.run(miss)
         assert engine.last_cached == 0
         assert engine.last_simulated == len(results)
-        assert counts == [], "warm sweeps must do zero front-end builds"
+        assert build_counter == [], \
+            "warm sweeps must do zero front-end builds"
         assert engine.last_trace_builds == 0

@@ -383,14 +383,6 @@ class TestEngineResume:
             assert (json.dumps(sim_to_dict(a.sim), sort_keys=True)
                     == json.dumps(sim_to_dict(b.sim), sort_keys=True))
 
-    def test_run_level_journal_argument(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        sweep = _sweep()
-        SweepEngine().run(sweep, journal=path)
-        engine = SweepEngine()
-        engine.run(sweep, journal=SweepJournal(path))
-        assert engine.last_journaled == len(sweep)
-
     def test_partial_journal_simulates_only_the_rest(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         small = _sweep(ways=(1,))
@@ -428,12 +420,6 @@ class TestEngineResume:
         engine.run(sweep)
         assert engine.last_journaled == 0
         assert engine.last_simulated == len(sweep)
-
-    def test_keep_builds_disables_journaling(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        sweep = _sweep(ways=(1,))
-        SweepEngine(journal=path).run(sweep, keep_builds=True)
-        assert not os.path.exists(path)
 
     def test_unchecked_runs_replay_as_unchecked(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -425,6 +425,10 @@ class TestHTTP:
         ("ways", 4),
         ("latencies", [True, 2]),
         ("latencies", [12.5]),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
     ])
     def test_out_of_bounds_field_is_400_naming_it(self, http_stack, field,
                                                   value):

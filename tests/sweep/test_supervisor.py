@@ -16,10 +16,9 @@ import json
 import pytest
 
 import repro.sweep.faults as faults
-from repro.sweep import PointFailure, SweepEngine, SweepJournal, SweepSpec
+from repro.sweep import SweepEngine, SweepJournal, SweepSpec
 from repro.sweep.cache import sim_to_dict, stats_to_dict
-from repro.sweep.supervisor import (SupervisorPolicy, backoff_delay,
-                                    policy_with_overrides)
+from repro.sweep.supervisor import SupervisorPolicy, backoff_delay
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -78,15 +77,15 @@ class TestPolicy:
             backoff_delay(3, "beta", policy)
 
     def test_policy_with_overrides(self):
+        """The engine builds its policy from its two supervision knobs;
+        every other field keeps the policy default."""
         base = SupervisorPolicy()
-        assert policy_with_overrides(None, None, None) == base
-        tweaked = policy_with_overrides(None, 2.5, 9)
+        assert SweepEngine().policy == base
+        tweaked = SweepEngine(task_timeout=2.5, max_pool_restarts=9).policy
         assert tweaked.task_timeout == 2.5
         assert tweaked.max_pool_restarts == 9
         assert tweaked.backoff_base == base.backoff_base
-        custom = SupervisorPolicy(max_group_retries=3)
-        kept = policy_with_overrides(custom, None, None)
-        assert kept.max_group_retries == 3
+        assert tweaked.max_group_retries == base.max_group_retries
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"task_timeout": -1}, "task_timeout"),
@@ -99,10 +98,6 @@ class TestPolicy:
             SupervisorPolicy(**kwargs)
         with pytest.raises(ValueError, match=f"{field} must be"):
             SweepEngine(**kwargs)
-
-    def test_engine_rejects_bad_resume_failed(self):
-        with pytest.raises(ValueError, match="resume_failed"):
-            SweepEngine(resume_failed="ignore")
 
 
 class TestHungWorker:
@@ -223,8 +218,7 @@ class TestJournalledFailures:
         assert len(completed) == len(sweep) - 1
         assert len(j.failed) == 1
         (record,) = j.failed.values()
-        failure = PointFailure.from_dict(record["failure"])
-        assert failure.error_type == "InjectedFault"
+        assert record["failure"]["error_type"] == "InjectedFault"
 
     def test_resume_retries_only_the_failed_point(self, tmp_path,
                                                   monkeypatch):
@@ -243,19 +237,6 @@ class TestJournalledFailures:
         j = SweepJournal(journal)
         assert len(j.load()) == len(sweep)
         assert not j.failed
-
-    def test_resume_failed_skip_replays_the_failure(self, tmp_path,
-                                                    monkeypatch):
-        journal = str(tmp_path / "j.jsonl")
-        sweep, _ = self._poison_run(tmp_path, monkeypatch, journal)
-
-        engine = SweepEngine(jobs=1, journal=journal, resume_failed="skip")
-        resumed = engine.run(sweep)
-        assert engine.last_simulated == 0
-        bad = [r for r in resumed if not r.ok]
-        assert len(bad) == 1
-        assert bad[0].failure.error_type == "InjectedFault"
-        assert bad[0].journaled
 
 
 class TestChaosAcceptance:
@@ -339,16 +320,10 @@ class TestCLISupervision:
         assert failed[0]["failure"]["error_type"] == "InjectedFault"
         assert "retries" in records[-1]  # supervision telemetry streamed
 
-        # --resume-failed skip replays the failure without re-running it.
+        # A resume re-runs only the failed point; its success supersedes
+        # the journaled failure.
         faults._PLAN_CACHE.clear()
         monkeypatch.delenv(faults.FAULT_ENV)
-        assert main(argv + ["--resume-failed", "skip"]) == 0
-        out = capsys.readouterr().out
-        assert "0 point(s) simulated" in out
-        assert "1 failed" in out
-
-        # The default (retry) re-runs only the failed point; its success
-        # supersedes the journaled failure.
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "1 point(s) simulated" in out

@@ -3,7 +3,7 @@
 The central guarantees: a cache-hit trace is *instruction-for-instruction*
 equal to a cold build, corrupt entries fall back to a rebuild, and a sweep
 over already-cached traces performs zero front-end builds (asserted through
-the build-counter hook in :mod:`repro.kernels.base`).
+the ``build_counter`` fixture, which counts ``Kernel.run_variant`` calls).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.common.atomicio import stamp_checksum
 from repro.frontend.builders import BUILDER_VERSION
-from repro.kernels.base import add_build_hook, remove_build_hook
 from repro.sweep import (
     SweepEngine,
     SweepPoint,
@@ -29,15 +28,6 @@ from repro.workloads.generators import WorkloadSpec
 
 _SPEC = WorkloadSpec(scale=1, seed=7)
 _CFG = MachineConfig.for_way(4)
-
-
-@pytest.fixture
-def build_counter():
-    """Counts kernel-variant builds for the duration of one test."""
-    counts = []
-    hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
-    yield counts
-    remove_build_hook(hook)
 
 
 def _build_trace(kernel="comp", isa="mom", spec=_SPEC):
@@ -132,16 +122,6 @@ class TestTraceCache:
 
 class TestLoweredPayloadInCache:
     """Entries embed the flat-array lowering; a hit revives it for free."""
-
-    @pytest.fixture
-    def lowering_counter(self):
-        from repro.timing.lowered import (add_lowering_hook,
-                                          remove_lowering_hook)
-
-        counts = []
-        hook = add_lowering_hook(lambda name, isa, n: counts.append((name, isa)))
-        yield counts
-        remove_lowering_hook(hook)
 
     def test_entry_embeds_live_lowered_payload(self, tmp_path):
         from repro.timing.lowered import LOWERING_VERSION
@@ -303,16 +283,6 @@ class TestEngineIntegration:
         engine.run([SweepPoint("comp", "mom", _CFG, _SPEC)])
         assert engine.trace_cache.get(
             SweepPoint("comp", "mom", _CFG, _SPEC)) is None
-
-    def test_keep_builds_bypasses_the_trace_cache(self, tmp_path,
-                                                  build_counter):
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        SweepEngine(cache_dir=str(tmp_path)).run([point])
-        build_counter.clear()
-        engine = SweepEngine(cache_dir=str(tmp_path))
-        results = engine.run([point], keep_builds=True)
-        assert results[0].build is not None
-        assert build_counter == [("comp", "mom")]
 
     def test_trace_cache_disabled_explicitly(self, tmp_path, build_counter):
         engine = SweepEngine(cache_dir=str(tmp_path), trace_cache=False)

@@ -56,6 +56,10 @@ class TestParser:
          "max_pool_restarts"),
         (["sweep", "--kernels", "comp", "--scale", "0"], "scale"),
         (["run", "comp", "--scale", "-2"], "scale"),
+        (["sweep", "--kernels", "comp", "--scale", "1", "--seed", "-1"],
+         "seed"),
+        (["run", "comp", "--seed", "-1"], "seed"),
+        (["client", "submit", "--seed", "-1"], "seed"),
     ])
     def test_nonsense_engine_or_workload_exits_with_the_field(
             self, capsys, argv, field):
@@ -74,6 +78,13 @@ class TestParser:
     def test_backend_knobs_are_gone(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    def test_resume_failed_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", "--resume-failed", "skip"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume-failed" in \
+            capsys.readouterr().err
 
 
 class TestCommands:

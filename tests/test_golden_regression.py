@@ -23,13 +23,14 @@ builder version in).
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
 
 import pytest
 
-from repro.experiments.runner import run_kernel
+from repro.experiments.runner import run_kernel, run_kernel_all_isas
 from repro.frontend.builders import BUILDER_VERSION
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import get_kernel, kernel_names
@@ -65,19 +66,41 @@ def test_snapshot_covers_all_kernels_and_isas():
     assert len(expected) == 36  # 9 kernels x 4 ISAs
 
 
-@pytest.mark.parametrize("point", _POINTS)
-def test_golden_cycles_exact(point):
-    kernel_name, isa = point.split("/")
-    kernel = get_kernel(kernel_name)
-    spec = WorkloadSpec(scale=kernel.default_scale, seed=GOLDEN["seed"])
+def _golden_inputs(kernel_name):
+    spec = WorkloadSpec(scale=get_kernel(kernel_name).default_scale,
+                        seed=GOLDEN["seed"])
     config = MachineConfig.for_way(4, mem_latency=GOLDEN["mem_latency"])
-    run = run_kernel(kernel_name, isa, config=config, spec=spec)
+    return config, spec
+
+
+def _counts(run):
+    return {"cycles": run.sim.cycles, "instructions": run.sim.instructions,
+            "operations": run.sim.operations}
+
+
+@functools.lru_cache(maxsize=None)
+def _all_isas_counts(kernel_name):
+    """Counts per ISA from one ``run_kernel_all_isas`` call (the path
+    ``repro run`` takes), shared by the kernel's four golden points."""
+    config, spec = _golden_inputs(kernel_name)
+    runs = run_kernel_all_isas(kernel_name, config=config, spec=spec)
+    return {isa: _counts(run) for isa, run in runs.items()}
+
+
+# ``run_kernel`` keeps the plain ``kernel/isa`` ids; the ``repro run``
+# path is the same points under an ``-all_isas`` suffix.
+@pytest.mark.parametrize(
+    "point, all_isas",
+    [pytest.param(p, False, id=p) for p in _POINTS]
+    + [pytest.param(p, True, id=f"{p}-all_isas") for p in _POINTS])
+def test_golden_cycles_exact(point, all_isas):
+    kernel_name, isa = point.split("/")
+    if all_isas:
+        got = _all_isas_counts(kernel_name)[isa]
+    else:
+        config, spec = _golden_inputs(kernel_name)
+        got = _counts(run_kernel(kernel_name, isa, config=config, spec=spec))
     expected = GOLDEN["results"][point]
-    got = {
-        "cycles": run.sim.cycles,
-        "instructions": run.sim.instructions,
-        "operations": run.sim.operations,
-    }
     assert got == expected, (
         f"{point}: simulated counts drifted from the golden snapshot "
         f"(got {got}, expected {expected}); if intentional, regenerate "

@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.opclasses import OpClass
+from repro.kernels.registry import get_kernel
 from repro.timing.config import FIGURE5_LATENCIES, MachineConfig, WAY_CONFIGS
+from repro.timing.dispatch import simulate_batch
+from repro.workloads.generators import WorkloadSpec
+
+#: The validation contract, restated independently of ``MachineConfig``:
+#: each field's smallest meaningful value.  Counts of hardware need one;
+#: a queue size of 0 means unbounded and the reduction latency is extra.
+_LOWER_BOUNDS = {
+    **{name: 1 for name in (
+        "fetch_width", "issue_width", "commit_width", "rob_size",
+        "num_int_alu", "num_int_mul", "num_mem_ports", "num_media_fu",
+        "media_lanes", "mem_port_width", "mem_latency", "arch_int_regs",
+        "arch_media_regs", "arch_matrix_regs", "arch_acc_regs")},
+    "int_queue_size": 0, "mem_queue_size": 0, "media_queue_size": 0,
+    "mom_reduction_latency": 0,
+}
+_REG_FILES = ("int", "media", "matrix", "acc")
+
+
+def _violations(config_fields):
+    """Fields of a would-be config that break the contract."""
+    bad = [name for name, low in _LOWER_BOUNDS.items()
+           if config_fields[name] < low]
+    bad += [f"phys_{regs}_regs" for regs in _REG_FILES
+            if config_fields[f"phys_{regs}_regs"]
+            < config_fields[f"arch_{regs}_regs"]]
+    return bad
 
 
 class TestForWay:
@@ -61,6 +91,68 @@ class TestForWay:
         cfg = MachineConfig.for_way(4)
         cfg2 = cfg.with_updates(mem_latency=12)
         assert cfg.mem_latency == 1 and cfg2.mem_latency == 12
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", sorted(_LOWER_BOUNDS))
+    def test_each_field_rejected_below_its_bound(self, field):
+        low = _LOWER_BOUNDS[field]
+        with pytest.raises(ValueError, match=f"{field} must be >= {low}"):
+            MachineConfig.for_way(4).with_updates(**{field: low - 1})
+        assert getattr(MachineConfig.for_way(4).with_updates(**{field: low}),
+                       field) == low
+
+    @pytest.mark.parametrize("regs", _REG_FILES)
+    def test_fewer_physical_than_architectural_registers_rejected(self,
+                                                                  regs):
+        arch = getattr(MachineConfig(), f"arch_{regs}_regs")
+        with pytest.raises(ValueError, match=f"phys_{regs}_regs must be >= "
+                                             f"arch_{regs}_regs"):
+            MachineConfig.for_way(4).with_updates(
+                **{f"phys_{regs}_regs": arch - 1})
+        # equal counts are legal: no rename limit
+        MachineConfig.for_way(4).with_updates(**{f"phys_{regs}_regs": arch})
+
+
+@lru_cache(maxsize=None)
+def _trace(kernel, isa):
+    return get_kernel(kernel).run_variant(
+        isa, spec=WorkloadSpec(scale=1, seed=7)).trace
+
+
+@st.composite
+def _config_fields(draw):
+    """Every field of a ``for_way`` machine, some redrawn around (and
+    across) their bounds."""
+    fields = dict(vars(MachineConfig.for_way(draw(st.sampled_from([1, 4])))))
+    for name in draw(st.sets(st.sampled_from(sorted(_LOWER_BOUNDS)),
+                             max_size=4)):
+        low = _LOWER_BOUNDS[name]
+        fields[name] = draw(st.integers(low - 2, low + 5))
+    for regs in draw(st.sets(st.sampled_from(_REG_FILES), max_size=2)):
+        arch = fields[f"arch_{regs}_regs"]
+        fields[f"phys_{regs}_regs"] = draw(st.integers(arch - 2, arch + 6))
+    return fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_config_fields(),
+       case=st.sampled_from([("comp", "mom"), ("ltppar", "mom"),
+                             ("idct", "mdmx"), ("h2v2", "scalar")]))
+def test_valid_configs_agree_across_backends_invalid_ones_name_a_field(
+        fields, case):
+    bad = _violations(fields)
+    if bad:
+        with pytest.raises(ValueError) as excinfo:
+            MachineConfig(**fields)
+        assert any(name in str(excinfo.value) for name in bad)
+        return
+    config = MachineConfig(**fields)
+    trace = _trace(*case)
+    want = simulate_batch(trace, [config], backend="object")
+    for backend in ("lowered", "vector"):
+        assert simulate_batch(trace, [config], backend=backend) == want, \
+            backend
 
 
 class TestLatencyOf:

@@ -6,8 +6,8 @@ same stall breakdown, same per-instruction timelines — for every trace and
 every configuration batch, including batches of one and batches with
 duplicates.  These tests pin that across kernels x ISAs x a configuration
 grid, on adversarial hand-written traces, and on Hypothesis-drawn random
-configuration batches; plus the adaptive loop/vector cut-over, the batch
-hooks, and the dispatch layer's backend resolution.
+configuration batches; plus the adaptive loop/vector cut-over and the
+dispatch layer's backend resolution.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.timing.core import OutOfOrderCore
 from repro.timing.dispatch import (BACKENDS, resolve_execution,
                                    simulate_batch)
 from repro.timing.lowered import lower_trace
-from repro.timing.vector import (VECTOR_MIN_BATCH, add_batch_hook,
-                                 remove_batch_hook, run_lowered_batch)
+from repro.timing.vector import VECTOR_MIN_BATCH, run_lowered_batch
 from repro.trace.container import Trace
 from repro.trace.instruction import DynInstr, RegRef
 from repro.workloads.generators import WorkloadSpec
@@ -119,8 +118,8 @@ def test_empty_trace():
 
 def test_invalid_resources_raise_like_the_scalar_core():
     lowered = lower_trace(_kernel_trace("comp", "scalar"))
-    bad = MachineConfig.for_way(4).with_updates(num_int_alu=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_int_alu"):
+        bad = MachineConfig.for_way(4).with_updates(num_int_alu=0)
         run_lowered_batch(lowered, [MachineConfig.for_way(4), bad],
                           force_vector=True)
 
@@ -188,7 +187,7 @@ def test_vector_equals_loop_on_adversarial_traces(trace):
     _assert_batch_equivalent(trace, CONFIG_BATCH, label=trace.name)
 
 
-def test_same_pool_multi_dst_traces_decline_the_array_program():
+def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
     """Two destinations in one rename pool break the sliding-window pool
     premise (a full pool pops exactly once per push), so those traces must
     run the per-config interpreter even when the array program is forced —
@@ -207,16 +206,12 @@ def test_same_pool_multi_dst_traces_decline_the_array_program():
     assert not lower_trace(_kernel_trace("motion1", "mom")
                            ).has_same_pool_multi_dst
 
-    seen = []
-    hook = add_batch_hook(lambda _k, _i, n, mode: seen.append(mode))
-    try:
-        tight = MachineConfig.for_way(1, mem_latency=12).with_updates(
-            phys_int_regs=34, rob_size=16)
-        batch = run_lowered_batch(lowered, [tight], force_vector=True,
-                                  record_timeline=True)
-    finally:
-        remove_batch_hook(hook)
-    assert seen == ["lowered"]
+    vector_runs = count_calls(vector_mod, "_run_vector")
+    tight = MachineConfig.for_way(1, mem_latency=12).with_updates(
+        phys_int_regs=34, rob_size=16)
+    batch = run_lowered_batch(lowered, [tight], force_vector=True,
+                              record_timeline=True)
+    assert vector_runs == []
     core = OutOfOrderCore(tight)
     want = core.run_lowered(lowered, record_timeline=True)
     assert batch[0] == want
@@ -276,39 +271,21 @@ def test_vector_equals_loop_on_random_config_batches(case, batch):
 
 
 # ----------------------------------------------------------------------
-# Strategy selection, hooks, and the dispatch layer.
+# Strategy selection and the dispatch layer.
 
 class TestAdaptiveCutover:
-    def test_small_batches_loop_large_batches_vectorise(self):
+    def test_small_batches_loop_large_batches_vectorise(self, count_calls):
         lowered = lower_trace(_kernel_trace("comp", "scalar"))
-        seen = []
-        hook = add_batch_hook(lambda name, isa, n, mode:
-                              seen.append((n, mode)))
-        try:
-            run_lowered_batch(lowered, [MachineConfig.for_way(4)] * 2)
-            run_lowered_batch(
-                lowered, [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH)
-            run_lowered_batch(lowered, [MachineConfig.for_way(4)] * 2,
-                              force_vector=True)
-            run_lowered_batch(
-                lowered, [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH,
-                force_vector=False)
-        finally:
-            remove_batch_hook(hook)
-        assert seen == [(2, "lowered"),
-                        (VECTOR_MIN_BATCH, "vector"),
-                        (2, "vector"),
-                        (VECTOR_MIN_BATCH, "lowered")]
-
-    def test_removed_hook_stops_firing(self):
-        lowered = lower_trace(_kernel_trace("comp", "scalar"))
-        seen = []
-        hook = add_batch_hook(lambda *a: seen.append(a))
-        remove_batch_hook(hook)
-        remove_batch_hook(hook)  # second removal is a no-op
-        run_lowered_batch(lowered, [MachineConfig.for_way(4)])
-        assert seen == []
-        assert not vector_mod._BATCH_HOOKS
+        vector_runs = count_calls(vector_mod, "_run_vector",
+                                  lambda lowered, configs, *a: len(configs))
+        few = [MachineConfig.for_way(4)] * 2
+        many = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH
+        run_lowered_batch(lowered, few)
+        run_lowered_batch(lowered, many)
+        run_lowered_batch(lowered, few, force_vector=True)
+        run_lowered_batch(lowered, many, force_vector=False)
+        # Only the large auto batch and the forced small one vectorise.
+        assert vector_runs == [VECTOR_MIN_BATCH, 2]
 
 
 class TestDispatch:
@@ -321,7 +298,7 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown timing backend"):
             resolve_execution("jit", 4)
 
-    def test_auto_respects_the_memory_budget(self, monkeypatch):
+    def test_auto_respects_the_memory_budget(self, monkeypatch, count_calls):
         from repro.timing.vector import VECTOR_AUTO_CELL_BUDGET
 
         n_huge = VECTOR_AUTO_CELL_BUDGET // VECTOR_MIN_BATCH + 1
@@ -337,15 +314,10 @@ class TestDispatch:
         lowered = lower_trace(_kernel_trace("comp", "scalar"))
         monkeypatch.setattr(vector_mod, "VECTOR_AUTO_CELL_BUDGET",
                             len(lowered) * VECTOR_MIN_BATCH - 1)
-        seen = []
-        hook = add_batch_hook(lambda _k, _i, n, mode:
-                              seen.append((n, mode)))
-        try:
-            configs = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH
-            run_lowered_batch(lowered, configs)
-        finally:
-            remove_batch_hook(hook)
-        assert seen == [(VECTOR_MIN_BATCH, "lowered")]
+        vector_runs = count_calls(vector_mod, "_run_vector")
+        configs = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH
+        assert len(run_lowered_batch(lowered, configs)) == VECTOR_MIN_BATCH
+        assert vector_runs == []
 
     def test_backends_tuple_is_the_contract(self):
         assert BACKENDS == ("auto", "object", "lowered", "vector")

@@ -175,21 +175,13 @@ class TestEmissionModes:
         assert trace[2].isa == "other"
         assert trace[0].isa == "scalar"
 
-    def test_adoption_fires_lowering_hooks_once(self):
-        from repro.timing.lowered import (add_lowering_hook,
-                                          remove_lowering_hook)
-
-        events = []
-        hook = add_lowering_hook(
-            lambda name, isa, n: events.append((name, isa, n)))
-        try:
-            trace = Trace(name="t", isa="scalar")
-            _emit_some(trace, 3)
-            trace.lower()
-            trace.lower()  # memoised: no second event
-        finally:
-            remove_lowering_hook(hook)
-        assert events == [("t", "scalar", 3)]
+    def test_adoption_fires_lowering_hooks_once(self, lowering_counter):
+        trace = Trace(name="t", isa="scalar")
+        _emit_some(trace, 3)
+        lowered = trace.lower()
+        assert trace.lower() is lowered  # memoised: no second lowering
+        assert lowering_counter == [("t", "scalar")]
+        assert lowered.num_instructions == 3
 
     def test_empty_trace(self):
         trace = Trace(name="t", isa="scalar")

@@ -37,6 +37,11 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="scale must be >= 1"):
             WorkloadSpec(scale=scale)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            WorkloadSpec(seed=-1)
+        assert WorkloadSpec(seed=0).seed == 0
+
 
 class TestGenerators:
     def test_u8_image_range_and_shape(self):
