@@ -32,7 +32,9 @@ journaled as failed are re-run), ``--task-timeout SECONDS`` /
 deadlines, bounded pool respawns with backoff, poison-point quarantine —
 see ``docs/sweep-engine.md``).
 The timing backend is not a flag: each trace group's size picks it (see
-:func:`repro.timing.dispatch.resolve_execution`).  A live
+:func:`repro.timing.dispatch.resolve_execution`).  Verification is not a
+flag either: every build, on every command and every service job, is
+checked against its NumPy golden reference.  A live
 ``done/total`` progress line with the simulated instr/s rate is written
 to stderr when it is a TTY, and ``repro cache stats --json`` emits the
 cache statistics as one JSON object for scripting.
@@ -54,7 +56,6 @@ import json
 import signal
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.analysis.metrics import compute_metrics
@@ -69,8 +70,9 @@ from repro.experiments.runner import run_kernel_all_isas
 from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import KERNELS, kernel_names
-from repro.sweep import (PointResult, SweepEngine, SweepPoint, cache_stats,
-                         clear_cache, gc_cache, resolve_spec)
+from repro.sweep import (PointResult, SweepEngine, cache_stats, clear_cache,
+                         gc_cache)
+from repro.sweep.spec import grid_points
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -422,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "job fails at the next record boundary with "
                                "its completed points journaled (resubmit "
                                "with a longer deadline to continue)")
-    submit_p.add_argument("--no-check", action="store_true",
-                          help="skip functional result checking")
     submit_p.add_argument("--watch", action="store_true",
                           help="after submitting, stream the job's events "
                                "until it finishes (same as repro client "
@@ -557,20 +557,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = engine_from_args(args)
-    configs = [MachineConfig.for_way(way, mem_latency=latency)
-               for way in args.ways for latency in args.latencies]
-    # A custom --seed must apply even without --scale (where each kernel
-    # keeps its own default scale), so resolve the per-kernel spec here
-    # instead of leaving it to the sweep expansion.
-    points = [
-        SweepPoint(kernel=kernel, isa=isa, config=config,
-                   spec=replace(resolve_spec(kernel, _spec(args.scale)),
-                                seed=args.seed))
-        for kernel in (args.kernels if args.kernels is not None
-                       else kernel_names())
-        for config in configs
-        for isa in args.isas
-    ]
+    points = grid_points(args.kernels, args.isas, args.ways, args.latencies,
+                         args.scale, args.seed)
     with stream_sinks(args, len(points), engine=engine) as on_result:
         results = engine.run(points, on_result=on_result)
     print(f"{'kernel':10s} {'isa':7s} {'config':8s} {'mem':>4s} "
@@ -640,7 +628,6 @@ def _client_submission(args: argparse.Namespace) -> dict:
         "scale": args.scale,
         "seed": args.seed,
         "deadline_seconds": args.deadline_seconds,
-        "check": not args.no_check,
     }
 
 

@@ -52,19 +52,19 @@ def build_kernel_variant(
     isa: str,
     spec: Optional[WorkloadSpec] = None,
     workload: Optional[dict] = None,
-    check: bool = True,
 ) -> KernelBuildResult:
     """Build (without simulating) one kernel variant.
 
-    Raises ``AssertionError`` if ``check`` is set and the variant's output
-    does not match the golden reference — a build whose functional output is
-    wrong must never silently contribute timing numbers.  This is the single
+    Raises ``AssertionError`` if the variant's output does not match the
+    golden reference — a build whose functional output is wrong must never
+    contribute timing numbers.  Every build is checked; this is the single
     home of that rule, shared by :func:`run_kernel` and the sweep engine's
-    trace batching.
+    trace batching, so every cached, journaled or served result is backed
+    by a verified build.
     """
     kernel = get_kernel(kernel_name)
     build = kernel.run_variant(isa, spec=spec, workload=workload)
-    if check and not build.correct:
+    if not build.correct:
         raise AssertionError(
             f"{kernel_name}/{isa}: functional output does not match the golden "
             f"reference (max abs error {build.max_abs_error()})"
@@ -78,15 +78,14 @@ def run_kernel(
     config: Optional[MachineConfig] = None,
     spec: Optional[WorkloadSpec] = None,
     workload: Optional[dict] = None,
-    check: bool = True,
 ) -> RunResult:
     """Build and simulate one kernel variant.
 
-    Raises ``AssertionError`` if ``check`` is set and the variant's output
-    does not match the golden reference (see :func:`build_kernel_variant`).
+    Raises ``AssertionError`` if the variant's output does not match the
+    golden reference (see :func:`build_kernel_variant`).
     """
     build = build_kernel_variant(kernel_name, isa, spec=spec,
-                                 workload=workload, check=check)
+                                 workload=workload)
     config = config if config is not None else MachineConfig.for_way(4)
     sim = simulate_trace(build.trace, config)
     stats = summarize_trace(build.trace)
@@ -97,7 +96,6 @@ def run_kernel_all_isas(
     kernel_name: str,
     config: Optional[MachineConfig] = None,
     spec: Optional[WorkloadSpec] = None,
-    check: bool = True,
 ) -> Dict[str, RunResult]:
     """Run all four ISA variants of a kernel on a shared workload.
 
@@ -110,6 +108,5 @@ def run_kernel_all_isas(
     from repro.sweep.spec import resolve_spec
 
     spec = resolve_spec(kernel_name, spec)
-    return {isa: run_kernel(kernel_name, isa, config=config, spec=spec,
-                            check=check)
+    return {isa: run_kernel(kernel_name, isa, config=config, spec=spec)
             for isa in ISA_VARIANTS}

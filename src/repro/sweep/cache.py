@@ -8,7 +8,10 @@ of those — including bumping :data:`repro.timing.core.MODEL_VERSION` when
 the timing model's numbers change, or
 :data:`repro.frontend.builders.BUILDER_VERSION` when an emitted stream
 changes — therefore produces a different key and a clean cache miss; stale
-results can never be returned.
+results can never be returned.  Both versions are read from their modules
+at call time: there is no per-cache override.  Every result the engine
+stores comes from a build verified against the golden reference, so an
+entry carries no verification flag.
 
 Layout::
 
@@ -30,14 +33,14 @@ import json
 import os
 from collections import Counter
 from dataclasses import fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
 from repro.frontend import builders
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
-from repro.timing.core import MODEL_VERSION
+from repro.timing import core
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 from repro.sweep.spec import SweepPoint
@@ -58,17 +61,16 @@ def _config_to_dict(config: MachineConfig) -> Dict[str, Any]:
     return out
 
 
-def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
+def point_key(point: SweepPoint) -> str:
     """Stable content hash of a (resolved) sweep point.
 
-    ``version`` defaults to the current timing-model version; tests override
-    it to exercise cache invalidation.  The builder version is read at call
-    time, so every store and journal keyed here misses after a bump.
+    The timing-model and builder versions are read at call time, so every
+    store and journal keyed here misses after either bump.
     """
     point = point.resolved()
     spec = point.spec
     payload = {
-        "model_version": version if version is not None else MODEL_VERSION,
+        "model_version": core.MODEL_VERSION,
         "builder_version": builders.BUILDER_VERSION,
         "kernel": point.kernel,
         "isa": point.isa,
@@ -154,15 +156,12 @@ class ResultCache:
     Parameters
     ----------
     cache_dir:
-        Root directory; created on first write.
-    version:
-        Timing-model version folded into every key.  Defaults to
-        :data:`repro.timing.core.MODEL_VERSION`.
+        Root directory; created on first write.  Entries are keyed by
+        :func:`point_key`.
     """
 
-    def __init__(self, cache_dir: str, version: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: str) -> None:
         self.cache_dir = os.fspath(cache_dir)
-        self.version = version if version is not None else MODEL_VERSION
         self.hits = 0
         self.misses = 0
         #: Entries this instance quarantined (``*.corrupt``) because they
@@ -170,10 +169,6 @@ class ResultCache:
         self.corrupt = 0
 
     # -- key/path plumbing ------------------------------------------------
-
-    def key_for(self, point: SweepPoint) -> str:
-        """Cache key of a (resolved) point under this cache's version."""
-        return point_key(point, version=self.version)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, key[:2], key + ".json")
@@ -196,7 +191,7 @@ class ResultCache:
         (:func:`repro.sweep.manage.gc_cache`) is least-recently-*used*, not
         least-recently-written.
         """
-        path = self._path(self.key_for(point))
+        path = self._path(point_key(point))
         try:
             with open(path, "r", encoding="utf-8") as f:
                 entry = json.load(f)
@@ -231,12 +226,12 @@ class ResultCache:
         a cache directory can never observe a half-written entry.
         """
         point = point.resolved()
-        key = self.key_for(point)
+        key = point_key(point)
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "key": key,
-            "model_version": self.version,
+            "model_version": core.MODEL_VERSION,
             "kernel": point.kernel,
             "isa": point.isa,
             "config": _config_to_dict(point.config),

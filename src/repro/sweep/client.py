@@ -31,7 +31,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.sweep.supervisor import SupervisorPolicy, backoff_delay
+from repro.sweep.supervisor import backoff_delay
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -62,22 +62,18 @@ class ServiceClient:
         window on top).
     retries:
         Attempts per request for *retryable* failures (connection errors,
-        429, 5xx) before :class:`ServiceError` is raised.
-    backoff:
-        Policy supplying the base/cap of the retry backoff schedule;
-        defaults to the supervisor's defaults.
+        429, 5xx) before :class:`ServiceError` is raised; between attempts
+        the client sleeps the pool supervisor's :func:`backoff_delay`.
     sleep:
         Injectable sleep for tests.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0,
                  retries: int = 5,
-                 backoff: Optional[SupervisorPolicy] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(1, retries)
-        self.backoff = backoff if backoff is not None else SupervisorPolicy()
         self._sleep = sleep
 
     # -- transport ---------------------------------------------------------
@@ -160,7 +156,7 @@ class ServiceClient:
     def _delay(self, attempt: int, token: str, last_status: int,
                last_payload: Optional[Dict[str, Any]]) -> float:
         """Backoff before retry ``attempt``; a 429's Retry-After wins."""
-        computed = backoff_delay(attempt, token=token, policy=self.backoff)
+        computed = backoff_delay(attempt, token=token)
         if last_status == 429 and self._retry_after is not None:
             return max(computed, self._retry_after)
         return computed

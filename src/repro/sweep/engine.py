@@ -8,12 +8,13 @@ points get executed:
   ``jobs > 1`` — each worker rebuilds its kernel workload from the (seeded,
   deterministic) spec, so no large arrays cross the process boundary and
   parallel results are bit-identical to serial ones,
-* optionally backed by an on-disk result store — the one-file-per-point
-  :class:`~repro.sweep.cache.ResultCache` (re-running a sweep whose points
-  are already cached does zero simulations) — and an on-disk
-  :class:`~repro.sweep.tracecache.TraceCache` (a point whose *result*
-  misses but whose functional trace is cached skips the dominant
-  trace-rebuild cost — in every process, parent or worker),
+* optionally backed (with a ``cache_dir``) by an on-disk result store — the
+  one-file-per-point :class:`~repro.sweep.cache.ResultCache` (re-running a
+  sweep whose points are already cached does zero simulations) — and an
+  on-disk :class:`~repro.sweep.tracecache.TraceCache` under
+  ``<cache_dir>/traces`` (a point whose *result* misses but whose
+  functional trace is cached skips the dominant trace-rebuild cost — in
+  every process, parent or worker),
 * optionally journaled: with a write-ahead
   :class:`~repro.sweep.journal.SweepJournal` every completed point is
   appended durably as it lands, and a restarted sweep replays the journal
@@ -34,6 +35,12 @@ per-instruction Python objects exist anywhere on the path.  Under a worker pool 
 is one task, so no two workers ever build the same trace concurrently (the
 old cold-cache duplicate-build race is gone by construction), and the
 build/lowering cost is amortised to ~zero per point.
+
+Every build is verified against its NumPy golden reference
+(:func:`~repro.experiments.runner.build_kernel_variant` raises on a
+mismatch, and the point becomes a failure), so every result the engine
+yields, caches or journals is backed by a verified build, and every store
+is keyed by the live timing-model and builder versions.
 
 Results stream: :meth:`SweepEngine.iter_results` yields each
 :class:`PointResult` the moment it completes (cache hits first, then
@@ -106,11 +113,6 @@ class PointResult:
     trace_cached:
         True when the simulation ran but its functional trace came from the
         trace cache (no front-end build ran).
-    checked:
-        Whether this result is backed by a golden-reference verification:
-        either this run checked the build, or the cache entry it came from
-        was written by a checking run (both caches only ever admit verified
-        work).
     index:
         Position of the point in the sweep's deterministic expansion order;
         lets streaming consumers reassemble barrier order.
@@ -128,13 +130,13 @@ class PointResult:
     cached: bool = False
     journaled: bool = False
     trace_cached: bool = False
-    checked: bool = True
     index: int = -1
     failure: Optional[PointFailure] = None
 
     @property
     def ok(self) -> bool:
-        """Whether the point completed (i.e. carries sim/stats numbers)."""
+        """Whether the point completed (i.e. carries sim/stats numbers from
+        a build verified against the golden reference)."""
         return self.failure is None
 
     @property
@@ -152,19 +154,12 @@ class PointResult:
         """Simulated cycle count (shorthand for ``sim.cycles``)."""
         return self.sim.cycles
 
-    @property
-    def correct(self) -> bool:
-        """Functional correctness of the build behind this result: known
-        only when the run (or the cached work it came from) verified
-        against the golden reference.  A failed point is never correct."""
-        return self.failure is None and self.checked
-
 
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
     """Grouping key of the functional trace behind a (resolved) point.
 
     Mirrors :func:`~repro.sweep.tracecache.trace_key` minus the builder
-    version (constant within one process): two points with equal identity
+    version (the same for every point of a run): two points with equal identity
     are simulated off one shared trace/lowering.
     """
     return (point.kernel, point.isa, point.spec.scale, point.spec.seed)
@@ -179,31 +174,30 @@ def _group_by_trace(points: Sequence[SweepPoint],
     return list(groups.values())
 
 
-def _acquire_trace(point: SweepPoint, check: bool,
-                   trace_cache: Optional[TraceCache]) -> Tuple[Trace, bool]:
+def _acquire_trace(point: SweepPoint,
+                   traces: Optional[TraceCache]) -> Tuple[Trace, bool]:
     """Fetch the point's functional trace from the cache or build it once.
 
-    Returns ``(trace, from_cache)``.  A fresh verified build stores its
-    trace (with the lowered payload) for every later run and worker —
-    mirroring the result cache's rule that only verified work is admitted.
+    Returns ``(trace, from_cache)``.  A fresh build is verified against
+    the golden reference (it raises otherwise) and stores its trace (with
+    the lowered payload) for every later run and worker.
     """
     # Local import: avoids a cycle with the experiments layer, which
     # imports the engine.
     from repro.experiments.runner import build_kernel_variant
 
-    if trace_cache is not None:
-        trace = trace_cache.get(point)
+    if traces is not None:
+        trace = traces.get(point)
         if trace is not None:
             return trace, True
-    build = build_kernel_variant(point.kernel, point.isa, spec=point.spec,
-                                 check=check)
-    if trace_cache is not None and check:
-        trace_cache.put(point, build.trace)
+    build = build_kernel_variant(point.kernel, point.isa, spec=point.spec)
+    if traces is not None:
+        traces.put(point, build.trace)
     return build.trace, False
 
 
-def _simulate_group(points: Sequence[SweepPoint], check: bool,
-                    trace_cache: Optional[TraceCache],
+def _simulate_group(points: Sequence[SweepPoint],
+                    traces: Optional[TraceCache],
                     ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]],
                                int, Tuple[int, str]]:
     """Run one trace-sharing group of resolved points in this process.
@@ -223,7 +217,7 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
     # simulation work, in the process that would execute it.
     for point in points:
         faults.fire_faults(point)
-    trace, from_cache = _acquire_trace(points[0], check, trace_cache)
+    trace, from_cache = _acquire_trace(points[0], traces)
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points])
     rows = [(sim, stats, from_cache) for sim in sims]
@@ -232,7 +226,7 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
     return rows, 0 if from_cache else 1, execution
 
 
-def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str]]
+def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
                  ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
                             Tuple[int, str]]:
     """Top-level (picklable) worker for the process pool: one trace group.
@@ -243,9 +237,9 @@ def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str]]
     travel back to the parent.
     """
     faults.mark_worker()
-    points, check, trace_dir = args
-    trace_cache = TraceCache(trace_dir) if trace_dir else None
-    return _simulate_group(points, check, trace_cache)
+    points, trace_dir = args
+    traces = TraceCache(trace_dir) if trace_dir else None
+    return _simulate_group(points, traces)
 
 
 class SweepEngine:
@@ -260,20 +254,11 @@ class SweepEngine:
     cache_dir:
         Root directory for the on-disk caches; ``None`` disables both.
         Results live at ``<cache_dir>/<key[:2]>/<key>.json`` and serialized
-        traces under ``<cache_dir>/traces/``.
-    check:
-        Verify every build against its NumPy golden reference (default on;
-        a run with wrong functional output never produces timing numbers).
-    version:
-        Timing-model version for result-cache keys (tests override this to
-        exercise invalidation); defaults to the live model version.  The
-        trace cache is *not* keyed on it — traces are configuration- and
-        model-independent.
-    trace_cache:
-        Trace-cache control: ``None`` (default) derives
-        ``<cache_dir>/traces`` when ``cache_dir`` is set, a string selects
-        an explicit directory, and ``False`` disables trace caching even
-        with a ``cache_dir``.
+        traces under ``<cache_dir>/traces/``.  Both are keyed by the live
+        :data:`~repro.timing.core.MODEL_VERSION` (results only) and
+        :data:`~repro.frontend.builders.BUILDER_VERSION`, read at call
+        time.  Every build is verified against its NumPy golden reference,
+        so both stores admit every completed result.
     journal:
         Write-ahead journal for crash-safe sweeps: a
         :class:`~repro.sweep.journal.SweepJournal`, a path for one, or
@@ -293,8 +278,6 @@ class SweepEngine:
     """
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
-                 check: bool = True, version: Optional[str] = None,
-                 trace_cache: Union[None, bool, str] = None,
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
@@ -304,17 +287,12 @@ class SweepEngine:
                     else {"max_pool_restarts": max_pool_restarts})
         self.policy = SupervisorPolicy(task_timeout=task_timeout, **restarts)
         self.jobs = int(jobs)
-        self._version = version
-        self.cache = (ResultCache(cache_dir, version=version)
-                      if cache_dir else None)
+        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.trace_cache = (TraceCache(os.path.join(cache_dir, TRACE_SUBDIR))
+                            if cache_dir else None)
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
         self.journal = journal
-        if trace_cache is None:
-            trace_cache = (os.path.join(cache_dir, TRACE_SUBDIR)
-                           if cache_dir else False)
-        self.trace_cache = (TraceCache(trace_cache) if trace_cache else None)
-        self.check = check
         self._reset_counters()
 
     def _reset_counters(self) -> None:
@@ -423,14 +401,9 @@ class SweepEngine:
                                 ) -> Iterator[PointResult]:
         journal = self.journal
 
-        def key_of(point: SweepPoint) -> str:
-            if self.cache is not None:
-                return self.cache.key_for(point)
-            return point_key(point, version=self._version)
-
         def emit(result: PointResult) -> PointResult:
             if journal is not None and not result.journaled:
-                journal.record(key_of(result.point), result)
+                journal.record(point_key(result.point), result)
             if on_result is not None:
                 on_result(result)
             return result
@@ -439,16 +412,13 @@ class SweepEngine:
         todo: List[int] = []
         for i, point in enumerate(points):
             if completed:
-                record = completed.get(key_of(point))
+                record = completed.get(point_key(point))
                 if record is not None:
                     sim = sim_from_dict(record["sim"])
                     stats = stats_from_dict(record["stats"])
                     self.last_journaled += 1
                     yield emit(PointResult(point=point, sim=sim, stats=stats,
-                                           journaled=True,
-                                           checked=bool(
-                                               record.get("checked", True)),
-                                           index=i))
+                                           journaled=True, index=i))
                     continue
             if self.cache is not None:
                 cached = self.cache.get(point)
@@ -496,7 +466,7 @@ class SweepEngine:
         for group in _group_by_trace(points, sorted(remaining)):
             try:
                 rows, builds, execution = _simulate_group(
-                    [points[i] for i in group], self.check, self.trace_cache)
+                    [points[i] for i in group], self.trace_cache)
             except Exception:
                 yield from self._isolate_serial_group(points, group,
                                                       remaining)
@@ -506,8 +476,7 @@ class SweepEngine:
             for i, (sim, stats, from_cache) in zip(group, rows):
                 remaining.discard(i)
                 yield PointResult(point=points[i], sim=sim, stats=stats,
-                                  trace_cached=from_cache,
-                                  checked=self.check or from_cache, index=i)
+                                  trace_cached=from_cache, index=i)
 
     def _isolate_serial_group(self, points: Sequence[SweepPoint],
                               group: Sequence[int],
@@ -523,12 +492,12 @@ class SweepEngine:
             self.last_retries += 1
             try:
                 rows, builds, execution = _simulate_group(
-                    [points[i]], self.check, self.trace_cache)
+                    [points[i]], self.trace_cache)
             except Exception as exc:
                 remaining.discard(i)
                 point = points[i]
                 yield PointResult(
-                    point=point, checked=False, index=i,
+                    point=point, index=i,
                     failure=PointFailure(
                         index=i, kernel=point.kernel, isa=point.isa,
                         config=point.config.name,
@@ -540,8 +509,7 @@ class SweepEngine:
             sim, stats, from_cache = rows[0]
             remaining.discard(i)
             yield PointResult(point=points[i], sim=sim, stats=stats,
-                              trace_cached=from_cache,
-                              checked=self.check or from_cache, index=i)
+                              trace_cached=from_cache, index=i)
 
     def _record(self, result: PointResult) -> PointResult:
         """Account for one fresh (non-result-cached) result and cache it."""
@@ -553,10 +521,7 @@ class SweepEngine:
         self.last_simulated += 1
         if result.trace_cached:
             self.last_trace_hits += 1
-        # Only verified results may enter the cache: entries carry no
-        # "unchecked" marker, so a check=False run must not poison the
-        # cache for later check=True engines.
-        if self.cache is not None and result.checked:
+        if self.cache is not None:
             self.cache.put(result.point, result.sim, result.stats)
         return result
 
@@ -621,8 +586,7 @@ class SweepEngine:
         workers = min(self.jobs, len(groups), (os.cpu_count() or 1) * 4)
 
         def make_args(indices: Sequence[int]) -> tuple:
-            return (tuple(points[i] for i in indices), self.check,
-                    trace_dir)
+            return (tuple(points[i] for i in indices), trace_dir)
 
         supervisor = PoolSupervisor(
             points, groups, make_args, _pool_worker, workers,
@@ -643,8 +607,7 @@ class SweepEngine:
                     failure: PointFailure = payload
                     remaining.discard(failure.index)
                     yield PointResult(point=points[failure.index],
-                                      checked=False, failure=failure,
-                                      index=failure.index)
+                                      failure=failure, index=failure.index)
                     continue
                 indices = payload
                 rows, builds, execution = extra
@@ -653,9 +616,7 @@ class SweepEngine:
                 for i, (sim, stats, trace_cached) in zip(indices, rows):
                     remaining.discard(i)
                     yield PointResult(point=points[i], sim=sim, stats=stats,
-                                      trace_cached=trace_cached,
-                                      checked=self.check or trace_cached,
-                                      index=i)
+                                      trace_cached=trace_cached, index=i)
         finally:
             # Runs on normal completion, on fallback, and — crucially — when
             # the consumer closes the generator early (GeneratorExit at a

@@ -34,8 +34,11 @@ The key (:func:`~repro.sweep.cache.point_key`) embeds the timing-model and
 builder versions, every machine-configuration field, the kernel, ISA and
 workload — so replay can never serve a stale result: a model or builder
 bump (or any other change) changes the key and the old records simply
-match nothing.  Records from runs that skipped golden-reference
-verification carry ``"checked": false`` and replay with that flag intact.
+match nothing.  Every recorded result comes from a build verified against
+the golden reference.  Journals written when verification could still be
+switched off may hold records stamped ``"checked": false``; :meth:`load`
+treats those as not completed, so a resume re-runs (and verifies) the
+point instead of replaying an unverified result.
 
 Points the supervised engine *gave up on* (quarantined poison points,
 kernel exceptions) are journaled too, as **failure records**: same key,
@@ -307,8 +310,9 @@ class SweepJournal:
         Tolerates a missing file (empty journal), a torn trailing record
         (discarded; counted in :attr:`torn_bytes_discarded`) and corrupt
         lines (skipped).  Header records and records of other formats are
-        ignored.  When the same key appears twice (two crashed runs sharing
-        one journal) the later record wins.
+        ignored, and so are records stamped ``"checked": false`` (an
+        unverified result: the point re-runs).  When the same key appears
+        twice (two crashed runs sharing one journal) the later record wins.
         """
         scan = read_jsonl(self.path)
         self._good_end = scan.good_end
@@ -328,6 +332,8 @@ class SweepJournal:
                 continue
             key = record.get("key")
             if not isinstance(key, str):
+                continue
+            if record.get("checked") is False:
                 continue
             if "sim" in record and "stats" in record:
                 completed[key] = record
@@ -412,7 +418,6 @@ class SweepJournal:
             return
         self.append({
             **header,
-            "checked": result.checked,
             "sim": sim_to_dict(result.sim),
             "stats": stats_to_dict(result.stats),
         })

@@ -41,7 +41,7 @@ Wire format (all JSON)::
 
     POST /jobs            {"kernels": [...], "isas": [...], "ways": [...],
                            "latencies": [...], "scale": N|null, "seed": N,
-                           "deadline_seconds": S|null, "check": bool}
+                           "deadline_seconds": S|null}
                           -> 201 {job} new, 200 {job} attached,
                              400 bad submission or Content-Length,
                              413 body over MAX_BODY_BYTES,
@@ -75,7 +75,6 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -85,10 +84,8 @@ from repro.frontend import builders
 from repro.sweep import faults
 from repro.sweep.engine import SweepEngine
 from repro.sweep.journal import SweepJournal, read_jsonl
-from repro.sweep.spec import SweepPoint, resolve_spec
-from repro.timing.config import MachineConfig
-from repro.timing.core import MODEL_VERSION
-from repro.workloads.generators import WorkloadSpec
+from repro.sweep.spec import SweepPoint, grid_points
+from repro.timing import core
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
            "MAX_SCALE", "QueueFull", "ServiceHTTPServer", "SweepService",
@@ -158,6 +155,9 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     The normalized dict is what gets hashed for the job id and persisted
     in the job file, so two submissions that mean the same sweep normalize
     identically (e.g. an omitted ``isas`` and an explicit full list).
+    Every job verifies its builds against the golden reference; there is
+    no field to switch that off, and a ``check`` field is rejected as
+    unknown.
     """
     from repro.kernels.base import ISA_VARIANTS
     from repro.kernels.registry import kernel_names
@@ -165,7 +165,7 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise ValueError("submission must be a JSON object")
     known = {"kernels", "isas", "ways", "latencies", "scale", "seed",
-             "deadline_seconds", "check"}
+             "deadline_seconds"}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown submission field(s): {sorted(unknown)}")
@@ -219,15 +219,15 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
         "scale": scale,
         "seed": seed,
         "deadline_seconds": deadline,
-        "check": bool(data.get("check", True)),
     }
 
 
 def job_id_for(submission: Dict[str, Any]) -> str:
     """Content-hash id of a normalized submission (idempotency key).
 
-    Folds in the timing-model and builder versions (the builder version
-    read at call time): after either bump the "same" submission is a
+    Folds in the timing-model and builder versions, read at call time
+    like every result key (:func:`~repro.sweep.cache.point_key`): after
+    either bump the "same" submission is a
     different job, matching the cache-key rule everywhere else in the
     stack.  The deadline is excluded — it shapes *how long* the job may
     run, not *what* it computes, so resubmitting with a longer deadline
@@ -236,33 +236,19 @@ def job_id_for(submission: Dict[str, Any]) -> str:
     import hashlib
 
     body = {k: v for k, v in submission.items() if k != "deadline_seconds"}
-    body["model_version"] = MODEL_VERSION
+    body["model_version"] = core.MODEL_VERSION
     body["builder_version"] = builders.BUILDER_VERSION
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def submission_points(submission: Dict[str, Any]) -> List[SweepPoint]:
-    """Expand a normalized submission into resolved sweep points.
-
-    Mirrors ``repro sweep``'s expansion exactly (kernel-major, then
-    config, then ISA; per-kernel default scales; the seed applied even
-    without an explicit scale) so a job's results match the CLI's for the
-    same parameters.
-    """
-    spec = (WorkloadSpec(scale=submission["scale"], seed=submission["seed"])
-            if submission["scale"] is not None else None)
-    configs = [MachineConfig.for_way(way, mem_latency=latency)
-               for way in submission["ways"]
-               for latency in submission["latencies"]]
-    return [
-        SweepPoint(kernel=kernel, isa=isa, config=config,
-                   spec=replace(resolve_spec(kernel, spec),
-                                seed=submission["seed"]))
-        for kernel in submission["kernels"]
-        for config in configs
-        for isa in submission["isas"]
-    ]
+    """Expand a normalized submission into resolved sweep points, through
+    the same :func:`~repro.sweep.spec.grid_points` as ``repro sweep``, so
+    a job's results match the CLI's for the same parameters."""
+    return grid_points(submission["kernels"], submission["isas"],
+                       submission["ways"], submission["latencies"],
+                       submission["scale"], submission["seed"])
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +507,6 @@ class SweepService:
         engine = SweepEngine(
             jobs=self.engine_jobs,
             cache_dir=self.cache_dir,
-            check=submission["check"],
             journal=self.journal_path(job_id),
             task_timeout=self.task_timeout,
             max_pool_restarts=self.max_pool_restarts,

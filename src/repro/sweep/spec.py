@@ -4,19 +4,21 @@ A :class:`SweepSpec` names *what* to run — the cartesian product of kernels,
 ISA variants, machine configurations and workload specs — without saying how
 (serially, in parallel, cached).  The :class:`~repro.sweep.engine.SweepEngine`
 expands it into :class:`SweepPoint`\\ s and executes them.
+:func:`grid_points` is the one expansion of the ``repro sweep`` / service
+grid (kernels x widths x memory latencies x ISAs with a seed override).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import get_kernel, kernel_names
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["SweepPoint", "SweepSpec", "resolve_spec"]
+__all__ = ["SweepPoint", "SweepSpec", "grid_points", "resolve_spec"]
 
 
 def resolve_spec(kernel_name: str, spec: Optional[WorkloadSpec]) -> WorkloadSpec:
@@ -120,3 +122,24 @@ class SweepSpec:
     def __len__(self) -> int:
         """Number of points :meth:`points` will expand to."""
         return len(self.kernel_names()) * len(self.configs) * len(self.isas)
+
+
+def grid_points(kernels: Optional[Iterable[str]], isas: Sequence[str],
+                ways: Iterable[int], latencies: Sequence[int],
+                scale: Optional[int], seed: int) -> List[SweepPoint]:
+    """Expand a ``repro sweep`` (or service job) grid into resolved points.
+
+    Kernel-major, then configuration (width-major, then memory latency),
+    then ISA.  ``kernels=None`` means every registered kernel and
+    ``scale=None`` each kernel's default scale; ``seed`` applies either
+    way.  The CLI and the service both expand through here, so a job's
+    results match ``repro sweep`` for the same parameters.
+    """
+    configs = [MachineConfig.for_way(way, mem_latency=latency)
+               for way in ways for latency in latencies]
+    spec = WorkloadSpec(scale=scale, seed=seed) if scale is not None else None
+    return [SweepPoint(kernel=kernel, isa=isa, config=config,
+                       spec=replace(resolve_spec(kernel, spec), seed=seed))
+            for kernel in (kernels if kernels is not None else kernel_names())
+            for config in configs
+            for isa in isas]

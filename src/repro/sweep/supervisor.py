@@ -24,8 +24,9 @@ not queue time.
 ``BrokenProcessPool`` mid-run, ``PicklingError``/``OSError`` at submit —
 respawn the pool up to :attr:`SupervisorPolicy.max_pool_restarts` times,
 sleeping an exponentially growing, deterministically jittered delay
-(:func:`backoff_delay`) between attempts, before giving up and leaving the
-remainder to the engine's serial fallback.  A transient hiccup costs one
+(:func:`backoff_delay`, :data:`BACKOFF_BASE` up to :data:`BACKOFF_CAP`
+seconds) between attempts, before giving up and leaving the remainder to
+the engine's serial fallback.  A transient hiccup costs one
 restart, not the whole run's parallelism.
 
 **Probation (precise blame).**  When the pool breaks with several tasks in
@@ -38,12 +39,12 @@ beyond doubt.  Only precisely-blamed failures count against a task.
 **Quarantine by bisection.**  A group that kills or hangs its worker when
 running alone is split in half; the halves re-run (still one at a time)
 and the offending point is cornered in O(log n) rounds.  A single point
-that still crashes or times out after
-:attr:`SupervisorPolicy.quarantine_retries` retries is **quarantined**: it
-becomes a structured :class:`PointFailure` and the sweep finishes without
-it.  Ordinary exceptions raised *by* a task (a kernel bug, a verification
-failure) take the same retry/bisect route — minus the pool restarts, since
-the pool is healthy — and end as non-quarantined :class:`PointFailure`\\ s.
+that still crashes or times out after :data:`QUARANTINE_RETRIES` retries
+is **quarantined**: it becomes a structured :class:`PointFailure` and the
+sweep finishes without it.  Ordinary exceptions raised *by* a task (a
+kernel bug, a verification failure) take the same retry/bisect route —
+minus the pool restarts, since the pool is healthy — and end as
+non-quarantined :class:`PointFailure`\\ s.
 
 The serial path reuses :class:`PointFailure` directly: a group that raises
 in-process is re-run point by point, and the points that still raise are
@@ -74,11 +75,27 @@ __all__ = ["POOL_INFRA_ERRORS", "PointFailure", "PoolSupervisor",
 POOL_INFRA_ERRORS = (OSError, PermissionError, ImportError,
                      BrokenProcessPool, pickle.PicklingError)
 
+#: Same-membership retries of a multi-point group whose task *raised*
+#: (pool healthy) before it is bisected.  Crash/timeout failures bisect
+#: immediately — the blame-all probation pass that precedes them already
+#: was the retry.
+MAX_GROUP_RETRIES = 1
+
+#: Retries of a *single* point before it is quarantined (crash or timeout)
+#: or recorded as failed (exception).
+QUARANTINE_RETRIES = 1
+
+#: Exponential-backoff schedule (seconds) for pool restarts and client
+#: retries; see :func:`backoff_delay`.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 0.5
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Knobs of the supervised pool loop (engine/CLI: ``--task-timeout``,
-    ``--max-pool-restarts``).
+    """The two settable knobs of the supervised pool loop (engine/CLI:
+    ``--task-timeout``, ``--max-pool-restarts``).  The retry counts and the
+    backoff schedule are module constants.
 
     Attributes
     ----------
@@ -91,25 +108,10 @@ class SupervisorPolicy:
         over.  Quarantining one poison point in a group of *n* costs about
         ``log2(n) + 3`` restarts; the default leaves room for that plus a
         couple of genuine transients.
-    max_group_retries:
-        Same-membership retries of a multi-point group whose task *raised*
-        (pool healthy) before it is bisected.  Crash/timeout failures
-        bisect immediately — the blame-all probation pass that precedes
-        them already was the retry.
-    quarantine_retries:
-        Retries of a *single* point before it is quarantined (crash or
-        timeout) or recorded as failed (exception).
-    backoff_base / backoff_cap:
-        Exponential-backoff schedule for pool restarts; see
-        :func:`backoff_delay`.
     """
 
     task_timeout: Optional[float] = None
     max_pool_restarts: int = 6
-    max_group_retries: int = 1
-    quarantine_retries: int = 1
-    backoff_base: float = 0.05
-    backoff_cap: float = 0.5
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and not self.task_timeout > 0:
@@ -173,24 +175,19 @@ class PointFailure:
         }
 
 
-def backoff_delay(attempt: int, token: str = "",
-                  policy: Optional[SupervisorPolicy] = None) -> float:
+def backoff_delay(attempt: int, token: str = "") -> float:
     """Exponential backoff with *deterministic* jitter.
 
-    ``base * 2**attempt`` capped at ``backoff_cap``, plus a jitter in
-    ``[0, base)`` derived from a SHA-256 of ``(token, attempt)`` — the
-    same inputs always produce the same delay, so supervised runs stay
-    reproducible while concurrent sweeps sharing a machine still decorrelate
-    (each passes its own token).
+    ``BACKOFF_BASE * 2**attempt`` capped at :data:`BACKOFF_CAP`, plus a
+    jitter in ``[0, BACKOFF_BASE)`` derived from a SHA-256 of ``(token,
+    attempt)`` — the same inputs always produce the same delay, so
+    supervised runs stay reproducible while concurrent sweeps sharing a
+    machine still decorrelate (each passes its own token).
     """
-    policy = policy if policy is not None else SupervisorPolicy()
-    base = policy.backoff_base
-    if base <= 0:
-        return 0.0
-    delay = min(base * (2.0 ** max(0, attempt)), policy.backoff_cap)
+    delay = min(BACKOFF_BASE * (2.0 ** max(0, attempt)), BACKOFF_CAP)
     digest = hashlib.sha256(f"{token}:{attempt}".encode("utf-8")).digest()
-    jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF * base
-    return min(delay + jitter, policy.backoff_cap)
+    jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF * BACKOFF_BASE
+    return min(delay + jitter, BACKOFF_CAP)
 
 
 class _Task:
@@ -321,8 +318,7 @@ class PoolSupervisor:
                 f"{type(exc).__name__}{where}: {exc}{suffix}")
             raise _RestartsExhausted()
         self.sleep(backoff_delay(self.pool_restarts - 1,
-                                 token=where or "restart",
-                                 policy=self.policy))
+                                 token=where or "restart"))
         self._make_pool()
 
     # -- failure routing ---------------------------------------------------
@@ -346,7 +342,7 @@ class PoolSupervisor:
         hostile = phase in ("crash", "timeout")
         requeue = self._probation if hostile else self._queue
         if len(task.indices) == 1:
-            if task.attempts > self.policy.quarantine_retries:
+            if task.attempts > QUARANTINE_RETRIES:
                 yield ("failure",
                        self._failure(task, exc, phase, quarantined=hostile),
                        None)
@@ -354,7 +350,7 @@ class PoolSupervisor:
                 self.retries += 1
                 requeue.append(task)
             return
-        if hostile or task.attempts > self.policy.max_group_retries:
+        if hostile or task.attempts > MAX_GROUP_RETRIES:
             # Bisect: corner the offending point(s) in O(log n) rounds.
             mid = len(task.indices) // 2
             requeue.append(_Task(task.indices[:mid]))

@@ -24,8 +24,9 @@ Layout (shares a root with :class:`~repro.sweep.cache.ResultCache`)::
     <cache_dir>/traces/<key[:2]>/<key>.json
 
 Entries only ever come from builds whose functional output was verified
-against the NumPy golden reference, mirroring the result cache's rule, so a
-cache hit carries the original build's correctness guarantee.  Unreadable,
+against the NumPy golden reference (every build is), so a cache hit carries
+the original build's correctness guarantee.  The builder version is read
+at call time, like the result cache's versions.  Unreadable,
 truncated or format-mismatched entries count as plain misses — the trace is
 rebuilt rather than crashing the sweep.
 
@@ -56,7 +57,7 @@ from typing import Any, Dict, Optional
 
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
-from repro.frontend.builders import BUILDER_VERSION
+from repro.frontend import builders
 from repro.sweep.spec import SweepPoint
 from repro.timing.lowered import LoweredTrace
 from repro.trace.container import Trace
@@ -68,8 +69,7 @@ __all__ = ["TraceCache", "trace_key"]
 TRACE_SUBDIR = "traces"
 
 
-def trace_key(kernel: str, isa: str, spec: WorkloadSpec,
-              builder_version: Optional[str] = None) -> str:
+def trace_key(kernel: str, isa: str, spec: WorkloadSpec) -> str:
     """Stable content hash identifying one functional trace.
 
     Parameters
@@ -79,14 +79,12 @@ def trace_key(kernel: str, isa: str, spec: WorkloadSpec,
     spec:
         The concrete (resolved) workload spec; only ``scale`` and ``seed``
         matter, matching the result cache's workload fingerprint.
-    builder_version:
-        Front-end version folded into the key; defaults to the live
-        :data:`~repro.frontend.builders.BUILDER_VERSION` (tests override it
-        to exercise invalidation).
+
+    The live :data:`~repro.frontend.builders.BUILDER_VERSION` is folded in,
+    read at call time.
     """
     payload = {
-        "builder_version": (builder_version if builder_version is not None
-                            else BUILDER_VERSION),
+        "builder_version": builders.BUILDER_VERSION,
         "kernel": kernel,
         "isa": isa,
         "workload": {"scale": spec.scale, "seed": spec.seed},
@@ -102,10 +100,8 @@ class TraceCache:
     ----------
     cache_dir:
         Directory holding the trace entries (conventionally
-        ``<shared cache root>/traces``); created on first write.
-    builder_version:
-        Front-end version folded into every key.  Defaults to
-        :data:`~repro.frontend.builders.BUILDER_VERSION`.
+        ``<shared cache root>/traces``); created on first write.  Entries
+        are keyed by :func:`trace_key`.
 
     Attributes
     ----------
@@ -113,11 +109,8 @@ class TraceCache:
         Running counters over this instance's :meth:`get` calls.
     """
 
-    def __init__(self, cache_dir: str,
-                 builder_version: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: str) -> None:
         self.cache_dir = os.fspath(cache_dir)
-        self.builder_version = (builder_version if builder_version is not None
-                                else BUILDER_VERSION)
         self.hits = 0
         self.misses = 0
         #: Entries this instance quarantined (``*.corrupt``) because they
@@ -129,8 +122,7 @@ class TraceCache:
     def key_for(self, point: SweepPoint) -> str:
         """Cache key of the trace behind a (resolved) sweep point."""
         point = point.resolved()
-        return trace_key(point.kernel, point.isa, point.spec,
-                         builder_version=self.builder_version)
+        return trace_key(point.kernel, point.isa, point.spec)
 
     def path_for(self, point: SweepPoint) -> str:
         """On-disk path of the entry for ``point`` (whether or not present)."""
@@ -205,7 +197,7 @@ class TraceCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry: Dict[str, Any] = {
             "key": key,
-            "builder_version": self.builder_version,
+            "builder_version": builders.BUILDER_VERSION,
             "kernel": point.kernel,
             "isa": point.isa,
             "workload": {"scale": point.spec.scale, "seed": point.spec.seed},

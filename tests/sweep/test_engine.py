@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+import repro.timing.core
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import run_kernel
 from repro.sweep import (
@@ -118,18 +119,24 @@ class TestCache:
         assert all(r.cached for r in warm)
         assert [r.sim for r in cold] == [r.sim for r in warm]
         assert [r.stats for r in cold] == [r.stats for r in warm]
+        # and both equal a run with no cache at all
+        assert [r.sim for r in warm] == [r.sim for r in
+                                         SweepEngine().run(sweep)]
 
-    def test_version_bump_invalidates(self, tmp_path):
+    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         sweep = small_sweep()
-        v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path), version="v1")
+        v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         v1.run(sweep)
         assert v1.last_simulated == len(sweep)
 
-        still_v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path), version="v1")
+        still_v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         still_v1.run(sweep)
         assert still_v1.last_simulated == 0
 
-        v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path), version="v2")
+        # The live stamp is read at key time: an engine built before the
+        # bump misses too.
+        v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
         v2.run(sweep)
         assert v2.last_simulated == len(sweep), "version bump must miss the cache"
 
@@ -142,15 +149,21 @@ class TestCache:
 
         sweep = small_sweep()
         journal = str(tmp_path / "sweep.jsonl")
-        SweepEngine(cache_dir=str(tmp_path / "cache")).run(sweep)
+        engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
+        engine.run(sweep)
         SweepEngine(journal=journal).run(sweep)
         submission = normalize_submission({"kernels": ["comp"], "scale": 1})
         job_id = job_id_for(submission)
+        assert all(engine.trace_cache.get(point) is not None
+                   for point in sweep.points())
 
         monkeypatch.setattr(builders, "BUILDER_VERSION", "bumped")
         cache = ResultCache(str(tmp_path / "cache"))
         assert all(cache.get(point) is None for point in sweep.points())
         assert cache.hits == 0 and cache.misses == len(sweep)
+        # the trace cache built before the bump reads the live stamp too
+        assert all(engine.trace_cache.get(point) is None
+                   for point in sweep.points())
         resumed = SweepEngine(journal=journal)
         resumed.run(sweep)
         assert resumed.last_journaled == 0
@@ -168,7 +181,7 @@ class TestCache:
         assert engine.last_simulated == 1
         assert results[0].cached and not results[1].cached
 
-    def test_key_is_stable_and_sensitive(self):
+    def test_key_is_stable_and_sensitive(self, monkeypatch):
         cfg = MachineConfig.for_way(4)
         point = SweepPoint("comp", "mom", cfg, _SPEC)
         assert point_key(point) == point_key(point)
@@ -178,14 +191,15 @@ class TestCache:
             SweepPoint("comp", "mom", cfg.with_updates(mem_latency=12), _SPEC))
         assert point_key(point) != point_key(
             SweepPoint("comp", "mom", cfg, WorkloadSpec(scale=1, seed=8)))
-        assert point_key(point) != point_key(point, version="other")
+        key = point_key(point)
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "other")
+        assert point_key(point) != key
 
     def test_cache_entries_are_json_on_disk(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         point = SweepPoint("comp", "mom", cfg, _SPEC)
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run([point])
-        cache = ResultCache(str(tmp_path))
-        key = cache.key_for(point)
+        key = point_key(point)
         path = os.path.join(str(tmp_path), key[:2], key + ".json")
         assert os.path.exists(path)
         with open(path) as f:
@@ -194,27 +208,12 @@ class TestCache:
         assert entry["isa"] == "mom"
         assert entry["sim"]["cycles"] > 0
 
-    def test_unchecked_results_never_enter_the_cache(self, tmp_path):
-        """check=False runs skip golden-reference verification, so their
-        results must not be served later to engines that promise checking."""
-        cfg = MachineConfig.for_way(4)
-        point = SweepPoint("comp", "mom", cfg, _SPEC)
-        unchecked = SweepEngine(jobs=1, cache_dir=str(tmp_path), check=False)
-        results = unchecked.run([point])
-        assert results[0].checked is False
-
-        checking = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        verified = checking.run([point])
-        assert checking.last_cached == 0, "unchecked result leaked into cache"
-        assert checking.last_simulated == 1
-        assert verified[0].checked and verified[0].correct
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         point = SweepPoint("comp", "mom", cfg, _SPEC)
         engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         engine.run([point])
-        key = engine.cache.key_for(point)
+        key = point_key(point)
         path = os.path.join(str(tmp_path), key[:2], key + ".json")
         with open(path, "w") as f:
             f.write("{not json")
@@ -274,12 +273,7 @@ class TestTraceBatching:
             assert r.sim == direct.sim
             assert r.stats == direct.stats
 
-    def test_unchecked_batched_results_stay_unchecked(self):
-        engine = SweepEngine(jobs=1, check=False)
-        results = engine.run(self._multi_config_sweep())
-        assert all(not r.checked for r in results)
-
-    def test_warm_groups_split_to_fill_the_pool(self, tmp_path):
+    def test_warm_groups_split_to_fill_the_pool(self, tmp_path, monkeypatch):
         """A config-heavy sweep over few distinct traces must not collapse
         to one pool task per trace once the trace cache is warm."""
         configs = [MachineConfig.for_way(4, mem_latency=lat)
@@ -288,13 +282,15 @@ class TestTraceBatching:
                                configs=configs, spec=_SPEC)
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
 
-        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path), version="v2")
+        # A model bump misses every result but no trace.
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         if engine.last_fallback_reason is None:
             assert engine.last_pool_tasks == 4, (
                 "one 8-point warm group should split into jobs-many tasks")
         assert engine.last_trace_builds == 0
-        baseline = SweepEngine(version="v3").run(sweep)
+        baseline = SweepEngine().run(sweep)
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
     def test_cold_groups_are_never_split(self, tmp_path):
@@ -346,18 +342,20 @@ class TestBackendRouting:
         return figure4_sweep(kernels=["comp"], ways=(1, 2, 4, 8), spec=_SPEC)
 
     def test_warm_figure4_grid_routes_through_batch_backend_serially(
-            self, tmp_path, count_calls):
+            self, tmp_path, count_calls, monkeypatch):
         """Acceptance: a warm (trace-cached) figure-4 grid sweep simulates
         every group through run_lowered_batch on the serial path."""
         from repro.timing import dispatch, vector
 
         sweep = self._figure4_grid()
-        SweepEngine(trace_cache=str(tmp_path)).run(sweep)  # warm the traces
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
 
         batches = count_calls(dispatch, "run_lowered_batch",
                               lambda lowered, configs, **kw: len(configs))
         vector_runs = count_calls(vector, "_run_vector")
-        engine = SweepEngine(trace_cache=str(tmp_path))
+        # A model bump misses every result but no trace.
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        engine = SweepEngine(cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert engine.last_trace_builds == 0, "trace cache must be warm"
         groups = 4  # one kernel x four ISAs
@@ -369,13 +367,14 @@ class TestBackendRouting:
         assert vector_runs == []
 
     def test_warm_figure4_grid_routes_through_batch_backend_with_jobs(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """Acceptance: same grid under --jobs — each pool task returns its
         group's executed-backend record to the parent."""
         sweep = self._figure4_grid()
-        SweepEngine(trace_cache=str(tmp_path)).run(sweep)
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
 
-        engine = SweepEngine(jobs=2, trace_cache=str(tmp_path))
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        engine = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert len(results) == 16
         assert engine.last_trace_builds == 0
@@ -418,6 +417,55 @@ class TestBackendRouting:
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             SweepEngine(jobs=jobs)
+
+
+class TestVerification:
+    """One verification rule and one version rule: every build is checked
+    against its golden reference, and every store is keyed by the live
+    versions — no caller can switch either off."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: SweepEngine(check=False),
+        lambda: SweepEngine(version="x"),
+        lambda: SweepEngine(trace_cache=False),
+        lambda: ResultCache("unused", version="x"),
+        lambda: point_key(SweepPoint("comp", "mom", MachineConfig()),
+                          version="x"),
+        lambda: run_kernel("comp", "mom", check=False),
+    ], ids=["engine-check", "engine-version", "engine-trace_cache",
+            "cache-version", "point_key-version", "run_kernel-check"])
+    def test_knobs_are_gone(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_wrong_builds_yield_only_failures_on_every_path(
+            self, tmp_path, monkeypatch):
+        """A build that fails its golden check never yields numbers:
+        serial, pooled, over a cache, or resumed from a journal."""
+        from repro.kernels.base import KernelBuildResult
+
+        monkeypatch.setattr(KernelBuildResult, "correct",
+                            property(lambda self: False))
+        sweep = SweepSpec.make(kernels=["comp"], isas=("mmx", "mom"),
+                               configs=[MachineConfig.for_way(1),
+                                        MachineConfig.for_way(4)],
+                               spec=_SPEC)
+        cache_dir = str(tmp_path / "cache")
+        journal = str(tmp_path / "sweep.jsonl")
+        engines = [SweepEngine(), SweepEngine(jobs=2),
+                   SweepEngine(cache_dir=cache_dir),
+                   SweepEngine(cache_dir=cache_dir),  # the cached re-run
+                   SweepEngine(journal=journal),
+                   SweepEngine(journal=journal)]      # the resume
+        for engine in engines:
+            results = engine.run(sweep)
+            assert len(results) == len(sweep)
+            assert all(not r.ok and r.sim is None and r.stats is None
+                       and r.failure.error_type == "AssertionError"
+                       for r in results)
+            assert engine.last_simulated == 0
+            assert engine.last_cached == engine.last_journaled == 0
+        assert not os.path.exists(cache_dir), "a failed build was stored"
 
 
 class TestColumnFastPathAccounting:

@@ -27,6 +27,7 @@ from repro.sweep import (
     cache_stats,
     clear_cache,
     gc_cache,
+    point_key,
 )
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
@@ -44,8 +45,7 @@ def _populate(cache_dir: str) -> int:
 
 
 def _result_path(cache_dir: str) -> str:
-    cache = ResultCache(cache_dir)
-    return cache._path(cache.key_for(_POINT))
+    return ResultCache(cache_dir)._path(point_key(_POINT))
 
 
 def _trace_path(cache_dir: str) -> str:

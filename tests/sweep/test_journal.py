@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+import repro.timing.core
 from repro.cli import main
 from repro.sweep import (
     JournalLockedError,
@@ -27,7 +28,7 @@ from repro.sweep import (
     point_key,
     read_jsonl,
 )
-from repro.sweep.cache import sim_to_dict
+from repro.sweep.cache import sim_to_dict, stats_to_dict
 from repro.sweep.journal import JOURNAL_FORMAT, LOCK_SUFFIX
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
@@ -411,22 +412,47 @@ class TestEngineResume:
         assert engine.last_cached == 0
         assert engine.cache.hits == 0 and engine.cache.misses == 0
 
-    def test_model_version_bump_invalidates_the_journal(self, tmp_path):
+    def test_model_version_bump_invalidates_the_journal(self, tmp_path,
+                                                        monkeypatch):
         path = str(tmp_path / "j.jsonl")
         sweep = _sweep(ways=(1,))
         SweepEngine(journal=path).run(sweep)
 
-        engine = SweepEngine(journal=path, version="some-other-model")
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION",
+                            "some-other-model")
+        engine = SweepEngine(journal=path)
         engine.run(sweep)
         assert engine.last_journaled == 0
         assert engine.last_simulated == len(sweep)
 
-    def test_unchecked_runs_replay_as_unchecked(self, tmp_path):
+    def test_unverified_records_from_older_journals_rerun(self, tmp_path):
+        """A journal written when verification could be switched off may
+        hold ``"checked": false`` records; they must not replay as
+        verified — the point re-runs (and is verified) instead."""
         path = str(tmp_path / "j.jsonl")
-        sweep = _sweep(ways=(1,))
-        SweepEngine(check=False, journal=path).run(sweep)
-        results = SweepEngine(journal=path).run(sweep)
-        assert all(r.journaled and not r.checked for r in results)
+        point = next(iter(_sweep(ways=(1,)).points()))
+        fresh, = SweepEngine().run([point])
+        record = {"key": point_key(point), "index": 0,
+                  "kernel": point.kernel, "isa": point.isa,
+                  "config": point.config.name,
+                  "mem_latency": point.config.mem_latency,
+                  "checked": False, "sim": sim_to_dict(fresh.sim),
+                  "stats": stats_to_dict(fresh.stats)}
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(json.dumps({"journal": "repro-sweep-journal",
+                                "format": JOURNAL_FORMAT}) + "\n")
+            f.write(json.dumps(record) + "\n")
+        assert SweepJournal(path).load() == {}
+
+        engine = SweepEngine(journal=path)
+        resumed, = engine.run([point])
+        assert not resumed.journaled and resumed.ok
+        assert engine.last_journaled == 0 and engine.last_simulated == 1
+        assert resumed.sim == fresh.sim
+        # The re-run's record is verified, so the next resume replays it.
+        again = SweepEngine(journal=path)
+        again.run([point])
+        assert again.last_journaled == 1
 
     def test_journal_write_precedes_on_result(self, tmp_path):
         """The write-ahead property: when the callback sees a result, the

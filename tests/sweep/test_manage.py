@@ -117,7 +117,7 @@ class TestGC:
 
     def test_size_bound_is_lru_not_write_order(self, tmp_path):
         """Reading an entry protects it: touch-on-read makes eviction LRU."""
-        from repro.sweep import ResultCache, SweepPoint
+        from repro.sweep import ResultCache, SweepPoint, point_key
 
         _populate(str(tmp_path))
         entries = sorted(iter_cache_entries(str(tmp_path)),
@@ -130,8 +130,8 @@ class TestGC:
         cache = ResultCache(str(tmp_path))
         point = SweepPoint("comp", "scalar", MachineConfig.for_way(4), _SPEC)
         assert cache.get(point) is not None
-        read_path = os.path.join(str(tmp_path), cache.key_for(point)[:2],
-                                 cache.key_for(point) + ".json")
+        read_path = os.path.join(str(tmp_path), point_key(point)[:2],
+                                 point_key(point) + ".json")
 
         # Evict down to a size only a few entries fit into: the read entry
         # is the most recently used and must survive.

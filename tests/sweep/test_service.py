@@ -65,7 +65,8 @@ class TestNormalizeSubmission:
         assert sub["scale"] is None
         assert sub["seed"] == 1999
         assert sub["deadline_seconds"] is None
-        assert sub["check"] is True
+        assert set(sub) == {"kernels", "isas", "ways", "latencies", "scale",
+                            "seed", "deadline_seconds"}
 
     def test_explicit_defaults_normalize_identically(self):
         # An omitted field and its explicit default mean the same sweep,
@@ -115,10 +116,10 @@ class TestJobId:
         assert job_id_for(short) == job_id_for(long)
 
     def test_model_version_is_folded_in(self, monkeypatch):
-        import repro.sweep.service as service_mod
+        import repro.timing.core
         sub = normalize_submission(dict(SMALL))
         before = job_id_for(sub)
-        monkeypatch.setattr(service_mod, "MODEL_VERSION", "test-bump")
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "test-bump")
         assert job_id_for(sub) != before
 
 
@@ -177,6 +178,28 @@ class TestServiceInProcess:
         # The job file survived with the same content the API serves.
         with open(service.job_path(job["id"]), encoding="utf-8") as f:
             assert json.load(f)["status"] == "done"
+
+    def test_wrong_builds_yield_only_failures(self, tmp_path, monkeypatch):
+        """Every job verifies its builds: a build that fails its golden
+        check gives a failure record, never numbers."""
+        from repro.kernels.base import KernelBuildResult
+
+        monkeypatch.setattr(KernelBuildResult, "correct",
+                            property(lambda self: False))
+        service = SweepService(str(tmp_path / "state"),
+                               cache_dir=str(tmp_path / "cache"))
+        job, _created = service.submit(dict(SMALL))
+        service.start()
+        final = _wait_terminal(service, job["id"])
+        service.drain(timeout=10)
+        assert final["status"] == "done"
+        assert final["failed_points"] == final["total"] == 4
+        assert final["telemetry"]["simulated"] == 0
+        result = service.result(job["id"])
+        assert result["results"] == []
+        assert [f["failure"]["error_type"] for f in result["failures"]] == \
+            ["AssertionError"] * 4
+        assert not os.path.exists(str(tmp_path / "cache"))
 
     def test_resubmission_attaches(self, tmp_path):
         service = SweepService(str(tmp_path / "state"))
@@ -439,6 +462,17 @@ class TestHTTP:
         assert f"{field} must be" in str(excinfo.value)
         assert service.list_jobs() == []
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_check_field_is_400_naming_it(self, http_stack, value):
+        """Verification cannot be switched off: ``check`` is not a
+        submission field."""
+        service, _server, client = http_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(SMALL, check=value))
+        assert excinfo.value.status == 400
+        assert "unknown submission field(s): ['check']" in str(excinfo.value)
+        assert service.list_jobs() == []
+
     def test_largest_shipped_scale_and_grid_fit_the_bounds(self):
         assert MAX_SCALE > 16
         dense_grid = len(kernel_names()) * len(ISA_VARIANTS) * 4 * 16
@@ -604,6 +638,10 @@ class TestClientRetries:
         client = ServiceClient("http://127.0.0.1:1", retries=5)
         delays = [client._delay(a, "/jobs", 0, None) for a in (1, 2, 3)]
         assert delays == [backoff_delay(a, token="/jobs") for a in (1, 2, 3)]
+
+    def test_backoff_is_not_a_client_option(self):
+        with pytest.raises(TypeError):
+            ServiceClient("http://127.0.0.1:1", backoff=None)
 
 
 def _cli_env() -> dict:

@@ -3,13 +3,15 @@
 The SQLite backend was removed; the JSON :class:`ResultCache` is the only
 result store.  These parity checks keep pinning what the engine sees of it:
 a warm rerun simulates nothing, a model-version bump resimulates, and warm
-results are identical to a cold run.
+results are identical to a cold run.  The model version is read live from
+``repro.timing.core.MODEL_VERSION``, so the bump patches that.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.timing.core
 from repro.sweep import SweepEngine, SweepSpec
 from repro.sweep.cache import ResultCache
 from repro.timing.config import MachineConfig
@@ -27,8 +29,8 @@ def _sweep(kernels=("comp",), ways=(1, 2)) -> SweepSpec:
                           spec=_SPEC)
 
 
-def _engine(cache_dir: str, store: str, **kwargs) -> SweepEngine:
-    engine = SweepEngine(cache_dir=cache_dir, **kwargs)
+def _engine(cache_dir: str, store: str) -> SweepEngine:
+    engine = SweepEngine(cache_dir=cache_dir)
     assert isinstance(engine.cache, _STORES[store])
     return engine
 
@@ -46,10 +48,11 @@ class TestEngineParity:
         assert engine.last_simulated == 0
 
     @pytest.mark.parametrize("store", _STORES)
-    def test_version_bump_resimulates(self, tmp_path, store):
+    def test_version_bump_resimulates(self, tmp_path, store, monkeypatch):
         sweep = _sweep(ways=(1,))
         _engine(str(tmp_path), store).run(sweep)
-        engine = _engine(str(tmp_path), store, version="bumped")
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "bumped")
+        engine = _engine(str(tmp_path), store)
         engine.run(sweep)
         assert engine.last_simulated == len(sweep)
 

@@ -12,13 +12,15 @@ process.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 import repro.sweep.faults as faults
 from repro.sweep import SweepEngine, SweepJournal, SweepSpec
 from repro.sweep.cache import sim_to_dict, stats_to_dict
-from repro.sweep.supervisor import SupervisorPolicy, backoff_delay
+from repro.sweep.supervisor import (BACKOFF_BASE, BACKOFF_CAP,
+                                    SupervisorPolicy, backoff_delay)
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -57,35 +59,41 @@ def _clean_harness(monkeypatch):
 
 class TestPolicy:
     def test_backoff_is_deterministic(self):
-        policy = SupervisorPolicy()
         for attempt in range(5):
-            a = backoff_delay(attempt, "pool", policy)
-            b = backoff_delay(attempt, "pool", policy)
+            a = backoff_delay(attempt, "pool")
+            b = backoff_delay(attempt, "pool")
             assert a == b
 
     def test_backoff_grows_then_caps(self):
-        policy = SupervisorPolicy(backoff_base=0.05, backoff_cap=0.5)
-        delays = [backoff_delay(a, "t", policy) for a in range(12)]
-        assert all(d >= 0 for d in delays)
-        # jitter < base, so the cap bounds every delay at cap + base
-        assert max(delays) <= policy.backoff_cap + policy.backoff_base
+        delays = [backoff_delay(a, "t") for a in range(12)]
+        assert all(d >= BACKOFF_BASE for d in delays)
+        assert max(delays) == BACKOFF_CAP
         assert delays[6] > delays[0]
 
     def test_distinct_tokens_decorrelate(self):
-        policy = SupervisorPolicy()
-        assert backoff_delay(3, "alpha", policy) != \
-            backoff_delay(3, "beta", policy)
+        assert backoff_delay(3, "alpha") != backoff_delay(3, "beta")
 
     def test_policy_with_overrides(self):
-        """The engine builds its policy from its two supervision knobs;
-        every other field keeps the policy default."""
-        base = SupervisorPolicy()
-        assert SweepEngine().policy == base
+        """The engine builds its policy from its two supervision knobs,
+        the only settable fields; retries and backoff are constants."""
+        assert [f.name for f in fields(SupervisorPolicy)] == [
+            "task_timeout", "max_pool_restarts"]
+        assert SweepEngine().policy == SupervisorPolicy()
         tweaked = SweepEngine(task_timeout=2.5, max_pool_restarts=9).policy
-        assert tweaked.task_timeout == 2.5
-        assert tweaked.max_pool_restarts == 9
-        assert tweaked.backoff_base == base.backoff_base
-        assert tweaked.max_group_retries == base.max_group_retries
+        assert tweaked == SupervisorPolicy(task_timeout=2.5,
+                                           max_pool_restarts=9)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SupervisorPolicy(max_group_retries=0),
+        lambda: SupervisorPolicy(quarantine_retries=0),
+        lambda: SupervisorPolicy(backoff_base=0),
+        lambda: SupervisorPolicy(backoff_cap=0),
+        lambda: backoff_delay(1, "t", policy=None),
+    ], ids=["max_group_retries", "quarantine_retries", "backoff_base",
+            "backoff_cap", "backoff_delay-policy"])
+    def test_removed_knobs_are_gone(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"task_timeout": -1}, "task_timeout"),

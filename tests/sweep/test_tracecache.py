@@ -9,11 +9,12 @@ the ``build_counter`` fixture, which counts ``Kernel.run_variant`` calls).
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+import repro.timing.core
 from repro.common.atomicio import stamp_checksum
+from repro.frontend import builders
 from repro.frontend.builders import BUILDER_VERSION
 from repro.sweep import (
     SweepEngine,
@@ -95,14 +96,15 @@ class TestTraceCache:
             f.write(content[: len(content) // 2])
         assert cache.get(point) is None
 
-    def test_key_sensitivity(self):
+    def test_key_sensitivity(self, monkeypatch):
         base = trace_key("comp", "mom", _SPEC)
         assert base == trace_key("comp", "mom", _SPEC)
         assert base != trace_key("comp", "mmx", _SPEC)
         assert base != trace_key("h2v2", "mom", _SPEC)
         assert base != trace_key("comp", "mom", WorkloadSpec(scale=2, seed=7))
         assert base != trace_key("comp", "mom", WorkloadSpec(scale=1, seed=8))
-        assert base != trace_key("comp", "mom", _SPEC, builder_version="other")
+        monkeypatch.setattr(builders, "BUILDER_VERSION", "other")
+        assert base != trace_key("comp", "mom", _SPEC)
 
     def test_key_independent_of_config(self):
         cache = TraceCache("unused")
@@ -255,7 +257,8 @@ class TestEngineIntegration:
         assert build_counter == []
 
     def test_corrupt_trace_entry_falls_back_to_rebuild(self, tmp_path,
-                                                       build_counter):
+                                                       build_counter,
+                                                       monkeypatch):
         point = SweepPoint("comp", "mom", _CFG, _SPEC)
         engine = SweepEngine(cache_dir=str(tmp_path))
         engine.run([point])
@@ -263,38 +266,34 @@ class TestEngineIntegration:
             f.write("garbage")
 
         build_counter.clear()
-        again = SweepEngine(cache_dir=str(tmp_path), version="v2")
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        again = SweepEngine(cache_dir=str(tmp_path))
         results = again.run([point])
         assert again.last_trace_builds == 1
         assert build_counter == [("comp", "mom")]
         assert results[0].sim.cycles > 0
 
-    def test_trace_cached_results_are_checked_by_provenance(self, tmp_path):
+    def test_trace_cached_results_are_checked_by_provenance(
+            self, tmp_path, build_counter):
+        """Only verified builds enter the trace cache, so a result simulated
+        off a cached trace needs no build and equals a verified fresh run."""
         engine = SweepEngine(cache_dir=str(tmp_path))
         engine.run(self._sweep())
-        warm_miss = SweepEngine(cache_dir=str(tmp_path),
-                                trace_cache=os.path.join(str(tmp_path),
-                                                         "traces"))
+        build_counter.clear()
+        warm_miss = SweepEngine(cache_dir=str(tmp_path))
         results = warm_miss.run(self._sweep(MachineConfig.for_way(2)))
-        assert all(r.checked and r.correct for r in results)
+        assert build_counter == []
+        assert all(r.ok and r.trace_cached for r in results)
+        fresh = SweepEngine().run(self._sweep(MachineConfig.for_way(2)))
+        assert [r.sim for r in results] == [r.sim for r in fresh]
 
-    def test_unchecked_runs_do_not_write_the_trace_cache(self, tmp_path):
-        engine = SweepEngine(cache_dir=str(tmp_path), check=False)
-        engine.run([SweepPoint("comp", "mom", _CFG, _SPEC)])
-        assert engine.trace_cache.get(
-            SweepPoint("comp", "mom", _CFG, _SPEC)) is None
-
-    def test_trace_cache_disabled_explicitly(self, tmp_path, build_counter):
-        engine = SweepEngine(cache_dir=str(tmp_path), trace_cache=False)
-        assert engine.trace_cache is None
-        engine.run([SweepPoint("comp", "mom", _CFG, _SPEC)])
-        assert not os.path.isdir(os.path.join(str(tmp_path), "traces"))
-
-    def test_parallel_workers_share_the_trace_cache(self, tmp_path):
+    def test_parallel_workers_share_the_trace_cache(self, tmp_path,
+                                                    monkeypatch):
         """jobs>1 workers read (and write) the same on-disk trace store."""
         sweep = self._sweep()
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)
-        parallel = SweepEngine(jobs=2, cache_dir=str(tmp_path), version="v2")
+        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        parallel = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = parallel.run(sweep)
         if parallel.last_fallback_reason is None:
             assert parallel.last_trace_hits == len(results)

@@ -86,6 +86,16 @@ class TestParser:
         assert "unrecognized arguments: --resume-failed" in \
             capsys.readouterr().err
 
+    def test_no_check_is_gone(self, capsys):
+        """Every build is verified; a client cannot ask the service not
+        to.  The parser rejects the flag before any request is made."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["client", "--server", "http://127.0.0.1:1", "submit",
+                  "--kernels", "comp", "--no-check"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-check" in \
+            capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
