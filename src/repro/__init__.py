@@ -23,18 +23,7 @@ The package is organised as a stack of substrates:
   Tables 1–9 of the paper, plus ablations.
 """
 
-from repro.timing.config import MachineConfig
-from repro.timing.core import OutOfOrderCore, simulate_trace
-from repro.frontend.machine import FunctionalMachine
-from repro.frontend.builders import (
-    ScalarBuilder,
-    MMXBuilder,
-    MDMXBuilder,
-    MOMBuilder,
-)
-from repro.kernels.registry import KERNELS, get_kernel, kernel_names
-from repro.analysis.metrics import KernelMetrics, compute_metrics
-from repro.experiments.runner import run_kernel, RunResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MachineConfig",
@@ -55,3 +44,17 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+# Served on first use, so ``import repro`` (which every ``repro.*`` import
+# runs) loads no submodule.
+__getattr__ = lazy_exports(__name__, {
+    "repro.timing.config": ["MachineConfig"],
+    "repro.timing.core": ["OutOfOrderCore", "simulate_trace"],
+    "repro.frontend.machine": ["FunctionalMachine"],
+    "repro.frontend.builders": ["ScalarBuilder", "MMXBuilder",
+                                "MDMXBuilder", "MOMBuilder"],
+    "repro.kernels.catalog": ["kernel_names"],
+    "repro.kernels.registry": ["KERNELS", "get_kernel"],
+    "repro.analysis.metrics": ["KernelMetrics", "compute_metrics"],
+    "repro.experiments.runner": ["run_kernel", "RunResult"],
+})

@@ -1,12 +1,1 @@
 """Analysis: the paper's metrics and report formatting."""
-
-from repro.analysis.metrics import KernelMetrics, compute_metrics, speedup_decomposition
-from repro.analysis.report import format_breakdown_table, format_speedup_table
-
-__all__ = [
-    "KernelMetrics",
-    "compute_metrics",
-    "speedup_decomposition",
-    "format_breakdown_table",
-    "format_speedup_table",
-]

@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import signal
 import sys
 import time
@@ -66,12 +67,9 @@ from repro.analysis.report import (
 )
 from repro.experiments.figure4 import figure4_speedups, run_figure4
 from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
-from repro.experiments.runner import run_kernel_all_isas
 from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
-from repro.kernels.base import ISA_VARIANTS
-from repro.kernels.registry import KERNELS, kernel_names
-from repro.sweep import (PointResult, SweepEngine, cache_stats, clear_cache,
-                         gc_cache)
+from repro.kernels.catalog import ISA_VARIANTS, default_scale, kernel_names
+from repro.sweep.engine import PointResult, SweepEngine, SweepFailed
 from repro.sweep.spec import grid_points
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
@@ -84,11 +82,11 @@ __all__ = ["add_sweep_arguments", "build_parser", "engine_from_args",
 def version_string() -> str:
     """The ``repro --version`` banner: package, model and builder versions."""
     import repro
-    from repro.frontend.builders import BUILDER_VERSION
-    from repro.timing.core import MODEL_VERSION
+    from repro import versions
 
     return (f"repro {repro.__version__} "
-            f"(timing model v{MODEL_VERSION}, front end v{BUILDER_VERSION})")
+            f"(timing model v{versions.MODEL_VERSION}, "
+            f"front end v{versions.BUILDER_VERSION})")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -151,7 +149,7 @@ def engine_summary(engine: SweepEngine) -> str:
         summary += f", {len(engine.last_failures)} failed"
         if engine.last_quarantined:
             summary += f" ({engine.last_quarantined} quarantined)"
-    if engine.trace_cache is not None:
+    if engine.cache is not None:
         summary += (f"; {engine.last_trace_hits} trace hit(s), "
                     f"{engine.last_trace_builds} trace build(s)")
     if engine.last_retries or engine.last_pool_restarts or engine.last_timeouts:
@@ -313,8 +311,17 @@ def stream_sinks(args: argparse.Namespace, total: int,
     finish()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated long option: a typo
+    such as ``--job 2`` is an error, not ``--jobs 2``.  Subparsers are
+    built from the parent's class, so the rule holds for every command."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of the MOM matrix SIMD ISA study (SC'99)",
     )
@@ -486,16 +493,40 @@ def _print_engine_summary(engine: SweepEngine) -> None:
         print(f"\n[sweep] {engine_summary(engine)}")
 
 
+def _print_failed(result: PointResult) -> None:
+    """One ``repro sweep`` table row for a point that has no numbers."""
+    tag = "quarantined" if result.failure.quarantined else "failed"
+    print(f"{result.kernel:10s} {result.isa:7s} "
+          f"{result.point.config.name:8s} "
+          f"{result.point.config.mem_latency:4d} "
+          f"{'FAILED':>10s} {'--':>8s} {'--':>6s}  "
+          f"{tag}: {result.failure.error_type} ({result.failure.phase})")
+
+
+def _report_sweep_failed(exc: SweepFailed, engine: SweepEngine) -> int:
+    """A figure or table whose sweep lost points cannot be drawn: list the
+    failed points as ``repro sweep`` does, and exit 1."""
+    print(f"{len(exc.failed)} point(s) failed; nothing to report:")
+    for result in exc.failed:
+        _print_failed(result)
+    _print_engine_summary(engine)
+    return 1
+
+
 def _cmd_list() -> int:
+    from repro.kernels.registry import KERNELS
+
     for name, kernel in KERNELS.items():
         print(f"{name:10s} [{kernel.benchmark:12s}] {kernel.description}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_kernel_all_isas
+
     config = MachineConfig.for_way(args.way, mem_latency=args.mem_latency)
     spec = _spec(args.scale, args.seed) or WorkloadSpec(
-        scale=KERNELS[args.kernel].default_scale, seed=args.seed)
+        scale=default_scale(args.kernel), seed=args.seed)
     runs = run_kernel_all_isas(args.kernel, config=config, spec=spec)
     baseline = runs["scalar"].sim
     metrics = {isa: compute_metrics(run.sim, run.stats, baseline)
@@ -513,10 +544,14 @@ def _kernel_count(kernels: Optional[Sequence[str]]) -> int:
 def _cmd_figure4(args: argparse.Namespace) -> int:
     engine = engine_from_args(args)
     total = _kernel_count(args.kernels) * len(args.ways) * len(ISA_VARIANTS)
-    with stream_sinks(args, total, engine=engine) as on_result:
-        results = run_figure4(kernels=args.kernels, ways=tuple(args.ways),
-                              spec=_spec(args.scale), engine=engine,
-                              on_result=on_result)
+    try:
+        with stream_sinks(args, total, engine=engine) as on_result:
+            results = run_figure4(kernels=args.kernels,
+                                  ways=tuple(args.ways),
+                                  spec=_spec(args.scale), engine=engine,
+                                  on_result=on_result)
+    except SweepFailed as exc:
+        return _report_sweep_failed(exc, engine)
     print(format_speedup_table(figure4_speedups(results), ways=tuple(args.ways)))
     _print_engine_summary(engine)
     return 0
@@ -526,11 +561,14 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
     engine = engine_from_args(args)
     total = (_kernel_count(args.kernels) * len(args.latencies)
              * len(ISA_VARIANTS))
-    with stream_sinks(args, total, engine=engine) as on_result:
-        results = run_figure5(kernels=args.kernels,
-                              latencies=tuple(args.latencies),
-                              spec=_spec(args.scale), engine=engine,
-                              on_result=on_result)
+    try:
+        with stream_sinks(args, total, engine=engine) as on_result:
+            results = run_figure5(kernels=args.kernels,
+                                  latencies=tuple(args.latencies),
+                                  spec=_spec(args.scale), engine=engine,
+                                  on_result=on_result)
+    except SweepFailed as exc:
+        return _report_sweep_failed(exc, engine)
     print(format_latency_table(figure5_cycles(results),
                                latencies=tuple(args.latencies)))
     print("\nSlow-down from the lowest to the highest latency:")
@@ -544,10 +582,13 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     engine = engine_from_args(args)
     total = _kernel_count(args.kernels) * len(ISA_VARIANTS)
-    with stream_sinks(args, total, engine=engine) as on_result:
-        tables = run_breakdown_tables(kernels=args.kernels, way=args.way,
-                                      spec=_spec(args.scale), engine=engine,
-                                      on_result=on_result)
+    try:
+        with stream_sinks(args, total, engine=engine) as on_result:
+            tables = run_breakdown_tables(kernels=args.kernels, way=args.way,
+                                          spec=_spec(args.scale),
+                                          engine=engine, on_result=on_result)
+    except SweepFailed as exc:
+        return _report_sweep_failed(exc, engine)
     for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
         print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
         print(format_breakdown_table(kernel, tables[kernel]))
@@ -565,11 +606,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{'cycles':>10s} {'instrs':>8s} {'IPC':>6s}  cached")
     for r in results:
         if r.failure is not None:
-            tag = "quarantined" if r.failure.quarantined else "failed"
-            print(f"{r.kernel:10s} {r.isa:7s} {r.point.config.name:8s} "
-                  f"{r.point.config.mem_latency:4d} "
-                  f"{'FAILED':>10s} {'--':>8s} {'--':>6s}  "
-                  f"{tag}: {r.failure.error_type} ({r.failure.phase})")
+            _print_failed(r)
             continue
         source = "journal" if r.journaled else ("yes" if r.cached else "no")
         print(f"{r.kernel:10s} {r.isa:7s} {r.point.config.name:8s} "
@@ -581,6 +618,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # The service simulates: load the compute stack before answering
+    # /readyz, so the first job does not pay for the imports.
+    import repro.experiments.runner  # noqa: F401
+    import repro.timing.vector  # noqa: F401
     from repro.sweep.service import ServiceHTTPServer, SweepService
 
     service = SweepService(args.state_dir,
@@ -692,6 +733,8 @@ def _format_bytes(n: int) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.sweep.manage import cache_stats, clear_cache, gc_cache
+
     if args.cache_command == "stats":
         stats = cache_stats(args.cache_dir)
         if args.json:
@@ -784,7 +827,9 @@ def _check_machine_args(parser: argparse.ArgumentParser,
     """Reject machines, workloads and engine settings that make no sense
     before any work runs: the message of the class that owns the rule
     (:class:`MachineConfig`, :class:`WorkloadSpec`, :class:`SweepEngine`)
-    names the field."""
+    names the field.  A sweep command's ``--cache-dir`` is created here,
+    so a path that cannot hold a cache fails before the first build
+    instead of failing every point."""
     ways = getattr(args, "ways", None) or [getattr(args, "way", 4)]
     latencies = (getattr(args, "latencies", None)
                  or [getattr(args, "mem_latency", 1)])
@@ -803,6 +848,14 @@ def _check_machine_args(parser: argparse.ArgumentParser,
                                                   None))
     except ValueError as exc:
         parser.error(str(exc))
+    if hasattr(args, "jobs") and args.cache_dir:
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--cache-dir {args.cache_dir!r} cannot be "
+                         f"created: {exc.strerror or exc}")
+        if not os.access(args.cache_dir, os.W_OK | os.X_OK):
+            parser.error(f"--cache-dir {args.cache_dir!r} is not writable")
 
 
 class _Terminated(BaseException):

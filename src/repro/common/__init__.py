@@ -6,59 +6,3 @@ MOM) operates on 64-bit *packed words* holding 8, 4 or 2 sub-word elements of
 saturating arithmetic, widening multiplies and fixed-point helpers those
 instruction semantics are written in terms of.
 """
-
-from repro.common.datatypes import (
-    ElementType,
-    U8,
-    S8,
-    U16,
-    S16,
-    U32,
-    S32,
-    WORD_BITS,
-    WORD_MASK,
-    lanes_per_word,
-    unpack_word,
-    pack_word,
-    unpack_words,
-    pack_words,
-)
-from repro.common.saturate import (
-    saturate_signed,
-    saturate_unsigned,
-    saturate,
-    wrap,
-    clamp_scalar,
-)
-from repro.common.fixedpoint import (
-    fixed_mul_round,
-    descale,
-    round_half_up,
-    round_to_even,
-)
-
-__all__ = [
-    "ElementType",
-    "U8",
-    "S8",
-    "U16",
-    "S16",
-    "U32",
-    "S32",
-    "WORD_BITS",
-    "WORD_MASK",
-    "lanes_per_word",
-    "unpack_word",
-    "pack_word",
-    "unpack_words",
-    "pack_words",
-    "saturate_signed",
-    "saturate_unsigned",
-    "saturate",
-    "wrap",
-    "clamp_scalar",
-    "fixed_mul_round",
-    "descale",
-    "round_half_up",
-    "round_to_even",
-]

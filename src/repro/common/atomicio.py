@@ -101,13 +101,17 @@ def atomic_write_json(path: str, obj: Any, **dump_kwargs: Any) -> None:
     The temporary file lives in ``path``'s directory (same filesystem, so
     the final :func:`os.replace` is atomic) and is unlinked on any failure
     between creation and rename.  ``dump_kwargs`` pass through to
-    :func:`json.dump` (``sort_keys``, ``separators``, ``indent``, ...).
+    :func:`json.dumps` (``sort_keys``, ``separators``, ``indent``, ...).
+    The entry is encoded to one string first: :func:`json.dumps` uses the
+    C encoder, which :func:`json.dump` never does, and the bytes are the
+    same.
     """
+    text = json.dumps(obj, **dump_kwargs)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=TMP_SUFFIX)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(obj, f, **dump_kwargs)
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

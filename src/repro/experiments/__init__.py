@@ -1,23 +1,1 @@
 """Experiment drivers that regenerate the paper's figures and tables."""
-
-from repro.experiments.runner import RunResult, run_kernel, run_kernel_all_isas
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.tables import run_breakdown_tables
-from repro.experiments.ablations import (
-    run_lane_ablation,
-    run_rob_ablation,
-    run_trace_length_sensitivity,
-)
-
-__all__ = [
-    "RunResult",
-    "run_kernel",
-    "run_kernel_all_isas",
-    "run_figure4",
-    "run_figure5",
-    "run_breakdown_tables",
-    "run_lane_ablation",
-    "run_rob_ablation",
-    "run_trace_length_sensitivity",
-]

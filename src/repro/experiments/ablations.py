@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.kernels.base import ISA_VARIANTS
-from repro.sweep import PointResult, SweepEngine, SweepPoint, resolve_spec
+from repro.kernels.catalog import ISA_VARIANTS
+from repro.sweep.engine import PointResult, SweepEngine
+from repro.sweep.spec import SweepPoint, resolve_spec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 

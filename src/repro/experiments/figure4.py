@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from repro.sweep import PointResult, SweepEngine, SweepSpec
+from repro.sweep.engine import PointResult, SweepEngine, require_complete
+from repro.sweep.spec import SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -49,12 +50,13 @@ def run_figure4(
     one shared (seeded, deterministic) workload across all ISAs and widths so
     speed-ups are apples to apples.  ``on_result`` (if given) streams each
     point's result as it completes — see
-    :meth:`~repro.sweep.engine.SweepEngine.run`.
+    :meth:`~repro.sweep.engine.SweepEngine.run`.  Raises
+    :class:`~repro.sweep.engine.SweepFailed` if any point failed.
     """
     engine = engine or SweepEngine()
     results: Dict[str, Dict[str, Dict[int, object]]] = {}
-    for result in engine.run(figure4_sweep(kernels, ways, spec, mem_latency),
-                             on_result=on_result):
+    sweep = figure4_sweep(kernels, ways, spec, mem_latency)
+    for result in require_complete(engine.run(sweep, on_result=on_result)):
         per_isa = results.setdefault(result.kernel, {})
         per_isa.setdefault(result.isa, {})[result.point.config.issue_width] = result
     return results

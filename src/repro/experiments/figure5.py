@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from repro.sweep import PointResult, SweepEngine, SweepSpec
+from repro.sweep.engine import PointResult, SweepEngine, require_complete
+from repro.sweep.spec import SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -46,11 +47,12 @@ def run_figure5(
     """Run the Figure 5 sweep: ``results[kernel][isa][latency] -> PointResult``.
 
     ``on_result`` (if given) streams each point's result as it completes.
+    Raises :class:`~repro.sweep.engine.SweepFailed` if any point failed.
     """
     engine = engine or SweepEngine()
     results: Dict[str, Dict[str, Dict[int, object]]] = {}
-    for result in engine.run(figure5_sweep(kernels, latencies, way, spec),
-                             on_result=on_result):
+    sweep = figure5_sweep(kernels, latencies, way, spec)
+    for result in require_complete(engine.run(sweep, on_result=on_result)):
         per_isa = results.setdefault(result.kernel, {})
         per_isa.setdefault(result.isa, {})[result.point.config.mem_latency] = result
     return results

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.kernels.base import ISA_VARIANTS, KernelBuildResult
+from repro.kernels.base import KernelBuildResult
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.kernels.registry import get_kernel
 from repro.timing.config import MachineConfig
 from repro.timing.core import simulate_trace

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.analysis.metrics import KernelMetrics, compute_metrics
-from repro.sweep import PointResult, SweepEngine, SweepSpec
+from repro.sweep.engine import PointResult, SweepEngine, require_complete
+from repro.sweep.spec import SweepSpec
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -53,6 +54,7 @@ def run_breakdown_tables(
     """Compute the full set of breakdown tables: ``tables[kernel][isa]``.
 
     ``on_result`` (if given) streams each point's result as it completes.
+    Raises :class:`~repro.sweep.engine.SweepFailed` if any point failed.
     """
     engine = engine or SweepEngine()
     sweep = SweepSpec.make(
@@ -61,7 +63,7 @@ def run_breakdown_tables(
         spec=spec,
     )
     runs: Dict[str, Dict[str, object]] = {}
-    for result in engine.run(sweep, on_result=on_result):
+    for result in require_complete(engine.run(sweep, on_result=on_result)):
         runs.setdefault(result.kernel, {})[result.isa] = result
     return {name: _metrics_from_runs(per_isa) for name, per_isa in runs.items()}
 

@@ -9,7 +9,7 @@ loops), and delegates the middle iterations' architectural effects to a
 vectorised ``bulk`` that finishes with a ``replay`` (semantics-only,
 emission-suppressed) of the final iteration.  Emitted streams are
 byte-identical to the per-iteration loops, so block emission does NOT bump
-:data:`BUILDER_VERSION`.
+:data:`repro.versions.BUILDER_VERSION`.
 """
 
 from __future__ import annotations
@@ -28,16 +28,8 @@ __all__ = [
     "MDMXBuilder",
     "MOMBuilder",
     "BUILDER_CLASSES",
-    "BUILDER_VERSION",
     "make_builder",
 ]
-
-#: Version tag of the functional front end's *emitted instruction streams*.
-#: Bump whenever a builder or kernel change can alter the trace produced for
-#: any (kernel, ISA, workload) — the trace cache folds this into every key,
-#: so a bump invalidates all cached traces.  Pure refactors that keep every
-#: emitted stream identical must NOT bump it.
-BUILDER_VERSION = "1"
 
 #: Map from ISA name to builder class, in the order the paper reports them.
 BUILDER_CLASSES = {
@@ -46,9 +38,6 @@ BUILDER_CLASSES = {
     "mdmx": MDMXBuilder,
     "mom": MOMBuilder,
 }
-
-#: ISA names in the paper's reporting order (Alpha baseline first).
-ISA_ORDER = ("scalar", "mmx", "mdmx", "mom")
 
 
 def make_builder(isa: str, machine: Optional[FunctionalMachine] = None,

@@ -13,25 +13,3 @@ The sub-modules are organised by ISA layer:
 * :mod:`repro.isa.matrixops` — matrix (dimension Y) operations: row-mapped
   packed ops, strided loads/stores, transpose and pipelined reductions.
 """
-
-from repro.isa.opclasses import OpClass, RegFile, OpSpec
-from repro.isa.registers import (
-    ScalarRegisterFile,
-    MultimediaRegisterFile,
-    AccumulatorFile,
-    MatrixRegisterFile,
-    VectorControl,
-    MAX_MATRIX_ROWS,
-)
-
-__all__ = [
-    "OpClass",
-    "RegFile",
-    "OpSpec",
-    "ScalarRegisterFile",
-    "MultimediaRegisterFile",
-    "AccumulatorFile",
-    "MatrixRegisterFile",
-    "VectorControl",
-    "MAX_MATRIX_ROWS",
-]

@@ -16,8 +16,3 @@ Each kernel provides a NumPy golden reference and ``build_<isa>`` methods
 that emit scalar / MMX / MDMX / MOM instruction streams whose functional
 results are verified against the reference.
 """
-
-from repro.kernels.base import Kernel, KernelBuildResult
-from repro.kernels.registry import KERNELS, get_kernel, kernel_names
-
-__all__ = ["Kernel", "KernelBuildResult", "KERNELS", "get_kernel", "kernel_names"]

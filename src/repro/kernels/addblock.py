@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.common.datatypes import U8, S16
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_s16_block, random_u8_block
 
 __all__ = ["AddBlockKernel"]
@@ -29,7 +30,7 @@ class AddBlockKernel(Kernel):
     name = "addblock"
     description = "Saturated add of a 16-bit residual to an 8-bit prediction block"
     benchmark = "mpeg2decode"
-    default_scale = 8
+    default_scale = DEFAULT_SCALES[name]
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()

@@ -25,13 +25,11 @@ import numpy as np
 from repro.frontend.builders import make_builder
 from repro.frontend.machine import FunctionalMachine
 from repro.frontend.scalar_builder import ScalarBuilder
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.trace.container import Trace
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["Kernel", "KernelBuildResult", "ISA_VARIANTS"]
-
-#: ISA variant names in the paper's reporting order.
-ISA_VARIANTS = ("scalar", "mmx", "mdmx", "mom")
+__all__ = ["Kernel", "KernelBuildResult"]
 
 
 @dataclass
@@ -70,7 +68,9 @@ class Kernel(abc.ABC):
     description: str = ""
     #: Source benchmark in MediaBench (e.g. ``"mpeg2encode"``).
     benchmark: str = ""
-    #: Default ``scale`` (repetition count) used by the experiment drivers.
+    #: Default ``scale`` (repetition count) used by the experiment drivers;
+    #: the nine paper kernels take theirs from
+    #: :data:`repro.kernels.catalog.DEFAULT_SCALES`.
     default_scale: int = 4
 
     # ------------------------------------------------------------------

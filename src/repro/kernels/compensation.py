@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.common.datatypes import U8
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_u8_block
 
 __all__ = ["CompensationKernel"]
@@ -27,7 +28,7 @@ class CompensationKernel(Kernel):
     name = "comp"
     description = "Motion-compensation blending: (a + b + 1) >> 1 on 16x16 blocks"
     benchmark = "mpeg2decode"
-    default_scale = 3
+    default_scale = DEFAULT_SCALES[name]
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.common.datatypes import U8
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_u8_block
 
 __all__ = ["H2V2UpsampleKernel"]
@@ -29,7 +30,7 @@ class H2V2UpsampleKernel(Kernel):
     name = "h2v2"
     description = "2x2 chroma upsampling by pixel replication"
     benchmark = "jpegdecode"
-    default_scale = 6
+    default_scale = DEFAULT_SCALES[name]
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()

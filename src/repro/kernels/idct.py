@@ -30,6 +30,7 @@ import numpy as np
 from repro.common.datatypes import S16, S32, U16, U32, pack_planes, unpack_planes
 from repro.common.fixedpoint import round_half_up
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.kernels.constants import IDCT_SHIFT, idct_basis_q14
 from repro.workloads.generators import WorkloadSpec, random_dct_block
 
@@ -45,7 +46,7 @@ class IdctKernel(Kernel):
     name = "idct"
     description = "8x8 inverse discrete cosine transform (Q14 fixed point)"
     benchmark = "mpeg2decode"
-    default_scale = 2
+    default_scale = DEFAULT_SCALES[name]
 
     def __init__(self) -> None:
         self._basis = idct_basis_q14(_N)

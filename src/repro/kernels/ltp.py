@@ -20,6 +20,7 @@ import numpy as np
 from repro.common.datatypes import S16, S32, pack_word
 from repro.common.saturate import clamp_scalar
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_s16_samples
 
 __all__ = ["LtpParametersKernel", "LtpFilteringKernel"]
@@ -33,7 +34,7 @@ class LtpParametersKernel(Kernel):
     name = "ltppar"
     description = "GSM LTP parameter search: 40-sample cross-correlations over candidate lags"
     benchmark = "gsmencode"
-    default_scale = 4  # scale -> 4*scale candidate lags
+    default_scale = DEFAULT_SCALES[name]  # scale -> 4*scale candidate lags
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()
@@ -296,7 +297,7 @@ class LtpFilteringKernel(Kernel):
     name = "ltpsfilt"
     description = "GSM long-term synthesis filter: residual + Q16-gain-scaled history, saturated"
     benchmark = "gsmdecode"
-    default_scale = 8  # scale -> number of 40-sample sub-frames
+    default_scale = DEFAULT_SCALES[name]  # scale -> number of 40-sample sub-frames
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.common.datatypes import U8, U16, S16, S32, U32, pack_word
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_u8_block
 
 __all__ = ["Motion1Kernel", "Motion2Kernel"]
@@ -36,7 +37,6 @@ class _MotionKernelBase(Kernel):
     """Shared workload / memory plumbing for the two motion kernels."""
 
     benchmark = "mpeg2encode"
-    default_scale = 3
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()
@@ -84,6 +84,7 @@ class Motion1Kernel(_MotionKernelBase):
     """16x16 sum of absolute differences (MPEG motion estimation)."""
 
     name = "motion1"
+    default_scale = DEFAULT_SCALES[name]
     description = "Sum of absolute differences between 16x16 macroblocks"
 
     def reference(self, workload) -> np.ndarray:
@@ -292,6 +293,7 @@ class Motion2Kernel(_MotionKernelBase):
     """16x16 sum of squared differences (MPEG motion estimation)."""
 
     name = "motion2"
+    default_scale = DEFAULT_SCALES[name]
     description = "Sum of squared differences between 16x16 macroblocks"
 
     def reference(self, workload) -> np.ndarray:

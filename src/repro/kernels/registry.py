@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.kernels.addblock import AddBlockKernel
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import kernel_names
 from repro.kernels.compensation import CompensationKernel
 from repro.kernels.h2v2 import H2V2UpsampleKernel
 from repro.kernels.idct import IdctKernel
@@ -15,7 +16,8 @@ from repro.kernels.rgb2ycc import Rgb2YccKernel
 
 __all__ = ["KERNELS", "get_kernel", "kernel_names"]
 
-#: All nine kernels, in the order the paper's Figure 4 presents them.
+#: All nine kernels, in the catalog's order (the order the paper's Figure 4
+#: presents them).
 KERNELS: Dict[str, Kernel] = {
     kernel.name: kernel
     for kernel in (
@@ -40,8 +42,3 @@ def get_kernel(name: str) -> Kernel:
         raise KeyError(
             f"unknown kernel {name!r}; known kernels: {', '.join(KERNELS)}"
         ) from exc
-
-
-def kernel_names() -> List[str]:
-    """The nine kernel names in reporting order."""
-    return list(KERNELS)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.common.datatypes import U8, U16, S16, S32
 from repro.kernels.base import Kernel
+from repro.kernels.catalog import DEFAULT_SCALES
 from repro.kernels.constants import (
     CB_COEFFS,
     CHROMA_OFFSET,
@@ -37,7 +38,7 @@ class Rgb2YccKernel(Kernel):
     name = "rgb2ycc"
     description = "RGB to YCbCr colour conversion with Q14 fixed-point weights"
     benchmark = "jpegencode"
-    default_scale = 8  # scale -> 8*scale pixels
+    default_scale = DEFAULT_SCALES[name]  # scale -> 8*scale pixels
 
     def make_workload(self, spec: WorkloadSpec) -> Dict[str, Any]:
         rng = spec.rng()

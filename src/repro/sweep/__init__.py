@@ -37,21 +37,7 @@ The sweep subsystem is the shared engine behind every experiment driver
 See ``docs/sweep-engine.md`` for the full guide.
 """
 
-from repro.sweep.cache import ResultCache, point_key
-from repro.sweep.client import ServiceClient, ServiceError
-from repro.sweep.engine import PointResult, SweepEngine
-from repro.sweep.faults import FAULT_ENV, FaultPlan, FaultRule, InjectedFault
-from repro.sweep.journal import (JournalLockedError, SweepJournal,
-                                 read_jsonl)
-from repro.sweep.manage import (CacheStats, GCReport, cache_stats,
-                                clear_cache, gc_cache)
-from repro.sweep.service import (QueueFull, ServiceHTTPServer, SweepService,
-                                 UnknownJob, job_id_for, normalize_submission,
-                                 submission_points)
-from repro.sweep.spec import SweepPoint, SweepSpec, resolve_spec
-from repro.sweep.supervisor import (PointFailure, PoolSupervisor,
-                                    SupervisorPolicy)
-from repro.sweep.tracecache import TraceCache, trace_key
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheStats",
@@ -88,3 +74,25 @@ __all__ = [
     "submission_points",
     "trace_key",
 ]
+
+# Served on first use: importing one sweep submodule (the result-cache hit
+# path needs only ``cache``, ``spec`` and ``engine``) must not load the
+# service, the client or the trace cache.
+__getattr__ = lazy_exports(__name__, {
+    "repro.sweep.cache": ["ResultCache", "point_key"],
+    "repro.sweep.client": ["ServiceClient", "ServiceError"],
+    "repro.sweep.engine": ["PointResult", "SweepEngine"],
+    "repro.sweep.faults": ["FAULT_ENV", "FaultPlan", "FaultRule",
+                           "InjectedFault"],
+    "repro.sweep.journal": ["JournalLockedError", "SweepJournal",
+                            "read_jsonl"],
+    "repro.sweep.manage": ["CacheStats", "GCReport", "cache_stats",
+                           "clear_cache", "gc_cache"],
+    "repro.sweep.service": ["QueueFull", "ServiceHTTPServer", "SweepService",
+                            "UnknownJob", "job_id_for",
+                            "normalize_submission", "submission_points"],
+    "repro.sweep.spec": ["SweepPoint", "SweepSpec", "resolve_spec"],
+    "repro.sweep.supervisor": ["PointFailure", "PoolSupervisor",
+                               "SupervisorPolicy"],
+    "repro.sweep.tracecache": ["TraceCache", "trace_key"],
+})

@@ -4,12 +4,12 @@ Each cached entry is one JSON file named by a stable SHA-256 hash of the
 fully-resolved point description: kernel, ISA, every machine-configuration
 field (including the per-opclass latency table), the workload spec, the
 timing-model version and the front-end builder version.  Any change to any
-of those — including bumping :data:`repro.timing.core.MODEL_VERSION` when
+of those — including bumping :data:`repro.versions.MODEL_VERSION` when
 the timing model's numbers change, or
-:data:`repro.frontend.builders.BUILDER_VERSION` when an emitted stream
+:data:`repro.versions.BUILDER_VERSION` when an emitted stream
 changes — therefore produces a different key and a clean cache miss; stale
-results can never be returned.  Both versions are read from their modules
-at call time: there is no per-cache override.  Every result the engine
+results can never be returned.  Both versions are read from
+:mod:`repro.versions` at call time: there is no per-cache override.  Every result the engine
 stores comes from a build verified against the golden reference, so an
 entry carries no verification flag.
 
@@ -37,10 +37,9 @@ from typing import Any, Dict
 
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
-from repro.frontend import builders
+from repro import versions
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
-from repro.timing import core
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 from repro.sweep.spec import SweepPoint
@@ -70,8 +69,8 @@ def point_key(point: SweepPoint) -> str:
     point = point.resolved()
     spec = point.spec
     payload = {
-        "model_version": core.MODEL_VERSION,
-        "builder_version": builders.BUILDER_VERSION,
+        "model_version": versions.MODEL_VERSION,
+        "builder_version": versions.BUILDER_VERSION,
         "kernel": point.kernel,
         "isa": point.isa,
         "config": _config_to_dict(point.config),
@@ -231,7 +230,7 @@ class ResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "key": key,
-            "model_version": core.MODEL_VERSION,
+            "model_version": versions.MODEL_VERSION,
             "kernel": point.kernel,
             "isa": point.isa,
             "config": _config_to_dict(point.config),

@@ -67,24 +67,37 @@ and :attr:`SweepEngine.last_failures` record what supervision did.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Set, Tuple, Union)
 
 from repro.sweep import faults
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
 from repro.sweep.journal import SweepJournal
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.sweep.supervisor import (PointFailure, PoolSupervisor,
-                                    SupervisorPolicy)
-from repro.sweep.tracecache import TRACE_SUBDIR, TraceCache
+from repro.sweep.supervisor import PointFailure, SupervisorPolicy
 from repro.timing.results import SimResult
-from repro.trace.container import Trace
 from repro.trace.stats import TraceStats
 
-__all__ = ["PointResult", "SweepEngine"]
+if TYPE_CHECKING:
+    from repro.sweep.tracecache import TraceCache
+    from repro.trace.container import Trace
+
+__all__ = ["PointResult", "SweepEngine", "SweepFailed", "require_complete"]
+
+
+def __getattr__(name: str) -> Any:
+    # The pool executor loads with the pool path, not with the engine: a
+    # run served from the result cache never imports concurrent.futures.
+    # ``engine.ProcessPoolExecutor`` stays a module attribute that tests
+    # can patch (see :meth:`SweepEngine._iter_pool`).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Callback type for streaming results: called once per completed point.
 OnResult = Callable[["PointResult"], None]
@@ -153,6 +166,29 @@ class PointResult:
     def cycles(self) -> int:
         """Simulated cycle count (shorthand for ``sim.cycles``)."""
         return self.sim.cycles
+
+
+class SweepFailed(Exception):
+    """A sweep that feeds a figure or table lost points, so the figure
+    cannot be drawn.  ``failed`` holds those points' results (each with
+    its :class:`~repro.sweep.supervisor.PointFailure`) in expansion
+    order."""
+
+    def __init__(self, failed: Sequence[PointResult]) -> None:
+        self.failed = list(failed)
+        super().__init__(
+            f"{len(self.failed)} sweep point(s) failed: "
+            + "; ".join(f"{r.point.label()}: {r.failure.error_type}"
+                        for r in self.failed))
+
+
+def require_complete(results: List[PointResult]) -> List[PointResult]:
+    """Return ``results`` if every point completed, else raise
+    :class:`SweepFailed` with the ones that did not."""
+    failed = [r for r in results if r.failure is not None]
+    if failed:
+        raise SweepFailed(failed)
+    return results
 
 
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
@@ -236,6 +272,8 @@ def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
     on-disk cache, plus the build count and backend execution record)
     travel back to the parent.
     """
+    from repro.sweep.tracecache import TraceCache
+
     faults.mark_worker()
     points, trace_dir = args
     traces = TraceCache(trace_dir) if trace_dir else None
@@ -255,8 +293,8 @@ class SweepEngine:
         Root directory for the on-disk caches; ``None`` disables both.
         Results live at ``<cache_dir>/<key[:2]>/<key>.json`` and serialized
         traces under ``<cache_dir>/traces/``.  Both are keyed by the live
-        :data:`~repro.timing.core.MODEL_VERSION` (results only) and
-        :data:`~repro.frontend.builders.BUILDER_VERSION`, read at call
+        :data:`~repro.versions.MODEL_VERSION` (results only) and
+        :data:`~repro.versions.BUILDER_VERSION`, read at call
         time.  Every build is verified against its NumPy golden reference,
         so both stores admit every completed result.
     journal:
@@ -288,12 +326,23 @@ class SweepEngine:
         self.policy = SupervisorPolicy(task_timeout=task_timeout, **restarts)
         self.jobs = int(jobs)
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self.trace_cache = (TraceCache(os.path.join(cache_dir, TRACE_SUBDIR))
-                            if cache_dir else None)
+        self._trace_cache: Optional[TraceCache] = None
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
         self.journal = journal
         self._reset_counters()
+
+    @property
+    def trace_cache(self) -> Optional[TraceCache]:
+        """The trace store under ``<cache_dir>/traces`` (``None`` without a
+        ``cache_dir``), built on first use: only a result miss needs it,
+        so a run served from the result cache never imports it."""
+        if self._trace_cache is None and self.cache is not None:
+            from repro.sweep.tracecache import TRACE_SUBDIR, TraceCache
+
+            self._trace_cache = TraceCache(
+                os.path.join(self.cache.cache_dir, TRACE_SUBDIR))
+        return self._trace_cache
 
     def _reset_counters(self) -> None:
         """Zero the ``last_*`` record of the most recent run."""
@@ -588,11 +637,15 @@ class SweepEngine:
         def make_args(indices: Sequence[int]) -> tuple:
             return (tuple(points[i] for i in indices), trace_dir)
 
+        from repro.sweep.supervisor import PoolSupervisor
+
+        engine_module = sys.modules[__name__]
         supervisor = PoolSupervisor(
             points, groups, make_args, _pool_worker, workers,
             # The lambda resolves the engine module's ProcessPoolExecutor
-            # symbol per call, so tests that monkeypatch it keep working.
-            pool_factory=lambda n: ProcessPoolExecutor(max_workers=n),
+            # attribute per call, so tests that monkeypatch it keep working.
+            pool_factory=lambda n: engine_module.ProcessPoolExecutor(
+                max_workers=n),
             policy=self.policy)
         events = supervisor.run()
         try:

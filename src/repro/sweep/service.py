@@ -80,12 +80,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.atomicio import atomic_write_json
-from repro.frontend import builders
+from repro import versions
 from repro.sweep import faults
 from repro.sweep.engine import SweepEngine
 from repro.sweep.journal import SweepJournal, read_jsonl
 from repro.sweep.spec import SweepPoint, grid_points
-from repro.timing import core
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
            "MAX_SCALE", "QueueFull", "ServiceHTTPServer", "SweepService",
@@ -159,8 +158,7 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     no field to switch that off, and a ``check`` field is rejected as
     unknown.
     """
-    from repro.kernels.base import ISA_VARIANTS
-    from repro.kernels.registry import kernel_names
+    from repro.kernels.catalog import ISA_VARIANTS, kernel_names
 
     if not isinstance(data, dict):
         raise ValueError("submission must be a JSON object")
@@ -236,8 +234,8 @@ def job_id_for(submission: Dict[str, Any]) -> str:
     import hashlib
 
     body = {k: v for k, v in submission.items() if k != "deadline_seconds"}
-    body["model_version"] = core.MODEL_VERSION
-    body["builder_version"] = builders.BUILDER_VERSION
+    body["model_version"] = versions.MODEL_VERSION
+    body["builder_version"] = versions.BUILDER_VERSION
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

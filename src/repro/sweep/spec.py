@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.kernels.base import ISA_VARIANTS
-from repro.kernels.registry import get_kernel, kernel_names
+from repro.kernels.catalog import ISA_VARIANTS, default_scale, kernel_names
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -27,11 +26,12 @@ def resolve_spec(kernel_name: str, spec: Optional[WorkloadSpec]) -> WorkloadSpec
     ``None`` means "the kernel's default": every experiment driver historically
     open-coded ``WorkloadSpec(scale=kernel.default_scale)`` — this helper is
     now the single home of that rule, so all drivers and the cache key agree
-    on what the default workload is.
+    on what the default workload is.  The scale comes from the kernel
+    catalog, so resolving a point imports no kernel.
     """
     if spec is not None:
         return spec
-    return WorkloadSpec(scale=get_kernel(kernel_name).default_scale)
+    return WorkloadSpec(scale=default_scale(kernel_name))
 
 
 @dataclass(frozen=True)

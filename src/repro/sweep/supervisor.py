@@ -55,25 +55,14 @@ recorded as failures instead of aborting the sweep
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-__all__ = ["POOL_INFRA_ERRORS", "PointFailure", "PoolSupervisor",
-           "SupervisorPolicy", "backoff_delay"]
-
-#: Pool-infrastructure failures the supervisor retries (and that, once the
-#: restart budget is spent, degrade to the serial path instead of failing
-#: the sweep): sandbox/fork problems, unpicklable work items, and a pool
-#: whose workers died.  Everything else is a *task* failure (quarantine
-#: route), not an infrastructure one.
-POOL_INFRA_ERRORS = (OSError, PermissionError, ImportError,
-                     BrokenProcessPool, pickle.PicklingError)
+__all__ = ["PointFailure", "PoolSupervisor", "SupervisorPolicy",
+           "backoff_delay"]
 
 #: Same-membership retries of a multi-point group whose task *raised*
 #: (pool healthy) before it is bisected.  Crash/timeout failures bisect
@@ -89,6 +78,23 @@ QUARANTINE_RETRIES = 1
 #: retries; see :func:`backoff_delay`.
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 0.5
+
+
+def _pool_infra_errors() -> Tuple[type, ...]:
+    """Pool-infrastructure failures the supervisor retries (and that, once
+    the restart budget is spent, degrade to the serial path instead of
+    failing the sweep): sandbox/fork problems, unpicklable work items, and
+    a pool whose workers died.  Everything else is a *task* failure
+    (quarantine route), not an infrastructure one.
+
+    Built when a supervisor is, so that importing this module (the engine
+    does, for :class:`PointFailure`) loads no ``concurrent.futures``.
+    """
+    import pickle
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (OSError, PermissionError, ImportError, BrokenProcessPool,
+            pickle.PicklingError)
 
 
 @dataclass(frozen=True)
@@ -251,6 +257,7 @@ class PoolSupervisor:
         self.pool_factory = pool_factory
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.sleep = sleep
+        self._infra_errors = _pool_infra_errors()
         # Telemetry.
         self.retries = 0
         self.pool_restarts = 0
@@ -270,7 +277,7 @@ class PoolSupervisor:
     def _make_pool(self) -> None:
         try:
             self._pool = self.pool_factory(self.workers)
-        except POOL_INFRA_ERRORS as exc:
+        except self._infra_errors as exc:
             self.fallback_reason = f"{type(exc).__name__}: {exc}"
             self._pool = None
             raise _RestartsExhausted()
@@ -370,6 +377,8 @@ class PoolSupervisor:
         fallback) only when the pool cannot be (re)created or the restart
         budget is spent — :attr:`fallback_reason` says why.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         self._queue = deque(_Task(g) for g in self.groups)
         self._probation = deque()
         self._inflight = {}
@@ -431,7 +440,7 @@ class PoolSupervisor:
             try:
                 future = self._pool.submit(self.worker,
                                            self.make_args(task.indices))
-            except POOL_INFRA_ERRORS as exc:
+            except self._infra_errors as exc:
                 # Submit-time infrastructure failure: the task is blameless.
                 # Respawn the pool (bounded, backed off) and try again.
                 source.appendleft(task)
@@ -459,7 +468,7 @@ class PoolSupervisor:
             if exc is None:
                 yield ("group", task.indices, future.result())
                 continue
-            if isinstance(exc, POOL_INFRA_ERRORS):
+            if isinstance(exc, self._infra_errors):
                 if solo:
                     # It failed alone: guilty beyond doubt.
                     yield from self._handle_task_failure(task, exc, "crash")

@@ -17,7 +17,7 @@ Key anatomy (SHA-256 over the canonical JSON of)::
 Note what is *absent*: the machine configuration and the timing-model
 version.  A trace is a pure function of the front end, so changing the
 simulated core must not (and does not) invalidate it; bumping
-:data:`repro.frontend.builders.BUILDER_VERSION` invalidates everything.
+:data:`repro.versions.BUILDER_VERSION` invalidates everything.
 
 Layout (shares a root with :class:`~repro.sweep.cache.ResultCache`)::
 
@@ -57,7 +57,7 @@ from typing import Any, Dict, Optional
 
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
-from repro.frontend import builders
+from repro import versions
 from repro.sweep.spec import SweepPoint
 from repro.timing.lowered import LoweredTrace
 from repro.trace.container import Trace
@@ -80,11 +80,11 @@ def trace_key(kernel: str, isa: str, spec: WorkloadSpec) -> str:
         The concrete (resolved) workload spec; only ``scale`` and ``seed``
         matter, matching the result cache's workload fingerprint.
 
-    The live :data:`~repro.frontend.builders.BUILDER_VERSION` is folded in,
+    The live :data:`~repro.versions.BUILDER_VERSION` is folded in,
     read at call time.
     """
     payload = {
-        "builder_version": builders.BUILDER_VERSION,
+        "builder_version": versions.BUILDER_VERSION,
         "kernel": kernel,
         "isa": isa,
         "workload": {"scale": spec.scale, "seed": spec.seed},
@@ -197,7 +197,7 @@ class TraceCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry: Dict[str, Any] = {
             "key": key,
-            "builder_version": builders.BUILDER_VERSION,
+            "builder_version": versions.BUILDER_VERSION,
             "kernel": point.kernel,
             "isa": point.isa,
             "workload": {"scale": point.spec.scale, "seed": point.spec.seed},

@@ -15,12 +15,10 @@ instructions occupy their functional unit / memory port for
 completes.
 """
 
+from repro._lazy import lazy_exports
 from repro.timing.config import MachineConfig, WAY_CONFIGS
-from repro.timing.core import OutOfOrderCore, simulate_trace
 from repro.timing.dispatch import BACKENDS, resolve_execution, simulate_batch
-from repro.timing.lowered import LOWERING_VERSION, LoweredTrace, lower_trace
 from repro.timing.results import SimResult
-from repro.timing.vector import VECTOR_MIN_BATCH, run_lowered_batch
 
 __all__ = [
     "BACKENDS",
@@ -37,3 +35,11 @@ __all__ = [
     "simulate_trace",
     "SimResult",
 ]
+
+# The modules above import no NumPy; the backends' names load on first use.
+__getattr__ = lazy_exports(__name__, {
+    "repro.timing.core": ["OutOfOrderCore", "simulate_trace"],
+    "repro.timing.lowered": ["LOWERING_VERSION", "LoweredTrace",
+                             "lower_trace"],
+    "repro.timing.vector": ["VECTOR_MIN_BATCH", "run_lowered_batch"],
+})

@@ -33,15 +33,8 @@ from repro.timing.results import SimResult
 from repro.trace.container import Trace
 from repro.trace.instruction import RegRef
 
-__all__ = ["MODEL_VERSION", "VL_RENAME_SLOTS", "OutOfOrderCore",
+__all__ = ["VL_RENAME_SLOTS", "OutOfOrderCore",
            "completion_latency", "occupancy_of", "simulate_trace"]
-
-#: Version tag of the timing model's *numbers*.  Bump whenever a change can
-#: alter simulated cycle counts for any trace/configuration — the sweep
-#: result cache folds this into every key, so a bump invalidates all cached
-#: results.  Pure-performance refactors that preserve the numbers (checked
-#: by tests/test_golden_regression.py) must NOT bump it.
-MODEL_VERSION = "1"
 
 #: Rename slots of the vector-length register's tiny pool (it is never a
 #: bottleneck, but the dependence handling stays uniform).  Shared by the

@@ -25,13 +25,14 @@ equivalence suites, which pin the three executions against each other.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
 
 from repro.timing.config import MachineConfig
-from repro.timing.core import OutOfOrderCore
-from repro.timing.lowered import LoweredTrace
 from repro.timing.results import SimResult
-from repro.timing.vector import _auto_uses_vector, run_lowered_batch
+
+if TYPE_CHECKING:
+    from repro.timing.lowered import LoweredTrace
+    from repro.trace.container import Trace
 
 __all__ = ["BACKENDS", "resolve_execution", "simulate_batch"]
 
@@ -54,13 +55,17 @@ def resolve_execution(backend: str, num_configs: int,
         raise ValueError(
             f"unknown timing backend {backend!r}; choose from {BACKENDS}")
     if backend == "auto":
+        # The backends load on first use: this module is imported with the
+        # timing package, which a result-cache hit must keep NumPy-free.
+        from repro.timing.vector import _auto_uses_vector
+
         return ("vector"
                 if _auto_uses_vector(num_configs, num_instructions)
                 else "lowered")
     return backend
 
 
-def simulate_batch(trace: Union["Trace", LoweredTrace],
+def simulate_batch(trace: Union[Trace, LoweredTrace],
                    configs: Sequence[MachineConfig],
                    backend: str = "auto",
                    record_timeline: bool = False) -> List[SimResult]:
@@ -84,8 +89,13 @@ def simulate_batch(trace: Union["Trace", LoweredTrace],
         Attach each result's per-instruction pipeline timeline as a
         ``timeline`` attribute (as the scalar cores expose on themselves).
     """
+    from repro.timing.lowered import LoweredTrace
+    from repro.timing.vector import run_lowered_batch
+
     execution = resolve_execution(backend, len(configs), len(trace))
     if execution == "object":
+        from repro.timing.core import OutOfOrderCore
+
         if isinstance(trace, LoweredTrace):
             raise TypeError(
                 "the object backend replays DynInstr objects and cannot "

@@ -8,11 +8,3 @@ iteration.  The timing model (:mod:`repro.timing`) consumes the records;
 the analysis layer (:mod:`repro.analysis`) derives the paper's
 operation-count metrics from them.
 """
-
-from repro.trace.instruction import DynInstr, RegRef
-from repro.trace.columns import TraceColumns
-from repro.trace.container import Trace
-from repro.trace.stats import TraceStats, summarize_trace
-
-__all__ = ["DynInstr", "RegRef", "Trace", "TraceColumns", "TraceStats",
-           "summarize_trace"]

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.isa.opclasses import OpClass
-from repro.trace.container import Trace
+
+if TYPE_CHECKING:
+    from repro.trace.container import Trace
 
 
 @dataclass

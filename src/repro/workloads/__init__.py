@@ -5,23 +5,3 @@ kernels' control flow is data independent, so only data shapes and value
 ranges matter for the instruction streams; these generators produce
 deterministic, seeded synthetic data with the right shapes and ranges.
 """
-
-from repro.workloads.generators import (
-    WorkloadSpec,
-    random_u8_image,
-    random_u8_block,
-    random_s16_block,
-    random_dct_block,
-    random_s16_samples,
-    random_planar_rgb,
-)
-
-__all__ = [
-    "WorkloadSpec",
-    "random_u8_image",
-    "random_u8_block",
-    "random_s16_block",
-    "random_dct_block",
-    "random_s16_samples",
-    "random_planar_rgb",
-]

@@ -1,10 +1,17 @@
-"""Deterministic synthetic data generators for the MediaBench kernels."""
+"""Deterministic synthetic data generators for the MediaBench kernels.
+
+NumPy is imported by the functions that draw data, not by the module:
+:class:`WorkloadSpec` keys every cached result, and a run served from the
+result cache must not pay for importing NumPy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WorkloadSpec",
@@ -40,6 +47,8 @@ class WorkloadSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def rng(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.default_rng(self.seed)
 
 
@@ -49,6 +58,8 @@ def random_u8_image(rng: np.random.Generator, height: int, width: int) -> np.nda
     Smooth gradients plus noise give realistic motion-estimation behaviour
     (non-degenerate SAD surfaces) while staying deterministic.
     """
+    import numpy as np
+
     y, x = np.mgrid[0:height, 0:width]
     base = (
         128
@@ -61,12 +72,16 @@ def random_u8_image(rng: np.random.Generator, height: int, width: int) -> np.nda
 
 def random_u8_block(rng: np.random.Generator, rows: int = 8, cols: int = 8) -> np.ndarray:
     """An 8-bit pixel block."""
+    import numpy as np
+
     return rng.integers(0, 256, size=(rows, cols)).astype(np.int64)
 
 
 def random_s16_block(rng: np.random.Generator, rows: int = 8, cols: int = 8,
                      lo: int = -256, hi: int = 256) -> np.ndarray:
     """A 16-bit residual block (e.g. MPEG prediction error)."""
+    import numpy as np
+
     return rng.integers(lo, hi, size=(rows, cols)).astype(np.int64)
 
 
@@ -76,6 +91,8 @@ def random_dct_block(rng: np.random.Generator, rows: int = 8, cols: int = 8) -> 
     Real MPEG/JPEG coefficient blocks have most energy in the top-left
     corner and many zeros; the value range fits 12 signed bits.
     """
+    import numpy as np
+
     block = np.zeros((rows, cols), dtype=np.int64)
     # DC coefficient.
     block[0, 0] = rng.integers(-1024, 1024)
@@ -91,11 +108,15 @@ def random_dct_block(rng: np.random.Generator, rows: int = 8, cols: int = 8) -> 
 def random_s16_samples(rng: np.random.Generator, count: int,
                        lo: int = -8192, hi: int = 8192) -> np.ndarray:
     """A window of 16-bit audio samples (GSM speech range)."""
+    import numpy as np
+
     return rng.integers(lo, hi, size=count).astype(np.int64)
 
 
 def random_planar_rgb(rng: np.random.Generator, pixels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three planar 8-bit colour channels of ``pixels`` samples each."""
+    import numpy as np
+
     r = rng.integers(0, 256, size=pixels).astype(np.int64)
     g = rng.integers(0, 256, size=pixels).astype(np.int64)
     b = rng.integers(0, 256, size=pixels).astype(np.int64)

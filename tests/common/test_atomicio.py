@@ -1,0 +1,47 @@
+"""Atomic JSON writes: the bytes on disk are what ``json.dump`` writes."""
+
+import io
+import json
+
+import pytest
+
+from repro.common.atomicio import atomic_write_json, stamp_checksum
+from repro.sweep.cache import ResultCache
+from repro.sweep.spec import SweepPoint
+from repro.timing.config import MachineConfig
+from repro.timing.results import SimResult
+from repro.trace.stats import TraceStats
+from repro.workloads.generators import WorkloadSpec
+
+
+def _dump(obj, **kwargs) -> bytes:
+    buf = io.StringIO()
+    json.dump(obj, buf, **kwargs)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sort_keys": True},
+    {"sort_keys": True, "separators": (",", ":")},
+    {"indent": 2},
+], ids=["result-entry", "trace-entry", "indented"])
+def test_write_matches_json_dump(tmp_path, kwargs):
+    entry = stamp_checksum({"b": [1, 2.5, None, True], "a": {"z": "ü"},
+                            "c": {"nested": [{"k": -1}]}})
+    path = tmp_path / "entry.json"
+    atomic_write_json(str(path), entry, **kwargs)
+    assert path.read_bytes() == _dump(entry, **kwargs)
+
+
+def test_result_cache_entry_matches_json_dump(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    point = SweepPoint(kernel="comp", isa="mom",
+                       config=MachineConfig.for_way(4),
+                       spec=WorkloadSpec(scale=1, seed=3))
+    sim = SimResult(cycles=37, instructions=16, operations=512,
+                    kernel="comp", isa="mom", config_name="way4",
+                    stall_breakdown={"rob": 2})
+    key = cache.put(point, sim, TraceStats(num_instructions=16))
+    path = tmp_path / key[:2] / f"{key}.json"
+    entry = json.loads(path.read_text())
+    assert path.read_bytes() == _dump(entry, sort_keys=True)

@@ -10,11 +10,11 @@ Writes two files:
 * ``way4_lat1.json`` — cycle, instruction and operation counts of every
   kernel x ISA on the 4-way / 1-cycle-memory machine.  Only regenerate it
   when a timing-model or kernel-builder change is *supposed* to move the
-  numbers — and bump ``repro.timing.core.MODEL_VERSION`` in the same commit
+  numbers — and bump ``repro.versions.MODEL_VERSION`` in the same commit
   so cached sweep results are invalidated too.
 * ``streams.json`` — a SHA-256 of every kernel x ISA emitted stream (the
   canonical JSON of ``Trace.to_payload()``) under the live
-  ``repro.frontend.builders.BUILDER_VERSION``.  A changed stream must come
+  ``repro.versions.BUILDER_VERSION``.  A changed stream must come
   with a ``BUILDER_VERSION`` bump, so this script refuses to write changed
   hashes under an unchanged version.
 """
@@ -29,8 +29,8 @@ from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
+from repro import versions  # noqa: E402
 from repro.experiments.runner import run_kernel  # noqa: E402
-from repro.frontend.builders import BUILDER_VERSION  # noqa: E402
 from repro.kernels.base import ISA_VARIANTS  # noqa: E402
 from repro.kernels.registry import get_kernel, kernel_names  # noqa: E402
 from repro.timing.config import MachineConfig  # noqa: E402
@@ -76,11 +76,11 @@ def main() -> int:
         with open(STREAMS_OUT, "r", encoding="utf-8") as f:
             pinned = json.load(f)
         changed = changed_streams(pinned["streams"], streams)
-        if changed and pinned["builder_version"] == BUILDER_VERSION:
+        if changed and pinned["builder_version"] == versions.BUILDER_VERSION:
             print(f"refusing to write: {len(changed)} stream(s) changed "
                   f"({', '.join(changed)}) but BUILDER_VERSION is still "
-                  f"{BUILDER_VERSION!r}; bump it in "
-                  f"src/repro/frontend/builders.py first", file=sys.stderr)
+                  f"{versions.BUILDER_VERSION!r}; bump it in "
+                  f"src/repro/versions.py first", file=sys.stderr)
             return 1
 
     config = MachineConfig.for_way(4, mem_latency=MEM_LATENCY)
@@ -103,7 +103,7 @@ def main() -> int:
         "note": "seed-commit cycle counts; scale = kernel.default_scale",
         "results": results,
     })
-    _write_json(STREAMS_OUT, {"builder_version": BUILDER_VERSION,
+    _write_json(STREAMS_OUT, {"builder_version": versions.BUILDER_VERSION,
                               "streams": streams})
     print(f"wrote {len(results)} points to {OUT} and {len(streams)} "
           f"stream fingerprints to {STREAMS_OUT}")

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-import repro.timing.core
+import repro.versions
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import run_kernel
 from repro.sweep import (
@@ -136,7 +136,7 @@ class TestCache:
         # The live stamp is read at key time: an engine built before the
         # bump misses too.
         v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         v2.run(sweep)
         assert v2.last_simulated == len(sweep), "version bump must miss the cache"
 
@@ -144,7 +144,6 @@ class TestCache:
             self, tmp_path, monkeypatch):
         """A stream-changing edit bumps BUILDER_VERSION; nothing produced
         under the old version may be served after the bump."""
-        from repro.frontend import builders
         from repro.sweep.service import job_id_for, normalize_submission
 
         sweep = small_sweep()
@@ -157,7 +156,7 @@ class TestCache:
         assert all(engine.trace_cache.get(point) is not None
                    for point in sweep.points())
 
-        monkeypatch.setattr(builders, "BUILDER_VERSION", "bumped")
+        monkeypatch.setattr(repro.versions, "BUILDER_VERSION", "bumped")
         cache = ResultCache(str(tmp_path / "cache"))
         assert all(cache.get(point) is None for point in sweep.points())
         assert cache.hits == 0 and cache.misses == len(sweep)
@@ -192,7 +191,7 @@ class TestCache:
         assert point_key(point) != point_key(
             SweepPoint("comp", "mom", cfg, WorkloadSpec(scale=1, seed=8)))
         key = point_key(point)
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "other")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "other")
         assert point_key(point) != key
 
     def test_cache_entries_are_json_on_disk(self, tmp_path):
@@ -283,7 +282,7 @@ class TestTraceBatching:
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
 
         # A model bump misses every result but no trace.
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         if engine.last_fallback_reason is None:
@@ -345,16 +344,18 @@ class TestBackendRouting:
             self, tmp_path, count_calls, monkeypatch):
         """Acceptance: a warm (trace-cached) figure-4 grid sweep simulates
         every group through run_lowered_batch on the serial path."""
-        from repro.timing import dispatch, vector
+        from repro.timing import vector
 
         sweep = self._figure4_grid()
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
 
-        batches = count_calls(dispatch, "run_lowered_batch",
+        # The dispatch imports the batch backend at call time, so the
+        # backend's own module attribute is the one to count.
+        batches = count_calls(vector, "run_lowered_batch",
                               lambda lowered, configs, **kw: len(configs))
         vector_runs = count_calls(vector, "_run_vector")
         # A model bump misses every result but no trace.
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         engine = SweepEngine(cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert engine.last_trace_builds == 0, "trace cache must be warm"
@@ -373,7 +374,7 @@ class TestBackendRouting:
         sweep = self._figure4_grid()
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)
 
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         engine = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert len(results) == 16

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-import repro.timing.core
+import repro.versions
 from repro.cli import main
 from repro.sweep import (
     JournalLockedError,
@@ -418,7 +418,7 @@ class TestEngineResume:
         sweep = _sweep(ways=(1,))
         SweepEngine(journal=path).run(sweep)
 
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION",
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION",
                             "some-other-model")
         engine = SweepEngine(journal=path)
         engine.run(sweep)

@@ -116,10 +116,11 @@ class TestJobId:
         assert job_id_for(short) == job_id_for(long)
 
     def test_model_version_is_folded_in(self, monkeypatch):
-        import repro.timing.core
+        import repro.versions
+
         sub = normalize_submission(dict(SMALL))
         before = job_id_for(sub)
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "test-bump")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "test-bump")
         assert job_id_for(sub) != before
 
 

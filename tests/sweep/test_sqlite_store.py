@@ -4,14 +4,14 @@ The SQLite backend was removed; the JSON :class:`ResultCache` is the only
 result store.  These parity checks keep pinning what the engine sees of it:
 a warm rerun simulates nothing, a model-version bump resimulates, and warm
 results are identical to a cold run.  The model version is read live from
-``repro.timing.core.MODEL_VERSION``, so the bump patches that.
+``repro.versions.MODEL_VERSION``, so the bump patches that.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.timing.core
+import repro.versions
 from repro.sweep import SweepEngine, SweepSpec
 from repro.sweep.cache import ResultCache
 from repro.timing.config import MachineConfig
@@ -51,7 +51,7 @@ class TestEngineParity:
     def test_version_bump_resimulates(self, tmp_path, store, monkeypatch):
         sweep = _sweep(ways=(1,))
         _engine(str(tmp_path), store).run(sweep)
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "bumped")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "bumped")
         engine = _engine(str(tmp_path), store)
         engine.run(sweep)
         assert engine.last_simulated == len(sweep)

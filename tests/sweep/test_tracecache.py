@@ -12,10 +12,8 @@ import json
 
 import pytest
 
-import repro.timing.core
+import repro.versions
 from repro.common.atomicio import stamp_checksum
-from repro.frontend import builders
-from repro.frontend.builders import BUILDER_VERSION
 from repro.sweep import (
     SweepEngine,
     SweepPoint,
@@ -103,7 +101,7 @@ class TestTraceCache:
         assert base != trace_key("h2v2", "mom", _SPEC)
         assert base != trace_key("comp", "mom", WorkloadSpec(scale=2, seed=7))
         assert base != trace_key("comp", "mom", WorkloadSpec(scale=1, seed=8))
-        monkeypatch.setattr(builders, "BUILDER_VERSION", "other")
+        monkeypatch.setattr(repro.versions, "BUILDER_VERSION", "other")
         assert base != trace_key("comp", "mom", _SPEC)
 
     def test_key_independent_of_config(self):
@@ -118,7 +116,7 @@ class TestTraceCache:
         cache.put(point, _build_trace())
         with open(cache.path_for(point)) as f:
             entry = json.load(f)
-        assert entry["builder_version"] == BUILDER_VERSION
+        assert entry["builder_version"] == repro.versions.BUILDER_VERSION
         assert entry["kernel"] == "comp" and entry["isa"] == "mom"
 
 
@@ -266,7 +264,7 @@ class TestEngineIntegration:
             f.write("garbage")
 
         build_counter.clear()
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         again = SweepEngine(cache_dir=str(tmp_path))
         results = again.run([point])
         assert again.last_trace_builds == 1
@@ -292,7 +290,7 @@ class TestEngineIntegration:
         """jobs>1 workers read (and write) the same on-disk trace store."""
         sweep = self._sweep()
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)
-        monkeypatch.setattr(repro.timing.core, "MODEL_VERSION", "v2")
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         parallel = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = parallel.run(sweep)
         if parallel.last_fallback_reason is None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sweep.faults import FAULT_ENV
 
 
 class TestParser:
@@ -95,6 +98,57 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --no-check" in \
             capsys.readouterr().err
+
+
+class TestBoundary:
+    def test_uncreatable_cache_dir_exits_2_before_any_build(
+            self, capsys, tmp_path, build_counter):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure4", "--kernels", "comp", "--scale", "1",
+                  "--cache-dir", str(blocker / "x")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --cache-dir" in err and "Traceback" not in err
+        assert build_counter == []
+
+    def test_abbreviated_jobs_is_not_jobs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure4", "--kernels", "comp", "--job", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --job 2" in capsys.readouterr().err
+
+    def test_abbreviated_cache_is_not_cache_dir(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kernels", "comp", "--cache", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+
+
+class TestFailedPoints:
+    @pytest.mark.parametrize("argv, failed", [
+        (["figure4", "--ways", "1", "4"], 2),
+        (["figure5", "--latencies", "1", "12", "50"], 3),
+        (["tables"], 1),
+    ], ids=["figure4", "figure5", "tables"])
+    def test_failed_points_are_listed_and_exit_1(self, capsys, monkeypatch,
+                                                 argv, failed):
+        """A figure cannot be drawn without its points: the command lists
+        the failed ones as ``repro sweep`` does and exits 1, with no
+        traceback."""
+        monkeypatch.setenv(FAULT_ENV, json.dumps({"faults": [
+            {"kind": "raise", "kernel": "comp", "isa": "mmx",
+             "times": -1}]}))
+        assert main(argv + ["--kernels", "comp", "--scale", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        rows = [line for line in out.splitlines() if "FAILED" in line]
+        assert len(rows) == failed
+        assert all(row.split()[:2] == ["comp", "mmx"]
+                   and row.endswith("failed: InjectedFault (serial)")
+                   for row in rows)
+        assert f"{failed} point(s) failed" in out
 
 
 class TestCommands:

@@ -11,11 +11,11 @@ If a change is *supposed* to alter the numbers, regenerate the snapshot with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-and bump :data:`repro.timing.core.MODEL_VERSION` in the same commit (the
+and bump :data:`repro.versions.MODEL_VERSION` in the same commit (the
 sweep result cache keys on it).
 
 ``tests/golden/streams.json`` pins a SHA-256 of every emitted stream under
-the live :data:`repro.frontend.builders.BUILDER_VERSION`, so a stream change
+the live :data:`repro.versions.BUILDER_VERSION`, so a stream change
 fails here until the version is bumped and the fingerprints regenerated
 together (result keys, journal records and service job ids all fold the
 builder version in).
@@ -30,8 +30,8 @@ import os
 
 import pytest
 
+from repro import versions
 from repro.experiments.runner import run_kernel, run_kernel_all_isas
-from repro.frontend.builders import BUILDER_VERSION
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import get_kernel, kernel_names
 from repro.timing.config import MachineConfig
@@ -114,10 +114,11 @@ def test_stream_fingerprints_move_with_builder_version():
         pinned = json.load(f)
     changed = regenerate.changed_streams(pinned["streams"],
                                          regenerate.stream_fingerprints())
-    assert pinned["builder_version"] == BUILDER_VERSION and not changed, (
+    live = versions.BUILDER_VERSION
+    assert pinned["builder_version"] == live and not changed, (
         f"emitted streams changed: {changed or 'none'}; pinned under "
         f"BUILDER_VERSION {pinned['builder_version']!r}, live "
-        f"{BUILDER_VERSION!r}. BUILDER_VERSION and tests/golden/streams.json "
+        f"{live!r}. BUILDER_VERSION and tests/golden/streams.json "
         f"must move together: bump BUILDER_VERSION, then run "
         f"tests/golden/regenerate.py")
 

@@ -1,0 +1,103 @@
+"""Startup budget: a run served from the result cache imports no compute.
+
+A warm ``repro figure4|figure5|tables`` reads its points from the result
+cache and formats them; it needs neither NumPy nor the kernels, the
+builders, the timing backends, the pool or the service.  Each command
+runs here in a fresh interpreter that reports ``sys.modules`` at exit, so
+the guard counts what was imported, not how long it took.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+import repro.sweep
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Runs ``python -m repro ARGS`` and, at exit, writes the imported module
+#: names as JSON to the file named by ``REPRO_MODULES_OUT``.
+_PROBE = """
+import atexit, json, os, runpy, sys
+
+def _dump():
+    with open(os.environ["REPRO_MODULES_OUT"], "w") as f:
+        json.dump(sorted(sys.modules), f)
+
+atexit.register(_dump)
+sys.argv = ["repro"] + sys.argv[1:]
+runpy.run_module("repro", run_name="__main__")
+"""
+
+_FORBIDDEN = ("numpy", "concurrent.futures", "multiprocessing",
+              "http.client", "urllib.request", "ssl",
+              "repro.frontend", "repro.timing.core", "repro.timing.lowered",
+              "repro.timing.vector", "repro.sweep.service",
+              "repro.sweep.client", "repro.sweep.tracecache")
+
+
+def _forbidden(module: str) -> bool:
+    if module.startswith("repro.kernels."):
+        # The catalog is the kernels' NumPy-free part; every kernel
+        # module, the base class and the registry import NumPy.
+        return module != "repro.kernels.catalog"
+    return any(module == name or module.startswith(name + ".")
+               for name in _FORBIDDEN)
+
+
+def _run(args, tmp_path, probe=False):
+    env = dict(os.environ, PYTHONPATH=_SRC,
+               REPRO_MODULES_OUT=str(tmp_path / "modules.json"))
+    argv = ([sys.executable, "-c", _PROBE] if probe
+            else [sys.executable, "-m", "repro"])
+    proc = subprocess.run(argv + list(args), env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_COMMANDS = {
+    "figure4": ["figure4", "--kernels", "comp", "--scale", "1"],
+    "figure5": ["figure5", "--kernels", "comp", "--scale", "1"],
+    "tables": ["tables", "--kernels", "comp", "--scale", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("warm") / "cache"
+    for argv in _COMMANDS.values():
+        _run(argv + ["--cache-dir", str(cache)], cache.parent)
+    return cache
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_warm_paper_command_imports_no_compute(command, warm_cache,
+                                               tmp_path):
+    out = _run(_COMMANDS[command] + ["--cache-dir", str(warm_cache)],
+               tmp_path, probe=True)
+    assert "0 point(s) simulated" in out, "the cache must serve every point"
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert [m for m in modules if _forbidden(m)] == []
+
+
+def test_version_imports_no_compute(tmp_path):
+    out = _run(["--version"], tmp_path, probe=True)
+    assert out.startswith("repro ")
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert [m for m in modules if _forbidden(m)] == []
+
+
+@pytest.mark.parametrize("package", [repro, repro.sweep],
+                         ids=["repro", "repro.sweep"])
+def test_every_exported_name_resolves(package):
+    for name in package.__all__:
+        assert getattr(package, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(package, "no_such_name")
