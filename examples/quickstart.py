@@ -61,7 +61,7 @@ def main() -> int:
     runs = run_kernel_all_isas(kernel, config=config, spec=WorkloadSpec(scale=scale))
 
     for isa, run in runs.items():
-        status = "OK " if run.correct else "BAD"
+        status = "OK " if run.build.correct else "BAD"
         print(f"  [{status}] {isa:6s}  {len(run.build.trace):6d} instructions  "
               f"{run.sim.operations:7d} operations  {run.cycles:6d} cycles")
 

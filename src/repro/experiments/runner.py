@@ -43,10 +43,6 @@ class RunResult:
     def cycles(self) -> int:
         return self.sim.cycles
 
-    @property
-    def correct(self) -> bool:
-        return self.build.correct
-
 
 def build_kernel_variant(
     kernel_name: str,

@@ -16,10 +16,11 @@ configurations simultaneously as ndarray columns —
 * functional-unit and issue-bandwidth busy counts as one
   ``(kinds + 1, N, cycles)`` array, the issue search a vectorised window
   scan shared by every configuration;
-* issue queues as capacity-banded slot matrices with lazy eviction,
-  deferred pushes and per-config full-queue thresholds (legal because a
-  queue's constrain candidates never decrease — see :class:`_QueueState`),
-  so a row that cannot possibly hit a full queue pays no NumPy at all;
+* issue queues as one ``(N, max K)`` matrix per queue holding each
+  config's ``K`` largest issue times so far: a queue's constrain
+  candidates never decrease, so every occupant the scalar pool drops is
+  dead for good, and the exact bound is the running ``K``-th largest push
+  — one row minimum (see :func:`_issue_queue`);
 * rename pools as sliding windows over their commit-push history — slot
   releases at commit time are monotone, so the exact
   :class:`~repro.timing.resources.SlotPool` bound for the ``j``-th push is
@@ -41,11 +42,12 @@ A NumPy operation on small arrays costs a roughly constant ~0.3-1 µs of
 dispatch overhead regardless of the batch width, and the array program
 spends ~30-40 operations per instruction row *for the whole batch*, while
 the per-config interpreter spends ~1.3 µs per row *per config*.  The array
-program therefore loses below :data:`VECTOR_MIN_BATCH` configurations
-(measured cut-over ~45-60 on the reference trace) and wins beyond it —
-~3.5x per config at 256 configurations and ~4.5x at 384 on the reference
-trace, asymptotically bounded by the per-row array work.
-:func:`run_lowered_batch` picks the faster strategy automatically:
+program therefore loses on small batches and wins on large ones: on the
+reference trace (``motion1``/scalar, a structural ablation grid, 2-CPU
+host, Python 3.11) the measured cut-over is ~20 configurations, and the
+array program is ~2.4x faster per config at 64 configurations, ~5.5x at
+256 and ~6.5x at 384, asymptotically bounded by the per-row array work.
+:func:`run_lowered_batch` picks the strategy automatically:
 batches smaller than :data:`VECTOR_MIN_BATCH` run the per-config lowered
 interpreter, larger ones run the array program; ``force_vector`` overrides
 in both directions (the equivalence suites use it to pin the array program
@@ -71,8 +73,9 @@ __all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH",
 #: Smallest batch for which the array program is worth its per-row NumPy
 #: dispatch overhead; below it :func:`run_lowered_batch` loops the
 #: per-config lowered interpreter instead.  Measured cut-over on the
-#: reference trace is ~45-60 configs; the margin keeps the loop path on
-#: machines where NumPy dispatch is relatively more expensive.
+#: reference trace is ~20 configs; the margin keeps the loop path on
+#: machines where NumPy dispatch is relatively more expensive, and no
+#: shipped group lies inside it (paper groups hold at most 4 configs).
 VECTOR_MIN_BATCH = 64
 
 
@@ -148,181 +151,34 @@ def run_lowered_batch(lowered: LoweredTrace,
     return results
 
 
-#: Capacity-band upper bounds for queue partitioning: configurations whose
-#: queue capacity falls in the same band share one slot matrix, so the
-#: small queues that fill constantly scan narrow matrices while the large
-#: ones idle for free.
-_QUEUE_BANDS = (8, 32)
-
-#: Forced flush point for the deferred-push buffer (bounds its memory).
-_PENDING_LIMIT = 2048
-
-
-class _QueueBand:
-    """One capacity band of one issue queue: a ``(B, K)`` array of occupant
-    release times for the ``B`` configurations whose capacity falls in the
-    band, ``K`` the band's largest capacity."""
-
-    __slots__ = ("cidx", "slots", "caps", "width", "taken", "arange",
-                 "thresholds", "next_trigger", "huge")
-
-    def __init__(self, cidx: Optional[np.ndarray], caps: np.ndarray,
-                 dtype: np.dtype) -> None:
-        self.cidx = cidx            # config rows of this band; None = all
-        self.caps = caps            # (B,) capacities, all >= 1
-        self.width = int(caps.max())
-        self.arange = np.arange(len(caps))
-        self.huge = np.iinfo(dtype).max
-        self.slots = np.full((len(caps), self.width), -1, dtype=dtype)
-        #: How many entries of the owning queue's pending buffer this band
-        #: has already folded into ``slots``.
-        self.taken = 0
-        #: Per config: the queue-push count at which it could next be full
-        #: (its live count at the last scan plus pushes since would reach
-        #: capacity).  Deaths only shrink live counts, so a config provably
-        #: cannot bind before its threshold — and the band cannot bind
-        #: before the smallest one, cached as a plain Python int so the
-        #: per-row check costs no NumPy at all.
-        self.thresholds = caps.astype(np.int64).copy()
-        self.next_trigger = int(caps.min())
-
-
-class _QueueState:
+def _issue_queue(caps: np.ndarray, dtype: np.dtype) -> Optional[tuple]:
     """Vectorised :class:`~repro.timing.resources.SlotPool` for one issue
-    queue across every configuration.
+    queue across every configuration: ``None`` when no configuration bounds
+    the queue, else ``(slots, slots.ravel(), row bases, pin)``.
 
-    Three ideas keep its amortised per-instruction cost near zero:
+    A queue's constrain candidates never decrease (each is at least the
+    previous instruction's rename time, which is at least the previous
+    bound), so every occupant the scalar pool drains or pops is at or below
+    every later candidate and dead for good.  The pool's live set is then
+    exactly the pushes above the candidate, never more than the capacity
+    ``K`` of them, so its bound is ``max(candidate, K-th largest issue time
+    pushed so far)``.
 
-    * **Lazy eviction** — a queue's constrain candidates never decrease
-      (each is bounded below by the previous instruction's rename time),
-      so occupants whose release time fell at or below the candidate
-      simply stop counting as live; they are never physically drained.
-      Only the scalar pool's *pop* (the occupant whose departure a full
-      pool's newcomer waits for) needs a physical write.
-
-    * **Deferred pushes** — every push raises every configuration's live
-      count by exactly one, so "could any configuration be full?" is a
-      Python integer comparison of the queue's monotone push counter
-      against the band's :attr:`_QueueBand.next_trigger`; pushes append
-      to a Python list and only touch NumPy when a band must actually
-      scan.  A flush folds pending releases into the slot matrix either
-      one-at-a-time over each row's minimum slot (``max()`` — if the
-      incoming value is live the row minimum is dead, if it is dead it
-      loses to any live minimum) or, for large backlogs, with one
-      ``np.partition``: live values are strictly above every dead value
-      and at most ``cap <= K`` per row, so the top ``K`` of
-      ``concat(slots, pending)`` preserves exactly the live set.
-
-    * **Capacity bands with per-config thresholds** — configurations are
-      partitioned by capacity (:data:`_QUEUE_BANDS`), and a triggered
-      scan touches only the rows whose own threshold has passed, so a
-      single saturated 1-wide configuration scans a ``(few, 8)`` matrix,
-      not the whole batch.  Capacity-0 (unconstrained) configurations
-      belong to no band: the scalar pool neither constrains nor records
-      occupants for them.
+    ``slots`` is an ``(N, max K)`` matrix holding each configuration's
+    ``K`` largest pushes; columns beyond a configuration's ``K`` hold the
+    dtype maximum, so a row minimum is its ``K``-th largest (0 until ``K``
+    pushes arrived, which binds no candidate).  A capacity-0 (unbounded)
+    configuration gets one slot that ``pin`` clamps back to 0 on every
+    push.
     """
-
-    __slots__ = ("bands", "pending", "total")
-
-    def __init__(self, caps: np.ndarray,
-                 dtype: np.dtype = np.dtype(np.int64)) -> None:
-        self.bands: List[_QueueBand] = []
-        self.pending: List[np.ndarray] = []
-        self.total = 0
-        active = caps > 0
-        if not active.any():
-            return
-        grouped = np.digitize(caps, _QUEUE_BANDS)
-        if active.all() and len(np.unique(grouped)) == 1:
-            # Homogeneous batch: one band, no index indirection.
-            self.bands.append(_QueueBand(None, caps, dtype))
-            return
-        for band in np.unique(grouped[active]):
-            cidx = np.flatnonzero(active & (grouped == band))
-            self.bands.append(_QueueBand(cidx, caps[cidx], dtype))
-
-    def constrain(self, candidate: np.ndarray) -> np.ndarray:
-        """Per-config earliest time >= candidate with a slot available."""
-        total = self.total
-        for band in self.bands:
-            if total >= band.next_trigger:
-                candidate = self._scan(band, candidate)
-        return candidate
-
-    def push(self, release: np.ndarray) -> None:
-        """Record one occupant per config releasing at ``release``."""
-        self.total += 1
-        self.pending.append(release)
-        if len(self.pending) >= _PENDING_LIMIT:
-            for band in self.bands:
-                self._flush(band)
-                band.taken = 0
-            self.pending.clear()
-
-    def _flush(self, band: _QueueBand) -> None:
-        """Fold the band's unconsumed pending pushes into its slot matrix."""
-        depth = len(self.pending)
-        count = depth - band.taken
-        if count == 0:
-            return
-        if count <= 2:
-            # The saturated-queue steady state: one push per scan.  Write
-            # each pending value over its row's minimum slot via max().
-            # If the incoming value is live, at most cap-1 slot occupants
-            # are (the scalar pool never holds more than cap), so the
-            # minimum slot is dead and max() installs the newcomer; if the
-            # incoming value is dead it loses to any live minimum (live
-            # values exceed the bound, dead ones do not) and dead-on-dead
-            # is filler either way.
-            slots = band.slots
-            rows = band.arange
-            for entry in self.pending[band.taken:]:
-                sub = entry if band.cidx is None else entry[band.cidx]
-                j = slots.argmin(1)
-                current = slots[rows, j]
-                slots[rows, j] = np.maximum(current, sub)
-            band.taken = depth
-            return
-        stacked = np.stack(self.pending[band.taken:])
-        band.taken = depth
-        if band.cidx is not None:
-            stacked = stacked[:, band.cidx]
-        combined = np.concatenate(
-            [band.slots, stacked.T.astype(band.slots.dtype)], axis=1)
-        # Live values are strictly greater than every dead value (dead
-        # means at or below the non-decreasing candidate), and there are
-        # at most `cap <= width` of them per row: the top `width` keeps
-        # them all.
-        band.slots = np.partition(
-            combined, combined.shape[1] - band.width,
-            axis=1)[:, -band.width:]
-
-    def _scan(self, band: _QueueBand, candidate: np.ndarray) -> np.ndarray:
-        """Exact scan of the band rows whose threshold has passed; folds
-        their bound into the candidate."""
-        self._flush(band)
-        total = self.total
-        act = np.flatnonzero(band.thresholds <= total)
-        rows = act if band.cidx is None else band.cidx[act]
-        sub = band.slots[act]
-        # Compare in the slots' (possibly narrow) dtype: the candidate is
-        # bounded by the same cycle ceiling the dtype was chosen for.
-        live = sub > candidate[rows][:, None].astype(sub.dtype)
-        count = live.sum(1)
-        full = count >= band.caps[act]
-        if full.any():
-            masked = np.where(live, sub, band.huge)
-            j = masked.argmin(1)
-            hit = np.flatnonzero(full)
-            bounded = candidate.copy()
-            bounded[rows[hit]] = masked[hit, j[hit]]
-            # The full pool's newcomer takes the earliest leaver's slot.
-            band.slots[act[hit], j[hit]] = -1
-            count = count - full
-            candidate = bounded
-        band.thresholds[act] = total + band.caps[act] - count
-        band.next_trigger = int(band.thresholds.min())
-        return candidate
+    if not caps.any():
+        return None
+    num_configs = len(caps)
+    width = int(caps.max())
+    slots = np.full((num_configs, width), np.iinfo(dtype).max, dtype=dtype)
+    slots[np.arange(width)[None, :] < np.maximum(caps, 1)[:, None]] = 0
+    pin = None if caps.all() else np.where(caps > 0, np.iinfo(np.int64).max, 0)
+    return slots, slots.ravel(), np.arange(num_configs) * width, pin
 
 
 #: Issue-search scan widths, growing per iteration so bandwidth-saturated
@@ -463,13 +319,13 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
 
     # Queue slot values are issue cycles; a sound per-row increment bound
     # gives a cycle ceiling that usually lets the slot matrices use int32,
-    # halving the bytes every queue scan touches.
+    # halving the bytes every queue's row minimum touches.
     max_lat_all = max((int(r["lat"].max()) for r in shape_recs), default=1)
     max_occ_all = max((r["max_occ"] for r in shape_recs), default=1)
     cycle_ceiling = (n + 1) * (max_lat_all + max_occ_all + 2) + 16
     slot_dtype = (np.dtype(np.int32) if cycle_ceiling < 2 ** 31 - 1
                   else np.dtype(np.int64))
-    queues = [_QueueState(caps, slot_dtype) for caps in queue_caps]
+    queues = [_issue_queue(caps, slot_dtype) for caps in queue_caps]
 
     # Rename pools: push history per pool, pre-padded with `pool pad` rows
     # of -1 so the sliding-window gather needs no emptiness branch; the
@@ -578,7 +434,12 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
         sum_rob += candidate
 
         queue = queues[rec["queue"]]
-        candidate = queue.constrain(candidate)
+        if queue is not None:
+            slots, slots_flat, slots_base, pin = queue
+            slot = slots.argmin(1)
+            slot += slots_base
+            oldest = slots_flat.take(slot)
+            candidate = np_maximum(candidate, oldest)
         sum_queue += candidate
 
         for _reg, pool, _acc in dsts:
@@ -687,7 +548,12 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
             fu_base = rec["basek"] + issue
             busy_flat[fu_base[:, None] + rec["off_occ"]] += rec["occ_mask"]
             busy_flat[rec["baseb"] + issue] += 1
-        queue.push(issue)
+        if queue is not None:
+            # issue > rename time >= the queue bound >= oldest, so the
+            # newcomer always displaces the K-th largest release: the
+            # matrix stays each config's running top K.
+            slots_flat[slot] = (issue if pin is None
+                                else np.minimum(issue, pin))
 
         # ---- complete ------------------------------------------------
         complete = issue + rec["lat"]

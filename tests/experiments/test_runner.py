@@ -14,7 +14,7 @@ class TestRunKernel:
         result = run_kernel("comp", "mom", spec=WorkloadSpec(scale=1))
         assert result.kernel == "comp"
         assert result.isa == "mom"
-        assert result.correct
+        assert result.build.correct
         assert result.cycles > 0
         assert result.sim.instructions == len(result.build.trace)
         assert result.stats.num_instructions == len(result.build.trace)
@@ -49,7 +49,7 @@ class TestRunAllIsas:
     def test_shared_workload_and_all_variants(self):
         runs = run_kernel_all_isas("comp", spec=WorkloadSpec(scale=1))
         assert set(runs) == {"scalar", "mmx", "mdmx", "mom"}
-        assert all(r.correct for r in runs.values())
+        assert all(r.build.correct for r in runs.values())
         # all variants simulated on identical data: identical references
         refs = [r.build.reference.tobytes() for r in runs.values()]
         assert len(set(refs)) == 1

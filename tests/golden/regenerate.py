@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Writes two files:
+Writes three files:
 
 * ``way4_lat1.json`` — cycle, instruction and operation counts of every
   kernel x ISA on the 4-way / 1-cycle-memory machine.  Only regenerate it
@@ -17,6 +17,11 @@ Writes two files:
   ``repro.versions.BUILDER_VERSION``.  A changed stream must come
   with a ``BUILDER_VERSION`` bump, so this script refuses to write changed
   hashes under an unchanged version.
+* ``paper_grid.json`` — cycles, instructions and stall breakdown of every
+  point Figure 4 (kernel x ISA x issue width) and Figure 5 (kernel x ISA x
+  memory latency) print, simulated on the lowered interpreter.  Changed
+  numbers must come with a ``repro.versions.MODEL_VERSION`` bump, so
+  this script refuses to write them under an unchanged version.
 """
 
 from __future__ import annotations
@@ -25,21 +30,25 @@ import hashlib
 import json
 import os
 import sys
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro import versions  # noqa: E402
-from repro.experiments.runner import run_kernel  # noqa: E402
+from repro.experiments.figure4 import figure4_sweep  # noqa: E402
+from repro.experiments.figure5 import figure5_sweep  # noqa: E402
+from repro.experiments.runner import build_kernel_variant, run_kernel  # noqa: E402
 from repro.kernels.base import ISA_VARIANTS  # noqa: E402
 from repro.kernels.registry import get_kernel, kernel_names  # noqa: E402
 from repro.timing.config import MachineConfig  # noqa: E402
+from repro.timing.dispatch import simulate_batch  # noqa: E402
 from repro.workloads.generators import WorkloadSpec  # noqa: E402
 
 SEED = 1999
 MEM_LATENCY = 1
 OUT = os.path.join(os.path.dirname(__file__), "way4_lat1.json")
 STREAMS_OUT = os.path.join(os.path.dirname(__file__), "streams.json")
+GRID_OUT = os.path.join(os.path.dirname(__file__), "paper_grid.json")
 
 
 def stream_fingerprints() -> Dict[str, str]:
@@ -59,9 +68,62 @@ def stream_fingerprints() -> Dict[str, str]:
 
 
 def changed_streams(pinned: Dict[str, str], streams: Dict[str, str]) -> List[str]:
-    """Names whose fingerprint differs between ``pinned`` and ``streams``."""
+    """Keys whose entry differs between ``pinned`` and ``streams``."""
     return sorted(name for name in set(pinned) | set(streams)
                   if pinned.get(name) != streams.get(name))
+
+
+def config_label(config: MachineConfig) -> str:
+    """``way4_lat12``: the grid's name for a figure machine."""
+    return f"{config.name}_lat{config.mem_latency}"
+
+
+def paper_grid_layout() -> Tuple[Dict[str, List[str]], Dict[str, List]]:
+    """The figures' machines and the traces they run.
+
+    Returns ``(figures, groups)``: ``figures`` maps ``figure4``/``figure5``
+    to the labels of the machines each sweeps, and ``groups`` maps every
+    ``kernel/isa`` trace to its resolved workload spec followed by the
+    distinct machines of both figures (Figure 5's 4-way / 1-cycle point
+    is Figure 4's too, so each trace has six).
+    """
+    figures: Dict[str, List[str]] = {}
+    groups: Dict[str, List] = {}
+    for figure, sweep in (("figure4", figure4_sweep()),
+                          ("figure5", figure5_sweep())):
+        figures[figure] = [config_label(c) for c in sweep.configs]
+        for point in sweep.points():
+            group = groups.setdefault(f"{point.kernel}/{point.isa}",
+                                      [point.spec])
+            if point.config not in group[1:]:
+                group.append(point.config)
+    return figures, groups
+
+
+def simulate_paper_grid(backends: Sequence[str] = ("lowered",)
+                        ) -> Dict[str, Dict[str, Dict[str, Dict]]]:
+    """Every figure point on each backend: ``grid[backend][trace][label]``.
+
+    Each trace is built (and verified) once and simulated on all of its
+    machines in one :func:`~repro.timing.dispatch.simulate_batch` call per
+    backend.
+    """
+    _, groups = paper_grid_layout()
+    grid: Dict[str, Dict[str, Dict[str, Dict]]] = {b: {} for b in backends}
+    for trace_name, (spec, *configs) in groups.items():
+        kernel_name, isa = trace_name.split("/")
+        trace = build_kernel_variant(kernel_name, isa, spec=spec).trace
+        for backend in backends:
+            sims = simulate_batch(trace, configs, backend=backend)
+            grid[backend][trace_name] = {
+                config_label(config): {
+                    "cycles": sim.cycles,
+                    "instructions": sim.instructions,
+                    "stall_breakdown": sim.stall_breakdown,
+                }
+                for config, sim in zip(configs, sims)
+            }
+    return grid
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -81,6 +143,19 @@ def main() -> int:
                   f"({', '.join(changed)}) but BUILDER_VERSION is still "
                   f"{versions.BUILDER_VERSION!r}; bump it in "
                   f"src/repro/versions.py first", file=sys.stderr)
+            return 1
+
+    figures, _ = paper_grid_layout()
+    grid = simulate_paper_grid()["lowered"]
+    if os.path.exists(GRID_OUT):
+        with open(GRID_OUT, "r", encoding="utf-8") as f:
+            pinned = json.load(f)
+        changed = changed_streams(pinned["results"], grid)
+        if changed and pinned["model_version"] == versions.MODEL_VERSION:
+            print(f"refusing to write: {len(changed)} trace(s) changed "
+                  f"figure numbers ({', '.join(changed)}) but "
+                  f"MODEL_VERSION is still {versions.MODEL_VERSION!r}; "
+                  f"bump it in src/repro/versions.py first", file=sys.stderr)
             return 1
 
     config = MachineConfig.for_way(4, mem_latency=MEM_LATENCY)
@@ -105,8 +180,13 @@ def main() -> int:
     })
     _write_json(STREAMS_OUT, {"builder_version": versions.BUILDER_VERSION,
                               "streams": streams})
-    print(f"wrote {len(results)} points to {OUT} and {len(streams)} "
-          f"stream fingerprints to {STREAMS_OUT}")
+    _write_json(GRID_OUT, {"model_version": versions.MODEL_VERSION,
+                           "seed": SEED,
+                           "figures": figures,
+                           "results": grid})
+    print(f"wrote {len(results)} points to {OUT}, {len(streams)} "
+          f"stream fingerprints to {STREAMS_OUT} and {len(grid)} traces' "
+          f"figure points to {GRID_OUT}")
     return 0
 
 

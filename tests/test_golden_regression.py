@@ -19,6 +19,11 @@ the live :data:`repro.versions.BUILDER_VERSION`, so a stream change
 fails here until the version is bumped and the fingerprints regenerated
 together (result keys, journal records and service job ids all fold the
 builder version in).
+
+``tests/golden/paper_grid.json`` pins cycles, instructions and the stall
+breakdown of every point Figure 4 and Figure 5 print, under the live
+:data:`repro.versions.MODEL_VERSION`; the lowered interpreter and the
+vector batch backend must both reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.workloads.generators import WorkloadSpec
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "way4_lat1.json")
 STREAMS_PATH = os.path.join(GOLDEN_DIR, "streams.json")
+GRID_PATH = os.path.join(GOLDEN_DIR, "paper_grid.json")
 
 
 def _load_regenerate():
@@ -129,3 +135,41 @@ def test_changed_streams_names_every_difference():
                            {"a/mom": "1", "b/mmx": "3", "c/mdmx": "4"}) == [
         "b/mmx", "c/mdmx"]
     assert changed_streams({"a/mom": "1"}, {"a/mom": "1"}) == []
+
+
+def _load_grid():
+    with open(GRID_PATH, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulated_grid():
+    """Each figure trace built once and run on both batch backends (the
+    vector program is forced even for the six machines of one trace)."""
+    return _load_regenerate().simulate_paper_grid(("lowered", "vector"))
+
+
+def test_paper_grid_covers_every_figure_point():
+    pinned = _load_grid()
+    figures, groups = _load_regenerate().paper_grid_layout()
+    assert pinned["figures"] == figures
+    assert set(pinned["results"]) == set(groups)
+    for figure, expected in (("figure4", 144), ("figure5", 108)):
+        points = [(trace, label) for trace, per_config
+                  in pinned["results"].items()
+                  for label in figures[figure] if label in per_config]
+        assert len(points) == len(groups) * len(figures[figure]) == expected
+    assert pinned["model_version"] == versions.MODEL_VERSION, (
+        "MODEL_VERSION moved: regenerate tests/golden/paper_grid.json with "
+        "tests/golden/regenerate.py in the same commit")
+
+
+@pytest.mark.parametrize("backend", ["lowered", "vector"])
+def test_paper_grid_exact(backend):
+    pinned = _load_grid()["results"]
+    got = _simulated_grid()[backend]
+    changed = _load_regenerate().changed_streams(pinned, got)
+    assert not changed, (
+        f"{backend}: figure points drifted from tests/golden/paper_grid.json "
+        f"for {changed}; if intentional, bump MODEL_VERSION and run "
+        f"tests/golden/regenerate.py")

@@ -31,7 +31,7 @@ class TestPublicApi:
         run = repro.run_kernel("motion1", "mom",
                                config=repro.MachineConfig.for_way(4),
                                spec=WorkloadSpec(scale=1))
-        assert run.correct
+        assert run.build.correct
         assert run.cycles > 0
 
 

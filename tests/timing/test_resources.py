@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,3 +124,37 @@ class TestSlotPool:
         pool = SlotPool("p", 1)
         pool.occupy(50)
         assert pool.constrain(60) == 60
+
+
+def _kth_largest_bound(capacity, candidate, pushes):
+    """The closed form the vector backend's issue queues use: a pool fed
+    non-decreasing candidates bounds at the ``capacity``-th largest
+    release pushed so far (``pushes`` is kept sorted)."""
+    if capacity == 0 or len(pushes) < capacity:
+        return candidate
+    return max(candidate, pushes[-capacity])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slot_pool_bound_is_kth_largest_push(seed):
+    """Every bound a pool returns equals "max(candidate, K-th largest of
+    all pushes so far)" when each candidate is at least the previous
+    bound, as rename times guarantee in the core.  Releases are arbitrary
+    (also below the candidate) and spread with the capacity so every
+    capacity binds; odd seeds round them to a coarse grid so ties are
+    common."""
+    rng = random.Random(seed)
+    grain = 16 if seed % 2 else 1
+    for capacity in range(0, 65):
+        pool = SlotPool("q", capacity)
+        pushes = []
+        bound = 0
+        for _ in range(200):
+            candidate = bound + rng.choice((0, 0, 1, 2, rng.randint(0, 30)))
+            expected = _kth_largest_bound(capacity, candidate, pushes)
+            bound = pool.constrain(candidate)
+            assert bound == expected, (capacity, candidate, pushes[-capacity:])
+            spread = 12 * capacity + 20
+            release = max(0, bound + rng.randint(-10, spread)) // grain * grain
+            pool.occupy(release)
+            bisect.insort(pushes, release)

@@ -53,11 +53,31 @@ CONFIG_BATCH = (
 )
 
 
+#: The dense-grid sweep's machines: every issue width x 16 memory
+#: latencies, 64 configs, whose 1-wide members keep their 8-entry issue
+#: queues full.
+DENSE_GRID = tuple(
+    MachineConfig.for_way(way, mem_latency=latency)
+    for way in (1, 2, 4, 8)
+    for latency in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 25, 30, 35, 40, 45, 50))
+
+#: Issue-queue capacities 0 (unbounded), 1, 8 and 64, alone and mixed
+#: across the three queues, in one batch.
+QUEUE_MIX = tuple(
+    MachineConfig.for_way(way).with_updates(
+        int_queue_size=int_q, mem_queue_size=mem_q, media_queue_size=media_q)
+    for way in (1, 4)
+    for int_q, mem_q, media_q in ((0, 0, 0), (1, 1, 1), (8, 8, 8),
+                                  (64, 64, 64), (0, 1, 8), (1, 8, 64),
+                                  (64, 0, 1), (8, 64, 0)))
+
+
 @lru_cache(maxsize=None)
-def _kernel_trace(kernel: str, isa: str) -> Trace:
+def _kernel_trace(kernel: str, isa: str, scale: int = 1) -> Trace:
     from repro.experiments.runner import build_kernel_variant
 
-    return build_kernel_variant(kernel, isa, spec=WorkloadSpec(scale=1)).trace
+    return build_kernel_variant(kernel, isa,
+                                spec=WorkloadSpec(scale=scale)).trace
 
 
 def _loop_reference(lowered, configs):
@@ -84,6 +104,7 @@ def _assert_batch_equivalent(trace: Trace, configs, label: str = ""):
         assert got.stall_breakdown == want.stall_breakdown, label
         assert got.timeline == timeline, (
             f"{label}: timeline drifted on {config.name}")
+    return expected
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +115,20 @@ def _assert_batch_equivalent(trace: Trace, configs, label: str = ""):
 def test_vector_equals_loop_on_kernels(kernel, isa):
     _assert_batch_equivalent(_kernel_trace(kernel, isa), CONFIG_BATCH,
                              label=f"{kernel}/{isa}")
+
+
+@pytest.mark.parametrize("kernel, isa", [("comp", "scalar"), ("idct", "mmx")])
+@pytest.mark.parametrize("batch", ["dense_grid", "queue_mix"])
+def test_vector_equals_loop_with_full_issue_queues(kernel, isa, batch):
+    """The regime where issue queues bind: the dense grid at the kernels'
+    default scale, and a batch mixing queue capacities 0, 1, 8 and 64."""
+    from repro.kernels.catalog import default_scale
+
+    configs = DENSE_GRID if batch == "dense_grid" else QUEUE_MIX
+    expected = _assert_batch_equivalent(
+        _kernel_trace(kernel, isa, default_scale(kernel)), configs,
+        label=f"{kernel}/{isa} {batch}")
+    assert any(r.stall_breakdown["issue_queue"] for r in expected)
 
 
 def test_batch_of_one_and_empty_batch():
