@@ -73,8 +73,9 @@ def _construct(streams, columns: bool):
     """Replay every stream through one emission mode, to cache payloads.
 
     This is the cold front-end pipeline minus the kernels' functional
-    semantics: emit every instruction, lower, serialize the trace and the
-    lowering (what a cold sweep writes into the trace cache).
+    semantics: emit every instruction, lower, serialize the trace (what a
+    cold sweep writes into the trace cache).  The lowering's id columns
+    ride along so the two modes' lowerings are compared too.
     """
     payloads = []
     for name, isa, calls in streams:
@@ -83,7 +84,9 @@ def _construct(streams, columns: bool):
         for call in calls:
             emit(*call)
         lowered = trace.lower()
-        payloads.append((trace.to_payload(), lowered.to_payload()))
+        payloads.append((trace.to_payload(), lowered.num_regs,
+                         lowered.shapes, lowered.shape_ids, lowered.srcs,
+                         lowered.dsts, lowered.opcodes, lowered.opcode_ids))
     return payloads
 
 
@@ -132,9 +135,8 @@ def test_cold_build_pipeline_speedup(benchmark):
         n = 0
         for kernel_name, isa in _GRID:
             result = KERNELS[kernel_name].run_variant(isa, columns=columns)
-            lowered = result.trace.lower()
+            result.trace.lower()
             result.trace.to_payload()
-            lowered.to_payload()
             n += len(result.trace)
         return n
 
@@ -176,10 +178,9 @@ def test_cold_build_per_kernel_breakdown(benchmark):
             t0 = time.perf_counter()
             result = KERNELS[kernel_name].run_variant(isa, columns=True)
             t1 = time.perf_counter()
-            lowered = result.trace.lower()
+            result.trace.lower()
             t2 = time.perf_counter()
             result.trace.to_payload()
-            lowered.to_payload()
             t3 = time.perf_counter()
             entry = breakdown.setdefault(
                 kernel_name,

@@ -748,9 +748,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"  total    {stats.total_entries:6d} entr"
               f"{'y' if stats.total_entries == 1 else 'ies'}, "
               f"{_format_bytes(stats.total_bytes)}")
-        if stats.entries["traces"]:
-            print(f"  lowered payloads: {stats.lowered_entries} current, "
-                  f"{stats.stale_lowered_entries} stale/absent")
         if stats.tmp_files:
             print(f"  orphaned temp files: {stats.tmp_files} "
                   f"({_format_bytes(stats.tmp_bytes)}), "

@@ -16,8 +16,9 @@ bounded garbage, never corruption.
 Atomic replacement protects against *half-written* entries; it cannot
 protect against bytes that rot **after** the rename (disk corruption, a
 truncating copy, an interrupted rsync).  For that, cache entries embed a
-content checksum: :func:`stamp_checksum` adds a SHA-256 over the entry's
-canonical JSON, and :func:`verify_checksum` re-derives it on read.  A
+content checksum: :func:`encode_stamped` hashes the entry's canonical
+JSON and returns that same text with the stamp appended — a put encodes
+its entry once — and :func:`verify_checksum` re-derives the hash on read.  A
 mismatched entry is quarantined by its store (renamed to ``*.corrupt``,
 see :data:`CORRUPT_SUFFIX`) and reads as a plain miss — recomputed, never
 trusted.  Entries written before checksums existed carry no stamp and are
@@ -33,8 +34,8 @@ import tempfile
 from typing import Any, Dict
 
 __all__ = ["CHECKSUM_FIELD", "CORRUPT_SUFFIX", "TMP_SUFFIX",
-           "atomic_write_json", "payload_checksum", "quarantine_corrupt",
-           "stamp_checksum", "verify_checksum"]
+           "atomic_write_json", "atomic_write_text", "encode_stamped",
+           "payload_checksum", "quarantine_corrupt", "verify_checksum"]
 
 #: Suffix of in-flight temporary files; the cache manager recognises (and
 #: eventually sweeps) stale files carrying it.
@@ -49,6 +50,14 @@ CORRUPT_SUFFIX = ".corrupt"
 CHECKSUM_FIELD = "checksum"
 
 
+#: How a checksum's canonical JSON is encoded.
+_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+
+def _digest(canonical: str) -> str:
+    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(entry: Dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON of ``entry`` minus its own stamp.
 
@@ -56,14 +65,23 @@ def payload_checksum(entry: Dict[str, Any]) -> str:
     the digest from a loaded entry without copying it first.
     """
     body = {k: v for k, v in entry.items() if k != CHECKSUM_FIELD}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(json.dumps(body, **_CANONICAL))
 
 
-def stamp_checksum(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """Embed the content checksum into ``entry`` (in place) and return it."""
-    entry[CHECKSUM_FIELD] = payload_checksum(entry)
-    return entry
+def encode_stamped(entry: Dict[str, Any]) -> str:
+    """Stamp ``entry``'s checksum (in place) and return the text to store.
+
+    The text is the canonical JSON the checksum hashes, with the stamp
+    appended as the last member: one :func:`json.dumps` per entry.  Read
+    back, it gives ``entry``, whose canonical re-encoding is the hashed
+    text again, so :func:`verify_checksum` accepts it (as it accepts
+    entries written with the stamp in sorted position).
+    """
+    entry.pop(CHECKSUM_FIELD, None)
+    canonical = json.dumps(entry, **_CANONICAL)
+    stamp = entry[CHECKSUM_FIELD] = _digest(canonical)
+    separator = "," if canonical != "{}" else ""
+    return f'{canonical[:-1]}{separator}"{CHECKSUM_FIELD}":"{stamp}"}}'
 
 
 def verify_checksum(entry: Any) -> bool:
@@ -98,15 +116,21 @@ def quarantine_corrupt(path: str) -> bool:
 def atomic_write_json(path: str, obj: Any, **dump_kwargs: Any) -> None:
     """Write ``obj`` as JSON to ``path`` atomically (tempfile + rename).
 
+    ``dump_kwargs`` pass through to :func:`json.dumps` (``sort_keys``,
+    ``separators``, ``indent``, ...).  The entry is encoded to one string
+    first: :func:`json.dumps` uses the C encoder, which :func:`json.dump`
+    never does, and the bytes are the same.
+    """
+    atomic_write_text(path, json.dumps(obj, **dump_kwargs))
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (tempfile + rename).
+
     The temporary file lives in ``path``'s directory (same filesystem, so
     the final :func:`os.replace` is atomic) and is unlinked on any failure
-    between creation and rename.  ``dump_kwargs`` pass through to
-    :func:`json.dumps` (``sort_keys``, ``separators``, ``indent``, ...).
-    The entry is encoded to one string first: :func:`json.dumps` uses the
-    C encoder, which :func:`json.dump` never does, and the bytes are the
-    same.
+    between creation and rename.
     """
-    text = json.dumps(obj, **dump_kwargs)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=TMP_SUFFIX)
     try:

@@ -35,8 +35,8 @@ from collections import Counter
 from dataclasses import fields
 from typing import Any, Dict
 
-from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
-                                   stamp_checksum, verify_checksum)
+from repro.common.atomicio import (atomic_write_text, encode_stamped,
+                                   quarantine_corrupt, verify_checksum)
 from repro import versions
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
@@ -238,7 +238,7 @@ class ResultCache:
             "sim": sim_to_dict(sim),
             "stats": stats_to_dict(stats),
         }
-        atomic_write_json(path, stamp_checksum(entry), sort_keys=True)
+        atomic_write_text(path, encode_stamped(entry))
         return key
 
     def load_result(self, entry: Dict[str, Any]):

@@ -31,7 +31,10 @@ configuration in the group off the shared
 program end to end: the builders emit into flat columns, the lowering is
 a zero-copy adoption of those columns, the cached payload serializes from
 them and the group's trace statistics are computed column-natively — no
-per-instruction Python objects exist anywhere on the path.  Under a worker pool one group
+per-instruction Python objects exist anywhere on the path.  A trace-cache
+hit revives those same columns, so a warm-miss group creates no
+instruction objects either and imports no NumPy unless the group is large
+enough for the vector backend.  Under a worker pool one group
 is one task, so no two workers ever build the same trace concurrently (the
 old cold-cache duplicate-build race is gone by construction), and the
 build/lowering cost is amortised to ~zero per point.
@@ -215,17 +218,18 @@ def _acquire_trace(point: SweepPoint,
     """Fetch the point's functional trace from the cache or build it once.
 
     Returns ``(trace, from_cache)``.  A fresh build is verified against
-    the golden reference (it raises otherwise) and stores its trace (with
-    the lowered payload) for every later run and worker.
+    the golden reference (it raises otherwise) and stores its trace for
+    every later run and worker.  Only a miss imports the kernels (and with
+    them NumPy): a hit is a column-mode trace, simulated in pure Python.
     """
-    # Local import: avoids a cycle with the experiments layer, which
-    # imports the engine.
-    from repro.experiments.runner import build_kernel_variant
-
     if traces is not None:
         trace = traces.get(point)
         if trace is not None:
             return trace, True
+    # Local import: avoids a cycle with the experiments layer, which
+    # imports the engine.
+    from repro.experiments.runner import build_kernel_variant
+
     build = build_kernel_variant(point.kernel, point.isa, spec=point.spec)
     if traces is not None:
         traces.put(point, build.trace)

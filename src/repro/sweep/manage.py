@@ -36,7 +36,7 @@ Quarantined corrupt entries
 ---------------------------
 
 Entries embed a content checksum
-(:func:`repro.common.atomicio.stamp_checksum`); a store that reads an
+(:func:`repro.common.atomicio.encode_stamped`); a store that reads an
 unparseable or checksum-mismatched entry quarantines it as ``*.corrupt``
 and treats the key as a miss.  :func:`cache_stats` counts the quarantined
 files, and :func:`gc_cache` / :func:`clear_cache` sweep them regardless of
@@ -48,14 +48,12 @@ The CLI exposes all of this as ``repro cache stats|gc|clear``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.atomicio import CORRUPT_SUFFIX, TMP_SUFFIX
 from repro.sweep.tracecache import TRACE_SUBDIR
-from repro.timing.lowered import LOWERING_VERSION
 
 __all__ = ["CacheEntry", "CacheStats", "GCReport", "TMP_GRACE_SECONDS",
            "iter_cache_entries", "iter_corrupt_files", "iter_tmp_files",
@@ -88,12 +86,6 @@ class CacheStats:
         default_factory=lambda: {s: 0 for s in _SECTIONS})
     bytes: Dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in _SECTIONS})
-    #: Trace entries carrying a lowered payload of the *live*
-    #: LOWERING_VERSION (a warm read of these skips the lowering pass too).
-    lowered_entries: int = 0
-    #: Trace entries whose lowered payload is missing or version-stale
-    #: (still valid traces; they re-lower on first use).
-    stale_lowered_entries: int = 0
     #: Orphaned ``*.tmp`` files from interrupted atomic writes (all ages).
     tmp_files: int = 0
     tmp_bytes: int = 0
@@ -127,8 +119,6 @@ class CacheStats:
             "bytes": dict(self.bytes),
             "total_entries": self.total_entries,
             "total_bytes": self.total_bytes,
-            "lowered_entries": self.lowered_entries,
-            "stale_lowered_entries": self.stale_lowered_entries,
             "tmp_files": self.tmp_files,
             "tmp_bytes": self.tmp_bytes,
             "stale_tmp_files": self.stale_tmp_files,
@@ -223,27 +213,13 @@ def iter_corrupt_files(cache_dir: str) -> Iterator[Tuple[str, int, float]]:
     yield from _iter_suffixed(cache_dir, CORRUPT_SUFFIX)
 
 
-def _has_live_lowering(path: str) -> bool:
-    """Whether a trace entry embeds a current-LOWERING_VERSION payload."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            entry = json.load(f)
-        lowered = entry.get("lowered")
-        return (isinstance(lowered, dict)
-                and lowered.get("lowering_version") == LOWERING_VERSION)
-    except (OSError, ValueError):
-        return False
-
-
 def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
     """Scan a cache root and return per-section entry/byte counts.
 
-    Trace entries are additionally opened to classify their lowered
-    payloads (:attr:`CacheStats.lowered_entries` /
-    :attr:`CacheStats.stale_lowered_entries`), and orphaned temporary
-    files are counted (stale = older than :data:`TMP_GRACE_SECONDS`
-    relative to ``now``, defaulting to the current time) — this is an
-    admin-path scan, not something the sweep hot path ever runs.
+    Orphaned temporary files are counted (stale = older than
+    :data:`TMP_GRACE_SECONDS` relative to ``now``, defaulting to the
+    current time) — this is an admin-path scan, not something the sweep
+    hot path ever runs.
     """
     import time
 
@@ -252,11 +228,6 @@ def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
     for entry in iter_cache_entries(cache_dir):
         stats.entries[entry.section] += 1
         stats.bytes[entry.section] += entry.size
-        if entry.section == "traces":
-            if _has_live_lowering(entry.path):
-                stats.lowered_entries += 1
-            else:
-                stats.stale_lowered_entries += 1
         if stats.oldest_mtime is None or entry.mtime < stats.oldest_mtime:
             stats.oldest_mtime = entry.mtime
         if stats.newest_mtime is None or entry.mtime > stats.newest_mtime:

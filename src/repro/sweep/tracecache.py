@@ -32,17 +32,13 @@ rebuilt rather than crashing the sweep.
 
 Writing an entry is object-free on the cold path: a column-built trace
 (:mod:`repro.trace.columns`) serializes its payload straight from the
-emission record pool and its lowering is the zero-copy adoption of the
-same columns — ``put`` never materialises per-instruction objects.
-
-Each entry also embeds the trace's **lowered payload** (the flat-array
-compilation the fast timing backend executes, see
-:mod:`repro.timing.lowered`), stamped with
-:data:`~repro.timing.lowered.LOWERING_VERSION`.  A hit revives the lowering
-together with the trace, so a warm-miss sweep does zero front-end builds
-*and* zero lowering passes; a version-mismatched or malformed lowered
-payload is simply ignored (the trace re-lowers on demand) — never a miss
-for the trace itself.
+emission record pool, and the entry is encoded once — the checksum hashes
+the very text that is written.  Reading one is object-free too: a hit
+revives a column-mode trace (:meth:`Trace.from_payload
+<repro.trace.container.Trace.from_payload>`), whose lowering is the
+zero-copy adoption of its columns, and imports no NumPy, no kernel and no
+front end.  Entries written by older versions also carry a ``"lowered"``
+payload; readers ignore it.
 
 Reads touch the entry's mtime, making ``repro cache gc`` eviction true LRU
 rather than write-time LRU.
@@ -53,15 +49,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
-                                   stamp_checksum, verify_checksum)
+from repro.common.atomicio import (atomic_write_text, encode_stamped,
+                                   quarantine_corrupt, verify_checksum)
 from repro import versions
 from repro.sweep.spec import SweepPoint
-from repro.timing.lowered import LoweredTrace
 from repro.trace.container import Trace
-from repro.workloads.generators import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.workloads.generators import WorkloadSpec
 
 __all__ = ["TraceCache", "trace_key"]
 
@@ -141,10 +138,7 @@ class TraceCache:
         entry that fails to parse or whose embedded content checksum
         mismatches is additionally **quarantined** to ``<entry>.corrupt``
         (counted in :attr:`corrupt` and by ``repro cache stats``; ``gc``
-        sweeps it).  A valid entry whose *lowered* payload is stale
-        (different :data:`~repro.timing.lowered.LOWERING_VERSION`) or
-        malformed is still a hit — the lowering is recomputed from the
-        trace on demand.
+        sweeps it).
 
         A hit touches the entry's mtime so age/size eviction
         (:func:`repro.sweep.manage.gc_cache`) is least-recently-*used*, not
@@ -171,12 +165,6 @@ class TraceCache:
             # plain miss, not corruption.
             self.misses += 1
             return None
-        lowered_payload = entry.get("lowered")
-        if isinstance(lowered_payload, dict):
-            try:
-                trace.attach_lowered(LoweredTrace.from_payload(lowered_payload))
-            except (ValueError, KeyError, IndexError, TypeError):
-                pass
         try:
             os.utime(path, None)
         except OSError:
@@ -185,7 +173,7 @@ class TraceCache:
         return trace
 
     def put(self, point: SweepPoint, trace: Trace) -> str:
-        """Store one trace (with its lowered payload); returns the cache key.
+        """Store one trace; returns the cache key.
 
         The write is atomic (tempfile + rename), so concurrent sweeps and
         worker processes sharing the directory never observe a half-written
@@ -202,11 +190,6 @@ class TraceCache:
             "isa": point.isa,
             "workload": {"scale": point.spec.scale, "seed": point.spec.seed},
             "trace": trace.to_payload(),
-            # The flat-array compilation, self-stamped with the live
-            # LOWERING_VERSION; readers on another lowering version ignore
-            # it and re-lower from the trace.
-            "lowered": trace.lower().to_payload(),
         }
-        atomic_write_json(path, stamp_checksum(entry), sort_keys=True,
-                          separators=(",", ":"))
+        atomic_write_text(path, encode_stamped(entry))
         return key

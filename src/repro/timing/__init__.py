@@ -17,12 +17,12 @@ completes.
 
 from repro._lazy import lazy_exports
 from repro.timing.config import MachineConfig, WAY_CONFIGS
-from repro.timing.dispatch import BACKENDS, resolve_execution, simulate_batch
+from repro.timing.dispatch import (BACKENDS, VECTOR_MIN_BATCH,
+                                   resolve_execution, simulate_batch)
 from repro.timing.results import SimResult
 
 __all__ = [
     "BACKENDS",
-    "LOWERING_VERSION",
     "LoweredTrace",
     "MachineConfig",
     "VECTOR_MIN_BATCH",
@@ -39,7 +39,6 @@ __all__ = [
 # The modules above import no NumPy; the backends' names load on first use.
 __getattr__ = lazy_exports(__name__, {
     "repro.timing.core": ["OutOfOrderCore", "simulate_trace"],
-    "repro.timing.lowered": ["LOWERING_VERSION", "LoweredTrace",
-                             "lower_trace"],
-    "repro.timing.vector": ["VECTOR_MIN_BATCH", "run_lowered_batch"],
+    "repro.timing.lowered": ["LoweredTrace", "lower_trace"],
+    "repro.timing.vector": ["run_lowered_batch"],
 })

@@ -28,10 +28,10 @@ compiles a trace into a :class:`LoweredTrace` of parallel flat arrays:
 :meth:`~repro.trace.container.Trace.lower` memoises the lowered form on the
 trace instance, and the sweep engine's batching simulates every
 configuration sharing a trace off one ``LoweredTrace`` — lowering cost is
-amortised to ~zero per sweep point.  The lowered form also serializes
-(:meth:`LoweredTrace.to_payload` / :meth:`LoweredTrace.from_payload`) so the
-trace cache can store it alongside the trace; :data:`LOWERING_VERSION`
-stamps those payloads and a mismatch simply falls back to re-lowering.
+amortised to ~zero per sweep point.  A column-mode trace (built by the
+front end or revived from the trace cache) skips this pass altogether: its
+columns already are a ``LoweredTrace``
+(:meth:`~repro.trace.columns.TraceColumns.adopt_lowered`).
 
 Cycle counts are **bit-identical** to the object loop — the golden snapshot
 suite and the equivalence tests in ``tests/timing/test_lowered.py`` pin that.
@@ -39,24 +39,14 @@ suite and the equivalence tests in ``tests/timing/test_lowered.py`` pin that.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.isa.opclasses import OpClass, RegFile
 
-__all__ = ["LOWERING_VERSION", "LOWERED_PAYLOAD_FORMAT", "REG_POOL_ORDER",
-           "LoweredTrace", "lower_trace"]
+if TYPE_CHECKING:
+    import numpy as np
 
-#: Version tag of the lowering pass.  Folded into every lowered payload the
-#: trace cache stores; a reader that finds a different version ignores the
-#: payload and re-lowers from the trace (never a correctness problem).  Bump
-#: whenever the lowered representation or its payload encoding changes.
-LOWERING_VERSION = "1"
-
-#: Version of the serialized lowered-payload layout (mirrors
-#: ``TRACE_PAYLOAD_FORMAT``; readers treat an unknown format as absent).
-LOWERED_PAYLOAD_FORMAT = 1
+__all__ = ["REG_POOL_ORDER", "LoweredTrace", "lower_trace"]
 
 #: Fixed order in which :meth:`OutOfOrderCore.run_lowered` materialises the
 #: rename slot pools; a lowered destination's ``pool`` field is an index into
@@ -117,14 +107,17 @@ class LoweredTrace:
     # in CSR form (``*_flat`` values + an ``indptr`` of row boundaries:
     # row ``i`` is ``flat[indptr[i]:indptr[i + 1]]``).  The vector batch
     # backend (repro.timing.vector) consumes these; the list rows remain
-    # the canonical form for the payload round-trip and the per-config
-    # lowered interpreter, so the columns are built lazily on first use
-    # (and never on the lowered/object-only simulation paths).
+    # the canonical form for the per-config lowered interpreter, so the
+    # columns are built lazily on first use (and never on the
+    # lowered/object-only simulation paths, which therefore import no
+    # NumPy).
 
     def _build_columns(self) -> dict:
         cols = self._columns
         if cols is not None:
             return cols
+        import numpy as np
+
         n = self.num_instructions
         srcs, dsts = self.srcs, self.dsts
         src_indptr = np.zeros(n + 1, dtype=np.int32)
@@ -224,113 +217,6 @@ class LoweredTrace:
         return (f"LoweredTrace(name={self.name!r}, isa={self.isa!r}, "
                 f"n={self.num_instructions}, shapes={len(self.shapes)}, "
                 f"regs={self.num_regs})")
-
-    # ------------------------------------------------------------------
-    # compact (de)serialization
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Serialize to a compact JSON-able dict.
-
-        Like :meth:`Trace.to_payload`, whole per-instruction rows
-        ``(shape_id, srcs, dsts, opcode_id)`` are deduplicated into a pool —
-        kernels are loops, so the dynamic sequence reuses a few hundred
-        distinct rows.  Destination triples flatten to
-        ``[reg, pool, is_acc, ...]`` integer runs.
-        """
-        pool: Dict[tuple, int] = {}
-        sequence: List[int] = []
-        for row in zip(self.shape_ids, self.srcs, self.dsts, self.opcode_ids):
-            index = pool.setdefault(row, len(pool))
-            sequence.append(index)
-        return {
-            "format": LOWERED_PAYLOAD_FORMAT,
-            "lowering_version": LOWERING_VERSION,
-            "name": self.name,
-            "isa": self.isa,
-            "num_instructions": self.num_instructions,
-            "total_ops": self.total_ops,
-            "num_regs": self.num_regs,
-            "shapes": [[opclass.value, vly, int(non_pipelined)]
-                       for opclass, vly, non_pipelined in self.shapes],
-            "opcodes": list(self.opcodes),
-            "pool": [
-                [sid, list(srcs),
-                 [x for reg, pi, acc in dsts for x in (reg, pi, int(acc))],
-                 oid]
-                for sid, srcs, dsts, oid in pool
-            ],
-            "instrs": sequence,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "LoweredTrace":
-        """Reconstruct a lowered trace from :meth:`to_payload` output.
-
-        Raises ``ValueError`` on an unknown payload format, a lowering
-        version other than the live :data:`LOWERING_VERSION`, or any
-        internal inconsistency (instruction count vs row sequence, out-of-
-        range shape/register/pool/opcode ids) — the timing backend trusts a
-        revived lowering completely, so a corrupt-but-parseable payload
-        must be rejected here rather than silently simulate wrong numbers.
-        Callers (the trace cache) treat all of that, along with
-        ``KeyError``/``IndexError``/``TypeError`` from malformed rows, as
-        "no lowered payload" and re-lower from the trace.
-        """
-        if payload.get("format") != LOWERED_PAYLOAD_FORMAT:
-            raise ValueError(
-                f"unknown lowered payload format {payload.get('format')!r}")
-        if payload.get("lowering_version") != LOWERING_VERSION:
-            raise ValueError(
-                f"lowered payload version {payload.get('lowering_version')!r} "
-                f"!= live lowering version {LOWERING_VERSION!r}")
-        shapes = [(OpClass(value), vly, bool(non_pipelined))
-                  for value, vly, non_pipelined in payload["shapes"]]
-        num_regs = payload["num_regs"]
-        num_opcodes = len(payload["opcodes"])
-        num_pools = len(REG_POOL_ORDER)
-        shape_ids: List[int] = []
-        srcs: List[Tuple[int, ...]] = []
-        dsts: List[Tuple[Tuple[int, int, bool], ...]] = []
-        opcode_ids: List[int] = []
-        pool = []
-        for sid, row_srcs, flat_dsts, oid in payload["pool"]:
-            row_dsts = tuple(
-                (flat_dsts[j], flat_dsts[j + 1], bool(flat_dsts[j + 2]))
-                for j in range(0, len(flat_dsts), 3))
-            if not (0 <= sid < len(shapes) and 0 <= oid < num_opcodes):
-                raise ValueError("lowered payload row references an unknown "
-                                 "shape or opcode")
-            if (len(flat_dsts) % 3 != 0
-                    or any(not 0 <= r < num_regs for r in row_srcs)
-                    or any(not (0 <= reg < num_regs and 0 <= pi < num_pools)
-                           for reg, pi, _acc in row_dsts)):
-                raise ValueError("lowered payload row has out-of-range "
-                                 "register or pool ids")
-            pool.append((sid, tuple(row_srcs), row_dsts, oid))
-        for index in payload["instrs"]:
-            sid, row_srcs, row_dsts, oid = pool[index]
-            shape_ids.append(sid)
-            srcs.append(row_srcs)
-            dsts.append(row_dsts)
-            opcode_ids.append(oid)
-        if len(shape_ids) != payload["num_instructions"]:
-            raise ValueError(
-                f"lowered payload claims {payload['num_instructions']} "
-                f"instructions but encodes {len(shape_ids)}")
-        return cls(
-            name=payload["name"],
-            isa=payload["isa"],
-            num_instructions=payload["num_instructions"],
-            total_ops=payload["total_ops"],
-            num_regs=payload["num_regs"],
-            shapes=shapes,
-            shape_ids=shape_ids,
-            srcs=srcs,
-            dsts=dsts,
-            opcodes=list(payload["opcodes"]),
-            opcode_ids=opcode_ids,
-        )
 
 
 def lower_trace(trace) -> LoweredTrace:

@@ -47,11 +47,9 @@ reference trace (``motion1``/scalar, a structural ablation grid, 2-CPU
 host, Python 3.11) the measured cut-over is ~20 configurations, and the
 array program is ~2.4x faster per config at 64 configurations, ~5.5x at
 256 and ~6.5x at 384, asymptotically bounded by the per-row array work.
-:func:`run_lowered_batch` picks the strategy automatically:
-batches smaller than :data:`VECTOR_MIN_BATCH` run the per-config lowered
-interpreter, larger ones run the array program; ``force_vector`` overrides
-in both directions (the equivalence suites use it to pin the array program
-against the interpreter).
+The rule that picks between the two (``VECTOR_MIN_BATCH`` and the cell
+budget) and the per-config loop live in :mod:`repro.timing.dispatch`,
+which loads this module only when the array program runs.
 """
 
 from __future__ import annotations
@@ -64,19 +62,12 @@ from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
 from repro.timing.core import (VL_RENAME_SLOTS, OutOfOrderCore,
                                completion_latency, occupancy_of)
+from repro.timing.dispatch import (VECTOR_MIN_BATCH, _auto_uses_vector,
+                                   simulate_lowered)
 from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
 
-__all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH",
-           "effective_min_batch", "run_lowered_batch"]
-
-#: Smallest batch for which the array program is worth its per-row NumPy
-#: dispatch overhead; below it :func:`run_lowered_batch` loops the
-#: per-config lowered interpreter instead.  Measured cut-over on the
-#: reference trace is ~20 configs; the margin keeps the loop path on
-#: machines where NumPy dispatch is relatively more expensive, and no
-#: shipped group lies inside it (paper groups hold at most 4 configs).
-VECTOR_MIN_BATCH = 64
+__all__ = ["VECTOR_MIN_BATCH", "effective_min_batch", "run_lowered_batch"]
 
 
 def effective_min_batch() -> int:
@@ -84,21 +75,6 @@ def effective_min_batch() -> int:
     function because ``perfbench/run.py`` checks routing against it."""
     return VECTOR_MIN_BATCH
 
-#: Upper bound on ``instructions x configs`` for the *automatic* vector
-#: choice.  The array program's working set is O(n x N) — the interleaved
-#: history alone is ``16 * n * N`` bytes, the busy planes ~``10 * n * N``
-#: — versus O(n) for the per-config interpreter, so a huge trace swept
-#: over a wide batch should not be silently routed into hundreds of MB of
-#: scratch.  At this bound the scratch stays around half a GB.  Explicit
-#: ``backend="vector"`` / ``force_vector=True`` bypasses the budget.
-VECTOR_AUTO_CELL_BUDGET = 1 << 24
-
-
-def _auto_uses_vector(num_configs: int, num_instructions: int) -> bool:
-    """The ``auto`` rule shared by :func:`run_lowered_batch` and the
-    dispatch layer's :func:`~repro.timing.dispatch.resolve_execution`."""
-    return (num_configs >= VECTOR_MIN_BATCH
-            and num_configs * num_instructions <= VECTOR_AUTO_CELL_BUDGET)
 
 _HUGE = 1 << 60
 
@@ -118,37 +94,17 @@ def run_lowered_batch(lowered: LoweredTrace,
     same ``(opcode, rename, ready, issue, complete, commit)`` tuples the
     scalar cores expose).
 
-    ``force_vector`` pins the execution strategy: ``True`` always runs the
-    array program, ``False`` always loops the per-config interpreter, and
-    ``None`` (the default) picks by batch size against
-    :data:`VECTOR_MIN_BATCH`, capped by the
-    :data:`VECTOR_AUTO_CELL_BUDGET` memory budget.
-
-    One class of trace is declined by the array program regardless of
-    ``force_vector``: instructions with two destinations in the *same*
-    rename pool (no kernel builder emits them) break the sliding-window
-    pool premise — a full pool pops exactly once per push — so those
-    traces always run the per-config interpreter, keeping the
-    bit-identity contract unconditional.
+    ``force_vector`` pins the execution strategy: ``True`` runs the array
+    program (unless the trace has two destinations in one rename pool,
+    which it declines), ``False`` loops the per-config interpreter, and
+    ``None`` (the default) applies the dispatch layer's ``auto`` rule.
     """
     configs = list(configs)
     if force_vector is None:
-        use_vector = _auto_uses_vector(len(configs),
-                                       lowered.num_instructions)
-    else:
-        use_vector = bool(force_vector)
-    if use_vector and lowered.has_same_pool_multi_dst:
-        use_vector = False
-    if use_vector:
-        return _run_vector(lowered, configs, record_timeline)
-    results = []
-    for config in configs:
-        core = OutOfOrderCore(config)
-        result = core.run_lowered(lowered, record_timeline=record_timeline)
-        if record_timeline:
-            result.timeline = core.timeline
-        results.append(result)
-    return results
+        force_vector = _auto_uses_vector(len(configs),
+                                         lowered.num_instructions)
+    return simulate_lowered(lowered, configs, vector=bool(force_vector),
+                            record_timeline=record_timeline)
 
 
 def _issue_queue(caps: np.ndarray, dtype: np.dtype) -> Optional[tuple]:

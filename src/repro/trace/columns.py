@@ -31,10 +31,13 @@ assign ids in.  The payload-equality suite in ``tests/trace/test_columns.py``
 pins column-built traces to the object path on the full kernel x ISA grid.
 
 :class:`~repro.trace.instruction.DynInstr` objects are only materialised
-when someone *iterates* the trace (debugging, the object timing backend, a
-payload round-trip through old code); :meth:`materialize` builds one
-instruction per distinct row and shares it across the sequence, like
-``Trace.from_payload`` always has.
+when someone *iterates* the trace (debugging, the object timing
+backend); :meth:`materialize` builds one instruction per distinct row and
+shares it across the sequence.
+
+:meth:`from_rows` builds the same columns from a trace payload's pool
+and row sequence, so a trace-cache hit revives straight into this
+recorder, with no emission pass and no instruction objects.
 
 Everything here is import-light on purpose: the timing package imports
 ``repro.trace.container`` at startup, so the :class:`LoweredTrace` bridge
@@ -105,6 +108,33 @@ class TraceColumns:
         # Set once a LoweredTrace shares the lists above; the next emit
         # replaces them with copies first (copy-on-write).
         self._adopted = False
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple],
+                  sequence: Sequence[int]) -> "TraceColumns":
+        """Columns recording ``sequence`` over the distinct ``rows``.
+
+        ``rows`` are :meth:`emit` records and ``sequence`` indexes them —
+        a trace payload's pool and ``instrs``
+        (:meth:`~repro.trace.container.Trace.from_payload`).  The rows are
+        interned in the given order; when that is first-occurrence order,
+        as in every payload :meth:`to_payload` writes, every id equals the
+        one emission would have assigned.  Raises ``IndexError`` on a
+        sequence entry past the last row.
+        """
+        cols = cls()
+        for key in rows:
+            cols._intern_row(key)
+        row_cols = cols._row_cols
+        picked = [row_cols[rid] for rid in sequence]
+        cols._sequence = list(sequence)
+        cols.shape_ids = [row[0] for row in picked]
+        cols.srcs = [row[1] for row in picked]
+        cols.dsts = [row[2] for row in picked]
+        cols.opcode_ids = [row[3] for row in picked]
+        row_ops = [key[4] for key in rows]
+        cols.total_ops = sum([row_ops[rid] for rid in sequence])
+        return cols
 
     def __len__(self) -> int:
         return len(self._sequence)
@@ -293,9 +323,8 @@ class TraceColumns:
         """Build the :class:`~repro.trace.instruction.DynInstr` sequence.
 
         One instruction object per distinct record, shared across the
-        dynamic sequence (instructions are frozen values; this mirrors
-        ``Trace.from_payload``).  Called lazily — only when someone
-        actually iterates the trace.
+        dynamic sequence (instructions are frozen values).  Called lazily
+        — only when someone actually iterates the trace.
         """
         from repro.trace.instruction import DynInstr
 

@@ -10,7 +10,8 @@ faster than re-running the functional front end.
 
 A trace has two interchangeable storages:
 
-``column mode`` (the builders' default)
+``column mode`` (the builders' default, and every single-ISA payload
+:meth:`from_payload` revives)
     Instructions live in a :class:`~repro.trace.columns.TraceColumns`
     recorder — flat id columns in the lowered-array layout, with whole
     records interned into a pool.  :meth:`lower` is a zero-copy adoption,
@@ -20,8 +21,9 @@ A trace has two interchangeable storages:
 
 ``object mode``
     A plain list of :class:`DynInstr` — what :meth:`append` /
-    :meth:`extend` build, what :meth:`from_payload` revives, and what any
-    column trace degrades to on mutation.  The readable reference path.
+    :meth:`extend` build, what :meth:`from_payload` revives a mixed-ISA
+    payload as, and what any column trace degrades to on mutation.  The
+    readable reference path.
 
 Both modes produce byte-identical payloads and structurally identical
 lowerings; ``tests/trace/test_columns.py`` pins the equivalence on the
@@ -34,7 +36,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.isa.opclasses import OpClass, RegFile
 from repro.trace.columns import TraceColumns
-from repro.trace.instruction import DynInstr, RegRef
+from repro.trace.instruction import DynInstr, ref_interner
 
 __all__ = ["Trace", "TRACE_PAYLOAD_FORMAT"]
 
@@ -215,19 +217,6 @@ class Trace:
                 self._lowered = lower_trace(self)
         return self._lowered
 
-    def attach_lowered(self, lowered) -> None:
-        """Pre-seed the lowering memo (trace-cache deserialization path).
-
-        The caller asserts that ``lowered`` is the compilation of exactly
-        this instruction sequence; a length mismatch is rejected as the
-        cheap sanity check.
-        """
-        if lowered.num_instructions != len(self):
-            raise ValueError(
-                f"lowered trace has {lowered.num_instructions} instructions, "
-                f"trace has {len(self)}")
-        self._lowered = lowered
-
     # ------------------------------------------------------------------
     # compact (de)serialization
     # ------------------------------------------------------------------
@@ -302,15 +291,18 @@ class Trace:
     def from_payload(cls, payload: Dict[str, Any]) -> "Trace":
         """Reconstruct a trace from :meth:`to_payload` output.
 
-        Identical dynamic instructions share one (immutable)
-        :class:`~repro.trace.instruction.DynInstr` instance — the timing
-        model and the statistics pass treat instructions as values, so
-        reviving a pool of a few hundred distinct records is orders of
-        magnitude cheaper than re-running the functional front end.
+        A payload whose records all carry the trace's own ISA (every trace
+        a builder emits) revives in column mode
+        (:meth:`TraceColumns.from_rows`): no
+        :class:`~repro.trace.instruction.DynInstr` is built, :meth:`lower`
+        adopts the columns and the statistics weight each distinct record
+        by its multiplicity.  A mixed-ISA payload revives in object mode,
+        the rule :meth:`emit` applies.
 
-        Raises ``ValueError`` on an unknown payload format and lets
-        ``KeyError``/``IndexError``/``TypeError`` escape on malformed data —
-        cache readers treat all of those as a miss.
+        Raises ``ValueError`` on an unknown payload format and
+        ``IndexError`` on an ``instrs`` entry outside the pool, and lets
+        ``KeyError``/``IndexError``/``TypeError`` escape on other malformed
+        data — cache readers treat all of those as a miss.
         """
         if payload.get("format") != TRACE_PAYLOAD_FORMAT:
             raise ValueError(
@@ -318,25 +310,28 @@ class Trace:
         opcodes = payload["opcodes"]
         opclasses = [OpClass(v) for v in payload["opclasses"]]
         isas = payload["isas"]
-        regfiles = [RegFile(v) for v in payload["regfiles"]]
+        refs = [ref_interner(RegFile(v)) for v in payload["regfiles"]]
 
         def unpack_refs(packed) -> tuple:
-            return tuple(RegRef(file=regfiles[packed[j]], index=packed[j + 1])
+            return tuple(refs[packed[j]](packed[j + 1])
                          for j in range(0, len(packed), 2))
 
-        pool = []
-        for row in payload["pool"]:
-            op_i, cls_i, isa_i, ops, vlx, vly, flags, srcs, dsts = row
-            pool.append(DynInstr(
-                opcode=opcodes[op_i],
-                opclass=opclasses[cls_i],
-                isa=isas[isa_i],
-                srcs=unpack_refs(srcs),
-                dsts=unpack_refs(dsts),
-                ops=ops, vlx=vlx, vly=vly,
-                is_vector=bool(flags & _FLAG_VECTOR),
-                non_pipelined=bool(flags & _FLAG_NON_PIPELINED),
-            ))
+        pool = payload["pool"]
+        # Column-recorder records (see TraceColumns.emit) and their ISAs.
+        rows = [(opcodes[op_i], opclasses[cls_i], unpack_refs(srcs),
+                 unpack_refs(dsts), ops, vlx, vly, bool(flags & _FLAG_VECTOR),
+                 bool(flags & _FLAG_NON_PIPELINED))
+                for op_i, cls_i, _isa_i, ops, vlx, vly, flags, srcs, dsts
+                in pool]
+        row_isas = [isas[row[2]] for row in pool]
+        sequence = payload["instrs"]
+        if sequence and min(sequence) < 0:
+            raise IndexError("trace payload references a negative pool row")
         trace = cls(name=payload["name"], isa=payload["isa"])
-        trace._instrs = [pool[i] for i in payload["instrs"]]
+        if all(isa == trace.isa for isa in row_isas):
+            trace._columns = TraceColumns.from_rows(rows, sequence)
+        else:
+            instrs = [DynInstr(row[0], row[1], isa, *row[2:])
+                      for row, isa in zip(rows, row_isas)]
+            trace._instrs = [instrs[i] for i in sequence]
         return trace

@@ -1,11 +1,13 @@
-"""Atomic JSON writes: the bytes on disk are what ``json.dump`` writes."""
+"""Atomic JSON writes: the bytes on disk are what ``json.dump`` writes,
+and a cache entry is encoded once for its checksum and its file."""
 
 import io
 import json
 
 import pytest
 
-from repro.common.atomicio import atomic_write_json, stamp_checksum
+from repro.common.atomicio import (atomic_write_json, encode_stamped,
+                                   verify_checksum)
 from repro.sweep.cache import ResultCache
 from repro.sweep.spec import SweepPoint
 from repro.timing.config import MachineConfig
@@ -26,8 +28,9 @@ def _dump(obj, **kwargs) -> bytes:
     {"indent": 2},
 ], ids=["result-entry", "trace-entry", "indented"])
 def test_write_matches_json_dump(tmp_path, kwargs):
-    entry = stamp_checksum({"b": [1, 2.5, None, True], "a": {"z": "ü"},
-                            "c": {"nested": [{"k": -1}]}})
+    entry = {"b": [1, 2.5, None, True], "a": {"z": "ü"},
+             "c": {"nested": [{"k": -1}]}}
+    encode_stamped(entry)
     path = tmp_path / "entry.json"
     atomic_write_json(str(path), entry, **kwargs)
     assert path.read_bytes() == _dump(entry, **kwargs)
@@ -44,4 +47,21 @@ def test_result_cache_entry_matches_json_dump(tmp_path):
     key = cache.put(point, sim, TraceStats(num_instructions=16))
     path = tmp_path / key[:2] / f"{key}.json"
     entry = json.loads(path.read_text())
-    assert path.read_bytes() == _dump(entry, sort_keys=True)
+    # One encoding serves the checksum and the file: the canonical JSON
+    # of the entry body, with the stamp appended as the last member.
+    body = {k: v for k, v in entry.items() if k != "checksum"}
+    assert list(entry)[-1] == "checksum"
+    assert path.read_bytes() == (
+        _dump(body, sort_keys=True, separators=(",", ":"))[:-1]
+        + f',"checksum":"{entry["checksum"]}"}}'.encode())
+    assert verify_checksum(entry)
+
+
+def test_encode_stamped_is_the_stamped_entry():
+    entry = {"b": [1, 2.5, None, True], "a": {"z": "ü"}}
+    text = encode_stamped(entry)
+    assert json.loads(text) == entry and "checksum" in entry
+    assert verify_checksum(json.loads(text))
+    empty = {}
+    assert json.loads(encode_stamped(empty)) == empty
+    assert verify_checksum(empty)

@@ -45,3 +45,17 @@ def way4_config() -> MachineConfig:
 def tiny_spec() -> WorkloadSpec:
     """Smallest workload used for cross-variant correctness tests."""
     return WorkloadSpec(scale=1, seed=7)
+
+
+@pytest.fixture(scope="session")
+def lowered_fields():
+    """``lowered_fields(lowered)``: every field of a
+    :class:`~repro.timing.lowered.LoweredTrace` as a tuple, for
+    structural equality of two lowerings."""
+    names = ("name", "isa", "num_instructions", "total_ops", "num_regs",
+             "shapes", "shape_ids", "srcs", "dsts", "opcodes", "opcode_ids")
+
+    def fields(lowered) -> tuple:
+        return tuple(getattr(lowered, name) for name in names)
+
+    return fields

@@ -31,6 +31,14 @@ _SPEC = WorkloadSpec(scale=1, seed=7)
 _KERNELS = ("comp", "addblock")
 
 
+def _two_way_sweep(ways=(1, 2)) -> SweepSpec:
+    """One kernel on 1- and 2-wide cores: the result store's smallest
+    non-trivial sweep."""
+    return SweepSpec.make(kernels=["comp"],
+                          configs=[MachineConfig.for_way(w) for w in ways],
+                          spec=_SPEC)
+
+
 def small_sweep() -> SweepSpec:
     return SweepSpec.make(
         kernels=_KERNELS,
@@ -222,6 +230,31 @@ class TestCache:
         assert results[0].sim.cycles > 0
 
 
+    def test_warm_rerun_simulates_nothing(self, tmp_path):
+        sweep = _two_way_sweep()
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        assert isinstance(engine.cache, ResultCache)
+        engine.run(sweep)
+        assert engine.last_cached == len(sweep)
+        assert engine.last_simulated == 0
+
+    def test_version_bump_resimulates(self, tmp_path, monkeypatch):
+        sweep = _two_way_sweep(ways=(1,))
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "bumped")
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        engine.run(sweep)
+        assert engine.last_simulated == len(sweep)
+
+    def test_warm_results_equal_cold(self, tmp_path):
+        sweep = _two_way_sweep(ways=(1,))
+        cold = SweepEngine().run(sweep)
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        warm = SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        assert [r.sim for r in warm] == [r.sim for r in cold]
+
+
 class TestTraceBatching:
     """Points sharing a trace are simulated off one build and one lowering —
     the warm-up guarantee: each distinct trace is built exactly once per
@@ -343,17 +376,18 @@ class TestBackendRouting:
     def test_warm_figure4_grid_routes_through_batch_backend_serially(
             self, tmp_path, count_calls, monkeypatch):
         """Acceptance: a warm (trace-cached) figure-4 grid sweep simulates
-        every group through run_lowered_batch on the serial path."""
-        from repro.timing import vector
+        every group through the dispatch's lowered loop on the serial
+        path, and never loads the vector backend for it."""
+        from repro.timing import dispatch
 
         sweep = self._figure4_grid()
         SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
 
-        # The dispatch imports the batch backend at call time, so the
-        # backend's own module attribute is the one to count.
-        batches = count_calls(vector, "run_lowered_batch",
-                              lambda lowered, configs, **kw: len(configs))
-        vector_runs = count_calls(vector, "_run_vector")
+        # simulate_batch calls the loop by its module-global name.
+        batches = count_calls(
+            dispatch, "simulate_lowered",
+            lambda lowered, configs, vector=False, **kw: (len(configs),
+                                                          vector))
         # A model bump misses every result but no trace.
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         engine = SweepEngine(cache_dir=str(tmp_path))
@@ -363,9 +397,8 @@ class TestBackendRouting:
         assert len(results) == groups * 4
         # the engine's own record: every group went through the dispatch
         assert sorted(engine.last_batches) == [(4, "lowered")] * groups
-        # and the batch backend itself ran every group, none vectorised
-        assert batches == [4] * groups
-        assert vector_runs == []
+        # and the dispatch loop itself ran every group, none vectorised
+        assert batches == [(4, False)] * groups
 
     def test_warm_figure4_grid_routes_through_batch_backend_with_jobs(
             self, tmp_path, monkeypatch):

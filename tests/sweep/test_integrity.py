@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.common.atomicio import (CORRUPT_SUFFIX, payload_checksum,
-                                   quarantine_corrupt, stamp_checksum,
+                                   quarantine_corrupt, encode_stamped,
                                    verify_checksum)
 from repro.sweep import (
     ResultCache,
@@ -55,14 +55,17 @@ def _trace_path(cache_dir: str) -> str:
 class TestChecksumHelpers:
     def test_stamp_then_verify_round_trips(self):
         entry = {"b": [1, 2], "a": {"nested": True}}
-        assert verify_checksum(stamp_checksum(entry))
+        encode_stamped(entry)
+        assert verify_checksum(entry)
 
     def test_stamp_survives_json_round_trip(self):
-        entry = stamp_checksum({"a": 1, "b": "x"})
+        entry = {"a": 1, "b": "x"}
+        assert verify_checksum(json.loads(encode_stamped(entry)))
         assert verify_checksum(json.loads(json.dumps(entry)))
 
     def test_any_field_change_breaks_verification(self):
-        entry = stamp_checksum({"a": 1, "b": "x"})
+        entry = {"a": 1, "b": "x"}
+        encode_stamped(entry)
         entry["a"] = 2
         assert not verify_checksum(entry)
 
@@ -77,7 +80,8 @@ class TestChecksumHelpers:
     def test_checksum_excludes_its_own_field(self):
         entry = {"a": 1}
         digest = payload_checksum(entry)
-        assert payload_checksum(stamp_checksum(entry)) == digest
+        encode_stamped(entry)
+        assert payload_checksum(entry) == digest
 
     def test_quarantine_renames_and_is_idempotent(self, tmp_path):
         path = str(tmp_path / "entry.json")
@@ -154,7 +158,7 @@ class TestResultCacheQuarantine:
             entry = json.load(f)
         del entry["sim"]
         with open(path, "w") as f:
-            json.dump(stamp_checksum(entry), f)
+            f.write(encode_stamped(entry))
 
         cache = ResultCache(str(tmp_path))
         assert cache.get(_POINT) is None

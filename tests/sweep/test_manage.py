@@ -52,27 +52,6 @@ class TestStats:
         assert stats.oldest_mtime is not None
         assert stats.newest_mtime >= stats.oldest_mtime
 
-    def test_counts_lowered_payloads(self, tmp_path):
-        """Engine-written trace entries all carry a live lowered payload;
-        a version-stale payload is classified separately."""
-        import json
-
-        points = _populate(str(tmp_path))
-        stats = cache_stats(str(tmp_path))
-        assert stats.lowered_entries == points
-        assert stats.stale_lowered_entries == 0
-
-        entry = next(e for e in iter_cache_entries(str(tmp_path))
-                     if e.section == "traces")
-        with open(entry.path) as f:
-            data = json.load(f)
-        data["lowered"]["lowering_version"] = "not-the-live-version"
-        with open(entry.path, "w") as f:
-            json.dump(data, f)
-        stats = cache_stats(str(tmp_path))
-        assert stats.lowered_entries == points - 1
-        assert stats.stale_lowered_entries == 1
-
 
 class TestGC:
     def test_noop_without_bounds(self, tmp_path):
@@ -284,7 +263,7 @@ class TestCacheCLI:
         out = capsys.readouterr().out
         assert f"results  {points:6d} entries" in out
         assert f"traces   {points:6d} entries" in out
-        assert f"lowered payloads: {points} current" in out
+        assert "lowered payloads" not in out
         assert "least recently used entry" in out
 
     def test_gc_command_keep_traces(self, tmp_path, capsys):

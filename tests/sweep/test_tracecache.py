@@ -13,7 +13,7 @@ import json
 import pytest
 
 import repro.versions
-from repro.common.atomicio import stamp_checksum
+from repro.common.atomicio import encode_stamped
 from repro.sweep import (
     SweepEngine,
     SweepPoint,
@@ -120,98 +120,100 @@ class TestTraceCache:
         assert entry["kernel"] == "comp" and entry["isa"] == "mom"
 
 
+def _rewrite_entry(path, mutate) -> None:
+    """Apply ``mutate`` to the stored entry and re-stamp its checksum, as
+    an older writer (or valid-but-odd content) would have left it."""
+    with open(path) as f:
+        entry = json.load(f)
+    mutate(entry)
+    with open(path, "w") as f:
+        f.write(encode_stamped(entry))
+
+
 class TestLoweredPayloadInCache:
-    """Entries embed the flat-array lowering; a hit revives it for free."""
+    """Entries no longer embed a lowered payload: a hit revives a column
+    trace whose lowering is a zero-copy adoption.  Entries written by older
+    versions still carry one under ``"lowered"``; readers ignore it."""
 
-    def test_entry_embeds_live_lowered_payload(self, tmp_path):
-        from repro.timing.lowered import LOWERING_VERSION
-
+    def _cached(self, tmp_path):
         cache = TraceCache(str(tmp_path))
         point = SweepPoint("comp", "mom", _CFG, _SPEC)
         cache.put(point, _build_trace())
+        return cache, point
+
+    def test_entry_carries_no_lowered_payload(self, tmp_path):
+        cache, point = self._cached(tmp_path)
         with open(cache.path_for(point)) as f:
             entry = json.load(f)
-        assert entry["lowered"]["lowering_version"] == LOWERING_VERSION
-        assert entry["lowered"]["num_instructions"] == len(entry["trace"]["instrs"])
+        assert "lowered" not in entry
+        assert set(entry) == {"key", "builder_version", "kernel", "isa",
+                              "workload", "trace", "checksum"}
 
     def test_hit_revives_the_lowering_without_relowering(self, tmp_path,
-                                                         lowering_counter):
-        cache = TraceCache(str(tmp_path))
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        cache.put(point, _build_trace())
+                                                         count_calls):
+        from repro.timing import lowered as lowered_mod
 
-        lowering_counter.clear()
+        cache, point = self._cached(tmp_path)
+        passes = count_calls(lowered_mod, "lower_trace")
         trace = cache.get(point)
+        assert trace.columns is not None, "a hit revives in column mode"
         lowered = trace.lower()
-        assert lowering_counter == [], "cache hit must not re-lower"
+        assert passes == [], "cache hit must not run a lowering pass"
+        assert lowered.shape_ids is trace.columns.shape_ids  # adopted
         assert lowered.num_instructions == len(trace)
+        assert trace._instrs is None, "no instruction objects built"
 
-    def test_stale_lowering_version_falls_back_to_relowering(self, tmp_path,
-                                                             lowering_counter):
-        cache = TraceCache(str(tmp_path))
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        cache.put(point, _build_trace())
-        path = cache.path_for(point)
-        with open(path) as f:
-            entry = json.load(f)
-        entry["lowered"]["lowering_version"] = "not-the-live-version"
-        with open(path, "w") as f:
-            json.dump(stamp_checksum(entry), f)
-
-        lowering_counter.clear()
+    def test_stale_lowered_payload_is_ignored(self, tmp_path):
+        """An entry from an older writer, lowered payload and all, hits."""
+        cache, point = self._cached(tmp_path)
+        fresh = cache.get(point)
+        _rewrite_entry(cache.path_for(point), lambda e: e.update(lowered={
+            "format": 1, "lowering_version": "not-the-live-version",
+            "instrs": []}))
         trace = cache.get(point)
-        assert trace is not None, "stale lowering must not evict the trace"
-        trace.lower()
-        assert lowering_counter == [("comp", "mom")]
+        assert trace is not None, "a stale lowering must not evict the trace"
+        assert trace.to_payload() == fresh.to_payload()
 
     def test_corrupt_lowered_payload_is_ignored(self, tmp_path):
-        cache = TraceCache(str(tmp_path))
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        cache.put(point, _build_trace())
-        path = cache.path_for(point)
-        with open(path) as f:
-            entry = json.load(f)
-        entry["lowered"]["pool"] = "garbage"
-        with open(path, "w") as f:
-            json.dump(stamp_checksum(entry), f)
-
+        cache, point = self._cached(tmp_path)
+        _rewrite_entry(cache.path_for(point),
+                       lambda e: e.update(lowered={"pool": "garbage"}))
         trace = cache.get(point)
         assert trace is not None
         assert (simulate_trace(trace, _CFG)
                 == simulate_trace(_build_trace(), _CFG))
 
     def test_truncated_lowered_payload_never_simulates_short(self, tmp_path):
-        """Bitrot that truncates the lowered row sequence while keeping the
-        claimed instruction count (still valid JSON) must fall back to
-        re-lowering the trace — never simulate half the instructions."""
-        cache = TraceCache(str(tmp_path))
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        cache.put(point, _build_trace())
-        path = cache.path_for(point)
-        with open(path) as f:
-            entry = json.load(f)
-        instrs = entry["lowered"]["instrs"]
-        entry["lowered"]["instrs"] = instrs[: len(instrs) // 2]
-        with open(path, "w") as f:
-            json.dump(stamp_checksum(entry), f)
-
+        """An old entry whose lowered row sequence rotted (still valid JSON)
+        is simulated off the trace itself — never half the instructions."""
+        cache, point = self._cached(tmp_path)
+        _rewrite_entry(cache.path_for(point), lambda e: e.update(lowered={
+            "format": 1, "lowering_version": "1", "num_instructions": 1,
+            "instrs": [0]}))
         trace = cache.get(point)
         assert trace is not None
         assert (simulate_trace(trace, _CFG)
                 == simulate_trace(_build_trace(), _CFG))
 
     def test_missing_lowered_key_is_tolerated(self, tmp_path):
-        """Entries written before the lowering backend still hit."""
-        cache = TraceCache(str(tmp_path))
-        point = SweepPoint("comp", "mom", _CFG, _SPEC)
-        cache.put(point, _build_trace())
-        path = cache.path_for(point)
-        with open(path) as f:
-            entry = json.load(f)
-        del entry["lowered"]
-        with open(path, "w") as f:
-            json.dump(stamp_checksum(entry), f)
+        """Entries without a lowered payload (all current ones) hit."""
+        cache, point = self._cached(tmp_path)
+        _rewrite_entry(cache.path_for(point), lambda e: e.pop("lowered", 0))
         assert cache.get(point) is not None
+        assert cache.hits == 1
+
+    @pytest.mark.parametrize("bad_index", [-1, "len"])
+    def test_out_of_range_instrs_index_is_a_miss(self, tmp_path, bad_index):
+        cache, point = self._cached(tmp_path)
+
+        def corrupt(entry):
+            payload = entry["trace"]
+            index = len(payload["pool"]) if bad_index == "len" else bad_index
+            payload["instrs"][-1] = index
+
+        _rewrite_entry(cache.path_for(point), corrupt)
+        assert cache.get(point) is None
+        assert cache.misses == 1 and cache.corrupt == 0
 
 
 class TestEngineIntegration:

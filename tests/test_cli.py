@@ -272,8 +272,7 @@ class TestCacheStatsJson:
         assert payload["entries"] == {"results": 1, "traces": 1}
         assert payload["total_entries"] == 2
         assert payload["total_bytes"] == sum(payload["bytes"].values())
-        assert payload["lowered_entries"] == 1
-        assert payload["stale_lowered_entries"] == 0
+        assert "lowered_entries" not in payload
         assert payload["oldest_mtime"] <= payload["newest_mtime"]
 
     def test_stats_human_format_unchanged_without_flag(self, capsys,

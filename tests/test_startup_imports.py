@@ -2,7 +2,9 @@
 
 A warm ``repro figure4|figure5|tables`` reads its points from the result
 cache and formats them; it needs neither NumPy nor the kernels, the
-builders, the timing backends, the pool or the service.  Each command
+builders, the timing backends, the pool or the service.  A run served
+from the trace cache simulates, but in pure Python: it needs no NumPy,
+kernel, builder or vector backend either.  Each command
 runs here in a fresh interpreter that reports ``sys.modules`` at exit, so
 the guard counts what was imported, not how long it took.
 """
@@ -85,6 +87,28 @@ def test_warm_paper_command_imports_no_compute(command, warm_cache,
     assert "0 point(s) simulated" in out, "the cache must serve every point"
     modules = json.loads((tmp_path / "modules.json").read_text())
     assert [m for m in modules if _forbidden(m)] == []
+
+
+def test_trace_hit_figure5_imports_no_numpy(tmp_path):
+    """Figure 5 on a cache Figure 4 filled: every result misses (new
+    latencies) but every trace hits.  The hits revive as columns and the
+    2-4-config groups run the pure-Python lowered interpreter, so NumPy,
+    the kernels, the front end and the vector backend stay unloaded — and
+    the figure equals a cache-free run."""
+    cache = tmp_path / "cache"
+    _run(_COMMANDS["figure4"] + ["--cache-dir", str(cache)], tmp_path)
+    out = _run(_COMMANDS["figure5"] + ["--cache-dir", str(cache)], tmp_path,
+               probe=True)
+    assert "0 trace build(s)" in out, "every trace must come from the cache"
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert [m for m in modules
+            if m == "numpy" or m.startswith("numpy.")
+            or (m.startswith("repro.kernels.")
+                and m != "repro.kernels.catalog")
+            or m.startswith("repro.frontend")
+            or m == "repro.timing.vector"] == []
+    fresh = _run(_COMMANDS["figure5"], tmp_path)
+    assert out.partition("\n[sweep] ")[0] == fresh
 
 
 def test_version_imports_no_compute(tmp_path):

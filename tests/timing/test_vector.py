@@ -334,7 +334,8 @@ class TestDispatch:
             resolve_execution("jit", 4)
 
     def test_auto_respects_the_memory_budget(self, monkeypatch, count_calls):
-        from repro.timing.vector import VECTOR_AUTO_CELL_BUDGET
+        from repro.timing import dispatch
+        from repro.timing.dispatch import VECTOR_AUTO_CELL_BUDGET
 
         n_huge = VECTOR_AUTO_CELL_BUDGET // VECTOR_MIN_BATCH + 1
         assert resolve_execution("auto", VECTOR_MIN_BATCH,
@@ -344,10 +345,10 @@ class TestDispatch:
         # an explicit request bypasses the budget
         assert resolve_execution("vector", VECTOR_MIN_BATCH,
                                  n_huge) == "vector"
-        # and run_lowered_batch's own auto rule agrees (budget shrunk so
-        # the over-budget loop path stays cheap to actually run)
+        # and run_lowered_batch follows the same rule, which dispatch owns
+        # (budget shrunk so the over-budget loop path stays cheap to run)
         lowered = lower_trace(_kernel_trace("comp", "scalar"))
-        monkeypatch.setattr(vector_mod, "VECTOR_AUTO_CELL_BUDGET",
+        monkeypatch.setattr(dispatch, "VECTOR_AUTO_CELL_BUDGET",
                             len(lowered) * VECTOR_MIN_BATCH - 1)
         vector_runs = count_calls(vector_mod, "_run_vector")
         configs = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH

@@ -11,6 +11,8 @@ must invalidate the memo and never disturb the already-returned lowering.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,20 @@ from hypothesis import strategies as st
 from repro.isa.opclasses import OpClass, RegFile
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import KERNELS, get_kernel, kernel_names
+from repro.timing.lowered import lower_trace
 from repro.trace.container import Trace
 from repro.trace.instruction import DynInstr, RegRef
 from repro.trace.stats import summarize_trace
 from repro.workloads.generators import WorkloadSpec
 
 _GRID = [(kernel, isa) for kernel in kernel_names() for isa in ISA_VARIANTS]
+
+
+def _object_revival(payload) -> Trace:
+    """The payload revived as instruction objects (the reference path)."""
+    trace = Trace(name=payload["name"], isa=payload["isa"], columns=False)
+    trace.extend(Trace.from_payload(payload))
+    return trace
 
 
 def _build_pair(kernel_name: str, isa: str, spec: WorkloadSpec):
@@ -40,7 +50,8 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("kernel_name,isa", _GRID,
                              ids=[f"{k}-{i}" for k, i in _GRID])
-    def test_payload_lowering_stats_equal(self, kernel_name, isa, tiny_spec):
+    def test_payload_lowering_stats_equal(self, kernel_name, isa, tiny_spec,
+                                         lowered_fields):
         column, objectp = _build_pair(kernel_name, isa, tiny_spec)
         assert column.correct and objectp.correct
         # the column trace really is column-mode, the object one is not
@@ -48,9 +59,9 @@ class TestGridEquivalence:
         assert objectp.trace.columns is None
         # payload byte-equality (this is what the trace cache stores)
         assert column.trace.to_payload() == objectp.trace.to_payload()
-        # lowering structural equality via its payload encoding
-        assert (column.trace.lower().to_payload()
-                == objectp.trace.lower().to_payload())
+        # lowering structural equality, field by field
+        assert (lowered_fields(column.trace.lower())
+                == lowered_fields(objectp.trace.lower()))
         # statistics (column-native pass vs per-instruction pass)
         assert summarize_trace(column.trace) == summarize_trace(objectp.trace)
 
@@ -72,6 +83,44 @@ class TestGridEquivalence:
         assert revived.to_payload() == column.trace.to_payload()
 
 
+class TestPayloadRevival:
+    """A trace-cache hit revives a payload as a column-mode trace, and that
+    trace is indistinguishable from the object revival it replaced."""
+
+    @pytest.mark.parametrize("kernel_name,isa", _GRID,
+                             ids=[f"{k}-{i}" for k, i in _GRID])
+    def test_column_revival_equals_object_revival(self, kernel_name, isa,
+                                                  tiny_spec, lowered_fields):
+        built = get_kernel(kernel_name).run_variant(isa, spec=tiny_spec)
+        payload = json.loads(json.dumps(built.trace.to_payload()))
+        revived = Trace.from_payload(payload)
+        assert revived.columns is not None
+        objects = _object_revival(payload)
+        assert (lowered_fields(revived.lower())
+                == lowered_fields(lower_trace(objects)))
+        assert summarize_trace(revived) == summarize_trace(objects)
+        assert json.dumps(revived.to_payload()) == json.dumps(payload)
+        assert revived._instrs is None, "revival built instruction objects"
+
+    @pytest.mark.parametrize("isas", [("scalar", "mmx"), ("other",)],
+                             ids=["mixed", "foreign"])
+    def test_mixed_isa_payload_stays_in_object_mode(self, isas,
+                                                    lowered_fields):
+        """Records under more than one ISA, or under one that is not the
+        trace's own, revive as objects — the rule ``Trace.emit`` applies."""
+        trace = Trace(name="t", isa="scalar", columns=False)
+        for index, isa in enumerate(isas):
+            trace.append(DynInstr(opcode=f"op{index}", opclass=OpClass.IALU,
+                                  isa=isa, srcs=(RegRef(RegFile.INT, index),),
+                                  dsts=(RegRef(RegFile.INT, index + 1),)))
+        revived = Trace.from_payload(trace.to_payload())
+        assert revived.columns is None
+        assert list(revived) == list(trace)
+        assert revived.to_payload() == trace.to_payload()
+        assert (lowered_fields(revived.lower())
+                == lowered_fields(lower_trace(trace)))
+
+
 class TestHypothesisWorkloadShapes:
     """Equivalence holds for arbitrary (kernel, ISA, scale, seed) shapes."""
 
@@ -81,12 +130,13 @@ class TestHypothesisWorkloadShapes:
            isa=st.sampled_from(list(ISA_VARIANTS)),
            scale=st.integers(min_value=1, max_value=3),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_column_equals_object(self, kernel_name, isa, scale, seed):
+    def test_column_equals_object(self, kernel_name, isa, scale, seed,
+                                  lowered_fields):
         spec = WorkloadSpec(scale=scale, seed=seed)
         column, objectp = _build_pair(kernel_name, isa, spec)
         assert column.trace.to_payload() == objectp.trace.to_payload()
-        assert (column.trace.lower().to_payload()
-                == objectp.trace.lower().to_payload())
+        assert (lowered_fields(column.trace.lower())
+                == lowered_fields(objectp.trace.lower()))
         assert summarize_trace(column.trace) == summarize_trace(objectp.trace)
 
 
@@ -128,23 +178,13 @@ class TestMutationAfterAdoption:
         assert relowered.num_instructions == 6
         assert relowered.shape_ids[:4] == lowered.shape_ids
 
-    def test_adopted_lowering_matches_lower_trace(self):
-        from repro.timing.lowered import lower_trace
-
+    def test_adopted_lowering_matches_lower_trace(self, lowered_fields):
         trace = Trace(name="t", isa="scalar")
         _emit_some(trace, 5)
         adopted = trace.lower()
         # reference lowering over the materialised objects
         reference = lower_trace(trace)
-        assert adopted.to_payload() == reference.to_payload()
-
-    def test_attach_lowered_checks_column_length(self):
-        trace = Trace(name="t", isa="scalar")
-        _emit_some(trace, 4)
-        other = Trace(name="t", isa="scalar")
-        _emit_some(other, 3)
-        with pytest.raises(ValueError):
-            trace.attach_lowered(other.lower())
+        assert lowered_fields(adopted) == lowered_fields(reference)
 
 
 class TestEmissionModes:
