@@ -71,8 +71,8 @@ def main() -> int:
     add("# EXPERIMENTS — paper vs. measured")
     add("")
     add("All numbers below are regenerated by `python examples/"
-        "generate_experiments_report.py` (also exercised, with shape assertions, "
-        "by `pytest benchmarks/ --benchmark-only`).  Workloads are the default "
+        "generate_experiments_report.py` (the tier-1 suite asserts their shapes "
+        "in `tests/experiments/test_paper_shapes.py`).  Workloads are the default "
         "synthetic scales documented in DESIGN.md; the simulated machine is the "
         "reproduction's out-of-order core model, so *absolute* numbers are not "
         "expected to match the paper's Jinks/Alpha results — the comparison "

@@ -34,8 +34,8 @@ import tempfile
 from typing import Any, Dict
 
 __all__ = ["CHECKSUM_FIELD", "CORRUPT_SUFFIX", "TMP_SUFFIX",
-           "atomic_write_json", "atomic_write_text", "encode_stamped",
-           "payload_checksum", "quarantine_corrupt", "verify_checksum"]
+           "atomic_write_text", "encode_stamped", "payload_checksum",
+           "quarantine_corrupt", "verify_checksum"]
 
 #: Suffix of in-flight temporary files; the cache manager recognises (and
 #: eventually sweeps) stale files carrying it.
@@ -111,17 +111,6 @@ def quarantine_corrupt(path: str) -> bool:
         return True
     except OSError:
         return False
-
-
-def atomic_write_json(path: str, obj: Any, **dump_kwargs: Any) -> None:
-    """Write ``obj`` as JSON to ``path`` atomically (tempfile + rename).
-
-    ``dump_kwargs`` pass through to :func:`json.dumps` (``sort_keys``,
-    ``separators``, ``indent``, ...).  The entry is encoded to one string
-    first: :func:`json.dumps` uses the C encoder, which :func:`json.dump`
-    never does, and the bytes are the same.
-    """
-    atomic_write_text(path, json.dumps(obj, **dump_kwargs))
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -56,7 +56,7 @@ def make_builder(isa: str, machine: Optional[FunctionalMachine] = None,
     columns:
         Emit into the column recorder (the default, zero-object fast path)
         or the object-mode :class:`~repro.trace.container.Trace` (the
-        reference path the benchmarks compare against).  The emitted
+        reference path the speed floors compare against).  The emitted
         instruction stream is identical either way.
     """
     try:

@@ -125,7 +125,7 @@ class Kernel(abc.ABC):
         may be supplied (the latter lets callers run all four variants on
         identical data).  ``columns`` selects the trace emission path (the
         column fast path by default; ``False`` forces the object path for
-        the front-end benchmarks).
+        the front-end speed floors).
         """
         if workload is None:
             workload = self.make_workload(spec if spec is not None else WorkloadSpec(

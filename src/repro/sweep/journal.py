@@ -199,11 +199,6 @@ class SweepJournal:
         The journal file.  Created (with a format header) on the first
         append; an existing file is replayed by :meth:`load` and healed of
         any torn tail before new records are appended.
-    fsync:
-        Also ``os.fsync`` after every record.  Off by default: a flush
-        survives process death (the failure mode sweeps actually have);
-        fsync additionally survives OS/power loss at a large per-point
-        cost.
 
     Usage (what the engine does)::
 
@@ -229,9 +224,8 @@ class SweepJournal:
         Corrupt complete lines the most recent :meth:`load` skipped.
     """
 
-    def __init__(self, path: str, fsync: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        self.fsync = fsync
         self.replayed = 0
         self.failed: Dict[str, Dict[str, Any]] = {}
         self.torn_bytes_discarded = 0
@@ -385,8 +379,6 @@ class SweepJournal:
         # never an interleaving of two half-records.
         self._file.write(line + "\n")
         self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one raw record (a JSON-able dict) with atomic framing."""

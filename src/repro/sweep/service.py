@@ -79,7 +79,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.common.atomicio import atomic_write_json
+from repro.common.atomicio import atomic_write_text
 from repro import versions
 from repro.sweep import faults
 from repro.sweep.engine import SweepEngine
@@ -313,7 +313,8 @@ class SweepService:
     # -- persistence -------------------------------------------------------
 
     def _persist(self, job: Dict[str, Any]) -> None:
-        atomic_write_json(self.job_path(job["id"]), job, sort_keys=True)
+        atomic_write_text(self.job_path(job["id"]),
+                          json.dumps(job, sort_keys=True))
 
     def recover(self) -> List[str]:
         """Load every persisted job; re-enqueue the non-terminal ones.

@@ -30,7 +30,6 @@ __all__ = [
     "OutOfOrderCore",
     "lower_trace",
     "resolve_execution",
-    "run_lowered_batch",
     "simulate_batch",
     "simulate_trace",
     "SimResult",
@@ -40,5 +39,4 @@ __all__ = [
 __getattr__ = lazy_exports(__name__, {
     "repro.timing.core": ["OutOfOrderCore", "simulate_trace"],
     "repro.timing.lowered": ["LoweredTrace", "lower_trace"],
-    "repro.timing.vector": ["run_lowered_batch"],
 })

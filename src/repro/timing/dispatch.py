@@ -57,8 +57,8 @@ VECTOR_MIN_BATCH = 64
 #: history alone is ``16 * n * N`` bytes, the busy planes ~``10 * n * N``
 #: — versus O(n) for the per-config interpreter, so a huge trace swept
 #: over a wide batch should not be silently routed into hundreds of MB of
-#: scratch.  At this bound the scratch stays around half a GB.  Explicit
-#: ``backend="vector"`` / ``force_vector=True`` bypasses the budget.
+#: scratch.  At this bound the scratch stays around half a GB.  An explicit
+#: ``backend="vector"`` bypasses the budget.
 VECTOR_AUTO_CELL_BUDGET = 1 << 24
 
 

@@ -5,9 +5,11 @@ configurations (issue widths x memory latencies x queue/register-file
 ablations).  The lowered interpreter (:meth:`OutOfOrderCore.run_lowered`)
 already amortises the *lowering* across those configurations, but each one
 still pays a full Python interpreter pass over the trace.  This module
-amortises the interpreter itself: :func:`run_lowered_batch` walks the
-instruction rows **once** and advances the scoreboards of all ``N``
-configurations simultaneously as ndarray columns —
+amortises the interpreter itself: its array program, which
+:func:`~repro.timing.dispatch.simulate_batch` runs for ``backend="vector"``
+(and for ``auto`` on large batches), walks the instruction rows **once**
+and advances the scoreboards of all ``N`` configurations simultaneously as
+ndarray columns —
 
 * register-ready times as one ``(N, num_regs)`` array;
 * rename/commit histories as ``(pad + n, N)`` arrays, the per-config
@@ -54,7 +56,7 @@ which loads this module only when the array program runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,12 +64,11 @@ from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
 from repro.timing.core import (VL_RENAME_SLOTS, OutOfOrderCore,
                                completion_latency, occupancy_of)
-from repro.timing.dispatch import (VECTOR_MIN_BATCH, _auto_uses_vector,
-                                   simulate_lowered)
+from repro.timing.dispatch import VECTOR_MIN_BATCH
 from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
 
-__all__ = ["VECTOR_MIN_BATCH", "effective_min_batch", "run_lowered_batch"]
+__all__ = ["VECTOR_MIN_BATCH", "effective_min_batch"]
 
 
 def effective_min_batch() -> int:
@@ -77,34 +78,6 @@ def effective_min_batch() -> int:
 
 
 _HUGE = 1 << 60
-
-
-def run_lowered_batch(lowered: LoweredTrace,
-                      configs: Sequence[MachineConfig],
-                      record_timeline: bool = False,
-                      force_vector: Optional[bool] = None
-                      ) -> List[SimResult]:
-    """Simulate ``lowered`` under every configuration; one result per config.
-
-    Bit-identical to ``[OutOfOrderCore(c).run_lowered(lowered) for c in
-    configs]`` — duplicate configurations are legal and produce duplicate
-    results.  With ``record_timeline`` each returned
-    :class:`~repro.timing.results.SimResult` additionally carries its
-    per-instruction pipeline timeline as a ``timeline`` attribute (the
-    same ``(opcode, rename, ready, issue, complete, commit)`` tuples the
-    scalar cores expose).
-
-    ``force_vector`` pins the execution strategy: ``True`` runs the array
-    program (unless the trace has two destinations in one rename pool,
-    which it declines), ``False`` loops the per-config interpreter, and
-    ``None`` (the default) applies the dispatch layer's ``auto`` rule.
-    """
-    configs = list(configs)
-    if force_vector is None:
-        force_vector = _auto_uses_vector(len(configs),
-                                         lowered.num_instructions)
-    return simulate_lowered(lowered, configs, vector=bool(force_vector),
-                            record_timeline=record_timeline)
 
 
 def _issue_queue(caps: np.ndarray, dtype: np.dtype) -> Optional[tuple]:

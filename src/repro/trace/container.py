@@ -57,7 +57,7 @@ class Trace:
 
     ``columns=True`` (the default) lets the builders' :meth:`emit` calls
     record into flat columns with no per-instruction objects; ``False``
-    forces the object emission path (used by the front-end benchmarks to
+    forces the object emission path (used by the front-end speed floors to
     measure the column path's speedup).  Traces built via :meth:`append` /
     :meth:`extend` are object-mode either way.
     """

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.common.atomicio import (atomic_write_json, encode_stamped,
+from repro.common.atomicio import (atomic_write_text, encode_stamped,
                                    verify_checksum)
 from repro.sweep.cache import ResultCache
+from repro.sweep.service import SweepService
 from repro.sweep.spec import SweepPoint
 from repro.timing.config import MachineConfig
 from repro.timing.results import SimResult
@@ -32,8 +33,17 @@ def test_write_matches_json_dump(tmp_path, kwargs):
              "c": {"nested": [{"k": -1}]}}
     encode_stamped(entry)
     path = tmp_path / "entry.json"
-    atomic_write_json(str(path), entry, **kwargs)
+    atomic_write_text(str(path), json.dumps(entry, **kwargs))
     assert path.read_bytes() == _dump(entry, **kwargs)
+
+
+def test_service_job_file_matches_json_dump(tmp_path):
+    service = SweepService(str(tmp_path / "state"))
+    job, _created = service.submit({"kernels": ["comp"], "ways": [1],
+                                    "latencies": [1], "scale": 1})
+    path = tmp_path / "state" / "jobs" / f"{job['id']}.json"
+    assert path.read_bytes() == _dump(json.loads(path.read_text()),
+                                      sort_keys=True)
 
 
 def test_result_cache_entry_matches_json_dump(tmp_path):

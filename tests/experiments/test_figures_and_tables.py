@@ -1,7 +1,9 @@
 """Integration tests of the experiment drivers (small-scale sweeps).
 
 These check the *shape* claims of the paper on reduced workloads and reduced
-sweeps so they run in seconds; the full regenerations live in benchmarks/.
+sweeps so they run in seconds; ``test_paper_shapes.py`` checks them on every
+kernel on the default workload over the full sweeps, and
+``python -m repro figure4|figure5|tables`` prints the regenerated tables.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Writes three files:
+Writes four files:
 
 * ``way4_lat1.json`` — cycle, instruction and operation counts of every
   kernel x ISA on the 4-way / 1-cycle-memory machine.  Only regenerate it
@@ -22,6 +22,10 @@ Writes three files:
   memory latency) print, simulated on the lowered interpreter.  Changed
   numbers must come with a ``repro.versions.MODEL_VERSION`` bump, so
   this script refuses to write them under an unchanged version.
+* ``ablations.json`` — cycles and instructions of every point of the three
+  ablation sweeps (MOM lanes, reorder-buffer size, workload scale) at the
+  parameters the shape checks of ``tests/experiments/test_paper_shapes.py``
+  use.  The same ``MODEL_VERSION`` refusal applies.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from typing import Dict, List, Sequence, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro import versions  # noqa: E402
+from repro.experiments.ablations import (  # noqa: E402
+    run_lane_ablation, run_rob_ablation, run_trace_length_sensitivity)
 from repro.experiments.figure4 import figure4_sweep  # noqa: E402
 from repro.experiments.figure5 import figure5_sweep  # noqa: E402
 from repro.experiments.runner import build_kernel_variant, run_kernel  # noqa: E402
@@ -49,6 +55,14 @@ MEM_LATENCY = 1
 OUT = os.path.join(os.path.dirname(__file__), "way4_lat1.json")
 STREAMS_OUT = os.path.join(os.path.dirname(__file__), "streams.json")
 GRID_OUT = os.path.join(os.path.dirname(__file__), "paper_grid.json")
+ABLATIONS_OUT = os.path.join(os.path.dirname(__file__), "ablations.json")
+
+#: The ablation sweeps of the shape checks, as ``(kernels, values)``: MOM
+#: lanes per multimedia unit, reorder-buffer sizes and workload scales,
+#: all on the 4-way machine with the default workload seed.
+ABLATION_LANES = (("motion1", "idct", "comp"), (1, 2, 4))
+ABLATION_ROB_SIZES = (("motion2", "ltpsfilt"), (16, 32, 64, 128))
+ABLATION_SCALES = (("comp", "ltppar"), (1, 2, 4))
 
 
 def stream_fingerprints() -> Dict[str, str]:
@@ -126,6 +140,57 @@ def simulate_paper_grid(backends: Sequence[str] = ("lowered",)
     return grid
 
 
+def simulate_ablations() -> Dict[str, Dict[str, Dict[str, int]]]:
+    """Every ablation point: ``results["<ablation>/<kernel>/<isa>"][label]``.
+
+    The ablations are ``lanes``, ``rob`` and ``trace_length``; the labels
+    ``lanes2``, ``rob64`` or ``scale4`` name the swept value.  Each point
+    holds its cycles and instructions.
+    """
+    runs = []  # (ablation, label, kernel, {isa: point result})
+    kernels, lanes = ABLATION_LANES
+    for kernel in kernels:
+        swept = run_lane_ablation(kernel, lanes=lanes, spec=WorkloadSpec())
+        runs += [("lanes", f"lanes{n}", kernel, {"mom": result})
+                 for n, result in swept.items()]
+    kernels, rob_sizes = ABLATION_ROB_SIZES
+    for kernel in kernels:
+        swept = run_rob_ablation(kernel, rob_sizes=rob_sizes,
+                                 spec=WorkloadSpec())
+        runs += [("rob", f"rob{n}", kernel, per_isa)
+                 for n, per_isa in swept.items()]
+    kernels, scales = ABLATION_SCALES
+    for kernel in kernels:
+        swept = run_trace_length_sensitivity(kernel, scales=scales)
+        runs += [("trace_length", f"scale{n}", kernel, per_isa)
+                 for n, per_isa in swept.items()]
+    results: Dict[str, Dict[str, Dict[str, int]]] = {}
+    for ablation, label, kernel, per_isa in runs:
+        for isa, result in per_isa.items():
+            results.setdefault(f"{ablation}/{kernel}/{isa}", {})[label] = {
+                "cycles": result.sim.cycles,
+                "instructions": result.sim.instructions,
+            }
+    return results
+
+
+def _refuse_unversioned_change(path: str, results: Dict, what: str) -> bool:
+    """Whether ``results`` differ from the ones pinned in ``path`` under the
+    live ``MODEL_VERSION`` (and say so on stderr)."""
+    if not os.path.exists(path):
+        return False
+    with open(path, "r", encoding="utf-8") as f:
+        pinned = json.load(f)
+    changed = changed_streams(pinned["results"], results)
+    if changed and pinned["model_version"] == versions.MODEL_VERSION:
+        print(f"refusing to write: {len(changed)} {what} changed "
+              f"({', '.join(changed)}) but MODEL_VERSION is still "
+              f"{versions.MODEL_VERSION!r}; bump it in "
+              f"src/repro/versions.py first", file=sys.stderr)
+        return True
+    return False
+
+
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -147,16 +212,12 @@ def main() -> int:
 
     figures, _ = paper_grid_layout()
     grid = simulate_paper_grid()["lowered"]
-    if os.path.exists(GRID_OUT):
-        with open(GRID_OUT, "r", encoding="utf-8") as f:
-            pinned = json.load(f)
-        changed = changed_streams(pinned["results"], grid)
-        if changed and pinned["model_version"] == versions.MODEL_VERSION:
-            print(f"refusing to write: {len(changed)} trace(s) changed "
-                  f"figure numbers ({', '.join(changed)}) but "
-                  f"MODEL_VERSION is still {versions.MODEL_VERSION!r}; "
-                  f"bump it in src/repro/versions.py first", file=sys.stderr)
-            return 1
+    ablations = simulate_ablations()
+    if (_refuse_unversioned_change(GRID_OUT, grid,
+                                   "trace(s)' figure numbers")
+            or _refuse_unversioned_change(ABLATIONS_OUT, ablations,
+                                          "ablation sweep(s)")):
+        return 1
 
     config = MachineConfig.for_way(4, mem_latency=MEM_LATENCY)
     results = {}
@@ -184,9 +245,14 @@ def main() -> int:
                            "seed": SEED,
                            "figures": figures,
                            "results": grid})
+    _write_json(ABLATIONS_OUT, {"model_version": versions.MODEL_VERSION,
+                                "seed": WorkloadSpec().seed,
+                                "way": 4,
+                                "results": ablations})
     print(f"wrote {len(results)} points to {OUT}, {len(streams)} "
-          f"stream fingerprints to {STREAMS_OUT} and {len(grid)} traces' "
-          f"figure points to {GRID_OUT}")
+          f"stream fingerprints to {STREAMS_OUT}, {len(grid)} traces' "
+          f"figure points to {GRID_OUT} and {len(ablations)} ablation "
+          f"sweeps to {ABLATIONS_OUT}")
     return 0
 
 

@@ -24,6 +24,11 @@ builder version in).
 breakdown of every point Figure 4 and Figure 5 print, under the live
 :data:`repro.versions.MODEL_VERSION`; the lowered interpreter and the
 vector batch backend must both reproduce it exactly.
+
+``tests/golden/ablations.json`` pins cycles and instructions of every
+point of the three ablation sweeps (MOM lanes, reorder-buffer size,
+workload scale) that ``tests/experiments/test_paper_shapes.py`` checks,
+under the same ``MODEL_VERSION`` rule.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "way4_lat1.json")
 STREAMS_PATH = os.path.join(GOLDEN_DIR, "streams.json")
 GRID_PATH = os.path.join(GOLDEN_DIR, "paper_grid.json")
+ABLATIONS_PATH = os.path.join(GOLDEN_DIR, "ablations.json")
 
 
 def _load_regenerate():
@@ -172,4 +178,40 @@ def test_paper_grid_exact(backend):
     assert not changed, (
         f"{backend}: figure points drifted from tests/golden/paper_grid.json "
         f"for {changed}; if intentional, bump MODEL_VERSION and run "
+        f"tests/golden/regenerate.py")
+
+
+def _load_ablations():
+    with open(ABLATIONS_PATH, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def test_ablations_cover_every_sweep_point():
+    pinned = _load_ablations()
+    regenerate = _load_regenerate()
+    expected = {}
+    for ablation, label, isas, (kernels, values) in (
+            ("lanes", "lanes", ("mom",), regenerate.ABLATION_LANES),
+            ("rob", "rob", ISA_VARIANTS, regenerate.ABLATION_ROB_SIZES),
+            ("trace_length", "scale", ISA_VARIANTS,
+             regenerate.ABLATION_SCALES)):
+        for kernel in kernels:
+            for isa in isas:
+                expected[f"{ablation}/{kernel}/{isa}"] = {
+                    f"{label}{value}" for value in values}
+    assert {trace: set(points) for trace, points
+            in pinned["results"].items()} == expected
+    assert sum(map(len, expected.values())) == 65
+    assert pinned["model_version"] == versions.MODEL_VERSION, (
+        "MODEL_VERSION moved: regenerate tests/golden/ablations.json with "
+        "tests/golden/regenerate.py in the same commit")
+
+
+def test_ablations_exact():
+    regenerate = _load_regenerate()
+    changed = regenerate.changed_streams(_load_ablations()["results"],
+                                         regenerate.simulate_ablations())
+    assert not changed, (
+        f"ablation points drifted from tests/golden/ablations.json for "
+        f"{changed}; if intentional, bump MODEL_VERSION and run "
         f"tests/golden/regenerate.py")

@@ -1,7 +1,7 @@
 """End-to-end integration tests across the whole stack.
 
-These exercise the public API exactly as the examples and benchmark
-harnesses do: generate a workload, build all ISA variants, simulate them and
+These exercise the public API exactly as the examples and the paper-shape
+checks do: generate a workload, build all ISA variants, simulate them and
 derive the paper's metrics — asserting the cross-cutting invariants that no
 single-module test can see.
 """

@@ -1,4 +1,5 @@
-"""Vector-backend equivalence: ``run_lowered_batch()`` == per-config loops.
+"""Vector-backend equivalence: ``simulate_batch(backend="vector")`` ==
+per-config loops.
 
 The NumPy batch backend (repro.timing.vector) must be *bit-identical* to
 looping :meth:`OutOfOrderCore.run_lowered` over the batch — same cycles,
@@ -26,7 +27,7 @@ from repro.timing.core import OutOfOrderCore
 from repro.timing.dispatch import (BACKENDS, resolve_execution,
                                    simulate_batch)
 from repro.timing.lowered import lower_trace
-from repro.timing.vector import VECTOR_MIN_BATCH, run_lowered_batch
+from repro.timing.vector import VECTOR_MIN_BATCH
 from repro.trace.container import Trace
 from repro.trace.instruction import DynInstr, RegRef
 from repro.workloads.generators import WorkloadSpec
@@ -92,8 +93,8 @@ def _loop_reference(lowered, configs):
 
 def _assert_batch_equivalent(trace: Trace, configs, label: str = ""):
     lowered = lower_trace(trace)
-    batch = run_lowered_batch(lowered, configs, record_timeline=True,
-                              force_vector=True)
+    batch = simulate_batch(lowered, configs, backend="vector",
+                           record_timeline=True)
     expected, timelines = _loop_reference(lowered, configs)
     assert len(batch) == len(configs)
     for got, want, timeline, config in zip(batch, expected, timelines,
@@ -134,15 +135,14 @@ def test_vector_equals_loop_with_full_issue_queues(kernel, isa, batch):
 def test_batch_of_one_and_empty_batch():
     trace = _kernel_trace("comp", "mom")
     _assert_batch_equivalent(trace, (MachineConfig.for_way(4),), "batch-1")
-    assert run_lowered_batch(lower_trace(trace), [],
-                             force_vector=True) == []
+    assert simulate_batch(lower_trace(trace), [], backend="vector") == []
 
 
 def test_duplicate_configs_produce_duplicate_results():
     trace = _kernel_trace("comp", "mmx")
     config = MachineConfig.for_way(2, mem_latency=12)
-    batch = run_lowered_batch(lower_trace(trace), [config] * 5,
-                              force_vector=True)
+    batch = simulate_batch(lower_trace(trace), [config] * 5,
+                           backend="vector")
     assert len(set((r.cycles, tuple(sorted(r.stall_breakdown.items())))
                    for r in batch)) == 1
 
@@ -155,8 +155,8 @@ def test_invalid_resources_raise_like_the_scalar_core():
     lowered = lower_trace(_kernel_trace("comp", "scalar"))
     with pytest.raises(ValueError, match="num_int_alu"):
         bad = MachineConfig.for_way(4).with_updates(num_int_alu=0)
-        run_lowered_batch(lowered, [MachineConfig.for_way(4), bad],
-                          force_vector=True)
+        simulate_batch(lowered, [MachineConfig.for_way(4), bad],
+                       backend="vector")
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +244,8 @@ def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
     vector_runs = count_calls(vector_mod, "_run_vector")
     tight = MachineConfig.for_way(1, mem_latency=12).with_updates(
         phys_int_regs=34, rob_size=16)
-    batch = run_lowered_batch(lowered, [tight], force_vector=True,
-                              record_timeline=True)
+    batch = simulate_batch(lowered, [tight], backend="vector",
+                           record_timeline=True)
     assert vector_runs == []
     core = OutOfOrderCore(tight)
     want = core.run_lowered(lowered, record_timeline=True)
@@ -315,10 +315,10 @@ class TestAdaptiveCutover:
                                   lambda lowered, configs, *a: len(configs))
         few = [MachineConfig.for_way(4)] * 2
         many = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH
-        run_lowered_batch(lowered, few)
-        run_lowered_batch(lowered, many)
-        run_lowered_batch(lowered, few, force_vector=True)
-        run_lowered_batch(lowered, many, force_vector=False)
+        simulate_batch(lowered, few)
+        simulate_batch(lowered, many)
+        simulate_batch(lowered, few, backend="vector")
+        simulate_batch(lowered, many, backend="lowered")
         # Only the large auto batch and the forced small one vectorise.
         assert vector_runs == [VECTOR_MIN_BATCH, 2]
 
@@ -345,14 +345,14 @@ class TestDispatch:
         # an explicit request bypasses the budget
         assert resolve_execution("vector", VECTOR_MIN_BATCH,
                                  n_huge) == "vector"
-        # and run_lowered_batch follows the same rule, which dispatch owns
+        # and simulate_batch follows the same rule, which dispatch owns
         # (budget shrunk so the over-budget loop path stays cheap to run)
         lowered = lower_trace(_kernel_trace("comp", "scalar"))
         monkeypatch.setattr(dispatch, "VECTOR_AUTO_CELL_BUDGET",
                             len(lowered) * VECTOR_MIN_BATCH - 1)
         vector_runs = count_calls(vector_mod, "_run_vector")
         configs = [MachineConfig.for_way(4)] * VECTOR_MIN_BATCH
-        assert len(run_lowered_batch(lowered, configs)) == VECTOR_MIN_BATCH
+        assert len(simulate_batch(lowered, configs)) == VECTOR_MIN_BATCH
         assert vector_runs == []
 
     def test_backends_tuple_is_the_contract(self):
