@@ -57,7 +57,7 @@ import os
 import signal
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.metrics import compute_metrics
 from repro.analysis.report import (
@@ -73,6 +73,9 @@ from repro.sweep.engine import PointResult, SweepEngine, SweepFailed
 from repro.sweep.spec import grid_points
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.sweep.manage import GCReport
 
 __all__ = ["add_sweep_arguments", "build_parser", "engine_from_args",
            "engine_summary", "main", "make_on_result", "stream_sinks",
@@ -732,6 +735,17 @@ def _format_bytes(n: int) -> str:
     return f"{n:.1f} GiB"  # pragma: no cover - unreachable
 
 
+def _print_garbage_swept(report: GCReport) -> None:
+    """The ``gc``/``clear`` lines for files that were never cache entries."""
+    if report.corrupt_removed:
+        print(f"swept {report.corrupt_removed} quarantined corrupt "
+              f"entr{'y' if report.corrupt_removed == 1 else 'ies'} "
+              f"({_format_bytes(report.corrupt_bytes_freed)} freed)")
+    if report.legacy_removed:
+        print(f"removed {report.legacy_removed} pre-segment result file(s) "
+              f"({_format_bytes(report.legacy_bytes_freed)} freed)")
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.sweep.manage import cache_stats, clear_cache, gc_cache
 
@@ -744,7 +758,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for section in ("results", "traces"):
             print(f"  {section:8s} {stats.entries[section]:6d} entr"
                   f"{'y' if stats.entries[section] == 1 else 'ies'}, "
-                  f"{_format_bytes(stats.bytes[section])}")
+                  f"{_format_bytes(stats.bytes[section])}"
+                  + (f" in {stats.segments} segment(s)"
+                     if section == "results" else ""))
         print(f"  total    {stats.total_entries:6d} entr"
               f"{'y' if stats.total_entries == 1 else 'ies'}, "
               f"{_format_bytes(stats.total_bytes)}")
@@ -755,6 +771,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if stats.corrupt_files:
             print(f"  quarantined corrupt entries: {stats.corrupt_files} "
                   f"({_format_bytes(stats.corrupt_bytes)}; gc will sweep)")
+        if stats.legacy_files:
+            print(f"  pre-segment result files: {stats.legacy_files} "
+                  f"({_format_bytes(stats.legacy_bytes)}; never read, "
+                  f"gc will remove)")
         if stats.oldest_mtime is not None:
             age = time.time() - stats.oldest_mtime
             print(f"  least recently used entry: {age / 86400:.1f} day(s) ago")
@@ -775,10 +795,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if report.tmp_removed:
             print(f"swept {report.tmp_removed} stale temp file(s) "
                   f"({_format_bytes(report.tmp_bytes_freed)} freed)")
-        if report.corrupt_removed:
-            print(f"swept {report.corrupt_removed} quarantined corrupt "
-                  f"entr{'y' if report.corrupt_removed == 1 else 'ies'} "
-                  f"({_format_bytes(report.corrupt_bytes_freed)} freed)")
+        _print_garbage_swept(report)
         return 0
     if args.cache_command == "clear":
         report = clear_cache(args.cache_dir)
@@ -788,10 +805,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if report.tmp_removed:
             print(f"swept {report.tmp_removed} temp file(s) "
                   f"({_format_bytes(report.tmp_bytes_freed)} freed)")
-        if report.corrupt_removed:
-            print(f"swept {report.corrupt_removed} quarantined corrupt "
-                  f"entr{'y' if report.corrupt_removed == 1 else 'ies'} "
-                  f"({_format_bytes(report.corrupt_bytes_freed)} freed)")
+        _print_garbage_swept(report)
         return 0
     raise AssertionError(
         f"unhandled cache command {args.cache_command!r}")  # pragma: no cover

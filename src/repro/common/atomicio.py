@@ -1,10 +1,11 @@
-"""Atomic JSON file writes and entry integrity, shared by every on-disk store.
+"""Atomic JSON file writes and entry integrity, shared by the on-disk stores.
 
-The result cache, the trace cache and the service's job files all follow the
-same durability rule: a reader may never observe a half-written entry, so
-every write goes to a same-directory temporary file first and lands with
-one atomic :func:`os.replace`.  This module is the single implementation
-of that rule.
+The trace cache and the service's job files follow one durability rule: a
+reader may never observe a half-written entry, so every write goes to a
+same-directory temporary file first and lands with one atomic
+:func:`os.replace`.  This module is the single implementation of that
+rule.  (The result cache appends flushed lines to a segment log instead,
+whose readers skip a torn tail; see :mod:`repro.sweep.cache`.)
 
 Temporary files carry the ``.tmp`` suffix.  A process killed between
 ``mkstemp`` and ``os.replace`` (SIGKILL, power loss) orphans one such
@@ -14,15 +15,15 @@ grace period (``repro cache gc`` / ``stats`` report them), so orphans are
 bounded garbage, never corruption.
 
 Atomic replacement protects against *half-written* entries; it cannot
-protect against bytes that rot **after** the rename (disk corruption, a
+protect against bytes that rot **after** the write (disk corruption, a
 truncating copy, an interrupted rsync).  For that, cache entries embed a
 content checksum: :func:`encode_stamped` hashes the entry's canonical
 JSON and returns that same text with the stamp appended — a put encodes
 its entry once — and :func:`verify_checksum` re-derives the hash on read.  A
-mismatched entry is quarantined by its store (renamed to ``*.corrupt``,
-see :data:`CORRUPT_SUFFIX`) and reads as a plain miss — recomputed, never
-trusted.  Entries written before checksums existed carry no stamp and are
-accepted as-is.
+mismatched entry reads as a plain miss — recomputed, never trusted; the
+trace cache also moves the file aside (renamed to ``*.corrupt``, see
+:data:`CORRUPT_SUFFIX`).  Entries written before checksums existed carry
+no stamp and are accepted as-is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict
 
 __all__ = ["CHECKSUM_FIELD", "CORRUPT_SUFFIX", "TMP_SUFFIX",
@@ -120,6 +120,8 @@ def atomic_write_text(path: str, text: str) -> None:
     the final :func:`os.replace` is atomic) and is unlinked on any failure
     between creation and rename.
     """
+    import tempfile
+
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=TMP_SUFFIX)
     try:

@@ -10,9 +10,9 @@ The sweep subsystem is the shared engine behind every experiment driver
   (with a deterministic in-process fallback), with streaming results via
   :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``;
 * :class:`~repro.sweep.cache.ResultCache` — content-addressed storage of
-  simulation results, one JSON file per point, keyed by a stable hash of
-  (kernel, ISA, machine configuration, workload spec, timing-model and
-  builder versions);
+  simulation results in an append-only JSONL segment log, keyed by a
+  stable hash of (kernel, ISA, machine configuration, workload spec,
+  timing-model and builder versions);
 * :class:`~repro.sweep.journal.SweepJournal` — a write-ahead JSONL journal
   of completed points enabling crash-safe, resumable sweeps
   (``repro sweep --resume``);

@@ -1,29 +1,27 @@
 """Content-addressed on-disk cache of simulation results.
 
-Each cached entry is one JSON file named by a stable SHA-256 hash of the
-fully-resolved point description: kernel, ISA, every machine-configuration
-field (including the per-opclass latency table), the workload spec, the
-timing-model version and the front-end builder version.  Any change to any
-of those — including bumping :data:`repro.versions.MODEL_VERSION` when
-the timing model's numbers change, or
-:data:`repro.versions.BUILDER_VERSION` when an emitted stream
-changes — therefore produces a different key and a clean cache miss; stale
-results can never be returned.  Both versions are read from
-:mod:`repro.versions` at call time: there is no per-cache override.  Every result the engine
-stores comes from a build verified against the golden reference, so an
-entry carries no verification flag.
+Entries are keyed by a SHA-256 hash of the fully-resolved point: kernel,
+ISA, every machine-configuration field (including the per-opclass latency
+table), the workload spec, and :data:`repro.versions.MODEL_VERSION` and
+:data:`repro.versions.BUILDER_VERSION`, read at call time.  Any change to
+any of those — a timing-model or stream-changing edit bumps its version —
+is a clean miss, so a stale result is never returned.  Every stored result
+comes from a build verified against the golden reference.
 
-Layout::
+The store is an append-only log, ``<cache_dir>/log/<time_ns>-<pid>.jsonl``.
+Each writing store (the CLI and ``repro serve`` open one per process) owns
+one segment; a record is one line, the entry's
+:func:`~repro.common.atomicio.encode_stamped` text, written with one
+``write`` and flushed — the journal's framing — so no lock is needed.  The
+first lookup indexes every segment (:func:`scan_log`); a hit re-verifies
+the checksum.  Files of the older one-file-per-point layout
+(``<cache_dir>/<key[:2]>/<key>.json``) are never read; ``repro cache
+gc|clear`` (:mod:`repro.sweep.manage`) remove them and evict whole
+segments, least recently hit first.
 
-    <cache_dir>/<key[:2]>/<key>.json
-
-The two-character fan-out keeps directories small for big sweeps.  Entries
-store the :class:`~repro.timing.results.SimResult` and the
-:class:`~repro.trace.stats.TraceStats` of the run (everything the experiment
-reducers need) — not the trace itself, which lives in its own store under
-``<cache_dir>/traces/`` (see :mod:`repro.sweep.tracecache`) keyed only by
-what the front end sees.  :mod:`repro.sweep.manage` administers both stores
-(``repro cache stats|gc|clear``).
+Entries store the :class:`~repro.timing.results.SimResult` and the
+:class:`~repro.trace.stats.TraceStats` of the run — not the trace, which
+lives under ``<cache_dir>/traces/`` (:mod:`repro.sweep.tracecache`).
 """
 
 from __future__ import annotations
@@ -31,21 +29,29 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from collections import Counter
 from dataclasses import fields
-from typing import Any, Dict
+from typing import IO, Any, Dict, Optional, Set, Tuple
 
-from repro.common.atomicio import (atomic_write_text, encode_stamped,
-                                   quarantine_corrupt, verify_checksum)
+from repro.common.atomicio import encode_stamped, verify_checksum
 from repro import versions
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
+from repro.sweep.journal import read_jsonl
 from repro.sweep.spec import SweepPoint
 
-__all__ = ["ResultCache", "point_key", "sim_to_dict", "sim_from_dict",
+__all__ = ["LOG_SUBDIR", "SEGMENT_SUFFIX", "ResultCache", "point_key",
+           "scan_log", "sim_to_dict", "sim_from_dict",
            "stats_to_dict", "stats_from_dict"]
+
+#: Directory of the result log under a cache root.
+LOG_SUBDIR = "log"
+
+#: File suffix of one log segment.
+SEGMENT_SUFFIX = ".jsonl"
 
 
 def _config_to_dict(config: MachineConfig) -> Dict[str, Any]:
@@ -149,85 +155,91 @@ def stats_from_dict(data: Dict[str, Any]) -> TraceStats:
     )
 
 
-class ResultCache:
-    """On-disk JSON result cache for sweep points.
+def scan_log(log_dir: str) -> Dict[str, Tuple[Dict[str, Any], str]]:
+    """``{key: (record, segment path)}`` over every segment in ``log_dir``,
+    oldest segment first (names start with the creation time), so a later
+    record for a key wins.  Torn tails and unparseable lines are skipped."""
+    try:
+        names = sorted(name for name in os.listdir(log_dir)
+                       if name.endswith(SEGMENT_SUFFIX))
+    except OSError:
+        names = []
+    index: Dict[str, Tuple[Dict[str, Any], str]] = {}
+    for name in names:
+        path = os.path.join(log_dir, name)
+        for record in read_jsonl(path).records:
+            key = record.get("key")
+            if isinstance(key, str):
+                index[key] = (record, path)
+    return index
 
-    Parameters
-    ----------
-    cache_dir:
-        Root directory; created on first write.  Entries are keyed by
-        :func:`point_key`.
+
+class ResultCache:
+    """Append-only JSONL result log for sweep points.
+
+    ``cache_dir`` is the root; the log lives in ``<cache_dir>/log/``,
+    created on the first put.  :attr:`hits` and :attr:`misses` count this
+    instance's :meth:`get` calls, and :attr:`corrupt` the misses whose
+    record failed its checksum.
     """
 
     def __init__(self, cache_dir: str) -> None:
         self.cache_dir = os.fspath(cache_dir)
+        self.log_dir = os.path.join(self.cache_dir, LOG_SUBDIR)
         self.hits = 0
         self.misses = 0
-        #: Entries this instance quarantined (``*.corrupt``) because they
-        #: failed to parse or their embedded checksum mismatched.
         self.corrupt = 0
-
-    # -- key/path plumbing ------------------------------------------------
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, key[:2], key + ".json")
-
-    # -- cache operations -------------------------------------------------
+        #: ``key -> (entry, segment path)``, built by the first get.
+        self._index: Optional[Dict[str, Tuple[Dict[str, Any], str]]] = None
+        self._segment: Optional[IO[str]] = None
+        self._touched: Set[str] = set()
 
     def get(self, point: SweepPoint):
         """Return the cached ``(SimResult, TraceStats)`` pair, or None.
 
-        Any unreadable, corrupt, or schema-mismatched entry (e.g. written
-        by an older code version that stored fewer fields) counts as a
-        plain miss — the point is recomputed rather than crashing the
-        sweep.  An entry that fails to parse or whose embedded content
-        checksum mismatches is additionally **quarantined** to
-        ``<entry>.corrupt`` (counted in :attr:`corrupt` and by ``repro
-        cache stats``; ``gc`` sweeps it), so rotten bytes are preserved
-        for inspection but can never be re-read.
-
-        A hit touches the entry's mtime so age/size eviction
-        (:func:`repro.sweep.manage.gc_cache`) is least-recently-*used*, not
-        least-recently-written.
+        A record failing its checksum is dropped (counted in
+        :attr:`corrupt`) and a verified one in an older schema skipped:
+        either way the point recomputes and its new record supersedes the
+        bad one.  The first hit in each segment touches the segment's
+        mtime, so ``repro cache gc`` evicts the least recently *hit*
+        segment first.
         """
-        path = self._path(point_key(point))
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                entry = json.load(f)
-        except OSError:
+        if self._index is None:
+            self._index = scan_log(self.log_dir)
+        key = point_key(point)
+        found = self._index.get(key)
+        if found is None:
             self.misses += 1
             return None
-        except ValueError:
-            entry = None  # unparseable bytes: quarantine below
-        if entry is None or not verify_checksum(entry):
-            quarantine_corrupt(path)
+        entry, segment = found
+        if not verify_checksum(entry):
+            del self._index[key]
             self.corrupt += 1
             self.misses += 1
             return None
         try:
-            result = self.load_result(entry)
+            result = (sim_from_dict(entry["sim"]),
+                      stats_from_dict(entry["stats"]))
         except (ValueError, KeyError, TypeError):
-            # Verified bytes in an unexpected schema (an older writer): a
-            # plain miss, not corruption.
             self.misses += 1
             return None
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
+        if segment not in self._touched:
+            self._touched.add(segment)
+            try:
+                os.utime(segment, None)
+            except OSError:
+                pass
         self.hits += 1
         return result
 
     def put(self, point: SweepPoint, sim: SimResult, stats: TraceStats) -> str:
-        """Store one result; returns the cache key.
+        """Append one result to this store's segment; returns the key.
 
-        The write is atomic (tempfile + rename) so concurrent sweeps sharing
-        a cache directory can never observe a half-written entry.
+        One ``write`` and a flush per record: a crash leaves at most a
+        torn tail, which readers skip.
         """
         point = point.resolved()
         key = point_key(point)
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "key": key,
             "model_version": versions.MODEL_VERSION,
@@ -238,9 +250,19 @@ class ResultCache:
             "sim": sim_to_dict(sim),
             "stats": stats_to_dict(stats),
         }
-        atomic_write_text(path, encode_stamped(entry))
+        if self._segment is None:
+            os.makedirs(self.log_dir, exist_ok=True)
+            name = f"{time.time_ns()}-{os.getpid()}{SEGMENT_SUFFIX}"
+            self._segment = open(os.path.join(self.log_dir, name), "a",
+                                 encoding="utf-8")
+        self._segment.write(encode_stamped(entry) + "\n")
+        self._segment.flush()
+        if self._index is not None:
+            self._index[key] = (entry, self._segment.name)
         return key
 
-    def load_result(self, entry: Dict[str, Any]):
-        """Deserialise one cache entry into ``(SimResult, TraceStats)``."""
-        return sim_from_dict(entry["sim"]), stats_from_dict(entry["stats"])
+    def close(self) -> None:
+        """Close this store's segment; a later put opens a new one."""
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None

@@ -9,7 +9,7 @@ points get executed:
   deterministic) spec, so no large arrays cross the process boundary and
   parallel results are bit-identical to serial ones,
 * optionally backed (with a ``cache_dir``) by an on-disk result store — the
-  one-file-per-point :class:`~repro.sweep.cache.ResultCache` (re-running a
+  append-only log of :class:`~repro.sweep.cache.ResultCache` (re-running a
   sweep whose points are already cached does zero simulations) — and an
   on-disk :class:`~repro.sweep.tracecache.TraceCache` under
   ``<cache_dir>/traces`` (a point whose *result* misses but whose
@@ -69,22 +69,22 @@ and :attr:`SweepEngine.last_failures` record what supervision did.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Set, Tuple, Union)
 
-from repro.sweep import faults
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
 from repro.sweep.journal import SweepJournal
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.sweep.supervisor import PointFailure, SupervisorPolicy
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 
 if TYPE_CHECKING:
+    from repro.sweep.supervisor import PointFailure, SupervisorPolicy
     from repro.sweep.tracecache import TraceCache
     from repro.trace.container import Trace
 
@@ -249,6 +249,7 @@ def _simulate_group(points: Sequence[SweepPoint],
     the per-point ``(sim, stats, trace_cached)`` rows, how many front-end
     builds ran (0 or 1), and the group's ``(size, executed backend)``.
     """
+    from repro.sweep import faults
     from repro.timing.dispatch import resolve_execution, simulate_batch
     from repro.trace.stats import summarize_trace
 
@@ -276,6 +277,7 @@ def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
     on-disk cache, plus the build count and backend execution record)
     travel back to the parent.
     """
+    from repro.sweep import faults
     from repro.sweep.tracecache import TraceCache
 
     faults.mark_worker()
@@ -294,10 +296,12 @@ class SweepEngine:
         deterministic in-process path; ``jobs > 1`` uses a
         ``ProcessPoolExecutor``.
     cache_dir:
-        Root directory for the on-disk caches; ``None`` disables both.
-        Results live at ``<cache_dir>/<key[:2]>/<key>.json`` and serialized
-        traces under ``<cache_dir>/traces/``.  Both are keyed by the live
-        :data:`~repro.versions.MODEL_VERSION` (results only) and
+        Root directory for the on-disk caches, or an open
+        :class:`~repro.sweep.cache.ResultCache` to share (the sweep
+        service hands one store to every job); ``None`` disables both.
+        Results live in the segment log under ``<cache_dir>/log/`` and
+        serialized traces under ``<cache_dir>/traces/``.  Both are keyed by
+        the live :data:`~repro.versions.MODEL_VERSION` (results only) and
         :data:`~repro.versions.BUILDER_VERSION`, read at call
         time.  Every build is verified against its NumPy golden reference,
         so both stores admit every completed result.
@@ -319,22 +323,37 @@ class SweepEngine:
         default.  CLI: ``--max-pool-restarts``.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
+    def __init__(self, jobs: int = 1,
+                 cache_dir: Union[None, str, ResultCache] = None,
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        restarts = ({} if max_pool_restarts is None
-                    else {"max_pool_restarts": max_pool_restarts})
-        self.policy = SupervisorPolicy(task_timeout=task_timeout, **restarts)
+        self._knobs = {name: value for name, value in (
+            ("task_timeout", task_timeout),
+            ("max_pool_restarts", max_pool_restarts)) if value is not None}
+        if self._knobs:
+            self.policy  # validates the knobs before any work runs
         self.jobs = int(jobs)
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        # A store opened here closes after each run; a shared one, never.
+        self._owns_cache = not isinstance(cache_dir, ResultCache)
+        if self._owns_cache:
+            cache_dir = ResultCache(cache_dir) if cache_dir else None
+        self.cache = cache_dir
         self._trace_cache: Optional[TraceCache] = None
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
         self.journal = journal
         self._reset_counters()
+
+    @functools.cached_property
+    def policy(self) -> SupervisorPolicy:
+        """The pool's :class:`~repro.sweep.supervisor.SupervisorPolicy`,
+        built on first use from ``task_timeout``/``max_pool_restarts``."""
+        from repro.sweep.supervisor import SupervisorPolicy
+
+        return SupervisorPolicy(**self._knobs)
 
     @property
     def trace_cache(self) -> Optional[TraceCache]:
@@ -441,12 +460,14 @@ class SweepEngine:
             yield from self._iter_results_journaled(points, completed,
                                                     on_result)
         finally:
-            # Release the journal's writer lock (and file handle) whether
-            # the run completed, raised, or the consumer abandoned the
-            # generator — a later run (this process or another) must be
-            # able to take the lock.
+            # Release the journal's writer lock (and file handle) and the
+            # result segment whether the run completed, raised, or the
+            # consumer abandoned the generator — a later run (this process
+            # or another) must be able to take the lock.
             if journal is not None:
                 journal.close()
+            if self._owns_cache and self.cache is not None:
+                self.cache.close()
 
     def _iter_results_journaled(self, points: Sequence[SweepPoint],
                                 completed: Dict[str, Dict[str, Any]],
@@ -541,6 +562,8 @@ class SweepEngine:
         :class:`~repro.sweep.supervisor.PointFailure` records
         (``phase="serial"``, two attempts) instead of aborting the sweep.
         """
+        from repro.sweep.supervisor import PointFailure
+
         for i in group:
             self.last_retries += 1
             try:

@@ -1,63 +1,42 @@
 """Management of the on-disk sweep caches: stats, eviction (GC), clearing.
 
-One cache root holds every store the engine uses —
+One cache root holds the result log's JSONL segments,
+``<cache_dir>/log/<time_ns>-<pid>.jsonl``
+(:class:`~repro.sweep.cache.ResultCache`), and the trace entries,
+``<cache_dir>/traces/<key[:2]>/<key>.json``
+(:class:`~repro.sweep.tracecache.TraceCache`).  Every eviction unit — a
+whole segment or one trace file — is one :class:`CacheEntry` whose mtime
+is its last use: a segment's moves when its writer appends and when a
+store first hits one of its records, a trace file's on every read.  All
+stores are content-addressed, so eviction is always safe — a removed
+entry is a future miss, never a correctness problem.
 
-* JSON result entries at ``<cache_dir>/<key[:2]>/<key>.json``
-  (:class:`~repro.sweep.cache.ResultCache`) and
-* trace entries at ``<cache_dir>/traces/<key[:2]>/<key>.json``
-  (:class:`~repro.sweep.tracecache.TraceCache`)
+Eviction policy (:func:`gc_cache`): drop every entry older than
+``max_age_seconds``; if the survivors still exceed ``max_bytes``, drop
+least recently used first until the total fits.  ``keep`` exempts a
+section (``repro cache gc --keep-traces`` / ``--keep-results``).
 
-— and this module treats them uniformly: every entry is one
-:class:`CacheEntry` whose last-use timestamp (the file's mtime) doubles as
-its age.  All stores are content-addressed, so eviction is always safe — a
-removed entry is a future cache miss, never a correctness problem.
-
-Eviction policy (:func:`gc_cache`):
-
-1. Drop every entry older than ``max_age_seconds`` (when given).
-2. If the survivors still exceed ``max_bytes`` (when given), drop
-   oldest-first until the total fits.
-
-All stores touch entries on read, so "oldest" means least recently *used*
-(true LRU), and a whole section can be exempted from eviction with ``keep``
-(``repro cache gc --keep-traces`` / ``--keep-results`` — e.g. protect the
-expensive-to-rebuild traces while pruning cheap-to-recompute results).
-
-Stale temporary files
----------------------
-
-Every file-based write goes through an atomic tempfile + rename
-(:mod:`repro.common.atomicio`); a process killed between the two orphans
-one ``*.tmp`` file.  :func:`cache_stats` reports them and :func:`gc_cache`
-sweeps any older than a grace period (:data:`TMP_GRACE_SECONDS` — young
-ones may belong to a live writer), so crashes leave bounded garbage.
-
-Quarantined corrupt entries
----------------------------
-
-Entries embed a content checksum
-(:func:`repro.common.atomicio.encode_stamped`); a store that reads an
-unparseable or checksum-mismatched entry quarantines it as ``*.corrupt``
-and treats the key as a miss.  :func:`cache_stats` counts the quarantined
-files, and :func:`gc_cache` / :func:`clear_cache` sweep them regardless of
-age or bounds — a quarantined file is never live, it exists only for
-post-mortem inspection between the miss and the next GC.
-
-The CLI exposes all of this as ``repro cache stats|gc|clear``.
+Files that are not cache entries are swept too: ``*.tmp`` orphans of
+interrupted atomic trace writes once older than :data:`TMP_GRACE_SECONDS`
+(a younger one may belong to a live writer), and at any age quarantined
+``*.corrupt`` trace entries and the files of the pre-segment result layout
+(``<cache_dir>/<key[:2]>/<key>.json``, never read: a miss, never a wrong
+hit).  :func:`cache_stats` counts all of them.  The CLI exposes this
+module as ``repro cache stats|gc|clear``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.atomicio import CORRUPT_SUFFIX, TMP_SUFFIX
+from repro.sweep.cache import LOG_SUBDIR, SEGMENT_SUFFIX, scan_log
 from repro.sweep.tracecache import TRACE_SUBDIR
 
 __all__ = ["CacheEntry", "CacheStats", "GCReport", "TMP_GRACE_SECONDS",
-           "iter_cache_entries", "iter_corrupt_files", "iter_tmp_files",
-           "cache_stats", "gc_cache", "clear_cache"]
+           "iter_cache_entries", "cache_stats", "gc_cache", "clear_cache"]
 
 #: Logical sections of a shared cache root.
 _SECTIONS = ("results", "traces")
@@ -66,10 +45,12 @@ _SECTIONS = ("results", "traces")
 #: this young may be a live writer's in-flight entry, so GC leaves it.
 TMP_GRACE_SECONDS = 3600.0
 
+#: ``(path, size, mtime)`` of one file.
+_File = Tuple[str, int, float]
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One cache entry: a result file or a trace file."""
+    """One eviction unit: a result segment or a trace file."""
 
     path: str
     section: str  # "results" or "traces"
@@ -82,20 +63,24 @@ class CacheStats:
     """Aggregate usage of one cache root, per section and overall."""
 
     cache_dir: str
+    #: Live result records (distinct keys in the log) and trace entries.
     entries: Dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in _SECTIONS})
     bytes: Dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in _SECTIONS})
+    #: Result-log segments holding those records.
+    segments: int = 0
     #: Orphaned ``*.tmp`` files from interrupted atomic writes (all ages).
     tmp_files: int = 0
     tmp_bytes: int = 0
-    #: Of those, how many exceed the GC grace period (``repro cache gc``
-    #: will sweep exactly these).
+    #: Of those, how many are past the grace period (``gc`` sweeps these).
     stale_tmp_files: int = 0
-    #: Quarantined ``*.corrupt`` entries (failed parse or checksum
-    #: mismatch on read); ``gc``/``clear`` sweep them regardless of age.
+    #: Quarantined ``*.corrupt`` trace entries; ``gc``/``clear`` sweep them.
     corrupt_files: int = 0
     corrupt_bytes: int = 0
+    #: Pre-segment result files (never read; ``gc``/``clear`` remove them).
+    legacy_files: int = 0
+    legacy_bytes: int = 0
     oldest_mtime: Optional[float] = None
     newest_mtime: Optional[float] = None
 
@@ -108,88 +93,48 @@ class CacheStats:
         return sum(self.bytes.values())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able form of the stats (``repro cache stats --json``).
-
-        Every field and derived total, plus nothing else — scripts can
-        rely on these keys staying stable.
-        """
-        return {
-            "cache_dir": self.cache_dir,
-            "entries": dict(self.entries),
-            "bytes": dict(self.bytes),
-            "total_entries": self.total_entries,
-            "total_bytes": self.total_bytes,
-            "tmp_files": self.tmp_files,
-            "tmp_bytes": self.tmp_bytes,
-            "stale_tmp_files": self.stale_tmp_files,
-            "corrupt_files": self.corrupt_files,
-            "corrupt_bytes": self.corrupt_bytes,
-            "oldest_mtime": self.oldest_mtime,
-            "newest_mtime": self.newest_mtime,
-        }
+        """JSON-able stats (``repro cache stats --json``): stable keys for
+        scripts; the segment and pre-segment counts are text-only."""
+        out = asdict(self)
+        for text_only in ("segments", "legacy_files", "legacy_bytes"):
+            del out[text_only]
+        return {**out, "total_entries": self.total_entries,
+                "total_bytes": self.total_bytes}
 
 
 @dataclass
 class GCReport:
     """Outcome of one :func:`gc_cache` pass."""
 
+    #: Eviction units (result segments and trace files) removed and kept.
     removed: int = 0
     kept: int = 0
     bytes_freed: int = 0
     bytes_kept: int = 0
-    #: Stale temporary files swept (reported separately from entries — a
-    #: tmp file was never a cache entry).
+    #: Files that were never cache entries: stale temporary files, ...
     tmp_removed: int = 0
     tmp_bytes_freed: int = 0
-    #: Quarantined corrupt entries swept (also not cache entries — their
-    #: keys already read as misses).
+    #: ... quarantined corrupt trace entries, ...
     corrupt_removed: int = 0
     corrupt_bytes_freed: int = 0
+    #: ... and pre-segment result files.
+    legacy_removed: int = 0
+    legacy_bytes_freed: int = 0
 
 
-def _iter_section(root: str, section: str) -> Iterator[CacheEntry]:
-    """Entries of one two-level ``<fan-out>/<key>.json`` store under ``root``."""
+def _listdir(directory: str) -> List[str]:
     try:
-        fanouts = sorted(os.listdir(root))
+        return sorted(os.listdir(directory))
     except OSError:
-        return
-    for fanout in fanouts:
-        # Fan-out directories are the first two hex chars of the key; the
-        # traces subdir (and anything else) is not one of them.
-        if len(fanout) != 2:
-            continue
-        subdir = os.path.join(root, fanout)
-        try:
-            names = sorted(os.listdir(subdir))
-        except OSError:
-            continue
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(subdir, name)
-            try:
-                st = os.stat(path)
-            except OSError:
-                continue
-            yield CacheEntry(path=path, section=section,
-                             size=st.st_size, mtime=st.st_mtime)
+        return []
 
 
-def iter_cache_entries(cache_dir: str) -> Iterator[CacheEntry]:
-    """Yield every entry under a shared cache root (results, then traces)."""
-    yield from _iter_section(cache_dir, "results")
-    yield from _iter_section(os.path.join(cache_dir, TRACE_SUBDIR), "traces")
-
-
-def _iter_suffixed(cache_dir: str, suffix: str,
-                   ) -> Iterator[Tuple[str, int, float]]:
-    """Yield ``(path, size, mtime)`` of every ``*<suffix>`` file under the
-    root."""
-    for root, _dirs, files in os.walk(cache_dir):
-        for name in files:
-            if not name.endswith(suffix):
-                continue
-            path = os.path.join(root, name)
+def _files(directory: str, suffix: str = "") -> Iterator[_File]:
+    """``(path, size, mtime)`` of the files in ``directory`` whose names
+    end with ``suffix``, in name order."""
+    for name in _listdir(directory):
+        if name.endswith(suffix):
+            path = os.path.join(directory, name)
             try:
                 st = os.stat(path)
             except OSError:
@@ -197,89 +142,101 @@ def _iter_suffixed(cache_dir: str, suffix: str,
             yield path, st.st_size, st.st_mtime
 
 
-def iter_tmp_files(cache_dir: str) -> Iterator[Tuple[str, int, float]]:
-    """Yield ``(path, size, mtime)`` of every ``*.tmp`` file under the root.
-
-    These are orphans of interrupted atomic writes (every live write
-    unlinks its tempfile on failure; only a kill between ``mkstemp`` and
-    ``os.replace`` leaves one behind).
-    """
-    yield from _iter_suffixed(cache_dir, TMP_SUFFIX)
+def _fanout_files(root: str, suffix: str = "") -> Iterator[_File]:
+    """:func:`_files` of every two-character key fan-out under ``root``."""
+    for name in _listdir(root):
+        if len(name) == 2 and os.path.isdir(os.path.join(root, name)):
+            yield from _files(os.path.join(root, name), suffix)
 
 
-def iter_corrupt_files(cache_dir: str) -> Iterator[Tuple[str, int, float]]:
-    """Yield ``(path, size, mtime)`` of every quarantined ``*.corrupt``
-    entry under the root (result or trace, any fan-out)."""
-    yield from _iter_suffixed(cache_dir, CORRUPT_SUFFIX)
+def iter_cache_entries(cache_dir: str) -> Iterator[CacheEntry]:
+    """Yield every eviction unit under a shared cache root: the result
+    segments, then the trace entries."""
+    for section, files in (
+            ("results", _files(os.path.join(cache_dir, LOG_SUBDIR),
+                               SEGMENT_SUFFIX)),
+            ("traces", _fanout_files(os.path.join(cache_dir, TRACE_SUBDIR),
+                                     ".json"))):
+        for path, size, mtime in files:
+            yield CacheEntry(path=path, section=section, size=size,
+                             mtime=mtime)
 
 
 def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
     """Scan a cache root and return per-section entry/byte counts.
 
-    Orphaned temporary files are counted (stale = older than
-    :data:`TMP_GRACE_SECONDS` relative to ``now``, defaulting to the
-    current time) — this is an admin-path scan, not something the sweep
-    hot path ever runs.
-    """
+    An admin-path scan: it reads every segment to count live records, and
+    a tempfile is stale when :data:`TMP_GRACE_SECONDS` older than ``now``
+    (default: the current time)."""
     import time
 
     reference = time.time() if now is None else now
     stats = CacheStats(cache_dir=os.fspath(cache_dir))
     for entry in iter_cache_entries(cache_dir):
-        stats.entries[entry.section] += 1
+        if entry.section == "results":
+            stats.segments += 1
+        else:
+            stats.entries["traces"] += 1
         stats.bytes[entry.section] += entry.size
         if stats.oldest_mtime is None or entry.mtime < stats.oldest_mtime:
             stats.oldest_mtime = entry.mtime
         if stats.newest_mtime is None or entry.mtime > stats.newest_mtime:
             stats.newest_mtime = entry.mtime
-    for _path, size, mtime in iter_tmp_files(cache_dir):
+    stats.entries["results"] = len(
+        scan_log(os.path.join(cache_dir, LOG_SUBDIR)))
+    traces = os.path.join(cache_dir, TRACE_SUBDIR)
+    for _path, size, mtime in _fanout_files(traces, TMP_SUFFIX):
         stats.tmp_files += 1
         stats.tmp_bytes += size
         if reference - mtime > TMP_GRACE_SECONDS:
             stats.stale_tmp_files += 1
-    for _path, size, _mtime in iter_corrupt_files(cache_dir):
+    for _path, size, _mtime in _fanout_files(traces, CORRUPT_SUFFIX):
         stats.corrupt_files += 1
         stats.corrupt_bytes += size
+    for _path, size, _mtime in _fanout_files(cache_dir):
+        stats.legacy_files += 1
+        stats.legacy_bytes += size
     return stats
 
 
-def _remove(entry: CacheEntry, report: GCReport) -> None:
+def _unlink(path: str) -> bool:
+    """Remove one file, then its directory if that just emptied (best
+    effort); returns whether the file went."""
     try:
-        os.unlink(entry.path)
+        os.unlink(path)
     except OSError:
-        return
-    report.removed += 1
-    report.bytes_freed += entry.size
-    # Prune the fan-out directory when it just emptied (best effort).
+        return False
     try:
-        os.rmdir(os.path.dirname(entry.path))
+        os.rmdir(os.path.dirname(path))
     except OSError:
         pass
+    return True
 
 
-def _sweep_tmp_files(cache_dir: str, report: GCReport, reference: float,
-                     grace_seconds: float) -> None:
-    """Unlink orphaned tempfiles older than the grace period."""
-    for path, size, mtime in list(iter_tmp_files(cache_dir)):
-        if reference - mtime <= grace_seconds:
-            continue
-        try:
-            os.unlink(path)
-        except OSError:
-            continue
-        report.tmp_removed += 1
-        report.tmp_bytes_freed += size
+def _remove(entry: CacheEntry, report: GCReport) -> None:
+    if _unlink(entry.path):
+        report.removed += 1
+        report.bytes_freed += entry.size
 
 
-def _sweep_corrupt_files(cache_dir: str, report: GCReport) -> None:
-    """Unlink every quarantined entry (no grace: they are never live)."""
-    for path, size, _mtime in list(iter_corrupt_files(cache_dir)):
-        try:
-            os.unlink(path)
-        except OSError:
-            continue
-        report.corrupt_removed += 1
-        report.corrupt_bytes_freed += size
+def _sweep(cache_dir: str, report: GCReport,
+           tmp_cutoff: float) -> None:
+    """Unlink the files that are not cache entries: orphaned tempfiles
+    last written before ``tmp_cutoff``, and (no grace: neither is ever
+    read) quarantined trace entries and pre-segment result files."""
+    traces = os.path.join(cache_dir, TRACE_SUBDIR)
+    for path, size, mtime in list(_fanout_files(traces, TMP_SUFFIX)):
+        if mtime < tmp_cutoff and _unlink(path):
+            report.tmp_removed += 1
+            report.tmp_bytes_freed += size
+    for path, size, _mtime in list(_fanout_files(traces, CORRUPT_SUFFIX)):
+        if _unlink(path):
+            report.corrupt_removed += 1
+            report.corrupt_bytes_freed += size
+    for path, size, _mtime in list(_fanout_files(cache_dir)):
+        if _unlink(path):
+            report.legacy_removed += 1
+            report.legacy_bytes_freed += size
 
 
 def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
@@ -289,10 +246,8 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
              tmp_grace_seconds: float = TMP_GRACE_SECONDS) -> GCReport:
     """Evict cache entries by age and/or total size; returns a report.
 
-    All stores touch entries on read, so mtime-ordered eviction is true
-    least-recently-used.  Independently of the bounds, every orphaned
-    ``*.tmp`` file older than ``tmp_grace_seconds`` is swept (reported via
-    :attr:`GCReport.tmp_removed`, not as an evicted entry).
+    Results go a whole segment at a time.  Whatever the bounds, files
+    that are not entries are swept too (see :func:`_sweep`).
 
     Parameters
     ----------
@@ -315,9 +270,6 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     tmp_grace_seconds:
         Minimum age before an orphaned tempfile is swept (younger ones may
         belong to a live writer).
-
-    With neither bound given this sweeps stale tempfiles and quarantined
-    ``*.corrupt`` entries, and nothing else.
     """
     import time
 
@@ -354,8 +306,7 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
             total -= entry.size
         survivors = [e for e in survivors if e.path not in removed_paths]
 
-    _sweep_tmp_files(cache_dir, report, reference, tmp_grace_seconds)
-    _sweep_corrupt_files(cache_dir, report)
+    _sweep(cache_dir, report, tmp_cutoff=reference - tmp_grace_seconds)
 
     report.kept = len(survivors)
     report.bytes_kept = sum(e.size for e in survivors)
@@ -363,15 +314,11 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
 
 
 def clear_cache(cache_dir: str) -> GCReport:
-    """Remove every entry under a cache root; returns what was freed.
-
-    Clears both stores (results and traces) and every orphaned tempfile
-    regardless of age.
-    """
+    """Remove every segment (then ``log/``), trace entry and non-entry
+    file under a cache root, tempfiles of any age included; returns what
+    was freed."""
     report = GCReport()
     for entry in list(iter_cache_entries(cache_dir)):
         _remove(entry, report)
-    _sweep_tmp_files(cache_dir, report, reference=float("inf"),
-                     grace_seconds=0.0)
-    _sweep_corrupt_files(cache_dir, report)
+    _sweep(cache_dir, report, tmp_cutoff=float("inf"))
     return report

@@ -2,10 +2,10 @@
 
 A long-lived server process that accepts sweep submissions over HTTP, runs
 them on the shared :class:`~repro.sweep.engine.SweepEngine` (one engine run
-per job, all jobs sharing the server's result/trace caches), and streams
-live progress.  Everything rides the stdlib — ``http.server`` + threads on
-the server, ``urllib`` in the client — so the service adds zero
-dependencies.
+per job, all jobs sharing the server's one result store and trace cache),
+and streams live progress.  Everything rides the stdlib — ``http.server``
++ threads on the server, ``urllib`` in the client — so the service adds
+zero dependencies.
 
 Robustness is the design center, built on the primitives the sweep stack
 already trusts:
@@ -82,6 +82,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.common.atomicio import atomic_write_text
 from repro import versions
 from repro.sweep import faults
+from repro.sweep.cache import ResultCache
 from repro.sweep.engine import SweepEngine
 from repro.sweep.journal import SweepJournal, read_jsonl
 from repro.sweep.spec import SweepPoint, grid_points
@@ -263,8 +264,8 @@ class SweepService:
         restart needs lives here.
     cache_dir / jobs / task_timeout / max_pool_restarts:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
-        built for each job run — one shared cache root, one parallelism
-        setting, for every job.
+        built for each job run; the result store under ``cache_dir`` is
+        opened once, so every job appends to one segment.
     max_queue:
         Bound on jobs waiting to run (the running job does not count).
         Submissions over the bound raise :class:`QueueFull` (HTTP 429).
@@ -277,7 +278,7 @@ class SweepService:
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         self.state_dir = os.fspath(state_dir)
-        self.cache_dir = cache_dir
+        self.cache = ResultCache(cache_dir) if cache_dir else None
         self.engine_jobs = jobs
         self.max_queue = max_queue
         self.task_timeout = task_timeout
@@ -484,13 +485,14 @@ class SweepService:
             return dict(job)
 
     def _run_loop(self) -> None:
-        """Consume the queue until drained; one engine run per job."""
+        """Consume the queue until drained; one engine run per job.  The
+        runner, the result store's only user, closes it."""
         while not self._draining.is_set():
             with self._lock:
                 while not self._queue and not self._draining.is_set():
                     self._wake.wait(timeout=0.5)
                 if self._draining.is_set():
-                    return
+                    break
                 job_id = self._queue.popleft()
                 self._running_id = job_id
             try:
@@ -498,6 +500,8 @@ class SweepService:
             finally:
                 with self._lock:
                     self._running_id = None
+        if self.cache is not None:
+            self.cache.close()
 
     def _run_job(self, job_id: str) -> None:
         job = self._update(job_id, status="running", started_at=time.time())
@@ -505,7 +509,7 @@ class SweepService:
         points = submission_points(submission)
         engine = SweepEngine(
             jobs=self.engine_jobs,
-            cache_dir=self.cache_dir,
+            cache_dir=self.cache,
             journal=self.journal_path(job_id),
             task_timeout=self.task_timeout,
             max_pool_restarts=self.max_pool_restarts,

@@ -1,5 +1,5 @@
 """Atomic JSON writes: the bytes on disk are what ``json.dump`` writes,
-and a cache entry is encoded once for its checksum and its file."""
+and a cache entry is encoded once for its checksum and its log line."""
 
 import io
 import json
@@ -55,15 +55,17 @@ def test_result_cache_entry_matches_json_dump(tmp_path):
                     kernel="comp", isa="mom", config_name="way4",
                     stall_breakdown={"rob": 2})
     key = cache.put(point, sim, TraceStats(num_instructions=16))
-    path = tmp_path / key[:2] / f"{key}.json"
+    cache.close()
+    (path,) = (tmp_path / "log").iterdir()
     entry = json.loads(path.read_text())
-    # One encoding serves the checksum and the file: the canonical JSON
-    # of the entry body, with the stamp appended as the last member.
+    assert entry["key"] == key
+    # One encoding serves the checksum and the log line: the canonical
+    # JSON of the entry body, with the stamp appended as the last member.
     body = {k: v for k, v in entry.items() if k != "checksum"}
     assert list(entry)[-1] == "checksum"
     assert path.read_bytes() == (
         _dump(body, sort_keys=True, separators=(",", ":"))[:-1]
-        + f',"checksum":"{entry["checksum"]}"}}'.encode())
+        + f',"checksum":"{entry["checksum"]}"}}\n'.encode())
     assert verify_checksum(entry)
 
 

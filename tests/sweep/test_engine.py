@@ -206,11 +206,11 @@ class TestCache:
         cfg = MachineConfig.for_way(4)
         point = SweepPoint("comp", "mom", cfg, _SPEC)
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run([point])
-        key = point_key(point)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
-        assert os.path.exists(path)
-        with open(path) as f:
-            entry = json.load(f)
+        (segment,) = os.listdir(tmp_path / "log")
+        assert segment.endswith(f"-{os.getpid()}.jsonl")
+        (line,) = (tmp_path / "log" / segment).read_text().splitlines()
+        entry = json.loads(line)
+        assert entry["key"] == point_key(point)
         assert entry["kernel"] == "comp"
         assert entry["isa"] == "mom"
         assert entry["sim"]["cycles"] > 0
@@ -219,16 +219,13 @@ class TestCache:
         cfg = MachineConfig.for_way(4)
         point = SweepPoint("comp", "mom", cfg, _SPEC)
         engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        engine.run([point])
-        key = point_key(point)
-        path = os.path.join(str(tmp_path), key[:2], key + ".json")
-        with open(path, "w") as f:
-            f.write("{not json")
+        cold = engine.run([point])
+        (segment,) = (tmp_path / "log").iterdir()
+        segment.write_text("{not json\n")
         again = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         results = again.run([point])
         assert again.last_simulated == 1
-        assert results[0].sim.cycles > 0
-
+        assert results[0].sim == cold[0].sim
 
     def test_warm_rerun_simulates_nothing(self, tmp_path):
         sweep = _two_way_sweep()

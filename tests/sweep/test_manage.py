@@ -1,7 +1,9 @@
 """Tests of the cache management layer (stats / GC / clear) and its CLI.
 
 Eviction is exercised against a real engine-populated cache root so both
-sections — result entries and trace entries — are present.
+sections — result-log segments and trace entries — are present.  A
+populated root holds one segment (one writing engine) and one trace per
+(kernel, ISA).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class TestStats:
         points = _populate(str(tmp_path))
         stats = cache_stats(str(tmp_path))
         assert stats.entries["results"] == points
+        assert stats.segments == 1
         assert stats.entries["traces"] == points  # one trace per (kernel, isa)
         assert stats.total_entries == 2 * points
         assert stats.bytes["results"] > 0
@@ -58,7 +61,7 @@ class TestGC:
         points = _populate(str(tmp_path))
         report = gc_cache(str(tmp_path))
         assert report.removed == 0
-        assert report.kept == 2 * points
+        assert report.kept == 1 + points
 
     def test_size_bound_evicts_oldest_first(self, tmp_path):
         _populate(str(tmp_path))
@@ -78,7 +81,7 @@ class TestGC:
     def test_size_bound_zero_clears_everything(self, tmp_path):
         points = _populate(str(tmp_path))
         report = gc_cache(str(tmp_path), max_bytes=0)
-        assert report.removed == 2 * points
+        assert report.removed == 1 + points
         assert cache_stats(str(tmp_path)).total_entries == 0
 
     def test_age_bound_evicts_only_old_entries(self, tmp_path):
@@ -94,29 +97,34 @@ class TestGC:
         survivors = {e.path for e in iter_cache_entries(str(tmp_path))}
         assert survivors == {e.path for e in entries} - {e.path for e in old}
 
-    def test_size_bound_is_lru_not_write_order(self, tmp_path):
-        """Reading an entry protects it: touch-on-read makes eviction LRU."""
-        from repro.sweep import ResultCache, SweepPoint, point_key
+    def test_size_bound_drops_least_recently_hit_segment_first(
+            self, tmp_path):
+        """A hit protects its segment: eviction is least recently *hit*,
+        not write order."""
+        from repro.sweep import ResultCache, SweepPoint
 
-        _populate(str(tmp_path))
-        entries = sorted(iter_cache_entries(str(tmp_path)),
-                         key=lambda e: e.mtime)
-        # Age everything into the past, then *read* one result entry
-        # through the cache API — its mtime jumps to "now".
+        _populate(str(tmp_path), kernels=("comp",))
+        _populate(str(tmp_path), kernels=("addblock",))
+        segments = [e for e in iter_cache_entries(str(tmp_path))
+                    if e.section == "results"]
+        assert len(segments) == 2
+        first, second = (e.path for e in segments)
+        # Age both, the first-written one further, then *hit* a record of
+        # the first segment: its mtime jumps to "now".
         now = time.time()
-        for k, entry in enumerate(entries):
-            os.utime(entry.path, (now - 9999 - k, now - 9999 - k))
-        cache = ResultCache(str(tmp_path))
+        os.utime(first, (now - 9999, now - 9999))
+        os.utime(second, (now - 999, now - 999))
         point = SweepPoint("comp", "scalar", MachineConfig.for_way(4), _SPEC)
-        assert cache.get(point) is not None
-        read_path = os.path.join(str(tmp_path), point_key(point)[:2],
-                                 point_key(point) + ".json")
+        assert ResultCache(str(tmp_path)).get(point) is not None
 
-        # Evict down to a size only a few entries fit into: the read entry
-        # is the most recently used and must survive.
-        keep_bytes = os.path.getsize(read_path) + 1
-        gc_cache(str(tmp_path), max_bytes=keep_bytes)
-        assert os.path.exists(read_path), "recently read entry was evicted"
+        # Kept traces count toward the bound: room for one segment more.
+        traces = cache_stats(str(tmp_path)).bytes["traces"]
+        report = gc_cache(str(tmp_path),
+                          max_bytes=traces + os.path.getsize(first),
+                          keep=("traces",))
+        assert os.path.exists(first), "recently hit segment was evicted"
+        assert not os.path.exists(second)
+        assert report.removed == 1
 
     def test_trace_reads_touch_entries_too(self, tmp_path):
         from repro.sweep import SweepPoint, TraceCache
@@ -171,15 +179,16 @@ class TestClear:
     def test_clear_removes_everything(self, tmp_path):
         points = _populate(str(tmp_path))
         report = clear_cache(str(tmp_path))
-        assert report.removed == 2 * points
+        assert report.removed == 1 + points
         assert cache_stats(str(tmp_path)).total_entries == 0
+        assert not os.path.exists(tmp_path / "log")
 
 
 class TestTmpFiles:
-    """Orphaned ``*.tmp`` files from interrupted atomic writes."""
+    """Orphaned ``*.tmp`` files from interrupted atomic trace writes."""
 
     def _orphan(self, root, age_seconds, name="deadbeef1234.tmp"):
-        path = os.path.join(str(root), "ab", name)
+        path = os.path.join(str(root), "traces", "ab", name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as f:
             f.write("x" * 64)
@@ -210,7 +219,7 @@ class TestTmpFiles:
         young = self._orphan(tmp_path, age_seconds=0, name="b.tmp")
         report = gc_cache(str(tmp_path))
         assert report.removed == 0          # no bounds: no entry evicted
-        assert report.kept == 2 * points
+        assert report.kept == 1 + points
         assert report.tmp_removed == 1
         assert report.tmp_bytes_freed == 64
         assert not os.path.exists(stale)
@@ -262,6 +271,7 @@ class TestCacheCLI:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"results  {points:6d} entries" in out
+        assert "in 1 segment(s)" in out
         assert f"traces   {points:6d} entries" in out
         assert "lowered payloads" not in out
         assert "least recently used entry" in out

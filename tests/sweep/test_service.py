@@ -336,6 +336,34 @@ class TestServiceInProcess:
         assert final["telemetry"]["simulated"] == 0
         assert final["telemetry"]["cached"] == final["total"]
 
+    def test_one_result_store_per_server(self, tmp_path, count_calls):
+        """Every job runs on the server's one result store: three jobs
+        append to one segment, the log is scanned once, and the served
+        rows equal a fresh engine run."""
+        import repro.sweep.cache
+        from repro.sweep.cache import sim_to_dict, stats_to_dict
+        from repro.sweep.engine import SweepEngine
+
+        scans = count_calls(repro.sweep.cache, "scan_log")
+        cache = tmp_path / "cache"
+        service = SweepService(str(tmp_path / "state"), cache_dir=str(cache))
+        submissions = [dict(SMALL, ways=[1]), dict(SMALL, ways=[2]),
+                       dict(SMALL, ways=[1, 2])]
+        jobs = [service.submit(sub)[0] for sub in submissions]
+        service.start()
+        finals = [_wait_terminal(service, job["id"]) for job in jobs]
+        service.drain(timeout=10)
+        assert [f["status"] for f in finals] == ["done"] * 3
+        assert finals[2]["telemetry"]["cached"] == finals[2]["total"]
+        assert len(os.listdir(cache / "log")) == 1
+        assert len(scans) == 1
+        for job in jobs:
+            fresh = SweepEngine().run(
+                submission_points(normalize_submission(job["submission"])))
+            rows = service.result(job["id"])["results"]
+            assert [(r["sim"], r["stats"]) for r in rows] == [
+                (sim_to_dict(r.sim), stats_to_dict(r.stats)) for r in fresh]
+
 
 @pytest.fixture
 def http_stack(tmp_path):

@@ -2,7 +2,8 @@
 
 A warm ``repro figure4|figure5|tables`` reads its points from the result
 cache and formats them; it needs neither NumPy nor the kernels, the
-builders, the timing backends, the pool or the service.  A run served
+builders, the timing backends, the pool, its supervisor, the fault
+harness, ``tempfile`` or the service.  A run served
 from the trace cache simulates, but in pure Python: it needs no NumPy,
 kernel, builder or vector backend either.  Each command
 runs here in a fresh interpreter that reports ``sys.modules`` at exit, so
@@ -23,14 +24,18 @@ import repro.sweep
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-#: Runs ``python -m repro ARGS`` and, at exit, writes the imported module
-#: names as JSON to the file named by ``REPRO_MODULES_OUT``.
+#: Runs ``python -m repro ARGS`` and, at exit, writes the names of the
+#: modules it imported as JSON to the file named by ``REPRO_MODULES_OUT``.
+#: Modules the interpreter loaded before the probe started (``site`` and
+#: whatever ``.pth`` files pull in) are not the command's and are left out.
 _PROBE = """
-import atexit, json, os, runpy, sys
+import sys
+_before = set(sys.modules)
+import atexit, json, os, runpy
 
 def _dump():
     with open(os.environ["REPRO_MODULES_OUT"], "w") as f:
-        json.dump(sorted(sys.modules), f)
+        json.dump(sorted(set(sys.modules) - _before), f)
 
 atexit.register(_dump)
 sys.argv = ["repro"] + sys.argv[1:]
@@ -38,10 +43,11 @@ runpy.run_module("repro", run_name="__main__")
 """
 
 _FORBIDDEN = ("numpy", "concurrent.futures", "multiprocessing",
-              "http.client", "urllib.request", "ssl",
+              "http.client", "urllib.request", "ssl", "tempfile",
               "repro.frontend", "repro.timing.core", "repro.timing.lowered",
               "repro.timing.vector", "repro.sweep.service",
-              "repro.sweep.client", "repro.sweep.tracecache")
+              "repro.sweep.client", "repro.sweep.tracecache",
+              "repro.sweep.supervisor", "repro.sweep.faults")
 
 
 def _forbidden(module: str) -> bool:
