@@ -5,14 +5,15 @@ Exercises the service's whole recovery story out of process:
 
 1. run a sweep job on a clean server and fetch its results;
 2. run the same job on a second state dir with a fault rule that SIGKILLs
-   the server right after a result is journaled — twice, across two
-   restarts (the fault budget lives in slot files, so each incarnation
-   dies once after one more durable result);
+   the server right after a result reaches the result log — twice, across
+   two restarts (the fault budget lives in slot files, so each
+   incarnation dies once after one more durable result);
 3. restart a third time, let the job finish, and verify:
-   - each restart resumed the unfinished job from its journal,
-   - the journal only ever grew (no re-simulation of journaled points),
-   - the engine telemetry shows the final run replayed every journaled
-     point,
+   - each restart resumed the unfinished job,
+   - the durable points (the job's points in ``<state>/cache``) only ever
+     grew, and the final run served every one of them from the log (no
+     re-simulation of durable points),
+   - no ``<state>/journals`` directory exists,
    - the fetched results are byte-identical to the clean server's.
 
 Exits nonzero (with a diagnostic) on any violation.  Usage::
@@ -33,10 +34,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.sweep.cache import ResultCache  # noqa: E402
 from repro.sweep.client import ServiceClient  # noqa: E402
-from repro.sweep.journal import SweepJournal  # noqa: E402
 from repro.sweep.service import (job_id_for,  # noqa: E402
-                                 normalize_submission)
+                                 normalize_submission, submission_points)
 
 KERNELS = ["comp", "addblock"]
 WAYS = [1, 2, 4, 8]
@@ -86,6 +87,13 @@ def _await_done(client: ServiceClient, job_id: str, timeout: float = 600):
     raise SystemExit(f"FAIL: job {job_id} did not finish in {timeout}s")
 
 
+def _durable_points(state_dir: str, submission: dict) -> int:
+    """How many of the job's points the server's result log holds."""
+    cache = ResultCache(os.path.join(state_dir, "cache"))
+    return sum(cache.get(point) is not None for point in
+               submission_points(normalize_submission(submission)))
+
+
 def _canonical_results(payload: dict) -> str:
     """The result payload minus the job metadata (which carries wall-clock
     timestamps): the part that must be byte-identical across runs."""
@@ -119,14 +127,13 @@ def main() -> int:
     _stop(proc)
     print(f"clean run: {TOTAL_POINTS} point(s) done, server drained")
 
-    # -- 2. the chaos run: SIGKILL after a journaled result, twice --------
+    # -- 2. the chaos run: SIGKILL after a logged result, twice -----------
     chaos_state = os.path.join(workdir, "state-chaos")
     chaos_err = os.path.join(workdir, "chaos.err")
     fault_env = {"REPRO_FAULT_INJECT": json.dumps({
         "state_dir": os.path.join(workdir, "fault-state"),
         "faults": [{"kind": "crash", "stage": "service.result",
                     "times": 2}]})}
-    journal = os.path.join(chaos_state, "journals", job_id + ".jsonl")
 
     proc, url = _serve(chaos_state, chaos_err, fault_env)
     client = ServiceClient(url, retries=8)
@@ -137,11 +144,11 @@ def main() -> int:
     if proc.returncode != -signal.SIGKILL:
         raise SystemExit(f"FAIL: expected the server to SIGKILL itself, "
                          f"got exit {proc.returncode}")
-    after_first = len(SweepJournal(journal).load())
+    after_first = _durable_points(chaos_state, submission)
     if after_first < 1:
-        raise SystemExit("FAIL: nothing journaled before the first kill")
+        raise SystemExit("FAIL: nothing logged before the first kill")
     print(f"kill 1: server SIGKILLed with {after_first}/{TOTAL_POINTS} "
-          f"point(s) journaled")
+          f"point(s) in the result log")
 
     # -- 3. restart on the same state dir: resumes, dies once more --------
     proc, url = _serve(chaos_state, chaos_err, fault_env)
@@ -149,14 +156,14 @@ def main() -> int:
     if proc.returncode != -signal.SIGKILL:
         raise SystemExit(f"FAIL: expected the restarted server to SIGKILL "
                          f"itself, got exit {proc.returncode}")
-    after_second = len(SweepJournal(journal).load())
+    after_second = _durable_points(chaos_state, submission)
     if after_second <= after_first:
         raise SystemExit(f"FAIL: the restart made no progress "
-                         f"({after_first} -> {after_second} journaled)")
+                         f"({after_first} -> {after_second} logged)")
     print(f"kill 2: restarted server resumed and SIGKILLed with "
-          f"{after_second}/{TOTAL_POINTS} point(s) journaled")
+          f"{after_second}/{TOTAL_POINTS} point(s) in the result log")
 
-    # -- 4. final restart: the job completes from the journal -------------
+    # -- 4. final restart: the job completes from the log -----------------
     proc, url = _serve(chaos_state, chaos_err, fault_env)
     client = ServiceClient(url, retries=8)
     job = _await_done(client, job_id)
@@ -164,10 +171,10 @@ def main() -> int:
         raise SystemExit(f"FAIL: chaos job finished as {job['status']}: "
                          f"{job.get('error')}")
     telemetry = job["telemetry"]
-    if telemetry["journaled"] != after_second:
-        raise SystemExit(f"FAIL: final run replayed "
-                         f"{telemetry['journaled']} point(s), expected "
-                         f"{after_second} (the journal at kill time)")
+    if telemetry["cached"] != after_second:
+        raise SystemExit(f"FAIL: final run served {telemetry['cached']} "
+                         f"point(s) from the log, expected {after_second} "
+                         f"(the log at kill time)")
     if telemetry["simulated"] != TOTAL_POINTS - after_second:
         raise SystemExit(f"FAIL: final run simulated "
                          f"{telemetry['simulated']} point(s), expected "
@@ -175,7 +182,9 @@ def main() -> int:
     if job["interruptions"] != 2:
         raise SystemExit(f"FAIL: expected 2 recorded interruptions, got "
                          f"{job['interruptions']}")
-    print(f"final restart: {telemetry['journaled']} replayed + "
+    if os.path.exists(os.path.join(chaos_state, "journals")):
+        raise SystemExit("FAIL: the server wrote a journals/ directory")
+    print(f"final restart: {telemetry['cached']} from the log + "
           f"{telemetry['simulated']} simulated = {TOTAL_POINTS} point(s)")
 
     with open(chaos_err, encoding="utf-8") as f:

@@ -12,7 +12,7 @@ The CLI exposes the experiment drivers without writing any Python:
 * ``cache``    — inspect / garbage-collect / clear the on-disk caches
   (``repro cache stats|gc|clear --cache-dir DIR``).
 * ``serve``    — run the crash-tolerant HTTP sweep service on a durable
-  ``--state-dir``: journal-backed recovery after a kill, idempotent
+  ``--state-dir``: log-backed recovery after a kill, idempotent
   submissions, a bounded queue with backpressure, per-job deadlines and
   a graceful SIGTERM drain (see ``docs/service.md``).
 * ``client``   — talk to a running service: ``submit`` a sweep, ``watch``
@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import signal
 import sys
@@ -381,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port to bind; 0 picks a free port and "
                               "prints it (default 8023)")
     serve_p.add_argument("--state-dir", required=True,
-                         help="durable service state: job records and one "
-                              "write-ahead journal per job; restarting on "
-                              "the same directory resumes every unfinished "
-                              "job without re-simulating journaled points")
+                         help="durable service state: one record per job "
+                              "(and the caches, without --cache-dir); "
+                              "restarting on the same directory resumes "
+                              "every unfinished job, serving its completed "
+                              "points from the result log")
     serve_p.add_argument("--max-queue", type=int, default=16,
                          help="bound on queued jobs; submissions over it "
                               "get HTTP 429 + Retry-After (default 16)")
@@ -395,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes per job's engine run "
                               "(default 1 = serial in-process)")
     serve_p.add_argument("--cache-dir", default=None,
-                         help="result + trace cache root shared by every "
-                              "job (default: no caching)")
+                         help="where the result + trace caches every job "
+                              "shares live (default: <state-dir>/cache)")
     serve_p.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per worker-pool task deadline (hung-worker "
@@ -432,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--deadline-seconds", type=float, default=None,
                           help="wall-clock budget for the job; past it the "
                                "job fails at the next record boundary with "
-                               "its completed points journaled (resubmit "
-                               "with a longer deadline to continue)")
+                               "its completed points in the result log "
+                               "(resubmit with a longer deadline to "
+                               "continue)")
     submit_p.add_argument("--watch", action="store_true",
                           help="after submitting, stream the job's events "
                                "until it finishes (same as repro client "
@@ -654,11 +657,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
         service.drain()
-        state = service.resume_state()
-        if state["pending"]:
-            print(f"[serve] {len(state['pending'])} unfinished job(s) "
-                  f"journaled; restart with --state-dir {args.state_dir} "
-                  f"to resume: {' '.join(state['pending'])}",
+        pending = service.pending()
+        if pending:
+            print(f"[serve] {len(pending)} unfinished job(s), completed "
+                  f"points in the result log; restart with --state-dir "
+                  f"{args.state_dir} to resume: {' '.join(pending)}",
                   file=sys.stderr)
     return 0
 
@@ -860,13 +863,36 @@ def _check_machine_args(parser: argparse.ArgumentParser,
     except ValueError as exc:
         parser.error(str(exc))
     if hasattr(args, "jobs") and args.cache_dir:
-        try:
-            os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"--cache-dir {args.cache_dir!r} cannot be "
-                         f"created: {exc.strerror or exc}")
-        if not os.access(args.cache_dir, os.W_OK | os.X_OK):
-            parser.error(f"--cache-dir {args.cache_dir!r} is not writable")
+        _check_dir(parser, "--cache-dir", args.cache_dir)
+
+
+def _check_dir(parser: argparse.ArgumentParser, flag: str,
+               path: str) -> None:
+    """Create the directory a flag names, or exit 2 naming the flag."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"{flag} {path!r} cannot be created: "
+                     f"{exc.strerror or exc}")
+    if not os.access(path, os.W_OK | os.X_OK):
+        parser.error(f"{flag} {path!r} is not writable")
+
+
+def _check_serve_args(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> None:
+    """Reject ``repro serve`` settings that could only start a broken
+    server, before it binds: each error names its flag."""
+    if args.max_queue < 1:
+        parser.error(f"--max-queue must be an integer >= 1, "
+                     f"got {args.max_queue}")
+    if not (math.isfinite(args.max_poll_seconds)
+            and args.max_poll_seconds >= 0):
+        parser.error(f"--max-poll-seconds must be a finite number >= 0, "
+                     f"got {args.max_poll_seconds}")
+    if not 0 <= args.port <= 65535:
+        parser.error(f"--port must be an integer in 0..65535, "
+                     f"got {args.port}")
+    _check_dir(parser, "--state-dir", args.state_dir)
 
 
 class _Terminated(BaseException):
@@ -926,6 +952,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_machine_args(parser, args)
+    if args.command == "serve":
+        _check_serve_args(parser, args)
     try:
         with _sigterm_raises():
             return _dispatch(args)

@@ -44,7 +44,7 @@ from repro.sweep.journal import read_jsonl
 from repro.sweep.spec import SweepPoint
 
 __all__ = ["LOG_SUBDIR", "SEGMENT_SUFFIX", "ResultCache", "point_key",
-           "scan_log", "sim_to_dict", "sim_from_dict",
+           "point_record", "scan_log", "sim_to_dict", "sim_from_dict",
            "stats_to_dict", "stats_from_dict"]
 
 #: Directory of the result log under a cache root.
@@ -117,6 +117,21 @@ def sim_from_dict(data: Dict[str, Any]) -> SimResult:
         issue_width=data.get("issue_width", 1),
         stall_breakdown=dict(data.get("stall_breakdown", {})),
     )
+
+
+def point_record(key: str, result: "PointResult") -> Dict[str, Any]:  # noqa: F821
+    """One point's journal and service-event record: identification, then
+    ``sim``/``stats`` or, for a failed point, its serialized ``failure``."""
+    config = result.point.config
+    record = {"key": key, "index": result.index, "kernel": result.kernel,
+              "isa": result.isa, "config": config.name,
+              "mem_latency": config.mem_latency}
+    if result.failure is not None:
+        record["failure"] = result.failure.to_dict()
+    else:
+        record.update(sim=sim_to_dict(result.sim),
+                      stats=stats_to_dict(result.stats))
+    return record
 
 
 def stats_to_dict(stats: TraceStats) -> Dict[str, Any]:

@@ -12,8 +12,9 @@ server's absences:
   429's ``Retry-After`` header, when present, takes precedence over the
   computed delay (the server knows its own queue).
 * **Resumable watching.**  :meth:`ServiceClient.watch` long-polls the
-  job's event stream by index; a dropped connection resumes from the last
-  event seen, never duplicating or losing progress lines.
+  job's event stream by index from the last event seen (from the start,
+  skipping seen points, after a server restart) — never duplicating or
+  losing progress lines.
 * **Idempotent submission.**  Submitting is safe to repeat (the server
   keys jobs by content), which is what makes the retry loop sound: a
   submit whose response was lost re-submits and attaches to the job the
@@ -205,16 +206,24 @@ class ServiceClient:
               poll_timeout: float = 25.0) -> Iterator[Dict[str, Any]]:
         """Yield the job's events live until it reaches a terminal state.
 
-        Resumes from the last seen event across dropped connections and
-        server restarts (the event index is stable — it is the journal
-        record order, which only grows).  The final yielded item is a
-        ``{"job": ...}`` sentinel carrying the terminal job object.
+        Resumes from the last seen event across dropped connections.  A
+        restarted server (new ``boot`` id) may list events in another
+        order, so the watch starts over and skips points it has yielded.
+        The final item is a ``{"job": ...}`` sentinel with the terminal job.
         """
         since = 0
+        boot = None
+        seen = set()
         while True:
             batch = self.events(job_id, since=since, timeout=poll_timeout)
+            if boot not in (None, batch["boot"]):
+                boot, since = batch["boot"], 0
+                continue
+            boot = batch["boot"]
             for event in batch["events"]:
-                yield event
+                if event["index"] not in seen:
+                    seen.add(event["index"])
+                    yield event
             since = batch["next"]
             job = batch["job"]
             if job["status"] in ("done", "failed"):

@@ -55,7 +55,7 @@ instead, with the same kinds, budgets and cross-process slot files::
 
     {"kind": "crash", "stage": "service.result", "times": 2}
 
-SIGKILLs the server right after a result is durably journaled — and,
+SIGKILLs the server right after a result is durably logged — and,
 because the budget lives in ``state_dir`` slot files, a restarted server
 dies once more after its next *fresh* result, then the third incarnation
 runs to completion: a deterministic kill/restart/kill/restart chaos

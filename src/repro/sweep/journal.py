@@ -62,18 +62,16 @@ resume.  Opening a journal for writing therefore takes an ``O_EXCL``
 pid-stamped lockfile (``<journal>.lock``) first.  A lock whose stamped pid
 is dead (the usual aftermath of SIGKILL) is reclaimed automatically; a lock
 held by a *live* process raises :class:`JournalLockedError` with the owner's
-pid.  The lock guards writers only — :meth:`SweepJournal.load` and
-:func:`read_jsonl` never take it, so progress watchers can tail a journal
-someone else is writing.  Liveness is checked with ``os.kill(pid, 0)``,
-which assumes all writers share one host — true by construction for a local
-journal file.
+pid.  Readers (:meth:`SweepJournal.load`, :func:`read_jsonl`) never take
+it.  Liveness is checked with ``os.kill(pid, 0)``, which assumes all
+writers share one host — true by construction for a local journal file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, List, Optional
 
 __all__ = ["JOURNAL_FORMAT", "LOCK_SUFFIX", "JournalLockedError", "JsonlScan",
            "SweepJournal", "read_jsonl"]
@@ -395,24 +393,9 @@ class SweepJournal:
         :class:`~repro.sweep.supervisor.PointFailure` (and no
         ``sim``/``stats``, so pre-failure readers simply skip it).
         """
-        from repro.sweep.cache import sim_to_dict, stats_to_dict
+        from repro.sweep.cache import point_record
 
-        header = {
-            "key": key,
-            "index": result.index,
-            "kernel": result.kernel,
-            "isa": result.isa,
-            "config": result.point.config.name,
-            "mem_latency": result.point.config.mem_latency,
-        }
-        if result.failure is not None:
-            self.append({**header, "failure": result.failure.to_dict()})
-            return
-        self.append({
-            **header,
-            "sim": sim_to_dict(result.sim),
-            "stats": stats_to_dict(result.stats),
-        })
+        self.append(point_record(key, result))
 
     def close(self) -> None:
         """Close the file and release the writer lock (appends reopen both)."""

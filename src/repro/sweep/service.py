@@ -10,12 +10,12 @@ zero dependencies.
 Robustness is the design center, built on the primitives the sweep stack
 already trusts:
 
-* **Journal-backed recovery.**  Every job runs under its own write-ahead
-  :class:`~repro.sweep.journal.SweepJournal`
-  (``<state_dir>/journals/<job>.jsonl``).  A SIGKILLed server restarted on
-  the same ``--state-dir`` re-enqueues every non-terminal job and the
-  engine replays each journal — completed points re-simulate **zero**
-  work and the final results are byte-identical to an uninterrupted run.
+* **Log-backed recovery.**  A job's durable state is its job record plus
+  the shared result log, which holds each completed point before it is
+  reported.  A SIGKILLed server restarted on the same ``--state-dir``
+  re-enqueues every unfinished job (and each ``done`` one missing a logged
+  point); reruns serve logged points as hits — **zero** re-simulation,
+  results byte-identical to an uninterrupted run.
 * **Idempotent submission.**  A job's id is a content hash of its
   normalized submission (plus the timing-model and builder versions), so
   resubmitting the same sweep — a retrying client, a confused script —
@@ -26,16 +26,16 @@ already trusts:
   without bound.
 * **Deadlines.**  A submission may carry ``deadline_seconds``; a job over
   its deadline is reaped at the next record boundary and recorded as a
-  structured failure (its journal keeps every point that did complete).
+  structured failure (every point that did complete stays in the log).
   Long-poll requests carry their own bounded wait.
 * **Graceful drain.**  SIGTERM stops intake (``/readyz`` flips to 503),
-  interrupts the running job at a record boundary, flushes its journal,
-  and reports how to resume — exactly the Ctrl-C contract of the CLI.
+  interrupts the running job at a record boundary, and reports how to
+  resume — exactly the Ctrl-C contract of the CLI.
 * **Chaos-testable.**  The service declares fault-injection stages
   (:func:`repro.sweep.faults.fire_stage`): a ``REPRO_FAULT_INJECT`` rule
   with ``"stage": "service.result"`` can SIGKILL the server after exactly
-  N journaled results, which is how the CI smoke proves the recovery
-  story end to end.
+  N logged results, which is how the CI smoke proves the recovery story
+  end to end.
 
 Wire format (all JSON)::
 
@@ -50,7 +50,8 @@ Wire format (all JSON)::
     GET  /jobs            -> 200 {"jobs": [{job}, ...]}
     GET  /jobs/<id>       -> 200 {job}
     GET  /jobs/<id>/events?since=N&timeout=S
-                          -> 200 {"events": [...], "next": M, "job": {job}}
+                          -> 200 {"events": [...], "next": M, "job": {job},
+                                  "boot": id}, 400 bad since or timeout
                              (long-polls up to S seconds for new events)
     GET  /jobs/<id>/result
                           -> 200 {"job": {job}, "results": [...],
@@ -62,7 +63,7 @@ Wire format (all JSON)::
 A *job* object carries ``id``, ``status`` (``queued`` / ``running`` /
 ``done`` / ``failed`` / ``interrupted``), the normalized submission, point
 counts, timestamps, engine telemetry for finished runs, and the error for
-failed ones.  Job state is persisted with the same atomic tempfile+rename
+failed ones.  Job records are written with the same atomic tempfile+rename
 discipline as every other store, so a crash can never leave a torn job
 file.
 """
@@ -82,9 +83,8 @@ from urllib.parse import parse_qs, urlsplit
 from repro.common.atomicio import atomic_write_text
 from repro import versions
 from repro.sweep import faults
-from repro.sweep.cache import ResultCache
-from repro.sweep.engine import SweepEngine
-from repro.sweep.journal import SweepJournal, read_jsonl
+from repro.sweep.cache import ResultCache, point_key, point_record
+from repro.sweep.engine import PointResult, SweepEngine
 from repro.sweep.spec import SweepPoint, grid_points
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
@@ -224,13 +224,11 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
 def job_id_for(submission: Dict[str, Any]) -> str:
     """Content-hash id of a normalized submission (idempotency key).
 
-    Folds in the timing-model and builder versions, read at call time
-    like every result key (:func:`~repro.sweep.cache.point_key`): after
-    either bump the "same" submission is a
-    different job, matching the cache-key rule everywhere else in the
-    stack.  The deadline is excluded — it shapes *how long* the job may
-    run, not *what* it computes, so resubmitting with a longer deadline
-    attaches to the job instead of forking a duplicate.
+    Folds in the timing-model and builder versions, read at call time like
+    every result key (:func:`~repro.sweep.cache.point_key`), so either bump
+    makes the "same" submission a different job.  The deadline is excluded:
+    it shapes *how long* the job may run, not *what* it computes, so a
+    resubmission with a longer deadline attaches instead of forking.
     """
     import hashlib
 
@@ -259,13 +257,13 @@ class SweepService:
     Parameters
     ----------
     state_dir:
-        Durable home of the service: job files under ``jobs/``, one
-        write-ahead journal per job under ``journals/``.  Everything a
-        restart needs lives here.
+        Durable home of the service: one job record per job under
+        ``jobs/``.
     cache_dir / jobs / task_timeout / max_pool_restarts:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
-        built for each job run; the result store under ``cache_dir`` is
-        opened once, so every job appends to one segment.
+        built for each job run.  The result store under ``cache_dir``
+        (default ``<state_dir>/cache``) is opened once, and only the
+        runner thread and :meth:`recover` use it.
     max_queue:
         Bound on jobs waiting to run (the running job does not count).
         Submissions over the bound raise :class:`QueueFull` (HTTP 429).
@@ -278,22 +276,25 @@ class SweepService:
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         self.state_dir = os.fspath(state_dir)
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.cache = ResultCache(cache_dir
+                                 or os.path.join(self.state_dir, "cache"))
         self.engine_jobs = jobs
         self.max_queue = max_queue
         self.task_timeout = task_timeout
         self.max_pool_restarts = max_pool_restarts
+        #: Changes with every server start; watchers restart on a change.
+        self.boot_id = os.urandom(8).hex()
 
         os.makedirs(self.jobs_dir, exist_ok=True)
-        os.makedirs(self.journals_dir, exist_ok=True)
 
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._jobs: Dict[str, Dict[str, Any]] = {}
+        #: Result records of each job's current run, in completion order.
+        self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._queue: deque = deque()
         self._draining = threading.Event()
         self._runner: Optional[threading.Thread] = None
-        self._running_id: Optional[str] = None
 
     # -- paths -------------------------------------------------------------
 
@@ -301,15 +302,8 @@ class SweepService:
     def jobs_dir(self) -> str:
         return os.path.join(self.state_dir, "jobs")
 
-    @property
-    def journals_dir(self) -> str:
-        return os.path.join(self.state_dir, "journals")
-
     def job_path(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, job_id + ".json")
-
-    def journal_path(self, job_id: str) -> str:
-        return os.path.join(self.journals_dir, job_id + ".jsonl")
 
     # -- persistence -------------------------------------------------------
 
@@ -317,26 +311,36 @@ class SweepService:
         atomic_write_text(self.job_path(job["id"]),
                           json.dumps(job, sort_keys=True))
 
-    def recover(self) -> List[str]:
-        """Load every persisted job; re-enqueue the non-terminal ones.
+    def _enqueue(self, job_id: str) -> None:
+        """Queue a job with an empty event list (caller holds the lock)."""
+        self._events[job_id] = []
+        self._queue.append(job_id)
+        self._wake.notify_all()
 
-        The resumption contract: a job that was queued, running, or
-        interrupted when the previous server died is queued again, and its
-        engine run replays the job's journal — every journaled point is
-        served without simulation.  Returns the re-enqueued ids.
-        """
+    def _logged_events(self, job: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Records of the job's points the result log holds, by index."""
+        events = []
+        for i, point in enumerate(submission_points(job["submission"])):
+            hit = self.cache.get(point)
+            if hit is not None:
+                events.append(point_record(point_key(point), PointResult(
+                    point=point, sim=hit[0], stats=hit[1], index=i)))
+        return events
+
+    def recover(self) -> List[str]:
+        """Load every persisted job (before :meth:`start`); returns the
+        ids it re-enqueues: the unfinished jobs, and the ``done`` ones with
+        a point missing from the log (it failed, or the cache was
+        cleared), so ``/result`` never serves a partial job.  A terminal
+        job's events are rebuilt from the log in index order."""
         resumed: List[str] = []
-        try:
-            names = sorted(os.listdir(self.jobs_dir))
-        except OSError:
-            return resumed
         with self._lock:
-            for name in names:
+            for name in sorted(os.listdir(self.jobs_dir)):
                 if not name.endswith(".json"):
                     continue
-                path = os.path.join(self.jobs_dir, name)
                 try:
-                    with open(path, "r", encoding="utf-8") as f:
+                    with open(os.path.join(self.jobs_dir, name),
+                              encoding="utf-8") as f:
                         job = json.load(f)
                 except (OSError, ValueError):
                     continue
@@ -344,13 +348,19 @@ class SweepService:
                 if not isinstance(job_id, str):
                     continue
                 self._jobs[job_id] = job
-                if job.get("status") not in JOB_TERMINAL_STATES:
-                    job["status"] = "queued"
+                status = job.get("status")
+                if status in JOB_TERMINAL_STATES:
+                    events = self._logged_events(job)
+                    if status == "failed" or len(events) == job["total"]:
+                        self._events[job_id] = events
+                        continue
+                    job.update(finished_at=None, telemetry=None)
+                else:
                     job["interruptions"] = int(job.get("interruptions", 0)) + 1
-                    self._persist(job)
-                    self._queue.append(job_id)
-                    resumed.append(job_id)
-            self._wake.notify_all()
+                job["status"] = "queued"
+                self._persist(job)
+                self._enqueue(job_id)
+                resumed.append(job_id)
         return resumed
 
     # -- lifecycle ---------------------------------------------------------
@@ -370,9 +380,8 @@ class SweepService:
         """Stop intake and interrupt the running job at a record boundary.
 
         Safe to call repeatedly.  Waits up to ``timeout`` for the runner
-        to park; the journals are flushed per record, so even an expired
-        wait loses nothing.
-        """
+        to park; the log is flushed per record, so an expired wait loses
+        nothing."""
         self._draining.set()
         with self._lock:
             self._wake.notify_all()
@@ -380,12 +389,11 @@ class SweepService:
         if runner is not None and runner.is_alive():
             runner.join(timeout=timeout)
 
-    def resume_state(self) -> Dict[str, Any]:
+    def pending(self) -> List[str]:
         """What a restart would pick up: queued/interrupted job ids."""
         with self._lock:
-            pending = [job_id for job_id, job in sorted(self._jobs.items())
-                       if job["status"] not in JOB_TERMINAL_STATES]
-        return {"state_dir": self.state_dir, "pending": pending}
+            return [job_id for job_id, job in sorted(self._jobs.items())
+                    if job["status"] not in JOB_TERMINAL_STATES]
 
     # -- submission & queries ---------------------------------------------
 
@@ -394,9 +402,8 @@ class SweepService:
 
         ``created`` is False when the submission's content hash matched an
         existing job (idempotent resubmission: the caller attaches to it).
-        Resubmitting a *failed* job requeues it — the new submission's
-        deadline applies, the journal replays everything already done, so
-        a deadline-reaped job continues instead of restarting.  Raises
+        Resubmitting a *failed* job requeues it under the new deadline; its
+        logged points are hits, so a deadline-reaped job continues.  Raises
         :class:`QueueFull` when the queue is at capacity and
         :class:`ValueError` on a malformed submission.
         """
@@ -412,8 +419,7 @@ class SweepService:
                     existing.update(submission=submission, status="queued",
                                     error=None, finished_at=None)
                     self._persist(existing)
-                    self._queue.append(job_id)
-                    self._wake.notify_all()
+                    self._enqueue(job_id)
                 return dict(existing), False
             if len(self._queue) >= self.max_queue:
                 raise QueueFull(self.max_queue)
@@ -433,8 +439,7 @@ class SweepService:
             }
             self._jobs[job_id] = job
             self._persist(job)
-            self._queue.append(job_id)
-            self._wake.notify_all()
+            self._enqueue(job_id)
             return dict(job), True
 
     def job(self, job_id: str) -> Dict[str, Any]:
@@ -448,32 +453,36 @@ class SweepService:
         with self._lock:
             return [dict(job) for _id, job in sorted(self._jobs.items())]
 
-    def events(self, job_id: str, since: int = 0) -> List[Dict[str, Any]]:
-        """Journal records of a job from event index ``since`` onward.
+    def poll(self, job_id: str, since: int = 0, timeout: float = 0.0,
+             ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """``(events, job)``: the job's events from index ``since`` on,
+        waiting up to ``timeout`` seconds for one while it is not
+        terminal.  One lock covers both reads."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while True:
+                job = self._jobs.get(job_id)
+                if job is None:
+                    raise UnknownJob(job_id)
+                events = self._events.get(job_id, [])[since:]
+                remaining = deadline - time.monotonic()
+                if (events or job["status"] in JOB_TERMINAL_STATES
+                        or remaining <= 0):
+                    return events, dict(job)
+                self._wake.wait(remaining)
 
-        The write-ahead journal doubles as the progress stream: each
-        non-header record is one event, in completion order.  Reading
-        takes no lock and never blocks the runner (the tolerant scanner
-        skips a torn in-flight tail).
-        """
-        self.job(job_id)  # raises UnknownJob for a bogus id
-        records = read_jsonl(self.journal_path(job_id)).records
-        events = [r for r in records if "key" in r]
-        return events[max(0, since):]
+    def events(self, job_id: str, since: int = 0) -> List[Dict[str, Any]]:
+        """The job's current run's result records from ``since`` on."""
+        return self.poll(job_id, since)[0]
 
     def result(self, job_id: str) -> Dict[str, Any]:
-        """Full results of a finished job, rebuilt from its journal.
-
-        The payload is a pure function of the journal records, so a
-        killed-and-resumed job returns bytes identical to a clean run's.
-        """
-        job = self.job(job_id)
-        journal = SweepJournal(self.journal_path(job_id))
-        completed = journal.load()
-        results = sorted(completed.values(), key=lambda r: r.get("index", 0))
-        failures = sorted(journal.failed.values(),
-                          key=lambda r: r.get("index", 0))
-        return {"job": job, "results": results, "failures": failures}
+        """A job with its run's success records, then failure records,
+        each sorted by index: a resumed job's equal a clean run's."""
+        events, job = self.poll(job_id)
+        events.sort(key=lambda r: r["index"])
+        return {"job": job,
+                "results": [r for r in events if "failure" not in r],
+                "failures": [r for r in events if "failure" in r]}
 
     # -- the runner --------------------------------------------------------
 
@@ -482,11 +491,12 @@ class SweepService:
             job = self._jobs[job_id]
             job.update(fields)
             self._persist(job)
+            self._wake.notify_all()
             return dict(job)
 
     def _run_loop(self) -> None:
-        """Consume the queue until drained; one engine run per job.  The
-        runner, the result store's only user, closes it."""
+        """Consume the queue until drained, one engine run per job; then
+        close the result store."""
         while not self._draining.is_set():
             with self._lock:
                 while not self._queue and not self._draining.is_set():
@@ -494,91 +504,71 @@ class SweepService:
                 if self._draining.is_set():
                     break
                 job_id = self._queue.popleft()
-                self._running_id = job_id
-            try:
-                self._run_job(job_id)
-            finally:
-                with self._lock:
-                    self._running_id = None
-        if self.cache is not None:
-            self.cache.close()
+            self._run_job(job_id)
+        self.cache.close()
 
     def _run_job(self, job_id: str) -> None:
         job = self._update(job_id, status="running", started_at=time.time())
         submission = job["submission"]
-        points = submission_points(submission)
-        engine = SweepEngine(
-            jobs=self.engine_jobs,
-            cache_dir=self.cache,
-            journal=self.journal_path(job_id),
-            task_timeout=self.task_timeout,
-            max_pool_restarts=self.max_pool_restarts,
-        )
+        engine = SweepEngine(jobs=self.engine_jobs, cache_dir=self.cache,
+                             task_timeout=self.task_timeout,
+                             max_pool_restarts=self.max_pool_restarts)
         deadline = submission.get("deadline_seconds")
         started = time.monotonic()
-        progress = {"done": 0, "failed": 0}
+        events = self._events[job_id]
 
-        def on_result(result: Any) -> None:
-            # The engine journaled this result *before* calling us, so a
-            # crash fired here (the chaos stage) leaves it durable — the
-            # restart replays it.  Replayed results don't re-fire the
-            # stage: each crash/restart cycle must make forward progress,
-            # not die again on the record that killed it last time.
-            if not result.journaled:
+        def on_result(result: PointResult) -> None:
+            # The engine logged this result *before* calling us, so a
+            # crash fired here (the chaos stage) leaves it durable.  Hits
+            # don't re-fire the stage: each crash/restart cycle must make
+            # forward progress, not die again on the same record.
+            if not result.cached:
                 faults.fire_stage(STAGE_RESULT, label=job_id)
-            progress["done"] += 1
-            if result.failure is not None:
-                progress["failed"] += 1
+            record = point_record(point_key(result.point), result)
+            with self._lock:
+                events.append(record)
+                self._wake.notify_all()
             if self._draining.is_set():
                 raise _Interrupted()
             if deadline is not None and time.monotonic() - started > deadline:
                 raise _DeadlineExceeded()
 
+        status, error, telemetry = "done", None, None
         try:
-            engine.run(points, on_result=on_result)
-        except _Interrupted:
-            # Drain: the journal holds everything completed so far; the
-            # job re-queues on the next recover().
-            self._update(job_id, status="interrupted",
-                         done=progress["done"],
-                         failed_points=progress["failed"])
-            return
-        except _DeadlineExceeded:
-            self._update(
-                job_id, status="failed", finished_at=time.time(),
-                done=progress["done"], failed_points=progress["failed"],
-                error={
-                    "type": "deadline",
-                    "message": (f"job exceeded its deadline of "
-                                f"{deadline:.1f}s after "
-                                f"{progress['done']}/{job['total']} "
-                                f"point(s); completed points are journaled "
-                                f"— resubmit with a longer deadline to "
-                                f"continue from them"),
-                    "deadline_seconds": deadline,
-                    "completed_points": progress["done"],
-                })
-            return
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            self._update(
-                job_id, status="failed", finished_at=time.time(),
-                done=progress["done"], failed_points=progress["failed"],
-                error={"type": type(exc).__name__, "message": str(exc)})
-            return
-        self._update(
-            job_id, status="done", finished_at=time.time(),
-            done=job["total"], failed_points=progress["failed"],
-            telemetry={
+            engine.run(submission_points(submission), on_result=on_result)
+            telemetry = {
                 "simulated": engine.last_simulated,
                 "cached": engine.last_cached,
-                "journaled": engine.last_journaled,
                 "trace_hits": engine.last_trace_hits,
                 "trace_builds": engine.last_trace_builds,
                 "retries": engine.last_retries,
                 "pool_restarts": engine.last_pool_restarts,
                 "timeouts": engine.last_timeouts,
                 "quarantined": engine.last_quarantined,
-            })
+            }
+        except _Interrupted:
+            # Drain: the log holds everything completed so far; the job
+            # re-queues on the next recover().
+            status = "interrupted"
+        except _DeadlineExceeded:
+            status, error = "failed", {
+                "type": "deadline",
+                "message": (f"job exceeded its deadline of {deadline:.1f}s "
+                            f"after {len(events)}/{job['total']} point(s); "
+                            f"completed points are in the result log — "
+                            f"resubmit with a longer deadline to continue "
+                            f"from them"),
+                "deadline_seconds": deadline,
+                "completed_points": len(events),
+            }
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            status, error = "failed", {"type": type(exc).__name__,
+                                       "message": str(exc)}
+        self._update(
+            job_id, status=status, error=error, telemetry=telemetry,
+            done=len(events),
+            failed_points=sum("failure" in r for r in events),
+            finished_at=None if status == "interrupted" else time.time())
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +592,14 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.max_poll_seconds = max_poll_seconds
+
+
+def _number(query: Dict[str, List[str]], name: str, kind: type) -> Any:
+    """Query parameter ``name`` as ``kind`` (0 when absent); None if not."""
+    try:
+        return kind((query.get(name) or ["0"])[0])
+    except ValueError:
+        return None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -691,28 +689,23 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no such job: {exc.args[0]}")
 
     def _get_events(self, job_id: str, query: Dict[str, List[str]]) -> None:
-        """Long-poll: wait (bounded) for events past ``since``.
-
-        Returns immediately when new events exist or the job is terminal;
-        otherwise polls the journal until ``timeout`` (capped by the
-        server's ``max_poll_seconds``) runs out and returns an empty
-        batch — the client's cue to re-poll.
-        """
+        """Long-poll: wait (bounded) for events past ``since``; an empty
+        batch after ``timeout`` (capped by ``max_poll_seconds``) is the
+        client's cue to re-poll."""
+        since = _number(query, "since", int)
+        if since is None or since < 0:
+            self._error(400, "since must be an integer >= 0")
+            return
+        timeout = _number(query, "timeout", float)
+        if timeout is None or not math.isfinite(timeout):
+            self._error(400, "timeout must be a finite number")
+            return
         service = self.server.service
-        since = int((query.get("since") or ["0"])[0])
-        timeout = float((query.get("timeout") or ["0"])[0])
-        timeout = max(0.0, min(timeout, self.server.max_poll_seconds))
-        deadline = time.monotonic() + timeout
-        while True:
-            events = service.events(job_id, since=since)
-            job = service.job(job_id)
-            if (events or job["status"] in JOB_TERMINAL_STATES
-                    or time.monotonic() >= deadline):
-                self._send(200, {"events": events,
-                                 "next": since + len(events),
-                                 "job": job})
-                return
-            time.sleep(0.05)
+        events, job = service.poll(
+            job_id, since,
+            max(0.0, min(timeout, self.server.max_poll_seconds)))
+        self._send(200, {"events": events, "next": since + len(events),
+                         "job": job, "boot": service.boot_id})
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         parsed = urlsplit(self.path)

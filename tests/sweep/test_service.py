@@ -5,7 +5,7 @@ Three layers, cheapest first:
 * pure functions — submission normalization, content-hash job ids, point
   expansion parity with ``repro sweep``;
 * the in-process :class:`SweepService` — queueing, idempotent attach,
-  backpressure, deadlines, drain + journal-backed recovery;
+  backpressure, deadlines, drain + log-backed recovery;
 * the HTTP surface — a real ``ServiceHTTPServer`` on an ephemeral port
   driven by the real :class:`ServiceClient` (retries, long-poll watch,
   error mapping), plus the full out-of-process SIGKILL/restart chaos
@@ -26,8 +26,8 @@ import pytest
 
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import kernel_names
+from repro.sweep.cache import ResultCache
 from repro.sweep.client import ServiceClient, ServiceError
-from repro.sweep.journal import SweepJournal
 from repro.sweep.service import (JOB_TERMINAL_STATES, MAX_BODY_BYTES,
                                  MAX_JOB_POINTS, MAX_SCALE, QueueFull,
                                  ServiceHTTPServer, SweepService, UnknownJob,
@@ -53,6 +53,32 @@ def _wait_terminal(service: SweepService, job_id: str,
     _wait(lambda: service.job(job_id)["status"] in JOB_TERMINAL_STATES,
           timeout=timeout)
     return service.job(job_id)
+
+
+def _logged(state: str, submission: dict) -> int:
+    """How many of the submission's points the service's result log
+    (under ``<state>/cache``, no ``--cache-dir``) holds."""
+    cache = ResultCache(os.path.join(state, "cache"))
+    return sum(cache.get(point) is not None for point in
+               submission_points(normalize_submission(submission)))
+
+
+def _get_bytes(service: SweepService, path: str) -> bytes:
+    """The raw body ``service`` answers to ``GET path`` over real HTTP."""
+    import urllib.request
+
+    server = ServiceHTTPServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}{path}"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.read()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
 
 
 class TestNormalizeSubmission:
@@ -227,7 +253,7 @@ class TestServiceInProcess:
         with pytest.raises(UnknownJob):
             service.events("0123456789abcdef")
 
-    def test_events_are_journal_records(self, tmp_path):
+    def test_events_are_result_records(self, tmp_path):
         service = SweepService(str(tmp_path / "state"))
         job, _created = service.submit(dict(SMALL))
         service.start()
@@ -241,22 +267,23 @@ class TestServiceInProcess:
 
     def test_deadline_reaps_then_resubmit_continues(self, tmp_path,
                                                     monkeypatch):
-        """A deadline-failed job keeps its journal; resubmitting requeues
-        it and the engine replays the completed points.  The overrun is
+        """A deadline-failed job's completed points stay in the result log;
+        resubmitting requeues it and they are served as hits.  The overrun is
         forced with an injected ``slow`` fault at the service stage, so
         the reap happens under the fault harness, deterministically."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", json.dumps({
             "faults": [{"kind": "slow", "stage": "service.result",
                         "seconds": 0.2, "times": -1}]}))
-        service = SweepService(str(tmp_path / "state"))
+        state = str(tmp_path / "state")
+        service = SweepService(state)
         job, _created = service.submit(dict(SMALL, deadline_seconds=0.05))
         service.start()
         final = _wait_terminal(service, job["id"])
         assert final["status"] == "failed"
         assert final["error"]["type"] == "deadline"
         assert final["error"]["completed_points"] >= 1
-        journaled = len(SweepJournal(service.journal_path(job["id"])).load())
-        assert journaled == final["error"]["completed_points"]
+        logged = _logged(state, SMALL)
+        assert logged == final["error"]["completed_points"]
 
         # Same submission, longer deadline: same id, requeued, finishes.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
@@ -266,15 +293,15 @@ class TestServiceInProcess:
         final = _wait_terminal(service, job["id"])
         service.drain(timeout=10)
         assert final["status"] == "done"
-        assert final["telemetry"]["journaled"] == journaled
-        assert final["telemetry"]["simulated"] == 4 - journaled
+        assert final["telemetry"]["cached"] == logged
+        assert final["telemetry"]["simulated"] == 4 - logged
 
     def test_drain_interrupts_and_recover_resumes(self, tmp_path,
                                                   monkeypatch):
         """Drain parks the running job at a record boundary; a new service
-        on the same state dir re-enqueues it and finishes from the
-        journal."""
-        # Slow every journaled record so the drain lands mid-job
+        on the same state dir re-enqueues it and finishes, serving the
+        logged points as hits."""
+        # Slow every logged record so the drain lands mid-job
         # deterministically (24 points x 0.2s >> the drain latency).
         monkeypatch.setenv("REPRO_FAULT_INJECT", json.dumps({
             "faults": [{"kind": "slow", "stage": "service.result",
@@ -289,8 +316,8 @@ class TestServiceInProcess:
         service.drain(timeout=30)
         parked = service.job(job["id"])
         assert parked["status"] == "interrupted"
-        journaled = len(SweepJournal(service.journal_path(job["id"])).load())
-        assert journaled >= 1
+        logged = _logged(state, sub)
+        assert logged >= 1
 
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         revived = SweepService(state)
@@ -300,7 +327,8 @@ class TestServiceInProcess:
         final = _wait_terminal(revived, job["id"])
         revived.drain(timeout=10)
         assert final["status"] == "done"
-        assert final["telemetry"]["journaled"] >= journaled
+        assert final["telemetry"]["cached"] == logged
+        assert final["telemetry"]["simulated"] == final["total"] - logged
         total = 1 * 2 * 3 * 4
         assert len(revived.result(job["id"])["results"]) == total
 
@@ -315,6 +343,74 @@ class TestServiceInProcess:
         revived = SweepService(state)
         assert revived.recover() == []
         assert revived.job(job["id"])["status"] == "done"
+
+    def test_restart_serves_done_result_with_zero_simulations(
+            self, tmp_path, count_calls):
+        """A restarted server rebuilds a done job's events from the log:
+        ``GET /jobs/<id>/result`` answers the same bytes and nothing is
+        simulated again."""
+        import repro.sweep.engine
+
+        state = str(tmp_path / "state")
+        service = SweepService(state)
+        job, _created = service.submit(dict(SMALL))
+        service.start()
+        _wait_terminal(service, job["id"])
+        before = _get_bytes(service, f"/jobs/{job['id']}/result")
+        service.drain(timeout=10)
+
+        groups = count_calls(repro.sweep.engine, "_simulate_group")
+        revived = SweepService(state)
+        assert revived.recover() == []
+        revived.start()
+        try:
+            after = _get_bytes(revived, f"/jobs/{job['id']}/result")
+        finally:
+            revived.drain(timeout=10)
+        assert after == before
+        assert [r["index"] for r in json.loads(after)["results"]] == \
+            [0, 1, 2, 3]
+        assert groups == []
+
+    def test_cache_clear_between_restarts_requeues_done_job(self, tmp_path):
+        """``repro cache clear`` empties the log a done job's results live
+        in: the restart re-queues the job, and it recomputes identical
+        rows."""
+        from repro.cli import main
+
+        state = str(tmp_path / "state")
+        service = SweepService(state)
+        job, _created = service.submit(dict(SMALL))
+        service.start()
+        _wait_terminal(service, job["id"])
+        service.drain(timeout=10)
+        before = service.result(job["id"])["results"]
+
+        assert main(["cache", "clear", "--cache-dir",
+                     os.path.join(state, "cache")]) == 0
+        revived = SweepService(state)
+        assert revived.recover() == [job["id"]]
+        assert revived.job(job["id"])["status"] == "queued"
+        revived.start()
+        final = _wait_terminal(revived, job["id"])
+        revived.drain(timeout=10)
+        assert final["status"] == "done"
+        assert final["interruptions"] == 0
+        assert final["telemetry"]["simulated"] == 4
+        assert revived.result(job["id"])["results"] == before
+
+    def test_default_cache_lives_under_state_dir(self, tmp_path):
+        """Without ``cache_dir`` the result log is
+        ``<state-dir>/cache/log/``, and no ``journals/`` appears."""
+        state = tmp_path / "state"
+        service = SweepService(str(state))
+        job, _created = service.submit(dict(SMALL))
+        service.start()
+        _wait_terminal(service, job["id"])
+        service.drain(timeout=10)
+        assert len(os.listdir(state / "cache" / "log")) == 1
+        assert sorted(os.listdir(state)) == ["cache", "jobs"]
+        assert _logged(str(state), SMALL) == 4
 
     def test_results_shared_through_cache_across_jobs(self, tmp_path):
         """Jobs share the service's cache root: a second job covering the
@@ -632,6 +728,35 @@ class TestHTTP:
         finally:
             service._draining.clear()
 
+    @staticmethod
+    def _get(server, path: str):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          server.server_address[1],
+                                          timeout=10)
+        try:
+            conn.request("GET", path)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("query, field", [
+        ("since=abc", "since must be an integer >= 0"),
+        ("since=-3", "since must be an integer >= 0"),
+        ("timeout=xyz", "timeout must be a finite number"),
+        ("timeout=nan", "timeout must be a finite number"),
+    ])
+    def test_malformed_long_poll_is_400_naming_it(self, http_stack, query,
+                                                  field):
+        _service, server, client = http_stack
+        job, _created = client.submit(dict(SMALL))
+        status, payload = self._get(server,
+                                    f"/jobs/{job['id']}/events?{query}")
+        assert status == 400
+        assert field in payload["error"]
+
     def test_events_long_poll_returns_promptly_when_terminal(
             self, http_stack):
         _service, _server, client = http_stack
@@ -643,6 +768,37 @@ class TestHTTP:
         assert time.time() - started < 2.0  # terminal: no wait
         assert batch["events"] == []
         assert batch["job"]["status"] == "done"
+
+
+class TestWatch:
+    def test_boot_change_restarts_and_yields_each_point_once(self):
+        """A restarted server (new boot id) may list events in another
+        order: the watch starts over from 0 and skips what it yielded."""
+        running = {"status": "running"}
+        batches = iter([
+            {"boot": "a", "events": [{"index": 2}, {"index": 0}],
+             "next": 2, "job": running},
+            # The restart: a stale ``since`` on the new boot is discarded.
+            {"boot": "b", "events": [{"index": 3}], "next": 3,
+             "job": running},
+            {"boot": "b", "events": [{"index": 0}, {"index": 2},
+                                     {"index": 1}],
+             "next": 3, "job": running},
+            {"boot": "b", "events": [{"index": 3}], "next": 4,
+             "job": {"status": "done"}},
+        ])
+        calls = []
+        client = ServiceClient("http://127.0.0.1:1")
+
+        def events(job_id, since=0, timeout=0.0):
+            calls.append(since)
+            return next(batches)
+
+        client.events = events
+        items = list(client.watch("job"))
+        assert [e["index"] for e in items[:-1]] == [2, 0, 1, 3]
+        assert items[-1] == {"job": {"status": "done"}}
+        assert calls == [0, 2, 0, 3]
 
 
 class TestClientRetries:
@@ -730,7 +886,7 @@ class TestChaosSmoke:
     @pytest.mark.slow
     def test_service_chaos_smoke_script(self, tmp_path):
         """The CI chaos story: SIGKILL the server mid-run (twice), restart
-        on the same state dir, finish from the journal, fetch results
+        on the same state dir, finish from the result log, fetch results
         identical to a clean run's."""
         script = os.path.join(os.path.dirname(__file__), "..", "..",
                               "scripts", "service_chaos_smoke.py")

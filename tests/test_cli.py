@@ -113,6 +113,31 @@ class TestBoundary:
         assert "error: --cache-dir" in err and "Traceback" not in err
         assert build_counter == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-queue", "0"], "--max-queue must be an integer >= 1"),
+        (["--max-queue", "-4"], "--max-queue must be an integer >= 1"),
+        (["--max-poll-seconds", "-1"],
+         "--max-poll-seconds must be a finite number >= 0"),
+        (["--max-poll-seconds", "nan"],
+         "--max-poll-seconds must be a finite number >= 0"),
+        (["--port", "70000"], "--port must be an integer in 0..65535"),
+        (["--state-dir", "/proc/nope/x"], "--state-dir '/proc/nope/x' "
+                                          "cannot be created"),
+    ])
+    def test_nonsense_serve_flag_exits_2_before_binding(
+            self, capsys, tmp_path, monkeypatch, flags, message):
+        import repro.sweep.service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(repro.sweep.service, "ServiceHTTPServer", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--state-dir", str(tmp_path / "state")] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
     def test_abbreviated_jobs_is_not_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure4", "--kernels", "comp", "--job", "2"])
