@@ -21,16 +21,15 @@ The CLI exposes the experiment drivers without writing any Python:
 
 Every sweep-backed command accepts ``--jobs N`` (process-parallel
 execution), ``--cache-dir DIR`` (on-disk result + trace caches; warm
-re-runs do zero simulations, warm *misses* do zero trace builds; one JSON
-file per result), ``--stream-jsonl PATH`` (append one JSON line per point as
-it completes, including the sweep's cumulative simulated
-instructions/second), ``--resume PATH`` (write-ahead journal: every
+re-runs do zero simulations, warm *misses* do zero trace builds; results
+append to a JSONL segment log), ``--stream-jsonl PATH`` (append one JSON
+line per point as it completes, including the sweep's cumulative
+simulated instructions/second), ``--resume PATH`` (write-ahead journal: every
 completed point is appended durably, and re-running with the same PATH
 replays the journal instead of re-simulating — crash-safe sweeps; points
-journaled as failed are re-run), ``--task-timeout SECONDS`` /
-``--max-pool-restarts N`` (supervised pool execution: hung-worker
-deadlines, bounded pool respawns with backoff, poison-point quarantine —
-see ``docs/sweep-engine.md``).
+journaled as failed are re-run), ``--task-timeout SECONDS`` (supervised
+pool execution: hung-worker deadlines, bounded pool respawns with
+backoff, poison-point quarantine — see ``docs/sweep-engine.md``).
 The timing backend is not a flag: each trace group's size picks it (see
 :func:`repro.timing.dispatch.resolve_execution`).  Verification is not a
 flag either: every build, on every command and every service job, is
@@ -114,11 +113,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "overdue task's worker is presumed hung, the "
                              "pool recycled and the task re-submitted "
                              "(default: no deadline)")
-    parser.add_argument("--max-pool-restarts", type=int, default=None,
-                        metavar="N",
-                        help="worker-pool respawns (after crashes, hangs or "
-                             "submit failures) before the run degrades to "
-                             "serial execution (default 6)")
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser,
@@ -138,9 +132,7 @@ def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     defines them)."""
     return SweepEngine(jobs=args.jobs, cache_dir=args.cache_dir,
                        journal=getattr(args, "resume", None),
-                       task_timeout=getattr(args, "task_timeout", None),
-                       max_pool_restarts=getattr(args, "max_pool_restarts",
-                                                 None))
+                       task_timeout=getattr(args, "task_timeout", None))
 
 
 def engine_summary(engine: SweepEngine) -> str:
@@ -403,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per worker-pool task deadline (hung-worker "
                               "recovery; default: none)")
-    serve_p.add_argument("--max-pool-restarts", type=int, default=None,
-                         metavar="N",
-                         help="pool respawns before a job's run degrades "
-                              "to serial (default 6)")
 
     client_p = sub.add_parser(
         "client", help="talk to a running repro serve instance")
@@ -634,8 +622,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            cache_dir=args.cache_dir,
                            jobs=args.jobs,
                            max_queue=args.max_queue,
-                           task_timeout=args.task_timeout,
-                           max_pool_restarts=args.max_pool_restarts)
+                           task_timeout=args.task_timeout)
     resumed = service.recover()
     if resumed:
         print(f"[serve] resumed {len(resumed)} unfinished job(s): "
@@ -857,9 +844,7 @@ def _check_machine_args(parser: argparse.ArgumentParser,
         if hasattr(args, "jobs"):
             # Without a cache or journal the engine touches no file.
             SweepEngine(jobs=args.jobs,
-                        task_timeout=getattr(args, "task_timeout", None),
-                        max_pool_restarts=getattr(args, "max_pool_restarts",
-                                                  None))
+                        task_timeout=getattr(args, "task_timeout", None))
     except ValueError as exc:
         parser.error(str(exc))
     if hasattr(args, "jobs") and args.cache_dir:

@@ -22,8 +22,9 @@ JSON and returns that same text with the stamp appended — a put encodes
 its entry once — and :func:`verify_checksum` re-derives the hash on read.  A
 mismatched entry reads as a plain miss — recomputed, never trusted; the
 trace cache also moves the file aside (renamed to ``*.corrupt``, see
-:data:`CORRUPT_SUFFIX`).  Entries written before checksums existed carry
-no stamp and are accepted as-is.
+:data:`CORRUPT_SUFFIX`).  An entry without a stamp cannot be verified
+(written before checksums existed, or its stamp itself was damaged), so
+it reads as a miss too and is rewritten stamped.
 """
 
 from __future__ import annotations
@@ -87,16 +88,11 @@ def encode_stamped(entry: Dict[str, Any]) -> str:
 def verify_checksum(entry: Any) -> bool:
     """Whether a loaded entry's embedded checksum matches its content.
 
-    An entry without a stamp (written before checksums existed) passes —
-    integrity is an upgrade, not an invalidation.  A non-dict entry fails:
-    whatever it is, it is not one of ours.
+    An entry without a stamp fails (nothing vouches for its bytes), and so
+    does a non-dict entry: whatever it is, it is not one of ours.
     """
-    if not isinstance(entry, dict):
-        return False
-    stamp = entry.get(CHECKSUM_FIELD)
-    if stamp is None:
-        return True
-    return stamp == payload_checksum(entry)
+    return (isinstance(entry, dict)
+            and entry.get(CHECKSUM_FIELD) == payload_checksum(entry))
 
 
 def quarantine_corrupt(path: str) -> bool:

@@ -16,10 +16,9 @@ The sweep subsystem is the shared engine behind every experiment driver
 * :class:`~repro.sweep.journal.SweepJournal` — a write-ahead JSONL journal
   of completed points enabling crash-safe, resumable sweeps
   (``repro sweep --resume``);
-* :class:`~repro.sweep.supervisor.PoolSupervisor` /
-  :class:`~repro.sweep.supervisor.SupervisorPolicy` — supervised pool
-  execution: per-task deadlines, bounded pool restarts with deterministic
-  backoff, and poison-point quarantine; failed points surface as
+* :class:`~repro.sweep.supervisor.PoolSupervisor` — supervised pool
+  execution: per-task deadlines, bounded pool restarts with backoff, and
+  poison-point quarantine; failed points surface as
   :class:`~repro.sweep.supervisor.PointFailure` records;
 * :mod:`~repro.sweep.faults` — the deterministic fault-injection harness
   (``REPRO_FAULT_INJECT``) that makes all of the above testable;
@@ -31,7 +30,7 @@ The sweep subsystem is the shared engine behind every experiment driver
 * :class:`~repro.sweep.service.SweepService` /
   :class:`~repro.sweep.client.ServiceClient` — the crash-tolerant HTTP
   sweep service and its retrying client (``repro serve`` /
-  ``repro client``), with journal-backed recovery, idempotent
+  ``repro client``), with log-backed recovery, idempotent
   submissions, bounded queues and deadlines (see ``docs/service.md``).
 
 See ``docs/sweep-engine.md`` for the full guide.
@@ -54,7 +53,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceHTTPServer",
-    "SupervisorPolicy",
     "SweepEngine",
     "JournalLockedError",
     "SweepJournal",
@@ -92,7 +90,6 @@ __getattr__ = lazy_exports(__name__, {
                             "UnknownJob", "job_id_for",
                             "normalize_submission", "submission_points"],
     "repro.sweep.spec": ["SweepPoint", "SweepSpec", "resolve_spec"],
-    "repro.sweep.supervisor": ["PointFailure", "PoolSupervisor",
-                               "SupervisorPolicy"],
+    "repro.sweep.supervisor": ["PointFailure", "PoolSupervisor"],
     "repro.sweep.tracecache": ["TraceCache", "trace_key"],
 })

@@ -7,10 +7,10 @@ server's absences:
 
 * **Retries with deterministic backoff.**  Connection failures, 5xx
   responses and 429 backpressure all retry, sleeping per the supervisor's
-  :func:`~repro.sweep.supervisor.backoff_delay` — exponential with
-  deterministic jitter, so client behaviour is reproducible in tests.  A
-  429's ``Retry-After`` header, when present, takes precedence over the
-  computed delay (the server knows its own queue).
+  exponential :func:`~repro.sweep.supervisor.backoff_delay`, so client
+  behaviour is reproducible in tests.  A 429's ``Retry-After`` header,
+  when present, takes precedence over the computed delay (the server
+  knows its own queue).
 * **Resumable watching.**  :meth:`ServiceClient.watch` long-polls the
   job's event stream by index from the last event seen (from the start,
   skipping seen points, after a server restart) — never duplicating or
@@ -114,8 +114,7 @@ class ServiceClient:
         last_payload: Optional[Dict[str, Any]] = None
         for attempt in range(self.retries):
             if attempt:
-                self._sleep(self._delay(attempt, path, last_status,
-                                        last_payload))
+                self._sleep(self._delay(attempt, last_status))
             try:
                 status, payload, headers = self._once(method, path, body,
                                                       timeout)
@@ -154,10 +153,9 @@ class ServiceClient:
 
     _retry_after: Optional[float] = None
 
-    def _delay(self, attempt: int, token: str, last_status: int,
-               last_payload: Optional[Dict[str, Any]]) -> float:
+    def _delay(self, attempt: int, last_status: int) -> float:
         """Backoff before retry ``attempt``; a 429's Retry-After wins."""
-        computed = backoff_delay(attempt, token=token)
+        computed = backoff_delay(attempt)
         if last_status == 429 and self._retry_after is not None:
             return max(computed, self._retry_after)
         return computed

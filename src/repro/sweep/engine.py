@@ -57,8 +57,9 @@ Execution failures are *supervised*, not fatal
 that forbids fork, an unpicklable point at submit time, a pool that breaks
 mid-run) respawn the pool with bounded exponential backoff before the
 serial fallback takes over; a hung worker is detected by a per-task
-deadline (``task_timeout``) and its group re-submitted; a point that
-repeatedly kills or hangs its worker is bisected out and **quarantined**;
+deadline (``task_timeout``) and its group re-submitted; a failing group
+is split into single points, and a point that repeatedly kills or hangs
+its worker is **quarantined**;
 and a point whose kernel raises — under the pool or on the serial path —
 becomes a structured :class:`~repro.sweep.supervisor.PointFailure` on its
 :class:`PointResult` instead of aborting the sweep.
@@ -69,8 +70,8 @@ and :attr:`SweepEngine.last_failures` record what supervision did.
 
 from __future__ import annotations
 
-import functools
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
@@ -84,7 +85,7 @@ from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 
 if TYPE_CHECKING:
-    from repro.sweep.supervisor import PointFailure, SupervisorPolicy
+    from repro.sweep.supervisor import PointFailure
     from repro.sweep.tracecache import TraceCache
     from repro.trace.container import Trace
 
@@ -267,6 +268,16 @@ def _simulate_group(points: Sequence[SweepPoint],
     return rows, 0 if from_cache else 1, execution
 
 
+def _init_pool_worker() -> None:
+    """Restore the default SIGTERM disposition in a fresh pool worker.
+
+    Forked workers inherit the parent's handlers, and the CLI's raises an
+    exception: without this, every pool recycle (which SIGTERMs the
+    workers) would print a traceback per worker on stderr.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
                  ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
                             Tuple[int, str]]:
@@ -317,25 +328,19 @@ class SweepEngine:
         Wall-clock seconds one pool task (a trace group) may run before its
         worker is presumed hung and the pool recycled; ``None`` (default)
         disables deadlines.  CLI: ``--task-timeout``.
-    max_pool_restarts:
-        Pool respawns per run before the serial fallback takes over;
-        ``None`` keeps the :class:`~repro.sweep.supervisor.SupervisorPolicy`
-        default.  CLI: ``--max-pool-restarts``.
     """
 
     def __init__(self, jobs: int = 1,
                  cache_dir: Union[None, str, ResultCache] = None,
                  journal: Union[None, str, SweepJournal] = None,
-                 task_timeout: Optional[float] = None,
-                 max_pool_restarts: Optional[int] = None) -> None:
+                 task_timeout: Optional[float] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._knobs = {name: value for name, value in (
-            ("task_timeout", task_timeout),
-            ("max_pool_restarts", max_pool_restarts)) if value is not None}
-        if self._knobs:
-            self.policy  # validates the knobs before any work runs
+        if task_timeout is not None and not task_timeout > 0:
+            raise ValueError(
+                f"task_timeout must be > 0 seconds, got {task_timeout}")
         self.jobs = int(jobs)
+        self.task_timeout = task_timeout
         # A store opened here closes after each run; a shared one, never.
         self._owns_cache = not isinstance(cache_dir, ResultCache)
         if self._owns_cache:
@@ -346,14 +351,6 @@ class SweepEngine:
             journal = SweepJournal(journal)
         self.journal = journal
         self._reset_counters()
-
-    @functools.cached_property
-    def policy(self) -> SupervisorPolicy:
-        """The pool's :class:`~repro.sweep.supervisor.SupervisorPolicy`,
-        built on first use from ``task_timeout``/``max_pool_restarts``."""
-        from repro.sweep.supervisor import SupervisorPolicy
-
-        return SupervisorPolicy(**self._knobs)
 
     @property
     def trace_cache(self) -> Optional[TraceCache]:
@@ -672,8 +669,8 @@ class SweepEngine:
             # The lambda resolves the engine module's ProcessPoolExecutor
             # attribute per call, so tests that monkeypatch it keep working.
             pool_factory=lambda n: engine_module.ProcessPoolExecutor(
-                max_workers=n),
-            policy=self.policy)
+                max_workers=n, initializer=_init_pool_worker),
+            task_timeout=self.task_timeout)
         events = supervisor.run()
         try:
             for kind, payload, extra in events:

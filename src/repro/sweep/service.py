@@ -259,7 +259,7 @@ class SweepService:
     state_dir:
         Durable home of the service: one job record per job under
         ``jobs/``.
-    cache_dir / jobs / task_timeout / max_pool_restarts:
+    cache_dir / jobs / task_timeout:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
         built for each job run.  The result store under ``cache_dir``
         (default ``<state_dir>/cache``) is opened once, and only the
@@ -273,15 +273,13 @@ class SweepService:
                  cache_dir: Optional[str] = None,
                  jobs: int = 1,
                  max_queue: int = 16,
-                 task_timeout: Optional[float] = None,
-                 max_pool_restarts: Optional[int] = None) -> None:
+                 task_timeout: Optional[float] = None) -> None:
         self.state_dir = os.fspath(state_dir)
         self.cache = ResultCache(cache_dir
                                  or os.path.join(self.state_dir, "cache"))
         self.engine_jobs = jobs
         self.max_queue = max_queue
         self.task_timeout = task_timeout
-        self.max_pool_restarts = max_pool_restarts
         #: Changes with every server start; watchers restart on a change.
         self.boot_id = os.urandom(8).hex()
 
@@ -511,8 +509,7 @@ class SweepService:
         job = self._update(job_id, status="running", started_at=time.time())
         submission = job["submission"]
         engine = SweepEngine(jobs=self.engine_jobs, cache_dir=self.cache,
-                             task_timeout=self.task_timeout,
-                             max_pool_restarts=self.max_pool_restarts)
+                             task_timeout=self.task_timeout)
         deadline = submission.get("deadline_seconds")
         started = time.monotonic()
         events = self._events[job_id]

@@ -11,23 +11,24 @@ parallelism (or their results).
 The supervision loop (:class:`PoolSupervisor`) wraps a
 ``ProcessPoolExecutor`` with four behaviours, all bounded and deterministic:
 
-**Per-task deadlines.**  With :attr:`SupervisorPolicy.task_timeout` set,
-every submitted group carries a wall-clock deadline.  The loop waits with a
-timeout instead of forever; an overdue task's worker is presumed hung, the
-whole pool is recycled (a running task cannot be cancelled any other way),
-the victim tasks that shared the pool are re-queued untouched, and the
-hung group is re-submitted with its failure counted.  The supervisor keeps
-at most ``workers`` tasks in flight so a deadline measures *running* time,
-not queue time.
+**Per-task deadlines.**  With ``task_timeout`` set, every submitted group
+carries a wall-clock deadline.  The loop waits with a timeout instead of
+forever; an overdue task's worker is presumed hung, the whole pool is
+recycled (a running task cannot be cancelled any other way), the victim
+tasks that shared the pool are re-queued untouched, and the hung group is
+re-submitted with its failure counted.  The supervisor keeps at most
+``workers`` tasks in flight so a deadline measures *running* time, not
+queue time.
 
 **Bounded pool restarts with backoff.**  Pool-infrastructure failures —
 ``BrokenProcessPool`` mid-run, ``PicklingError``/``OSError`` at submit —
-respawn the pool up to :attr:`SupervisorPolicy.max_pool_restarts` times,
-sleeping an exponentially growing, deterministically jittered delay
-(:func:`backoff_delay`, :data:`BACKOFF_BASE` up to :data:`BACKOFF_CAP`
-seconds) between attempts, before giving up and leaving the remainder to
-the engine's serial fallback.  A transient hiccup costs one
-restart, not the whole run's parallelism.
+respawn the pool, sleeping an exponentially growing delay
+(:func:`backoff_delay`) between attempts.  Only restarts made without
+progress count against the budget: after :data:`MAX_POOL_RESTARTS` of
+them in a row, with no task completing in between, the supervisor gives
+up and leaves the remainder to the engine's serial fallback.  Any
+completed task resets the count, so a transient hiccup costs one restart
+and any number of poison points among healthy work can be quarantined.
 
 **Probation (precise blame).**  When the pool breaks with several tasks in
 flight, the culprit is unknowable — the executor reports one aggregate
@@ -36,15 +37,16 @@ re-runs the suspects *one at a time* in the fresh pool: a suspect that
 completes is innocent, and a suspect that breaks the pool alone is guilty
 beyond doubt.  Only precisely-blamed failures count against a task.
 
-**Quarantine by bisection.**  A group that kills or hangs its worker when
-running alone is split in half; the halves re-run (still one at a time)
-and the offending point is cornered in O(log n) rounds.  A single point
-that still crashes or times out after :data:`QUARANTINE_RETRIES` retries
-is **quarantined**: it becomes a structured :class:`PointFailure` and the
-sweep finishes without it.  Ordinary exceptions raised *by* a task (a
-kernel bug, a verification failure) take the same retry/bisect route —
-minus the pool restarts, since the pool is healthy — and end as
-non-quarantined :class:`PointFailure`\\ s.
+**Quarantine of single points.**  A multi-point group that raises, kills
+its worker alone or overruns its deadline is split into single-point
+tasks, each with fresh attempts; those split after a crash or a timeout
+stay on probation, so each runs alone.  A single point that still crashes
+or times out after :data:`QUARANTINE_RETRIES` retries is **quarantined**:
+it becomes a structured :class:`PointFailure` and the sweep finishes
+without it.  A single point that keeps *raising* (a kernel bug, a
+verification failure) takes the same route — minus the pool restarts,
+since the pool is healthy — and ends as a non-quarantined
+:class:`PointFailure`.
 
 The serial path reuses :class:`PointFailure` directly: a group that raises
 in-process is re-run point by point, and the points that still raise are
@@ -54,25 +56,21 @@ recorded as failures instead of aborting the sweep
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-__all__ = ["PointFailure", "PoolSupervisor", "SupervisorPolicy",
-           "backoff_delay"]
-
-#: Same-membership retries of a multi-point group whose task *raised*
-#: (pool healthy) before it is bisected.  Crash/timeout failures bisect
-#: immediately — the blame-all probation pass that precedes them already
-#: was the retry.
-MAX_GROUP_RETRIES = 1
+__all__ = ["PointFailure", "PoolSupervisor", "backoff_delay"]
 
 #: Retries of a *single* point before it is quarantined (crash or timeout)
 #: or recorded as failed (exception).
 QUARANTINE_RETRIES = 1
+
+#: Consecutive pool restarts with no task completed before the run falls
+#: back to serial execution.
+MAX_POOL_RESTARTS = 6
 
 #: Exponential-backoff schedule (seconds) for pool restarts and client
 #: retries; see :func:`backoff_delay`.
@@ -95,37 +93,6 @@ def _pool_infra_errors() -> Tuple[type, ...]:
 
     return (OSError, PermissionError, ImportError, BrokenProcessPool,
             pickle.PicklingError)
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """The two settable knobs of the supervised pool loop (engine/CLI:
-    ``--task-timeout``, ``--max-pool-restarts``).  The retry counts and the
-    backoff schedule are module constants.
-
-    Attributes
-    ----------
-    task_timeout:
-        Wall-clock seconds one submitted group may *run* before its worker
-        is presumed hung and the pool recycled; ``None`` (default)
-        disables deadlines — the pre-supervision behaviour.
-    max_pool_restarts:
-        Pool respawns per run before the engine's serial fallback takes
-        over.  Quarantining one poison point in a group of *n* costs about
-        ``log2(n) + 3`` restarts; the default leaves room for that plus a
-        couple of genuine transients.
-    """
-
-    task_timeout: Optional[float] = None
-    max_pool_restarts: int = 6
-
-    def __post_init__(self) -> None:
-        if self.task_timeout is not None and not self.task_timeout > 0:
-            raise ValueError(
-                f"task_timeout must be > 0 seconds, got {self.task_timeout}")
-        if self.max_pool_restarts < 0:
-            raise ValueError(f"max_pool_restarts must be >= 0, "
-                             f"got {self.max_pool_restarts}")
 
 
 @dataclass
@@ -181,19 +148,10 @@ class PointFailure:
         }
 
 
-def backoff_delay(attempt: int, token: str = "") -> float:
-    """Exponential backoff with *deterministic* jitter.
-
-    ``BACKOFF_BASE * 2**attempt`` capped at :data:`BACKOFF_CAP`, plus a
-    jitter in ``[0, BACKOFF_BASE)`` derived from a SHA-256 of ``(token,
-    attempt)`` — the same inputs always produce the same delay, so
-    supervised runs stay reproducible while concurrent sweeps sharing a
-    machine still decorrelate (each passes its own token).
-    """
-    delay = min(BACKOFF_BASE * (2.0 ** max(0, attempt)), BACKOFF_CAP)
-    digest = hashlib.sha256(f"{token}:{attempt}".encode("utf-8")).digest()
-    jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF * BACKOFF_BASE
-    return min(delay + jitter, BACKOFF_CAP)
+def backoff_delay(attempt: int) -> float:
+    """Exponential backoff: ``BACKOFF_BASE * 2**attempt`` seconds, capped
+    at :data:`BACKOFF_CAP`."""
+    return min(BACKOFF_BASE * (2.0 ** max(0, attempt)), BACKOFF_CAP)
 
 
 class _Task:
@@ -211,7 +169,7 @@ class _RestartsExhausted(Exception):
 
 
 class PoolSupervisor:
-    """Drives one run's worth of pool tasks under the supervision policy.
+    """Drives one run's worth of pool tasks under supervision.
 
     Parameters
     ----------
@@ -230,8 +188,9 @@ class PoolSupervisor:
         ``workers -> ProcessPoolExecutor`` (injected so the engine's
         module-level ``ProcessPoolExecutor`` symbol stays patchable by
         tests, and so the supervisor itself is executor-agnostic).
-    policy:
-        The :class:`SupervisorPolicy`.
+    task_timeout:
+        Wall-clock seconds one task may *run* before its worker is
+        presumed hung and the pool recycled; ``None`` disables deadlines.
     sleep:
         Backoff sleeper (tests inject a recorder).
 
@@ -247,7 +206,7 @@ class PoolSupervisor:
                  worker: Callable[..., Any],
                  workers: int,
                  pool_factory: Callable[[int], Any],
-                 policy: Optional[SupervisorPolicy] = None,
+                 task_timeout: Optional[float] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.points = points
         self.groups = [list(g) for g in groups]
@@ -255,13 +214,15 @@ class PoolSupervisor:
         self.worker = worker
         self.workers = max(1, int(workers))
         self.pool_factory = pool_factory
-        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.task_timeout = task_timeout
         self.sleep = sleep
         self._infra_errors = _pool_infra_errors()
         # Telemetry.
         self.retries = 0
         self.pool_restarts = 0
         self.timeouts = 0
+        #: Restarts since the last completed task (the budgeted count).
+        self._stalled_restarts = 0
         self.failures: List[PointFailure] = []
         self.fallback_reason: Optional[str] = None
         # Execution state.
@@ -319,13 +280,13 @@ class PoolSupervisor:
         self._suspect = None
         self._kill_pool()
         self.pool_restarts += 1
-        if self.pool_restarts > self.policy.max_pool_restarts:
-            suffix = f" (after {self.policy.max_pool_restarts} pool restarts)"
+        self._stalled_restarts += 1
+        if self._stalled_restarts > MAX_POOL_RESTARTS:
             self.fallback_reason = (
-                f"{type(exc).__name__}{where}: {exc}{suffix}")
+                f"{type(exc).__name__}{where}: {exc} (after "
+                f"{MAX_POOL_RESTARTS} pool restarts without progress)")
             raise _RestartsExhausted()
-        self.sleep(backoff_delay(self.pool_restarts - 1,
-                                 token=where or "restart"))
+        self.sleep(backoff_delay(self._stalled_restarts - 1))
         self._make_pool()
 
     # -- failure routing ---------------------------------------------------
@@ -344,24 +305,21 @@ class PoolSupervisor:
 
     def _handle_task_failure(self, task: _Task, exc: BaseException,
                              phase: str) -> Iterator[Tuple[str, Any, Any]]:
-        """Retry, bisect or quarantine one precisely-blamed failed task."""
-        task.attempts += 1
+        """Split, retry or quarantine one precisely-blamed failed task.
+
+        A multi-point task splits into single points with fresh attempts;
+        after a crash or a timeout they stay on probation, one at a time.
+        """
         hostile = phase in ("crash", "timeout")
         requeue = self._probation if hostile else self._queue
-        if len(task.indices) == 1:
-            if task.attempts > QUARANTINE_RETRIES:
-                yield ("failure",
-                       self._failure(task, exc, phase, quarantined=hostile),
-                       None)
-            else:
-                self.retries += 1
-                requeue.append(task)
+        if len(task.indices) > 1:
+            requeue.extend(_Task([i]) for i in task.indices)
             return
-        if hostile or task.attempts > MAX_GROUP_RETRIES:
-            # Bisect: corner the offending point(s) in O(log n) rounds.
-            mid = len(task.indices) // 2
-            requeue.append(_Task(task.indices[:mid]))
-            requeue.append(_Task(task.indices[mid:]))
+        task.attempts += 1
+        if task.attempts > QUARANTINE_RETRIES:
+            yield ("failure",
+                   self._failure(task, exc, phase, quarantined=hostile),
+                   None)
         else:
             self.retries += 1
             requeue.append(task)
@@ -397,7 +355,7 @@ class PoolSupervisor:
                 if not self._inflight:
                     continue
                 timeout = None
-                if self.policy.task_timeout is not None:
+                if self.task_timeout is not None:
                     now = time.monotonic()
                     timeout = max(0.05,
                                   min(self._deadlines.get(f, float("inf"))
@@ -449,9 +407,9 @@ class PoolSupervisor:
             self._inflight[future] = task
             if source is self._probation:
                 self._suspect = future
-            if self.policy.task_timeout is not None:
+            if self.task_timeout is not None:
                 self._deadlines[future] = (time.monotonic()
-                                           + self.policy.task_timeout)
+                                           + self.task_timeout)
 
     def _collect(self, done) -> Iterator[Tuple[str, Any, Any]]:
         """Harvest finished futures: results first, then failures."""
@@ -466,6 +424,7 @@ class PoolSupervisor:
                 self._suspect = None
             exc = future.exception()
             if exc is None:
+                self._stalled_restarts = 0
                 yield ("group", task.indices, future.result())
                 continue
             if isinstance(exc, self._infra_errors):
@@ -482,7 +441,7 @@ class PoolSupervisor:
                     self._deadlines.clear()
                 infra_incident = exc
                 continue
-            # The task raised (pool healthy): retry/bisect/record.
+            # The task raised (pool healthy): split/retry/record.
             yield from self._handle_task_failure(task, exc, "exception")
         if infra_incident is not None:
             self._restart_pool(infra_incident)
@@ -505,7 +464,7 @@ class PoolSupervisor:
         # The other in-flight tasks are victims of the recycle, not
         # suspects: ``_restart_pool`` re-queues them untouched.
         timeout_exc = TimeoutError(
-            f"task exceeded the {self.policy.task_timeout:g}s deadline")
+            f"task exceeded the {self.task_timeout:g}s deadline")
         for task in hung:
             yield from self._handle_task_failure(task, timeout_exc, "timeout")
         self._restart_pool(timeout_exc)

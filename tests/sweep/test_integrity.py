@@ -92,8 +92,11 @@ class TestChecksumHelpers:
         entry["a"] = 2
         assert not verify_checksum(entry)
 
-    def test_legacy_entry_without_stamp_passes(self):
-        assert verify_checksum({"a": 1})
+    def test_legacy_entry_without_stamp_fails(self):
+        """Nothing vouches for an unstamped entry's bytes: written before
+        checksums, or its own ``"checksum"`` key was damaged."""
+        assert not verify_checksum({"a": 1})
+        assert not verify_checksum({})
 
     def test_non_dict_fails(self):
         assert not verify_checksum([1, 2, 3])
@@ -171,17 +174,23 @@ class TestResultCacheQuarantine:
         assert engine.last_simulated == 1
         assert sims == fresh
 
-    def test_legacy_entry_without_stamp_still_hits(self, tmp_path):
+    def test_legacy_entry_without_stamp_is_a_miss(self, tmp_path):
+        """An unstamped record recomputes once; its stamped successor
+        hits."""
         cache_dir = str(tmp_path)
+        fresh, _ = _sims()
         _sims(cache_dir)
         entry = json.loads(_records(cache_dir)[0])
         del entry["checksum"]
         _rewrite(cache_dir, [json.dumps(entry) + "\n"])
 
         cache = ResultCache(cache_dir)
-        assert cache.get(_POINT) is not None
-        assert cache.hits == 1
-        assert cache.corrupt == 0
+        assert cache.get(_POINT) is None
+        assert cache.hits == 0 and cache.corrupt == 1
+        sims, engine = _sims(cache_dir)
+        assert engine.last_simulated == 1
+        assert sims == fresh
+        assert ResultCache(cache_dir).get(_POINT) is not None
 
     def test_schema_mismatch_on_verified_bytes_is_plain_miss(self, tmp_path):
         """An older writer's schema (verified bytes, missing keys) is a
@@ -361,7 +370,9 @@ class TestTraceCacheQuarantine:
         assert cache.corrupt == 1
         assert os.path.exists(path + CORRUPT_SUFFIX)
 
-    def test_legacy_entry_without_stamp_still_hits(self, tmp_path):
+    def test_legacy_entry_without_stamp_is_a_miss(self, tmp_path):
+        """An unstamped trace is a miss: it rebuilds once and is re-put
+        stamped."""
         _populate(str(tmp_path))
         path = _trace_path(str(tmp_path))
         with open(path) as f:
@@ -371,8 +382,17 @@ class TestTraceCacheQuarantine:
             json.dump(entry, f)
 
         cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        assert cache.get(_POINT) is not None
-        assert cache.corrupt == 0
+        assert cache.get(_POINT) is None
+        assert cache.corrupt == 1
+        # A result miss on the same trace rebuilds it once, stamped.
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        engine.run([SweepPoint("comp", "mom", MachineConfig.for_way(2),
+                               _SPEC)])
+        assert engine.last_trace_builds == 1
+        with open(path) as f:
+            assert verify_checksum(json.load(f))
+        assert TraceCache(os.path.join(str(tmp_path), "traces")).get(
+            _POINT) is not None
 
 
 class TestManageCorruptSweep:

@@ -821,8 +821,8 @@ class TestClientRetries:
     def test_backoff_is_deterministic(self):
         from repro.sweep.supervisor import backoff_delay
         client = ServiceClient("http://127.0.0.1:1", retries=5)
-        delays = [client._delay(a, "/jobs", 0, None) for a in (1, 2, 3)]
-        assert delays == [backoff_delay(a, token="/jobs") for a in (1, 2, 3)]
+        delays = [client._delay(a, 0) for a in (1, 2, 3)]
+        assert delays == [backoff_delay(a) for a in (1, 2, 3)]
 
     def test_backoff_is_not_a_client_option(self):
         with pytest.raises(TypeError):

@@ -11,16 +11,19 @@ process.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import fields
+import os
+import subprocess
+import sys
 
 import pytest
 
 import repro.sweep.faults as faults
-from repro.sweep import SweepEngine, SweepJournal, SweepSpec
+import repro.sweep.supervisor as supervisor
+from repro.sweep import SweepEngine, SweepJournal, SweepService, SweepSpec
 from repro.sweep.cache import sim_to_dict, stats_to_dict
-from repro.sweep.supervisor import (BACKOFF_BASE, BACKOFF_CAP,
-                                    SupervisorPolicy, backoff_delay)
+from repro.sweep.supervisor import BACKOFF_BASE, BACKOFF_CAP, backoff_delay
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -60,37 +63,36 @@ def _clean_harness(monkeypatch):
 class TestPolicy:
     def test_backoff_is_deterministic(self):
         for attempt in range(5):
-            a = backoff_delay(attempt, "pool")
-            b = backoff_delay(attempt, "pool")
-            assert a == b
+            assert backoff_delay(attempt) == backoff_delay(attempt)
 
     def test_backoff_grows_then_caps(self):
-        delays = [backoff_delay(a, "t") for a in range(12)]
-        assert all(d >= BACKOFF_BASE for d in delays)
+        delays = [backoff_delay(a) for a in range(12)]
+        assert delays[0] == BACKOFF_BASE
+        assert delays == sorted(delays)
         assert max(delays) == BACKOFF_CAP
         assert delays[6] > delays[0]
 
-    def test_distinct_tokens_decorrelate(self):
-        assert backoff_delay(3, "alpha") != backoff_delay(3, "beta")
-
     def test_policy_with_overrides(self):
-        """The engine builds its policy from its two supervision knobs,
-        the only settable fields; retries and backoff are constants."""
-        assert [f.name for f in fields(SupervisorPolicy)] == [
-            "task_timeout", "max_pool_restarts"]
-        assert SweepEngine().policy == SupervisorPolicy()
-        tweaked = SweepEngine(task_timeout=2.5, max_pool_restarts=9).policy
-        assert tweaked == SupervisorPolicy(task_timeout=2.5,
-                                           max_pool_restarts=9)
+        """``task_timeout`` is the one settable supervision value; the
+        engine keeps it, and the retry counts, restart budget and backoff
+        are module constants."""
+        assert SweepEngine().task_timeout is None
+        assert SweepEngine(task_timeout=2.5).task_timeout == 2.5
+        assert supervisor.MAX_POOL_RESTARTS == 6
+        assert supervisor.QUARANTINE_RETRIES == 1
 
     @pytest.mark.parametrize("call", [
-        lambda: SupervisorPolicy(max_group_retries=0),
-        lambda: SupervisorPolicy(quarantine_retries=0),
-        lambda: SupervisorPolicy(backoff_base=0),
-        lambda: SupervisorPolicy(backoff_cap=0),
-        lambda: backoff_delay(1, "t", policy=None),
+        lambda: SweepEngine(max_group_retries=0),
+        lambda: SweepEngine(quarantine_retries=0),
+        lambda: SweepEngine(backoff_base=0),
+        lambda: SweepEngine(backoff_cap=0),
+        lambda: backoff_delay(1, policy=None),
+        lambda: backoff_delay(1, "token"),
+        lambda: SweepEngine(max_pool_restarts=10),
+        lambda: SweepService("unused", max_pool_restarts=10),
     ], ids=["max_group_retries", "quarantine_retries", "backoff_base",
-            "backoff_cap", "backoff_delay-policy"])
+            "backoff_cap", "backoff_delay-policy", "backoff_delay-token",
+            "max_pool_restarts", "service-max_pool_restarts"])
     def test_removed_knobs_are_gone(self, call):
         with pytest.raises(TypeError):
             call()
@@ -99,11 +101,8 @@ class TestPolicy:
         ({"task_timeout": -1}, "task_timeout"),
         ({"task_timeout": 0}, "task_timeout"),
         ({"task_timeout": float("nan")}, "task_timeout"),
-        ({"max_pool_restarts": -1}, "max_pool_restarts"),
     ])
     def test_nonsense_knobs_rejected(self, kwargs, field):
-        with pytest.raises(ValueError, match=f"{field} must be"):
-            SupervisorPolicy(**kwargs)
         with pytest.raises(ValueError, match=f"{field} must be"):
             SweepEngine(**kwargs)
 
@@ -116,7 +115,7 @@ class TestHungWorker:
             {"kind": "hang", "kernel": "comp", "isa": "scalar",
              "seconds": 60, "times": 1},
         ])
-        engine = SweepEngine(jobs=2, task_timeout=2.0, max_pool_restarts=10)
+        engine = SweepEngine(jobs=2, task_timeout=2.0)
         results = engine.run(sweep)
         assert engine.last_timeouts >= 1
         assert engine.last_fallback_reason is None
@@ -133,7 +132,7 @@ class TestTransientCrash:
         _inject(monkeypatch, tmp_path, [
             {"kind": "crash", "kernel": "comp", "isa": "scalar", "times": 1},
         ])
-        engine = SweepEngine(jobs=2, max_pool_restarts=10)
+        engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
         assert engine.last_pool_restarts >= 1
         assert engine.last_fallback_reason is None, \
@@ -150,7 +149,7 @@ class TestPoisonPoint:
             {"kind": "crash", "kernel": "comp", "isa": "scalar",
              "config": "way1", "times": -1},
         ])
-        engine = SweepEngine(jobs=2, max_pool_restarts=10)
+        engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
         assert engine.last_fallback_reason is None
 
@@ -168,6 +167,36 @@ class TestPoisonPoint:
         # Quarantine is surgical: every other point is byte-identical.
         skip = {failure.index}
         assert _fingerprint(results) == _fingerprint(clean, skip=skip)
+
+    def test_poison_in_16_config_group_fits_default_budget(self, tmp_path,
+                                                           monkeypatch):
+        """A failing group splits into single points, so one poison point
+        in a 16-config trace group is quarantined under the pool within
+        the default restart budget (bisection spent a restart per
+        halving and fell back to serial)."""
+        configs = [dataclasses.replace(MachineConfig.for_way(4,
+                                                             mem_latency=lat),
+                                       name=f"lat{lat}")
+                   for lat in range(1, 17)]
+        sweep = SweepSpec.make(kernels=["comp"], isas=["scalar", "mom"],
+                               configs=configs, spec=_SPEC)
+        clean = SweepEngine().run(sweep)
+        _inject(monkeypatch, tmp_path, [
+            {"kind": "crash", "kernel": "comp", "isa": "scalar",
+             "config": "lat7", "times": -1},
+        ])
+        engine = SweepEngine(jobs=2)
+        results = engine.run(sweep)
+        assert engine.last_fallback_reason is None
+        assert engine.last_pool_restarts <= 4
+
+        bad = [r for r in results if not r.ok]
+        assert [(r.failure.kernel, r.failure.isa, r.failure.config,
+                 r.failure.quarantined) for r in bad] == \
+            [("comp", "scalar", "lat7", True)]
+        assert engine.last_quarantined == 1
+        assert _fingerprint(results) == _fingerprint(clean,
+                                                     skip={bad[0].index})
 
 
 class TestSerialFailures:
@@ -263,8 +292,7 @@ class TestChaosAcceptance:
             {"kind": "raise", "kernel": "comp", "isa": "scalar",
              "config": "way1", "times": -1},
         ])
-        engine = SweepEngine(jobs=2, task_timeout=2.0, max_pool_restarts=10,
-                             journal=journal)
+        engine = SweepEngine(jobs=2, task_timeout=2.0, journal=journal)
         results = engine.run(sweep)
 
         # Survived without collapsing to the serial fallback.
@@ -302,6 +330,29 @@ class TestChaosAcceptance:
 
 
 class TestCLISupervision:
+    def test_pool_recycle_prints_no_traceback(self, tmp_path):
+        """Pool workers run with the default SIGTERM disposition: a pool
+        recycle SIGTERMs them, and the CLI's raising handler must not make
+        an idle one (the sibling of a suspect on probation) print a
+        traceback."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        env[faults.FAULT_ENV] = json.dumps({
+            "state_dir": str(tmp_path / "fault-state"),
+            "faults": [{"kind": "crash", "kernel": "comp", "isa": "scalar",
+                        "config": "way1", "times": -1}]})
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--jobs", "2",
+             "--kernels", "comp", "--isas", "scalar", "mom", "--ways", "1",
+             "2", "--latencies", "1", "--scale", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "1 failed (1 quarantined)" in done.stdout
+        assert "ran serially" not in done.stdout
+        assert "Traceback" not in done.stderr, done.stderr
+
     def test_failed_rows_stream_and_resume(self, tmp_path, monkeypatch,
                                            capsys):
         from repro.cli import main

@@ -55,8 +55,8 @@ class TestParser:
          "task_timeout"),
         (["tables", "--kernels", "comp", "--task-timeout", "nan"],
          "task_timeout"),
-        (["sweep", "--kernels", "comp", "--max-pool-restarts", "-1"],
-         "max_pool_restarts"),
+        (["serve", "--state-dir", "unused", "--task-timeout", "-1"],
+         "task_timeout"),
         (["sweep", "--kernels", "comp", "--scale", "0"], "scale"),
         (["run", "comp", "--scale", "-2"], "scale"),
         (["sweep", "--kernels", "comp", "--scale", "1", "--seed", "-1"],
@@ -81,6 +81,19 @@ class TestParser:
     def test_backend_knobs_are_gone(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--kernels", "comp"],
+        ["figure4", "--kernels", "comp"],
+        ["serve", "--state-dir", "unused"],
+    ])
+    def test_max_pool_restarts_is_gone(self, capsys, command):
+        """The restart budget is a constant of the supervisor."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--max-pool-restarts", "9"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-pool-restarts" in \
+            capsys.readouterr().err
 
     def test_resume_failed_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
