@@ -459,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub_p.add_argument("--max-age-days", type=float, default=None,
                                help="evict entries unused for more than this "
                                     "many days")
-            sub_p.add_argument("--keep-traces", action="store_true",
-                               help="never evict trace entries (prune "
-                                    "results only)")
-            sub_p.add_argument("--keep-results", action="store_true",
-                               help="never evict result entries (prune "
-                                    "traces only)")
 
     return parser
 
@@ -774,10 +768,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                      if args.max_mb is not None else None)
         max_age = (args.max_age_days * 86400
                    if args.max_age_days is not None else None)
-        keep = ([] if not args.keep_traces else ["traces"]) + (
-            [] if not args.keep_results else ["results"])
         report = gc_cache(args.cache_dir, max_bytes=max_bytes,
-                          max_age_seconds=max_age, keep=keep)
+                          max_age_seconds=max_age)
         print(f"evicted {report.removed} entr"
               f"{'y' if report.removed == 1 else 'ies'} "
               f"({_format_bytes(report.bytes_freed)} freed); "

@@ -381,8 +381,9 @@ class SweepEngine:
         #: distinct (kernel, ISA, workload) combinations in the sweep.
         self.last_trace_builds = 0
         #: Tasks the most recent run submitted to the worker pool (0 when
-        #: everything ran serially).  Usually the number of trace groups;
-        #: larger when warm groups were split to keep the pool busy.
+        #: everything ran serially): one per trace group, plus every
+        #: re-submission — the single points split from a failing group,
+        #: retries, and tasks re-run after a pool restart.
         self.last_pool_tasks = 0
         #: Why the most recent run fell back to serial execution (if it did).
         self.last_fallback_reason: Optional[str] = None
@@ -598,47 +599,19 @@ class SweepEngine:
             self.cache.put(result.point, result.sim, result.stats)
         return result
 
-    def _split_warm_groups(self, groups: List[List[int]],
-                           points: Sequence[SweepPoint]) -> List[List[int]]:
-        """Split cached-trace groups so the pool has ~``jobs`` tasks.
-
-        Only groups whose trace entry already exists on disk are split —
-        their chunks all read the cache, so no front-end build can be
-        duplicated.  A cold group stays whole (one build, exactly once).
-        The rare race where an entry is evicted between this probe and the
-        worker's read degrades to a rebuild per chunk — the pre-batching
-        behaviour, a performance blip, never a correctness issue.
-        """
-        chunks_per_group = -(-self.jobs // len(groups))  # ceil
-        if chunks_per_group < 2:
-            return groups
-        out: List[List[int]] = []
-        for group in groups:
-            if (len(group) < 2
-                    or not os.path.exists(
-                        self.trace_cache.path_for(points[group[0]]))):
-                out.append(group)
-                continue
-            size = -(-len(group) // min(len(group), chunks_per_group))
-            out.extend(group[j:j + size]
-                       for j in range(0, len(group), size))
-        return out
-
     def _iter_pool(self, points: Sequence[SweepPoint],
                    remaining: Set[int]) -> Iterator[PointResult]:
         """Yield pool-computed results, discarding their indices from
         ``remaining`` as they land.
 
-        One submitted task is normally one *trace group* (see module
-        docstring): the worker acquires and lowers the group's trace once
-        and simulates all of its configurations, so each distinct trace is
+        One submitted task is one *trace group* (see module docstring):
+        the worker acquires and lowers the group's trace once and
+        simulates all of its configurations, so each distinct trace is
         built at most once across the whole pool — duplicate concurrent
-        builds of the same trace cannot happen.  When that would leave the
-        pool under-subscribed (fewer groups than workers — the shape of a
-        config-heavy ablation sweep), groups whose trace is already on disk
-        are split into smaller tasks: every chunk is a pure cache read, so
-        the build-once guarantee is unaffected and the simulations spread
-        across the pool.
+        builds of the same trace cannot happen — and a group of
+        ``VECTOR_MIN_BATCH`` or more configurations stays whole on the
+        vector backend.  A pool with fewer groups than workers runs one
+        worker per group.
 
         Execution is supervised (:class:`~repro.sweep.supervisor
         .PoolSupervisor`): infrastructure failures respawn the pool with
@@ -653,9 +626,6 @@ class SweepEngine:
         trace_dir = (self.trace_cache.cache_dir
                      if self.trace_cache is not None else None)
         groups = _group_by_trace(points, sorted(remaining))
-        if self.trace_cache is not None and len(groups) < self.jobs:
-            groups = self._split_warm_groups(groups, points)
-        self.last_pool_tasks = len(groups)
         workers = min(self.jobs, len(groups), (os.cpu_count() or 1) * 4)
 
         def make_args(indices: Sequence[int]) -> tuple:
@@ -677,6 +647,7 @@ class SweepEngine:
                 # Fold the supervision telemetry in continuously, so the
                 # streaming callbacks (--stream-jsonl) see current counts
                 # with each result, not only the end-of-run totals.
+                self.last_pool_tasks = supervisor.tasks
                 self.last_retries = supervisor.retries
                 self.last_pool_restarts = supervisor.pool_restarts
                 self.last_timeouts = supervisor.timeouts
@@ -701,6 +672,7 @@ class SweepEngine:
             # queued points are cancelled instead of being executed to
             # completion behind the caller's back.
             events.close()
+            self.last_pool_tasks = supervisor.tasks
             self.last_retries = supervisor.retries
             self.last_pool_restarts = supervisor.pool_restarts
             self.last_timeouts = supervisor.timeouts

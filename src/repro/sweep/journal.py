@@ -35,10 +35,12 @@ builder versions, every machine-configuration field, the kernel, ISA and
 workload — so replay can never serve a stale result: a model or builder
 bump (or any other change) changes the key and the old records simply
 match nothing.  Every recorded result comes from a build verified against
-the golden reference.  Journals written when verification could still be
-switched off may hold records stamped ``"checked": false``; :meth:`load`
-treats those as not completed, so a resume re-runs (and verifies) the
-point instead of replaying an unverified result.
+the golden reference, and every record carries the result log's checksum
+stamp (:func:`~repro.common.atomicio.encode_stamped`).  :meth:`load`
+treats a record that fails :func:`~repro.common.atomicio.verify_checksum`
+as not completed — bytes that changed after the write, or a record from
+an older, unstamped journal — so a resume re-runs (and verifies) the point
+instead of replaying a result nothing vouches for.
 
 Points the supervised engine *gave up on* (quarantined poison points,
 kernel exceptions) are journaled too, as **failure records**: same key,
@@ -72,6 +74,8 @@ from __future__ import annotations
 import json
 import os
 from typing import IO, Any, Dict, List, Optional
+
+from repro.common.atomicio import encode_stamped, verify_checksum
 
 __all__ = ["JOURNAL_FORMAT", "LOCK_SUFFIX", "JournalLockedError", "JsonlScan",
            "SweepJournal", "read_jsonl"]
@@ -302,9 +306,10 @@ class SweepJournal:
         Tolerates a missing file (empty journal), a torn trailing record
         (discarded; counted in :attr:`torn_bytes_discarded`) and corrupt
         lines (skipped).  Header records and records of other formats are
-        ignored, and so are records stamped ``"checked": false`` (an
-        unverified result: the point re-runs).  When the same key appears
-        twice (two crashed runs sharing one journal) the later record wins.
+        ignored, and so are records failing their checksum (changed bytes,
+        or an older unstamped journal: the point re-runs).  When the same
+        key appears twice (two crashed runs sharing one journal) the later
+        record wins.
         """
         scan = read_jsonl(self.path)
         self._good_end = scan.good_end
@@ -325,7 +330,7 @@ class SweepJournal:
             key = record.get("key")
             if not isinstance(key, str):
                 continue
-            if record.get("checked") is False:
+            if not verify_checksum(record):
                 continue
             if "sim" in record and "stats" in record:
                 completed[key] = record
@@ -366,12 +371,12 @@ class SweepJournal:
                         f.truncate(self._good_end)
             self._file = open(self.path, "a", encoding="utf-8")
             if fresh or self._good_end == 0:
-                self._write_line({"journal": _HEADER_MARKER,
-                                  "format": JOURNAL_FORMAT})
+                self._write_line(json.dumps(
+                    {"journal": _HEADER_MARKER, "format": JOURNAL_FORMAT},
+                    sort_keys=True, separators=(",", ":")))
         return self._file
 
-    def _write_line(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def _write_line(self, line: str) -> None:
         assert self._file is not None
         # One write call per record: a crash leaves at most a torn tail,
         # never an interleaving of two half-records.
@@ -379,9 +384,10 @@ class SweepJournal:
         self._file.flush()
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Append one raw record (a JSON-able dict) with atomic framing."""
+        """Append one record (a JSON-able dict, left unchanged), stamped
+        with its checksum, with atomic framing."""
         self._open()
-        self._write_line(record)
+        self._write_line(encode_stamped(dict(record)))
 
     def record(self, key: str, result: "PointResult") -> None:  # noqa: F821
         """Append the journal record of one completed *or failed* point.

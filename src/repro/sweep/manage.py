@@ -13,8 +13,8 @@ entry is a future miss, never a correctness problem.
 
 Eviction policy (:func:`gc_cache`): drop every entry older than
 ``max_age_seconds``; if the survivors still exceed ``max_bytes``, drop
-least recently used first until the total fits.  ``keep`` exempts a
-section (``repro cache gc --keep-traces`` / ``--keep-results``).
+least recently used first until the total fits, results and traces
+alike.
 
 Files that are not cache entries are swept too: ``*.tmp`` orphans of
 interrupted atomic trace writes once older than :data:`TMP_GRACE_SECONDS`
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.atomicio import CORRUPT_SUFFIX, TMP_SUFFIX
 from repro.sweep.cache import LOG_SUBDIR, SEGMENT_SUFFIX, scan_log
@@ -242,7 +242,6 @@ def _sweep(cache_dir: str, report: GCReport,
 def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
              max_age_seconds: Optional[float] = None,
              now: Optional[float] = None,
-             keep: Iterable[str] = (),
              tmp_grace_seconds: float = TMP_GRACE_SECONDS) -> GCReport:
     """Evict cache entries by age and/or total size; returns a report.
 
@@ -262,11 +261,6 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     now:
         Reference timestamp for age computation (defaults to the current
         time; tests pin it).
-    keep:
-        Section names (``"results"``, ``"traces"``) exempt from eviction;
-        their entries always survive but still count toward the size bound,
-        so e.g. ``keep=("traces",)`` prunes results until the *combined*
-        total fits or no evictable entry is left.
     tmp_grace_seconds:
         Minimum age before an orphaned tempfile is swept (younger ones may
         belong to a live writer).
@@ -274,37 +268,30 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     import time
 
     reference = time.time() if now is None else now
-    protected = frozenset(keep)
-    unknown = protected.difference(_SECTIONS)
-    if unknown:
-        raise ValueError(f"unknown cache section(s) in keep: {sorted(unknown)}")
     entries: List[CacheEntry] = sorted(iter_cache_entries(cache_dir),
                                        key=lambda e: e.mtime)
     report = GCReport()
 
     survivors: List[CacheEntry] = []
     for entry in entries:
-        if (entry.section not in protected
-                and max_age_seconds is not None
+        if (max_age_seconds is not None
                 and reference - entry.mtime > max_age_seconds):
             _remove(entry, report)
         else:
             survivors.append(entry)
 
     if max_bytes is not None:
+        # survivors are least-recently-used-first: evict from the front
+        # until the total fits.
         total = sum(e.size for e in survivors)
-        removed_paths = set()
-        # survivors are least-recently-used-first: evict evictable entries
-        # from the front until the total fits.
+        evicted = 0
         for entry in survivors:
             if total <= max_bytes:
                 break
-            if entry.section in protected:
-                continue
             _remove(entry, report)
-            removed_paths.add(entry.path)
             total -= entry.size
-        survivors = [e for e in survivors if e.path not in removed_paths]
+            evicted += 1
+        survivors = survivors[evicted:]
 
     _sweep(cache_dir, report, tmp_cutoff=reference - tmp_grace_seconds)
 

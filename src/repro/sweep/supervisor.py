@@ -195,9 +195,11 @@ class PoolSupervisor:
         Backoff sleeper (tests inject a recorder).
 
     After :meth:`run` finishes, the telemetry attributes hold the run's
-    supervision record: ``retries``, ``pool_restarts``, ``timeouts``,
-    ``failures`` (the :class:`PointFailure` list) and ``fallback_reason``
-    (non-``None`` when the remainder needs the serial path).
+    supervision record: ``tasks`` (every submission to the pool, the
+    single points split from a failing group and each retry included),
+    ``retries``, ``pool_restarts``, ``timeouts``, ``failures`` (the
+    :class:`PointFailure` list) and ``fallback_reason`` (non-``None`` when
+    the remainder needs the serial path).
     """
 
     def __init__(self, points: Sequence["SweepPoint"],  # noqa: F821
@@ -218,6 +220,7 @@ class PoolSupervisor:
         self.sleep = sleep
         self._infra_errors = _pool_infra_errors()
         # Telemetry.
+        self.tasks = 0
         self.retries = 0
         self.pool_restarts = 0
         self.timeouts = 0
@@ -404,6 +407,7 @@ class PoolSupervisor:
                 source.appendleft(task)
                 self._restart_pool(exc, where=" at submit")
                 continue
+            self.tasks += 1
             self._inflight[future] = task
             if source is self._probation:
                 self._suspect = future

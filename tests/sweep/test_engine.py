@@ -1,8 +1,9 @@
-"""Tests of the sweep engine: parallel/serial/direct equivalence + caching.
+"""Tests of the sweep engine: expansion, caching, batching, routing.
 
-The central guarantee: however a point gets executed — serially in-process,
-on a worker pool, via the cache, or through a bare ``run_kernel`` call — the
-resulting :class:`~repro.timing.results.SimResult` is identical.
+The central guarantee — however a point gets executed, the resulting
+:class:`~repro.timing.results.SimResult` is identical — is checked path by
+path against the goldens in ``test_result_paths.py``; the tests here pin
+the engine's mechanics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import repro.versions
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import run_kernel
 from repro.sweep import (
-    PointResult,
     ResultCache,
     SweepEngine,
     SweepPoint,
@@ -75,25 +75,7 @@ class TestSpecExpansion:
 
 
 class TestEquivalence:
-    """Parallel engine == serial fallback == direct run_kernel calls."""
-
-    def test_serial_equals_parallel_equals_direct(self):
-        sweep = small_sweep()
-        points = list(sweep.points())
-
-        serial_engine = SweepEngine(jobs=1)
-        serial = serial_engine.run(sweep)
-
-        parallel_engine = SweepEngine(jobs=2)
-        parallel = parallel_engine.run(sweep)
-
-        direct = [run_kernel(p.kernel, p.isa, config=p.config, spec=p.spec).sim
-                  for p in points]
-
-        assert [r.sim for r in serial] == [r.sim for r in parallel]
-        assert [r.sim for r in serial] == direct
-        # stats travel with the results and agree too
-        assert [r.stats for r in serial] == [r.stats for r in parallel]
+    """A pool that cannot start degrades to the serial path."""
 
     def test_forced_serial_fallback_matches(self, monkeypatch):
         """If the pool cannot start, the engine degrades to identical serial
@@ -112,71 +94,6 @@ class TestEquivalence:
 
 
 class TestCache:
-    def test_miss_then_hit(self, tmp_path):
-        sweep = small_sweep()
-        cold_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        cold = cold_engine.run(sweep)
-        assert cold_engine.last_simulated == len(sweep)
-        assert cold_engine.last_cached == 0
-        assert all(not r.cached for r in cold)
-
-        warm_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        warm = warm_engine.run(sweep)
-        assert warm_engine.last_simulated == 0, "warm re-run must do zero simulations"
-        assert warm_engine.last_cached == len(sweep)
-        assert all(r.cached for r in warm)
-        assert [r.sim for r in cold] == [r.sim for r in warm]
-        assert [r.stats for r in cold] == [r.stats for r in warm]
-        # and both equal a run with no cache at all
-        assert [r.sim for r in warm] == [r.sim for r in
-                                         SweepEngine().run(sweep)]
-
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        sweep = small_sweep()
-        v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        v1.run(sweep)
-        assert v1.last_simulated == len(sweep)
-
-        still_v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        still_v1.run(sweep)
-        assert still_v1.last_simulated == 0
-
-        # The live stamp is read at key time: an engine built before the
-        # bump misses too.
-        v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
-        v2.run(sweep)
-        assert v2.last_simulated == len(sweep), "version bump must miss the cache"
-
-    def test_builder_version_bump_misses_store_journal_and_job_id(
-            self, tmp_path, monkeypatch):
-        """A stream-changing edit bumps BUILDER_VERSION; nothing produced
-        under the old version may be served after the bump."""
-        from repro.sweep.service import job_id_for, normalize_submission
-
-        sweep = small_sweep()
-        journal = str(tmp_path / "sweep.jsonl")
-        engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
-        engine.run(sweep)
-        SweepEngine(journal=journal).run(sweep)
-        submission = normalize_submission({"kernels": ["comp"], "scale": 1})
-        job_id = job_id_for(submission)
-        assert all(engine.trace_cache.get(point) is not None
-                   for point in sweep.points())
-
-        monkeypatch.setattr(repro.versions, "BUILDER_VERSION", "bumped")
-        cache = ResultCache(str(tmp_path / "cache"))
-        assert all(cache.get(point) is None for point in sweep.points())
-        assert cache.hits == 0 and cache.misses == len(sweep)
-        # the trace cache built before the bump reads the live stamp too
-        assert all(engine.trace_cache.get(point) is None
-                   for point in sweep.points())
-        resumed = SweepEngine(journal=journal)
-        resumed.run(sweep)
-        assert resumed.last_journaled == 0
-        assert resumed.last_simulated == len(sweep)
-        assert job_id_for(submission) != job_id
-
     def test_partial_cache(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         a = SweepPoint("comp", "mom", cfg, _SPEC)
@@ -236,22 +153,6 @@ class TestCache:
         assert engine.last_cached == len(sweep)
         assert engine.last_simulated == 0
 
-    def test_version_bump_resimulates(self, tmp_path, monkeypatch):
-        sweep = _two_way_sweep(ways=(1,))
-        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
-        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "bumped")
-        engine = SweepEngine(cache_dir=str(tmp_path))
-        engine.run(sweep)
-        assert engine.last_simulated == len(sweep)
-
-    def test_warm_results_equal_cold(self, tmp_path):
-        sweep = _two_way_sweep(ways=(1,))
-        cold = SweepEngine().run(sweep)
-        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
-        warm = SweepEngine(cache_dir=str(tmp_path)).run(sweep)
-        assert [r.sim for r in warm] == [r.sim for r in cold]
-
-
 class TestTraceBatching:
     """Points sharing a trace are simulated off one build and one lowering —
     the warm-up guarantee: each distinct trace is built exactly once per
@@ -302,26 +203,6 @@ class TestTraceBatching:
             assert r.sim == direct.sim
             assert r.stats == direct.stats
 
-    def test_warm_groups_split_to_fill_the_pool(self, tmp_path, monkeypatch):
-        """A config-heavy sweep over few distinct traces must not collapse
-        to one pool task per trace once the trace cache is warm."""
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in (1, 2, 3, 5, 8, 12, 20, 50)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
-        SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
-
-        # A model bump misses every result but no trace.
-        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
-        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
-        results = engine.run(sweep)
-        if engine.last_fallback_reason is None:
-            assert engine.last_pool_tasks == 4, (
-                "one 8-point warm group should split into jobs-many tasks")
-        assert engine.last_trace_builds == 0
-        baseline = SweepEngine().run(sweep)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
-
     def test_cold_groups_are_never_split(self, tmp_path):
         """An uncached group stays one task — splitting it would duplicate
         the front-end build."""
@@ -333,29 +214,6 @@ class TestTraceBatching:
         if engine.last_fallback_reason is None:
             assert engine.last_pool_tasks == 1
         assert engine.last_trace_builds == 1
-
-
-class TestFigure4ThroughEngine:
-    """Acceptance: the Figure 4 sweep via the engine with jobs=4 matches the
-    golden (seed sequential) cycle counts, and a warm re-run simulates
-    nothing."""
-
-    def test_parallel_figure4_matches_golden_snapshot(self, tmp_path):
-        golden_path = os.path.join(os.path.dirname(__file__), "..", "golden",
-                                   "way4_lat1.json")
-        with open(golden_path) as f:
-            golden = json.load(f)["results"]
-
-        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
-        results = run_figure4(kernels=["comp", "h2v2"], ways=(4,),
-                              engine=engine)
-        for kernel, per_isa in results.items():
-            for isa, per_way in per_isa.items():
-                assert per_way[4].cycles == golden[f"{kernel}/{isa}"]["cycles"]
-
-        warm = SweepEngine(jobs=4, cache_dir=str(tmp_path))
-        run_figure4(kernels=["comp", "h2v2"], ways=(4,), engine=warm)
-        assert warm.last_simulated == 0
 
 
 class TestBackendRouting:

@@ -24,6 +24,7 @@ from repro.sweep import (
     JournalLockedError,
     SweepEngine,
     SweepJournal,
+    SweepPoint,
     SweepSpec,
     point_key,
     read_jsonl,
@@ -124,6 +125,15 @@ class TestSweepJournal:
             journal.append({"key": "good", "sim": {}, "stats": {}})
             journal.append({"sim": {}, "stats": {}})  # no key at all
         assert set(SweepJournal(path).load()) == {"good"}
+
+    def test_unstamped_records_are_not_replayed(self, tmp_path):
+        """A record without a checksum stamp (an older journal) cannot be
+        verified, so its point re-runs."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            '{"format": 1, "journal": "repro-sweep-journal"}\n'
+            '{"key": "k", "sim": {}, "stats": {}}\n')
+        assert SweepJournal(str(path)).load() == {}
 
     def test_incompatible_header_replays_nothing(self, tmp_path):
         path = tmp_path / "future.jsonl"
@@ -453,6 +463,27 @@ class TestEngineResume:
         again = SweepEngine(journal=path)
         again.run([point])
         assert again.last_journaled == 1
+
+    def test_tampered_record_is_resimulated(self, tmp_path):
+        """A journaled result whose bytes changed after the write fails
+        its checksum: the resume re-simulates the point, and the result
+        equals the golden instead of the edit."""
+        path = tmp_path / "j.jsonl"
+        point = SweepPoint("comp", "mom", MachineConfig.for_way(4))
+        SweepEngine(journal=str(path)).run([point])
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["sim"]["cycles"] += 1000
+        path.write_text(f"{header}\n{json.dumps(record)}\n")
+
+        engine = SweepEngine(journal=str(path))
+        resumed, = engine.run([point])
+        assert engine.last_journaled == 0 and engine.last_simulated == 1
+        golden = os.path.join(os.path.dirname(__file__), "..", "golden",
+                              "paper_grid.json")
+        with open(golden, encoding="utf-8") as f:
+            pinned = json.load(f)["results"]["comp/mom"]["way4_lat1"]
+        assert resumed.sim.cycles == pinned["cycles"]
 
     def test_journal_write_precedes_on_result(self, tmp_path):
         """The write-ahead property: when the callback sees a result, the

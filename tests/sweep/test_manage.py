@@ -117,11 +117,11 @@ class TestGC:
         point = SweepPoint("comp", "scalar", MachineConfig.for_way(4), _SPEC)
         assert ResultCache(str(tmp_path)).get(point) is not None
 
-        # Kept traces count toward the bound: room for one segment more.
+        # Room for the traces and one segment: the traces were used after
+        # the second segment and before the hit, so the second goes.
         traces = cache_stats(str(tmp_path)).bytes["traces"]
         report = gc_cache(str(tmp_path),
-                          max_bytes=traces + os.path.getsize(first),
-                          keep=("traces",))
+                          max_bytes=traces + os.path.getsize(first))
         assert os.path.exists(first), "recently hit segment was evicted"
         assert not os.path.exists(second)
         assert report.removed == 1
@@ -138,30 +138,11 @@ class TestGC:
         assert cache.get(point) is not None
         assert os.stat(path).st_mtime > past + 9000
 
-    def test_keep_traces_protects_the_trace_section(self, tmp_path):
-        _populate(str(tmp_path))
-        before = cache_stats(str(tmp_path))
-        report = gc_cache(str(tmp_path), max_bytes=0, keep=("traces",))
-        after = cache_stats(str(tmp_path))
-        assert after.entries["traces"] == before.entries["traces"]
-        assert after.entries["results"] == 0
-        assert report.kept == before.entries["traces"]
-
-    def test_keep_results_with_age_bound(self, tmp_path):
-        _populate(str(tmp_path))
-        now = time.time()
-        for entry in iter_cache_entries(str(tmp_path)):
-            os.utime(entry.path, (now - 10 * 86400, now - 10 * 86400))
-        before = cache_stats(str(tmp_path))
-        gc_cache(str(tmp_path), max_age_seconds=86400, now=now,
-                 keep=("results",))
-        after = cache_stats(str(tmp_path))
-        assert after.entries["results"] == before.entries["results"]
-        assert after.entries["traces"] == 0
-
     def test_unknown_keep_section_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            gc_cache(str(tmp_path), max_bytes=0, keep=("nonsense",))
+        """``gc_cache`` has no ``keep=`` any more: every section is
+        evicted alike, so no section name is accepted."""
+        with pytest.raises(TypeError):
+            gc_cache(str(tmp_path), max_bytes=0, keep=("traces",))
 
     def test_engine_recovers_after_gc(self, tmp_path):
         """A GC'd cache is a cold cache, never a broken one."""
@@ -277,13 +258,14 @@ class TestCacheCLI:
         assert "least recently used entry" in out
 
     def test_gc_command_keep_traces(self, tmp_path, capsys):
-        _populate(str(tmp_path))
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
-                     "--max-mb", "0", "--keep-traces"]) == 0
-        capsys.readouterr()
-        stats = cache_stats(str(tmp_path))
-        assert stats.entries["results"] == 0
-        assert stats.entries["traces"] > 0
+        """``--keep-traces`` and ``--keep-results`` are gone: gc takes
+        only ``--max-mb`` and ``--max-age-days``, and the flags exit 2."""
+        for flag in ("--keep-traces", "--keep-results"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["cache", "gc", "--cache-dir", str(tmp_path),
+                      "--max-mb", "0", flag])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_gc_command_size_limit(self, tmp_path, capsys):
         _populate(str(tmp_path))

@@ -173,7 +173,9 @@ class TestPoisonPoint:
         """A failing group splits into single points, so one poison point
         in a 16-config trace group is quarantined under the pool within
         the default restart budget (bisection spent a restart per
-        halving and fell back to serial)."""
+        halving and fell back to serial).  ``last_pool_tasks`` counts
+        every submission: both groups, the 16 split points and the
+        poison point's retry."""
         configs = [dataclasses.replace(MachineConfig.for_way(4,
                                                              mem_latency=lat),
                                        name=f"lat{lat}")
@@ -189,6 +191,7 @@ class TestPoisonPoint:
         results = engine.run(sweep)
         assert engine.last_fallback_reason is None
         assert engine.last_pool_restarts <= 4
+        assert engine.last_pool_tasks >= 2 + 16 + 1
 
         bad = [r for r in results if not r.ok]
         assert [(r.failure.kernel, r.failure.isa, r.failure.config,
