@@ -1,9 +1,10 @@
-"""Tests of the sweep engine: expansion, caching, batching, routing.
+"""Tests of the sweep engine: parallel/serial/direct equivalence + caching.
 
-The central guarantee — however a point gets executed, the resulting
-:class:`~repro.timing.results.SimResult` is identical — is checked path by
-path against the goldens in ``test_result_paths.py``; the tests here pin
-the engine's mechanics.
+The central guarantee: however a point gets executed — serially in-process,
+on a worker pool, via the cache, or through a bare ``run_kernel`` call — the
+resulting :class:`~repro.timing.results.SimResult` is identical. The tests
+here pin it pairwise on small sweeps; ``test_result_paths.py`` checks every
+result path of the Figure 4 comp slice against the goldens.
 """
 
 from __future__ import annotations
@@ -75,7 +76,25 @@ class TestSpecExpansion:
 
 
 class TestEquivalence:
-    """A pool that cannot start degrades to the serial path."""
+    """Parallel engine == serial fallback == direct run_kernel calls."""
+
+    def test_serial_equals_parallel_equals_direct(self):
+        sweep = small_sweep()
+        points = list(sweep.points())
+
+        serial_engine = SweepEngine(jobs=1)
+        serial = serial_engine.run(sweep)
+
+        parallel_engine = SweepEngine(jobs=2)
+        parallel = parallel_engine.run(sweep)
+
+        direct = [run_kernel(p.kernel, p.isa, config=p.config, spec=p.spec).sim
+                  for p in points]
+
+        assert [r.sim for r in serial] == [r.sim for r in parallel]
+        assert [r.sim for r in serial] == direct
+        # stats travel with the results and agree too
+        assert [r.stats for r in serial] == [r.stats for r in parallel]
 
     def test_forced_serial_fallback_matches(self, monkeypatch):
         """If the pool cannot start, the engine degrades to identical serial
@@ -94,6 +113,42 @@ class TestEquivalence:
 
 
 class TestCache:
+    def test_miss_then_hit(self, tmp_path):
+        sweep = small_sweep()
+        cold_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        cold = cold_engine.run(sweep)
+        assert cold_engine.last_simulated == len(sweep)
+        assert cold_engine.last_cached == 0
+        assert all(not r.cached for r in cold)
+
+        warm_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        warm = warm_engine.run(sweep)
+        assert warm_engine.last_simulated == 0, "warm re-run must do zero simulations"
+        assert warm_engine.last_cached == len(sweep)
+        assert all(r.cached for r in warm)
+        assert [r.sim for r in cold] == [r.sim for r in warm]
+        assert [r.stats for r in cold] == [r.stats for r in warm]
+        # and both equal a run with no cache at all
+        assert [r.sim for r in warm] == [r.sim for r in
+                                         SweepEngine().run(sweep)]
+
+    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
+        sweep = small_sweep()
+        v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        v1.run(sweep)
+        assert v1.last_simulated == len(sweep)
+
+        still_v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        still_v1.run(sweep)
+        assert still_v1.last_simulated == 0
+
+        # The live stamp is read at key time: an engine built before the
+        # bump misses too.
+        v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
+        v2.run(sweep)
+        assert v2.last_simulated == len(sweep), "version bump must miss the cache"
+
     def test_partial_cache(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         a = SweepPoint("comp", "mom", cfg, _SPEC)
@@ -152,6 +207,22 @@ class TestCache:
         engine.run(sweep)
         assert engine.last_cached == len(sweep)
         assert engine.last_simulated == 0
+
+    def test_version_bump_resimulates(self, tmp_path, monkeypatch):
+        sweep = _two_way_sweep(ways=(1,))
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        monkeypatch.setattr(repro.versions, "MODEL_VERSION", "bumped")
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        engine.run(sweep)
+        assert engine.last_simulated == len(sweep)
+
+    def test_warm_results_equal_cold(self, tmp_path):
+        sweep = _two_way_sweep(ways=(1,))
+        cold = SweepEngine().run(sweep)
+        SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        warm = SweepEngine(cache_dir=str(tmp_path)).run(sweep)
+        assert [r.sim for r in warm] == [r.sim for r in cold]
+
 
 class TestTraceBatching:
     """Points sharing a trace are simulated off one build and one lowering —
@@ -214,6 +285,29 @@ class TestTraceBatching:
         if engine.last_fallback_reason is None:
             assert engine.last_pool_tasks == 1
         assert engine.last_trace_builds == 1
+
+
+class TestFigure4ThroughEngine:
+    """Acceptance: the Figure 4 sweep via the engine with jobs=4 matches the
+    golden (seed sequential) cycle counts, and a warm re-run simulates
+    nothing."""
+
+    def test_parallel_figure4_matches_golden_snapshot(self, tmp_path):
+        golden_path = os.path.join(os.path.dirname(__file__), "..", "golden",
+                                   "way4_lat1.json")
+        with open(golden_path) as f:
+            golden = json.load(f)["results"]
+
+        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
+        results = run_figure4(kernels=["comp", "h2v2"], ways=(4,),
+                              engine=engine)
+        for kernel, per_isa in results.items():
+            for isa, per_way in per_isa.items():
+                assert per_way[4].cycles == golden[f"{kernel}/{isa}"]["cycles"]
+
+        warm = SweepEngine(jobs=4, cache_dir=str(tmp_path))
+        run_figure4(kernels=["comp", "h2v2"], ways=(4,), engine=warm)
+        assert warm.last_simulated == 0
 
 
 class TestBackendRouting:
