@@ -37,6 +37,19 @@ CONFIG_GRID = (
     MachineConfig.for_way(8, mem_latency=12),
     MachineConfig.for_way(4).with_updates(
         rob_size=8, num_media_fu=1, phys_media_regs=34, media_lanes=4),
+    # Tight: one spare physical register per file and 1-entry issue queues
+    # on a 1-wide core with slow memory, so every rename and queue bound
+    # binds on nearly every row.
+    MachineConfig.for_way(1, mem_latency=50).with_updates(
+        int_queue_size=1, mem_queue_size=1, media_queue_size=1,
+        phys_int_regs=33, phys_media_regs=33, phys_matrix_regs=17,
+        phys_acc_regs=5),
+    # Unconstrained: unbounded (0-entry) issue queues and no rename
+    # head-room limit (physical == architectural, every cap 0).
+    MachineConfig.for_way(4).with_updates(
+        int_queue_size=0, mem_queue_size=0, media_queue_size=0,
+        phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
+        phys_acc_regs=4),
 )
 
 
@@ -178,6 +191,11 @@ def random_trace(draw, max_len=50):
         elif opclass is not OpClass.STORE and opclass is not OpClass.BRANCH \
                 and opclass is not OpClass.MEDIA_STORE:
             dsts = (RegRef(file, draw(st.integers(0, 7))),)
+        if dsts and draw(st.integers(0, 3)) == 0:
+            # A second destination in the same rename pool (as idct/mom's
+            # mom_transpose_pair writes): the pool can end up holding more
+            # occupants than its capacity.
+            dsts += (RegRef(dsts[0].file, draw(st.integers(0, 7))),)
         non_pipelined = opclass is OpClass.MATRIX_MISC
         trace.append(DynInstr(opcode=opclass.value, opclass=opclass,
                               isa="test", srcs=tuple(srcs), dsts=dsts,
