@@ -264,7 +264,8 @@ def _simulate_group(points: Sequence[SweepPoint],
     sims = simulate_batch(trace, [p.config for p in points])
     rows = [(sim, stats, from_cache) for sim in sims]
     execution = (len(points),
-                 resolve_execution("auto", len(points), len(trace)))
+                 resolve_execution("auto", len(points), len(trace),
+                                   lowered=trace.lower()))
     return rows, 0 if from_cache else 1, execution
 
 

@@ -22,7 +22,7 @@ pure-Python model fast enough to sweep the paper's full parameter space.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapreplace
 from typing import Dict, Optional, Union
 
 from repro.isa.opclasses import OpClass, RegFile
@@ -386,38 +386,56 @@ class OutOfOrderCore:
 
         The interval model is the same, but every per-instruction cost the
         object loop pays is gone: instructions are rows of flat arrays,
-        register scoreboards are lists indexed by dense integer ids, the
-        ``(occupancy, latency, functional unit, issue queue)`` resolution
-        happens once per *shape*, and the resource trackers
+        register scoreboards are lists indexed by dense integer ids, and
+        the ``(occupancy, latency, functional unit, issue queue)``
+        resolution happens once per *shape*.  The resource trackers are
+        inlined around the monotone structure the vector backend proved
+        exact (``docs/timing-model.md``, "Issue queues" and "Rename
+        pools"), so no bound needs a drain loop:
+
+        * issue queues: a min-heap of the ``K`` largest issue times pushed
+          so far, whose root is the queue bound;
+        * rename pools: the FIFO of each pool's commit pushes, whose entry
+          ``capacity`` places back is the bound (a lazy head finds the
+          earliest live push when a pool holds more than its capacity);
+        * fetch, ROB and commit-width bounds: histories pre-padded so the
+          ``i - width`` entry always exists;
+        * functional units and issue bandwidth: busy-count lists over a
+          cycle horizon that doubles whenever a search runs past it.
+
+        The semantics are pinned to the object implementations
         (:class:`~repro.timing.resources.FunctionalUnitPool`,
         :class:`~repro.timing.resources.BandwidthLimiter`,
-        :class:`~repro.timing.resources.SlotPool`) are inlined as raw
-        dicts/heaps local to the loop.  The inlined semantics are pinned to
-        the object implementations by the golden snapshots and the
-        equivalence suite in ``tests/timing/test_lowered.py``.
+        :class:`~repro.timing.resources.SlotPool`) by the golden snapshots
+        and the equivalence suite in ``tests/timing/test_lowered.py``.
         """
         self._mark_used()
         cfg = self.config
         self.timeline: list[tuple] = []
 
         # --- per-configuration shape resolution --------------------------
-        # Functional-unit scoreboards: {cycle: units busy} + unit count, in
-        # the same grouping as self._fu_by_class (int ALU, int mul, memory
-        # ports, media units).
-        fu_states = (
-            ({}, cfg.num_int_alu),
-            ({}, cfg.num_int_mul),
-            ({}, cfg.num_mem_ports),
-            ({}, cfg.num_media_fu),
-        )
-        # Issue queues and rename pools as (min-heap of release times,
-        # capacity) pairs — SlotPool semantics, inlined.  Capacities clamp at
-        # zero exactly like SlotPool (zero = unconstrained).
-        queue_states = (
-            ([], max(0, cfg.int_queue_size)),
-            ([], max(0, cfg.mem_queue_size)),
-            ([], max(0, cfg.media_queue_size)),
-        )
+        # Busy counts per cycle: the four functional-unit kinds in the
+        # grouping of self._fu_by_class (int ALU, int mul, memory ports,
+        # media units), then issue bandwidth.  A search that runs past the
+        # horizon raises IndexError before it writes anything, and retries
+        # on doubled lists (every cycle beyond the horizon is free).
+        horizon = 2 * lowered.num_instructions + 1024
+        fu_busy = tuple([0] * horizon for _ in range(4))
+        fu_counts = (cfg.num_int_alu, cfg.num_int_mul, cfg.num_mem_ports,
+                     cfg.num_media_fu)
+        bw_used = [0] * horizon
+        scoreboards = (*fu_busy, bw_used)
+        # Issue queues: the K largest issue times pushed so far as a
+        # min-heap (K zeros to start), its root the exact SlotPool bound;
+        # None for an unbounded (0-entry) queue.
+        queue_heaps = tuple(
+            [0] * size if size > 0 else None
+            for size in (cfg.int_queue_size, cfg.mem_queue_size,
+                         cfg.media_queue_size))
+        # Rename pools: each pool's commit pushes in order (commit times
+        # are monotone), pre-padded with ``cap`` never-binding -1 entries
+        # and read at index ``-cap``.  An unbounded pool (cap 0) reads a
+        # constant [-1] and discards its pushes.
         rename_caps = {
             RegFile.INT: cfg.phys_int_regs - cfg.arch_int_regs,
             RegFile.MEDIA: cfg.phys_media_regs - cfg.arch_media_regs,
@@ -425,9 +443,18 @@ class OutOfOrderCore:
             RegFile.ACC: cfg.phys_acc_regs - cfg.arch_acc_regs,
             RegFile.VL: VL_RENAME_SLOTS,
         }
-        rename_heaps = tuple([] for _ in REG_POOL_ORDER)
-        rename_capacities = tuple(max(0, rename_caps[file])
-                                  for file in REG_POOL_ORDER)
+        pools = []
+        pushes = []
+        for file in REG_POOL_ORDER:
+            cap = rename_caps[file]
+            if cap > 0:
+                fifo = [-1] * cap
+                pools.append((fifo, -cap))
+                pushes.append(fifo.append)
+            else:
+                pools.append(([-1], -1))
+                pushes.append([].append)
+        heads = [0] * len(pools)
 
         media_acc = OpClass.MEDIA_ACC
         resolved = []
@@ -435,38 +462,35 @@ class OutOfOrderCore:
             occupancy = self._occupancy_of(opclass, vly, non_pipelined)
             latency = self._completion_latency(opclass, vly, occupancy)
             if opclass.is_memory:
-                fu_busy, fu_count = fu_states[2]
-                queue_heap, queue_cap = queue_states[1]
+                kind, queue = 2, 1
             elif opclass is OpClass.IMUL:
-                fu_busy, fu_count = fu_states[1]
-                queue_heap, queue_cap = queue_states[0]
+                kind, queue = 1, 0
             elif opclass.is_media:
-                fu_busy, fu_count = fu_states[3]
-                queue_heap, queue_cap = queue_states[2]
+                kind, queue = 3, 2
             else:
-                fu_busy, fu_count = fu_states[0]
-                queue_heap, queue_cap = queue_states[0]
+                kind, queue = 0, 0
             acc_forwarding = opclass is media_acc and vly <= 1
-            resolved.append((occupancy, latency, fu_busy, fu_busy.get,
-                             fu_count, queue_heap, queue_cap, acc_forwarding))
+            resolved.append((occupancy, latency, fu_busy[kind],
+                             fu_counts[kind], queue_heaps[queue],
+                             acc_forwarding))
 
         # --- hot-loop locals ---------------------------------------------
+        # Histories carry `pad` leading -1 entries, so the entries
+        # ``width`` rows back (``[-width]``) always exist: a pad rename
+        # bounds fetch at 0, a pad commit bounds nothing.
         fetch_width = cfg.fetch_width
         rob_size = cfg.rob_size
         commit_width = cfg.commit_width
         bw_width = cfg.issue_width
-        bw_used: Dict[int, int] = {}
-        bw_get = bw_used.get
+        pad = max(fetch_width, rob_size, commit_width)
         reg_ready = [0] * lowered.num_regs
-        rename_times: list = []
-        commit_times: list = []
+        rename_times = [-1] * pad
+        commit_times = [-1] * pad
         rename_append = rename_times.append
         commit_append = commit_times.append
         timeline_append = self.timeline.append
-        heappush_ = heappush
-        heappop_ = heappop
+        heapreplace_ = heapreplace
         opcodes = lowered.opcodes
-        opcode_ids = lowered.opcode_ids
 
         stalls = self._stalls
         stall_fetch_bw = stalls["fetch_bw"]
@@ -474,47 +498,45 @@ class OutOfOrderCore:
         stall_queue = stalls["issue_queue"]
         stall_rename = stalls["rename_regs"]
 
-        last_commit = 0
+        rename_time = 0
+        commit = 0
 
-        for i, (sid, srcs, dsts) in enumerate(
-                zip(lowered.shape_ids, lowered.srcs, lowered.dsts)):
-            (occupancy, latency, fu_busy, fu_get, fu_count,
-             queue_heap, queue_cap, acc_forwarding) = resolved[sid]
+        for sid, srcs, dsts, oid in zip(lowered.shape_ids, lowered.srcs,
+                                        lowered.dsts, lowered.opcode_ids):
+            (occupancy, latency, fu, fu_count, queue,
+             acc_forwarding) = resolved[sid]
 
             # ---- rename ------------------------------------------------
-            candidate = rename_times[-1] if rename_times else 0
-            if i >= fetch_width:
-                bw_bound = rename_times[i - fetch_width] + 1
-                if bw_bound > candidate:
-                    stall_fetch_bw += bw_bound - candidate
-                    candidate = bw_bound
-            if i >= rob_size:
-                rob_bound = commit_times[i - rob_size]
-                if rob_bound > candidate:
-                    stall_rob += rob_bound - candidate
-                    candidate = rob_bound
+            candidate = rename_time
+            bound = rename_times[-fetch_width] + 1
+            if bound > candidate:
+                stall_fetch_bw += bound - candidate
+                candidate = bound
+            bound = commit_times[-rob_size]
+            if bound > candidate:
+                stall_rob += bound - candidate
+                candidate = bound
 
-            if queue_cap:
-                while queue_heap and queue_heap[0] <= candidate:
-                    heappop_(queue_heap)
-                if len(queue_heap) >= queue_cap:
-                    # The release loop drained everything <= candidate, so
-                    # the evicted earliest leaver is strictly later.
-                    earliest = heappop_(queue_heap)
-                    stall_queue += earliest - candidate
-                    candidate = earliest
+            if queue is not None:
+                bound = queue[0]
+                if bound > candidate:
+                    stall_queue += bound - candidate
+                    candidate = bound
 
             for _reg, pool_i, _is_acc in dsts:
-                cap = rename_capacities[pool_i]
-                if cap == 0:
-                    continue
-                heap = rename_heaps[pool_i]
-                while heap and heap[0] <= candidate:
-                    heappop_(heap)
-                if len(heap) >= cap:
-                    earliest = heappop_(heap)
-                    stall_rename += earliest - candidate
-                    candidate = earliest
+                fifo, back = pools[pool_i]
+                if fifo[back] > candidate:
+                    # At least `cap` pushes release later than the
+                    # candidate; the earliest of them frees the slot.  It
+                    # is the one `cap` places back unless a two-destination
+                    # row overfilled the pool, so walk a lazy head to it.
+                    head = heads[pool_i]
+                    while fifo[head] <= candidate:
+                        head += 1
+                    heads[pool_i] = head
+                    bound = fifo[head]
+                    stall_rename += bound - candidate
+                    candidate = bound
 
             rename_time = candidate
             rename_append(rename_time)
@@ -527,77 +549,67 @@ class OutOfOrderCore:
                     ready = t
 
             # ---- issue ---------------------------------------------------
-            # A functional unit for the whole occupancy window plus one
-            # issue slot in the start cycle; iterate to a fixed point.
-            start = ready
-            if occupancy == 1:
-                while True:
-                    while fu_get(start, 0) >= fu_count:
-                        start += 1
-                    bw_start = start
-                    while bw_get(bw_start, 0) >= bw_width:
-                        bw_start += 1
-                    if bw_start == start:
-                        issue_time = start
-                        break
-                    start = bw_start
-                fu_busy[issue_time] = fu_get(issue_time, 0) + 1
-            else:
-                while True:
-                    fu_start = start
-                    while True:
-                        conflict = -1
-                        for cycle in range(fu_start, fu_start + occupancy):
-                            if fu_get(cycle, 0) >= fu_count:
-                                conflict = cycle
+            # The first cycle >= ready with a functional unit free for the
+            # whole occupancy window and an issue slot in the start cycle.
+            issue_time = ready
+            while True:
+                try:
+                    if occupancy == 1:
+                        while (fu[issue_time] >= fu_count
+                               or bw_used[issue_time] >= bw_width):
+                            issue_time += 1
+                        fu[issue_time] += 1
+                    else:
+                        while True:
+                            while bw_used[issue_time] >= bw_width:
+                                issue_time += 1
+                            for cycle in range(issue_time,
+                                               issue_time + occupancy):
+                                if fu[cycle] >= fu_count:
+                                    issue_time = cycle + 1
+                                    break
+                            else:
                                 break
-                        if conflict < 0:
-                            break
-                        fu_start = conflict + 1
-                    bw_start = fu_start
-                    while bw_get(bw_start, 0) >= bw_width:
-                        bw_start += 1
-                    if bw_start == fu_start:
-                        issue_time = fu_start
-                        break
-                    start = bw_start
-                for cycle in range(issue_time, issue_time + occupancy):
-                    fu_busy[cycle] = fu_get(cycle, 0) + 1
-            bw_used[issue_time] = bw_get(issue_time, 0) + 1
-            if queue_cap:
-                heappush_(queue_heap, issue_time)
+                        for cycle in range(issue_time,
+                                           issue_time + occupancy):
+                            fu[cycle] += 1
+                    break
+                except IndexError:
+                    for board in scoreboards:
+                        board.extend([0] * len(board))
+            bw_used[issue_time] += 1
+            if queue is not None:
+                # issue > rename time >= the root, so the newcomer always
+                # displaces the smallest of the K largest.
+                heapreplace_(queue, issue_time)
 
             # ---- complete ------------------------------------------------
             complete = issue_time + latency
+
+            # ---- commit --------------------------------------------------
+            # In order: ``commit`` still holds the previous row's commit.
+            bound = complete + 1
+            if bound > commit:
+                commit = bound
+            bound = commit_times[-commit_width] + 1
+            if bound > commit:
+                commit = bound
+            commit_append(commit)
+
             if acc_forwarding:
                 # MDMX-style accumulate: the accumulator feedback path lives
                 # in the final adder stage (see run() for the full story).
                 acc_forward = issue_time + occupancy
-                for reg, _pool_i, is_acc in dsts:
+                for reg, pool_i, is_acc in dsts:
                     reg_ready[reg] = acc_forward if is_acc else complete
+                    pushes[pool_i](commit)
             else:
-                for reg, _pool_i, _is_acc in dsts:
+                for reg, pool_i, _is_acc in dsts:
                     reg_ready[reg] = complete
-
-            # ---- commit --------------------------------------------------
-            commit = complete + 1
-            if commit_times:
-                prev_commit = commit_times[-1]
-                if prev_commit > commit:
-                    commit = prev_commit
-            if i >= commit_width:
-                cw_bound = commit_times[i - commit_width] + 1
-                if cw_bound > commit:
-                    commit = cw_bound
-            commit_append(commit)
-            last_commit = commit
-
-            for _reg, pool_i, _is_acc in dsts:
-                if rename_capacities[pool_i]:
-                    heappush_(rename_heaps[pool_i], commit)
+                    pushes[pool_i](commit)
 
             if record_timeline:
-                timeline_append((opcodes[opcode_ids[i]], rename_time, ready,
+                timeline_append((opcodes[oid], rename_time, ready,
                                  issue_time, complete, commit))
 
         stalls["fetch_bw"] = stall_fetch_bw
@@ -606,7 +618,7 @@ class OutOfOrderCore:
         stalls["rename_regs"] = stall_rename
 
         return SimResult(
-            cycles=last_commit,
+            cycles=commit,
             instructions=lowered.num_instructions,
             operations=lowered.total_ops,
             kernel=lowered.name,

@@ -7,7 +7,7 @@ The timing package has three executions of the same interval model:
     loop over :class:`~repro.trace.instruction.DynInstr` objects.
 ``lowered``
     :meth:`~repro.timing.core.OutOfOrderCore.run_lowered` — the flat-array
-    interpreter, ~3x the object loop per configuration.
+    interpreter, ~4x the object loop per configuration.
 ``vector``
     :mod:`repro.timing.vector`'s array program — one NumPy pass over the
     instruction rows advancing every configuration in the batch at once;
@@ -29,7 +29,7 @@ hit feeds in ``figure5`` and the tables — simulates in pure Python.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.timing.config import MachineConfig
 from repro.timing.results import SimResult
@@ -46,9 +46,10 @@ BACKENDS = ("auto", "object", "lowered", "vector")
 
 #: Smallest batch for which the array program is worth its per-row NumPy
 #: dispatch overhead; below it ``auto`` loops the per-config lowered
-#: interpreter instead.  Measured cut-over on the reference trace is ~20
-#: configs; the margin keeps the loop path on machines where NumPy dispatch
-#: is relatively more expensive, and no shipped paper group lies inside it
+#: interpreter instead.  Measured cut-over on the reference trace is 24-32
+#: configs (~20 before the lowered loop dropped its drain loops); the
+#: margin keeps the loop path on machines where NumPy dispatch is
+#: relatively more expensive, and no shipped paper group lies inside it
 #: (paper groups hold at most 4 configs).
 VECTOR_MIN_BATCH = 64
 
@@ -69,23 +70,32 @@ def _auto_uses_vector(num_configs: int, num_instructions: int) -> bool:
 
 
 def resolve_execution(backend: str, num_configs: int,
-                      num_instructions: int = 0) -> str:
+                      num_instructions: int = 0, *,
+                      lowered: Optional[LoweredTrace] = None) -> str:
     """The concrete backend a ``simulate_batch`` call will execute.
 
     ``auto`` resolves to ``"vector"`` when the batch reaches
     :data:`VECTOR_MIN_BATCH` configurations and the
     ``instructions x configs`` working set fits the
     :data:`VECTOR_AUTO_CELL_BUDGET` memory budget; ``"lowered"``
-    otherwise.  Explicit names resolve to themselves.  Raises
-    ``ValueError`` for an unknown backend name.
+    otherwise.  Explicit names resolve to themselves.  Given the
+    ``lowered`` trace, a ``"vector"`` choice the array program declines
+    resolves to ``"lowered"``: its sliding-window rename pools assume at
+    most one destination per rename pool and row (a full pool pops exactly
+    once per push), which :attr:`LoweredTrace.has_same_pool_multi_dst`
+    traces such as idct/mom break.  Raises ``ValueError`` for an unknown
+    backend name.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown timing backend {backend!r}; choose from {BACKENDS}")
     if backend == "auto":
-        return ("vector"
-                if _auto_uses_vector(num_configs, num_instructions)
-                else "lowered")
+        backend = ("vector"
+                   if _auto_uses_vector(num_configs, num_instructions)
+                   else "lowered")
+    if (backend == "vector" and lowered is not None
+            and lowered.has_same_pool_multi_dst):
+        return "lowered"
     return backend
 
 
@@ -96,13 +106,19 @@ def simulate_lowered(lowered: LoweredTrace,
     """Simulate ``lowered`` under every configuration; one result each.
 
     ``vector`` runs the array program (loading NumPy and the vector
-    backend), unless the trace has two destinations in one rename pool,
-    which it declines; otherwise each configuration runs the lowered
-    interpreter in turn.  ``record_timeline`` attaches each result's
-    pipeline timeline as a ``timeline`` attribute.
+    backend); it raises ``ValueError`` for a trace the array program
+    declines (see :func:`resolve_execution`).  Otherwise each
+    configuration runs the lowered interpreter in turn.
+    ``record_timeline`` attaches each result's pipeline timeline as a
+    ``timeline`` attribute.
     """
     configs = list(configs)
-    if vector and not lowered.has_same_pool_multi_dst:
+    if vector:
+        if lowered.has_same_pool_multi_dst:
+            raise ValueError(
+                f"the vector backend cannot run {lowered.name}/"
+                f"{lowered.isa}: a row writes two destinations in one "
+                f"rename pool; resolve_execution routes it to 'lowered'")
         from repro.timing.vector import _run_vector
 
         return _run_vector(lowered, configs, record_timeline)
@@ -150,14 +166,15 @@ def simulate_batch(trace: Union[Trace, LoweredTrace],
     """
     from repro.timing.lowered import LoweredTrace
 
-    execution = resolve_execution(backend, len(configs), len(trace))
-    if execution == "object":
+    if resolve_execution(backend, len(configs)) == "object":
         if isinstance(trace, LoweredTrace):
             raise TypeError(
                 "the object backend replays DynInstr objects and cannot "
                 "run from a LoweredTrace; pass the original Trace")
         return _each_config("run", trace, configs, record_timeline)
     lowered = trace if isinstance(trace, LoweredTrace) else trace.lower()
+    execution = resolve_execution(backend, len(configs), len(lowered),
+                                  lowered=lowered)
     return simulate_lowered(lowered, configs,
                             vector=(execution == "vector"),
                             record_timeline=record_timeline)

@@ -195,12 +195,14 @@ class LoweredTrace:
         """Whether any instruction writes two destinations in one rename
         pool.
 
-        No kernel builder emits such instructions, but hand-built traces
-        can.  The vector batch backend's sliding-window rename pools
-        assume at most one same-pool destination per instruction (a full
-        pool pops exactly once per push), so it declines these traces and
-        the per-config interpreter runs instead.  Memoised: one pass over
-        the destination rows on first use.
+        idct/mom's ``mom_transpose_pair`` writes two matrix registers (2
+        rows at scale 1, 4 at scale 2), and hand-built traces can too.
+        The vector batch backend's sliding-window rename pools assume at
+        most one same-pool destination per instruction (a full pool pops
+        exactly once per push), so
+        :func:`~repro.timing.dispatch.resolve_execution` routes these
+        traces to the per-config interpreter.  Memoised: one pass over the
+        destination rows on first use.
         """
         known = self._same_pool_multi_dst
         if known is None:

@@ -14,7 +14,7 @@ Three small trackers capture every structural constraint the model applies:
 These classes are the *reference* implementations, used by the object-level
 ``OutOfOrderCore.run()`` loop.  The lowered backend
 (:meth:`~repro.timing.core.OutOfOrderCore.run_lowered`) inlines the same
-semantics as raw dicts/heaps local to its hot loop — any behavioural change
+semantics as lists and heaps local to its hot loop — any behavioural change
 here must be mirrored there, and is pinned by the golden snapshots plus the
 equivalence suite in ``tests/timing/test_lowered.py``.
 """

@@ -43,12 +43,12 @@ Cost model and the adaptive cut-over
 A NumPy operation on small arrays costs a roughly constant ~0.3-1 µs of
 dispatch overhead regardless of the batch width, and the array program
 spends ~30-40 operations per instruction row *for the whole batch*, while
-the per-config interpreter spends ~1.3 µs per row *per config*.  The array
-program therefore loses on small batches and wins on large ones: on the
-reference trace (``motion1``/scalar, a structural ablation grid, 2-CPU
-host, Python 3.11) the measured cut-over is ~20 configurations, and the
-array program is ~2.4x faster per config at 64 configurations, ~5.5x at
-256 and ~6.5x at 384, asymptotically bounded by the per-row array work.
+the per-config interpreter spends ~1-1.6 µs per row *per config*.  The
+array program therefore loses on small batches and wins on large ones: on
+the reference trace (``motion1``/scalar, a structural ablation grid, 2-CPU
+host, Python 3.11) the measured cut-over is 24-32 configurations, and the
+array program is ~1.5x faster per config at 64 configurations, ~3.5x at
+256 and 4-4.5x at 768, asymptotically bounded by the per-row array work.
 The rule that picks between the two (``VECTOR_MIN_BATCH`` and the cell
 budget) and the per-config loop live in :mod:`repro.timing.dispatch`,
 which loads this module only when the array program runs.
@@ -62,8 +62,8 @@ import numpy as np
 
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
-from repro.timing.core import (VL_RENAME_SLOTS, OutOfOrderCore,
-                               completion_latency, occupancy_of)
+from repro.timing.core import (VL_RENAME_SLOTS, completion_latency,
+                               occupancy_of)
 from repro.timing.dispatch import VECTOR_MIN_BATCH
 from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
@@ -125,11 +125,6 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
     if num_configs == 0:
         return []
     n = lowered.num_instructions
-    # Instantiating a core per config applies the exact resource validation
-    # the scalar backends apply (>= 1 functional unit per pool, >= 1 issue
-    # slot); the throwaway cores are never run.
-    for config in configs:
-        OutOfOrderCore(config)
 
     nidx = np.arange(num_configs)
     nidx_col = nidx[:, None]

@@ -379,6 +379,24 @@ class TestBackendRouting:
         engine.run(sweep)
         assert engine.last_batches == [(VECTOR_MIN_BATCH, "vector")]
 
+    def test_declined_vector_group_records_the_lowered_loop(
+            self, count_calls):
+        """idct/mom writes two matrix registers in one row
+        (``mom_transpose_pair``), which the array program declines: its
+        64-config group runs the lowered loop and is recorded as such."""
+        from repro.timing import vector
+        from repro.timing.vector import VECTOR_MIN_BATCH
+
+        vector_runs = count_calls(vector, "_run_vector")
+        configs = [MachineConfig.for_way(4, mem_latency=lat)
+                   for lat in range(1, VECTOR_MIN_BATCH + 1)]
+        sweep = SweepSpec.make(kernels=["idct"], isas=("mom",),
+                               configs=configs, spec=_SPEC)
+        engine = SweepEngine()
+        engine.run(sweep)
+        assert engine.last_batches == [(VECTOR_MIN_BATCH, "lowered")]
+        assert vector_runs == []
+
     def test_backend_is_not_an_engine_option(self):
         with pytest.raises(TypeError):
             SweepEngine(backend="vector")

@@ -212,6 +212,25 @@ def test_lowered_equals_object_loop_on_random_traces(trace):
         _assert_equivalent(trace, config, label="random")
 
 
+@pytest.mark.parametrize("vly", [1, 16], ids=["occupancy-1", "multi-cycle"])
+def test_issue_search_runs_past_the_scoreboard_horizon(vly):
+    """A dependent chain of slow loads issues ~50 cycles apart, far past
+    the lowered loop's initial busy-count horizon (2n + 1024 cycles): the
+    scoreboards must grow mid-search and stay exact, for single-cycle
+    loads and for matrix loads that hold a port for several cycles."""
+    reg = RegRef(RegFile.INT if vly == 1 else RegFile.MATRIX, 0)
+    opclass = OpClass.LOAD if vly == 1 else OpClass.MEDIA_LOAD
+    chain = Trace("slow_chain", "test")
+    for _ in range(300):
+        chain.append(instr("ld", opclass, srcs=(reg,), dsts=(reg,),
+                           ops=8 * vly, vlx=8, vly=vly,
+                           is_vector=vly > 1))
+    config = MachineConfig.for_way(1, mem_latency=50)
+    _assert_equivalent(chain, config, label=chain.name)
+    result = OutOfOrderCore(config).run_lowered(lower_trace(chain))
+    assert result.cycles > 4 * (2 * len(chain) + 1024)
+
+
 # ----------------------------------------------------------------------
 # Lowering a trace revived from its payload (the trace-cache hit path).
 

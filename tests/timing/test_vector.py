@@ -25,7 +25,7 @@ from repro.timing import vector as vector_mod
 from repro.timing.config import MachineConfig
 from repro.timing.core import OutOfOrderCore
 from repro.timing.dispatch import (BACKENDS, resolve_execution,
-                                   simulate_batch)
+                                   simulate_batch, simulate_lowered)
 from repro.timing.lowered import lower_trace
 from repro.timing.vector import VECTOR_MIN_BATCH
 from repro.trace.container import Trace
@@ -226,7 +226,8 @@ def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
     """Two destinations in one rename pool break the sliding-window pool
     premise (a full pool pops exactly once per push), so those traces must
     run the per-config interpreter even when the array program is forced —
-    bit-identity is unconditional."""
+    bit-identity is unconditional — and resolve to it, so the executed
+    backend is what gets recorded."""
     import random
 
     ints = [RegRef(RegFile.INT, i) for i in range(8)]
@@ -240,6 +241,12 @@ def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
     assert lowered.has_same_pool_multi_dst
     assert not lower_trace(_kernel_trace("motion1", "mom")
                            ).has_same_pool_multi_dst
+
+    for backend in ("auto", "vector"):
+        assert resolve_execution(backend, VECTOR_MIN_BATCH, len(lowered),
+                                 lowered=lowered) == "lowered"
+    with pytest.raises(ValueError, match="two destinations"):
+        simulate_lowered(lowered, [MachineConfig.for_way(4)], vector=True)
 
     vector_runs = count_calls(vector_mod, "_run_vector")
     tight = MachineConfig.for_way(1, mem_latency=12).with_updates(
