@@ -145,7 +145,30 @@ def _adversarial_traces():
                                ops=8, vlx=8, is_vector=True))
 
     return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst,
-            Trace("empty", "test")]
+            _vl_chain(), Trace("empty", "test")]
+
+
+def _vl_chain() -> Trace:
+    """Slow loads, each followed by a dozen vector-length writes: the VL
+    rename pool (``VL_RENAME_SLOTS`` entries whatever the machine) fills
+    behind every load, which commits last."""
+    ints = [RegRef(RegFile.INT, i) for i in range(3)]
+    vl = RegRef(RegFile.VL, 0)
+    trace = Trace("vl_chain", "test")
+    for _ in range(16):
+        trace.append(instr("ld", OpClass.LOAD, srcs=(ints[0],),
+                           dsts=(ints[1],)))
+        for _ in range(12):
+            trace.append(instr("setvl", OpClass.IALU, srcs=(ints[2],),
+                               dsts=(vl,)))
+    return trace
+
+
+#: Physical == architectural in every file: no config-sized rename pool
+#: binds, so only the fixed-size VL pool can.
+NO_RENAME_LIMIT = MachineConfig.for_way(4, mem_latency=50).with_updates(
+    phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
+    phys_acc_regs=4)
 
 
 @pytest.mark.parametrize("trace", _adversarial_traces(),
@@ -153,6 +176,15 @@ def _adversarial_traces():
 def test_lowered_equals_object_loop_on_adversarial_traces(trace):
     for config in CONFIG_GRID:
         _assert_equivalent(trace, config, label=trace.name)
+
+
+def test_vl_rename_pool_binds():
+    """The VL pool's capacity is the one not taken from the config: with
+    every other pool unbounded it alone stalls rename, on both loops."""
+    trace = _vl_chain()
+    _assert_equivalent(trace, NO_RENAME_LIMIT, label=trace.name)
+    result = simulate_trace(trace, NO_RENAME_LIMIT)
+    assert result.stall_breakdown["rename_regs"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +223,9 @@ def random_trace(draw, max_len=50):
         elif opclass is not OpClass.STORE and opclass is not OpClass.BRANCH \
                 and opclass is not OpClass.MEDIA_STORE:
             dsts = (RegRef(file, draw(st.integers(0, 7))),)
+        if opclass is OpClass.IALU and draw(st.integers(0, 3)) == 0:
+            # A vector-length write (MOM's setvl): the VL rename pool.
+            dsts = (RegRef(RegFile.VL, 0),)
         if dsts and draw(st.integers(0, 3)) == 0:
             # A second destination in the same rename pool (as idct/mom's
             # mom_transpose_pair writes): the pool can end up holding more

@@ -213,13 +213,36 @@ def _adversarial_traces():
                                srcs=(med[0],), dsts=(med[1], acc),
                                ops=8, vlx=8, is_vector=True))
 
-    return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst]
+    vl_chain = Trace("vl_chain", "test")
+    for _ in range(16):
+        # A slow load, then a dozen vector-length writes that fill the
+        # fixed-size VL rename pool behind it.
+        vl_chain.append(instr("ld", OpClass.LOAD, srcs=(ints[0],),
+                              dsts=(ints[1],)))
+        for _ in range(12):
+            vl_chain.append(instr("setvl", OpClass.IALU, srcs=(ints[2],),
+                                  dsts=(vl,)))
+
+    return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst, vl_chain]
 
 
 @pytest.mark.parametrize("trace", _adversarial_traces(),
                          ids=lambda t: t.name)
 def test_vector_equals_loop_on_adversarial_traces(trace):
     _assert_batch_equivalent(trace, CONFIG_BATCH, label=trace.name)
+
+
+def test_vl_rename_pool_binds():
+    """The VL pool's capacity is the one not taken from the config: with
+    physical == architectural in every file it alone stalls rename, and
+    the array program agrees with the per-config interpreter."""
+    vl_chain = next(t for t in _adversarial_traces() if t.name == "vl_chain")
+    no_limit = MachineConfig.for_way(4, mem_latency=50).with_updates(
+        phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
+        phys_acc_regs=4)
+    expected = _assert_batch_equivalent(vl_chain, (no_limit,) * 2,
+                                        label="vl_chain")
+    assert expected[0].stall_breakdown["rename_regs"] > 0
 
 
 def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
