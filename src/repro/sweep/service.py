@@ -86,6 +86,7 @@ from repro.sweep import faults
 from repro.sweep.cache import ResultCache, point_key, point_record
 from repro.sweep.engine import PointResult, SweepEngine
 from repro.sweep.spec import SweepPoint, grid_points
+from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
            "MAX_SCALE", "QueueFull", "ServiceHTTPServer", "SweepService",
@@ -184,12 +185,16 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
 
     ways = data.get("ways", [4])
     latencies = data.get("latencies", [1])
-    for name, values in (("ways", ways), ("latencies", latencies)):
+    for name, values, limit in (("ways", ways, MAX_WAY),
+                                ("latencies", latencies, MAX_MEM_LATENCY)):
         if not isinstance(values, list) or not all(map(_is_int, values)):
             raise ValueError(f"{name} must be a list of integers, "
                              f"got {values!r}")
         if any(v < 1 for v in values):
             raise ValueError(f"{name} must all be >= 1, got {values}")
+        if values and max(values) > limit:
+            raise ValueError(f"{name} must all be <= {limit}, "
+                             f"got {max(values)}")
     points = len(kernels) * len(isas) * len(ways) * len(latencies)
     if not points:
         raise ValueError("submission expands to zero points")

@@ -23,6 +23,14 @@ _AT_LEAST_ONE = ("fetch_width", "issue_width", "commit_width", "rob_size",
                  "arch_matrix_regs", "arch_acc_regs")
 
 
+#: Widest :meth:`MachineConfig.for_way` machine and slowest memory.  The
+#: fast backends keep per-cycle scoreboards, so their memory grows with
+#: the simulated cycles, and those grow linearly with the memory latency;
+#: the paper's widest machine is 8-way and its slowest memory 50 cycles.
+MAX_WAY = 64
+MAX_MEM_LATENCY = 1000
+
+
 def _check_at_least(name: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -89,6 +97,9 @@ class MachineConfig:
         for name in ("int_queue_size", "mem_queue_size", "media_queue_size",
                      "mom_reduction_latency"):
             _check_at_least(name, getattr(self, name), 0)
+        if self.mem_latency > MAX_MEM_LATENCY:
+            raise ValueError(f"mem_latency must be <= {MAX_MEM_LATENCY}, "
+                             f"got {self.mem_latency}")
         for regs in ("int", "media", "matrix", "acc"):
             arch = getattr(self, f"arch_{regs}_regs")
             phys = getattr(self, f"phys_{regs}_regs")
@@ -127,6 +138,9 @@ class MachineConfig:
         """
         if way < 1:
             raise ValueError(f"way (issue width) must be >= 1, got {way}")
+        if way > MAX_WAY:
+            raise ValueError(f"way (issue width) must be <= {MAX_WAY}, "
+                             f"got {way}")
         cfg = cls(
             name=f"way{way}",
             fetch_width=way,

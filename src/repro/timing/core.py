@@ -23,23 +23,22 @@ from __future__ import annotations
 
 import math
 from heapq import heapreplace
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.isa.opclasses import OpClass, RegFile
 from repro.timing.config import MachineConfig
-from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
+from repro.timing.lowered import LoweredTrace
 from repro.timing.resources import BandwidthLimiter, FunctionalUnitPool, SlotPool
 from repro.timing.results import SimResult
 from repro.trace.container import Trace
 from repro.trace.instruction import RegRef
 
-__all__ = ["VL_RENAME_SLOTS", "OutOfOrderCore",
-           "completion_latency", "occupancy_of", "simulate_trace"]
+__all__ = ["VL_RENAME_SLOTS", "OutOfOrderCore", "completion_latency",
+           "occupancy_of", "resolve_shape", "resource_counts",
+           "simulate_trace"]
 
-#: Rename slots of the vector-length register's tiny pool (it is never a
-#: bottleneck, but the dependence handling stays uniform).  Shared by the
-#: object loop, the lowered interpreter and the vector batch backend so
-#: the three can never drift.
+#: Rename slots of the vector-length register's tiny pool: the one pool
+#: whose capacity no configuration sets.
 VL_RENAME_SLOTS = 8
 
 
@@ -61,9 +60,8 @@ def occupancy_of(config: MachineConfig, opclass: OpClass, vly: int,
                  non_pipelined: bool) -> int:
     """Cycles an instruction shape occupies its functional unit or port.
 
-    Pure function of ``(config, shape)``; shared by the object loop, the
-    lowered backend's per-shape resolution and the vector batch backend's
-    per-(shape, config) tables, so the three can never drift apart.
+    Pure function of ``(config, shape)``; shared by the object loop and
+    :func:`resolve_shape`, so the three backends can never drift apart.
     """
     if non_pipelined:
         # Non-pipelined matrix ops (transpose) hold the unit for their
@@ -92,107 +90,66 @@ def completion_latency(config: MachineConfig, opclass: OpClass, vly: int,
     return latency
 
 
-class OutOfOrderCore:
-    """One simulated out-of-order core instance.
+def resource_counts(config: MachineConfig) -> Tuple[Tuple[int, ...],
+                                                     Tuple[int, ...],
+                                                     Tuple[int, ...]]:
+    """A machine's structural resources for the fast backends.
 
-    A core instance is single-use: create one per (trace, configuration)
-    pair, or use the :func:`simulate_trace` convenience wrapper.  A second
-    :meth:`run`/:meth:`run_lowered` call on the same instance raises —
-    resource scoreboards and stall counters carry state from the first run,
-    so reuse would silently corrupt the results.
+    Returns ``(units, queues, rename)``: the functional-unit counts by kind
+    (int ALU, int mul, memory ports, media units — the kind
+    :func:`resolve_shape` names), the issue-queue sizes (int, memory,
+    media; 0 means unbounded) and the rename head-room (physical minus
+    architectural registers; 0 means unbounded) per file in
+    :data:`~repro.timing.lowered.REG_POOL_ORDER`.
+    """
+    return (
+        (config.num_int_alu, config.num_int_mul, config.num_mem_ports,
+         config.num_media_fu),
+        (config.int_queue_size, config.mem_queue_size,
+         config.media_queue_size),
+        (config.phys_int_regs - config.arch_int_regs,
+         config.phys_media_regs - config.arch_media_regs,
+         config.phys_matrix_regs - config.arch_matrix_regs,
+         config.phys_acc_regs - config.arch_acc_regs,
+         VL_RENAME_SLOTS),
+    )
+
+
+def resolve_shape(config: MachineConfig, opclass: OpClass, vly: int,
+                  non_pipelined: bool) -> Tuple[int, int, int, int, bool]:
+    """``(occupancy, latency, unit kind, queue, acc_forwarding)`` of one
+    instruction shape on ``config``.
+
+    ``unit kind`` and ``queue`` index the tuples of
+    :func:`resource_counts`; ``acc_forwarding`` marks an MDMX-style
+    accumulate, whose accumulator destination is ready ``occupancy``
+    cycles after issue (see :meth:`OutOfOrderCore.run`).
+    """
+    occupancy = occupancy_of(config, opclass, vly, non_pipelined)
+    latency = completion_latency(config, opclass, vly, occupancy)
+    if opclass.is_memory:
+        kind, queue = 2, 1
+    elif opclass is OpClass.IMUL:
+        kind, queue = 1, 0
+    elif opclass.is_media:
+        kind, queue = 3, 2
+    else:
+        kind, queue = 0, 0
+    return (occupancy, latency, kind, queue,
+            opclass is OpClass.MEDIA_ACC and vly <= 1)
+
+
+class OutOfOrderCore:
+    """One simulated out-of-order core.
+
+    A core holds only its configuration and the timeline of its last run:
+    every run builds its scoreboards afresh, so one core can run any
+    number of traces.  :func:`simulate_trace` is the one-call wrapper.
     """
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self._used = False
-
-        # Functional units.
-        self._int_alu = FunctionalUnitPool("ialu", config.num_int_alu)
-        self._int_mul = FunctionalUnitPool("imul", config.num_int_mul)
-        self._mem_ports = FunctionalUnitPool("mem", config.num_mem_ports)
-        self._media_fu = FunctionalUnitPool("media", config.num_media_fu)
-
-        # Bandwidth.
-        self._issue_bw = BandwidthLimiter(config.issue_width)
-
-        # Issue queues.
-        self._queues = {
-            _DOMAIN_INT: SlotPool("intq", config.int_queue_size),
-            _DOMAIN_MEM: SlotPool("memq", config.mem_queue_size),
-            _DOMAIN_MEDIA: SlotPool("mediaq", config.media_queue_size),
-        }
-
-        # Rename head-room per register file (physical minus architectural).
-        self._rename_pools = {
-            RegFile.INT: SlotPool(
-                "int-regs", config.phys_int_regs - config.arch_int_regs
-            ),
-            RegFile.MEDIA: SlotPool(
-                "media-regs", config.phys_media_regs - config.arch_media_regs
-            ),
-            RegFile.MATRIX: SlotPool(
-                "matrix-regs", config.phys_matrix_regs - config.arch_matrix_regs
-            ),
-            RegFile.ACC: SlotPool(
-                "acc-regs", config.phys_acc_regs - config.arch_acc_regs
-            ),
-            RegFile.VL: SlotPool("vl-regs", VL_RENAME_SLOTS),
-        }
-
-        # Fast-path lookup tables: functional-unit pool and issue queue per
-        # operation class.  Both are pure functions of the opclass, so
-        # resolving them once here removes two chains of enum-property
-        # checks (`is_memory`, `is_media`, ...) from the per-instruction
-        # simulation loop.
-        self._fu_by_class: Dict[OpClass, FunctionalUnitPool] = {}
-        self._queue_by_class: Dict[OpClass, SlotPool] = {}
-        for opclass in OpClass:
-            if opclass.is_memory:
-                fu = self._mem_ports
-            elif opclass is OpClass.IMUL:
-                fu = self._int_mul
-            elif opclass.is_media:
-                fu = self._media_fu
-            else:
-                fu = self._int_alu
-            self._fu_by_class[opclass] = fu
-            self._queue_by_class[opclass] = self._queues[_domain_of(opclass)]
-
-        # Register readiness (architectural registers all ready at cycle 0).
-        self._reg_ready: Dict[RegRef, int] = {}
-
-        # Per-instruction pipeline times (ring buffers would do; lists are
-        # simpler and the traces are modest).
-        self._rename_times: list[int] = []
-        self._commit_times: list[int] = []
-
-        self._stalls: Dict[str, int] = {
-            "rob": 0,
-            "issue_queue": 0,
-            "rename_regs": 0,
-            "fetch_bw": 0,
-        }
-
-    # ------------------------------------------------------------------
-
-    def _occupancy_of(self, opclass: OpClass, vly: int,
-                      non_pipelined: bool) -> int:
-        """Cycles an instruction shape occupies its functional unit or port."""
-        return occupancy_of(self.config, opclass, vly, non_pipelined)
-
-    def _completion_latency(self, opclass: OpClass, vly: int,
-                            occupancy: int) -> int:
-        """Cycles from issue to result availability."""
-        return completion_latency(self.config, opclass, vly, occupancy)
-
-    def _mark_used(self) -> None:
-        if self._used:
-            raise RuntimeError(
-                "OutOfOrderCore instances are single-use: resource "
-                "scoreboards and stall counters carry state from the first "
-                "run; create a fresh core (or call simulate_trace) per "
-                "(trace, configuration) pair")
-        self._used = True
+        self.timeline: list[tuple] = []
 
     # ------------------------------------------------------------------
 
@@ -209,42 +166,78 @@ class OutOfOrderCore:
         :class:`~repro.timing.lowered.LoweredTrace` at a multiple of the
         speed, with bit-identical cycle counts.
         """
-        self._mark_used()
         cfg = self.config
-        rename_times = self._rename_times
-        commit_times = self._commit_times
-        reg_ready = self._reg_ready
-        self.timeline: list[tuple] = []
+        self.timeline = []
 
-        # The loop below is the simulator's hot path (it runs once per
-        # dynamic instruction across every sweep point), so everything
+        # The reference trackers, one set per run.
+        int_alu = FunctionalUnitPool("ialu", cfg.num_int_alu)
+        int_mul = FunctionalUnitPool("imul", cfg.num_int_mul)
+        mem_ports = FunctionalUnitPool("mem", cfg.num_mem_ports)
+        media_fu = FunctionalUnitPool("media", cfg.num_media_fu)
+        issue_bw = BandwidthLimiter(cfg.issue_width)
+        queues = {
+            _DOMAIN_INT: SlotPool("intq", cfg.int_queue_size),
+            _DOMAIN_MEM: SlotPool("memq", cfg.mem_queue_size),
+            _DOMAIN_MEDIA: SlotPool("mediaq", cfg.media_queue_size),
+        }
+        # Rename head-room per register file (physical minus architectural).
+        rename_pools = {
+            RegFile.INT: SlotPool(
+                "int-regs", cfg.phys_int_regs - cfg.arch_int_regs),
+            RegFile.MEDIA: SlotPool(
+                "media-regs", cfg.phys_media_regs - cfg.arch_media_regs),
+            RegFile.MATRIX: SlotPool(
+                "matrix-regs", cfg.phys_matrix_regs - cfg.arch_matrix_regs),
+            RegFile.ACC: SlotPool(
+                "acc-regs", cfg.phys_acc_regs - cfg.arch_acc_regs),
+            RegFile.VL: SlotPool("vl-regs", VL_RENAME_SLOTS),
+        }
+
+        # Functional-unit pool and issue queue per operation class: both
+        # are pure functions of the opclass, so resolving them once here
+        # removes two chains of enum-property checks (`is_memory`,
+        # `is_media`, ...) from the per-instruction loop.
+        fu_by_class: Dict[OpClass, FunctionalUnitPool] = {}
+        queue_by_class: Dict[OpClass, SlotPool] = {}
+        for opclass in OpClass:
+            if opclass.is_memory:
+                fu = mem_ports
+            elif opclass is OpClass.IMUL:
+                fu = int_mul
+            elif opclass.is_media:
+                fu = media_fu
+            else:
+                fu = int_alu
+            fu_by_class[opclass] = fu
+            queue_by_class[opclass] = queues[_domain_of(opclass)]
+
+        # Register readiness (architectural registers all ready at cycle
+        # 0) and per-instruction pipeline times.
+        reg_ready: Dict[RegRef, int] = {}
+        rename_times: list[int] = []
+        commit_times: list[int] = []
+
+        # The loop below runs once per dynamic instruction, so everything
         # loop-invariant is hoisted into locals: configuration fields,
-        # bound methods, the per-opclass lookup tables, and the stall
-        # counters (plain ints here, written back to the dict at the end).
+        # bound methods, and the stall counters.
         fetch_width = cfg.fetch_width
         rob_size = cfg.rob_size
         commit_width = cfg.commit_width
-        fu_by_class = self._fu_by_class
-        queue_by_class = self._queue_by_class
-        rename_pools_get = self._rename_pools.get
+        rename_pools_get = rename_pools.get
         reg_ready_get = reg_ready.get
-        bw_probe = self._issue_bw.probe
-        bw_next_slot = self._issue_bw.next_slot
+        bw_probe = issue_bw.probe
+        bw_next_slot = issue_bw.next_slot
         rename_append = rename_times.append
         commit_append = commit_times.append
         timeline_append = self.timeline.append
         media_acc = OpClass.MEDIA_ACC
         acc_file = RegFile.ACC
 
-        stalls = self._stalls
-        stall_fetch_bw = stalls["fetch_bw"]
-        stall_rob = stalls["rob"]
-        stall_queue = stalls["issue_queue"]
-        stall_rename = stalls["rename_regs"]
+        stall_fetch_bw = stall_rob = stall_queue = stall_rename = 0
 
         # (occupancy, completion latency) per (opclass, vly, non_pipelined):
         # both are pure functions of that triple for a fixed configuration,
-        # so each distinct shape is computed once per core instead of once
+        # so each distinct shape is computed once per run instead of once
         # per instruction.
         op_timing: dict = {}
 
@@ -300,11 +293,11 @@ class OutOfOrderCore:
             # iterate to a fixed point that satisfies both.
             timing = op_timing.get((opclass, instr.vly, instr.non_pipelined))
             if timing is None:
-                occupancy = self._occupancy_of(opclass, instr.vly,
-                                               instr.non_pipelined)
+                occupancy = occupancy_of(cfg, opclass, instr.vly,
+                                         instr.non_pipelined)
                 timing = (occupancy,
-                          self._completion_latency(opclass, instr.vly,
-                                                   occupancy))
+                          completion_latency(cfg, opclass, instr.vly,
+                                             occupancy))
                 op_timing[(opclass, instr.vly, instr.non_pipelined)] = timing
             occupancy, latency = timing
 
@@ -361,11 +354,6 @@ class OutOfOrderCore:
                     (instr.opcode, rename_time, ready, issue_time, complete, commit)
                 )
 
-        stalls["fetch_bw"] = stall_fetch_bw
-        stalls["rob"] = stall_rob
-        stalls["issue_queue"] = stall_queue
-        stalls["rename_regs"] = stall_rename
-
         return SimResult(
             cycles=last_commit,
             instructions=len(trace),
@@ -375,7 +363,9 @@ class OutOfOrderCore:
             config_name=cfg.name,
             mem_latency=cfg.mem_latency,
             issue_width=cfg.issue_width,
-            stall_breakdown=dict(self._stalls),
+            stall_breakdown={"rob": stall_rob, "issue_queue": stall_queue,
+                             "rename_regs": stall_rename,
+                             "fetch_bw": stall_fetch_bw},
         )
 
     # ------------------------------------------------------------------
@@ -409,44 +399,31 @@ class OutOfOrderCore:
         :class:`~repro.timing.resources.SlotPool`) by the golden snapshots
         and the equivalence suite in ``tests/timing/test_lowered.py``.
         """
-        self._mark_used()
         cfg = self.config
-        self.timeline: list[tuple] = []
+        self.timeline = []
+        units, queue_sizes, rename_caps = resource_counts(cfg)
 
-        # --- per-configuration shape resolution --------------------------
-        # Busy counts per cycle: the four functional-unit kinds in the
-        # grouping of self._fu_by_class (int ALU, int mul, memory ports,
-        # media units), then issue bandwidth.  A search that runs past the
-        # horizon raises IndexError before it writes anything, and retries
-        # on doubled lists (every cycle beyond the horizon is free).
+        # --- per-configuration resolution ---------------------------------
+        # Busy counts per cycle: one list per functional-unit kind, then
+        # issue bandwidth.  A search that runs past the horizon raises
+        # IndexError before it writes anything, and retries on doubled
+        # lists (every cycle beyond the horizon is free).
         horizon = 2 * lowered.num_instructions + 1024
-        fu_busy = tuple([0] * horizon for _ in range(4))
-        fu_counts = (cfg.num_int_alu, cfg.num_int_mul, cfg.num_mem_ports,
-                     cfg.num_media_fu)
+        fu_busy = tuple([0] * horizon for _ in units)
         bw_used = [0] * horizon
         scoreboards = (*fu_busy, bw_used)
         # Issue queues: the K largest issue times pushed so far as a
         # min-heap (K zeros to start), its root the exact SlotPool bound;
         # None for an unbounded (0-entry) queue.
-        queue_heaps = tuple(
-            [0] * size if size > 0 else None
-            for size in (cfg.int_queue_size, cfg.mem_queue_size,
-                         cfg.media_queue_size))
+        queue_heaps = tuple([0] * size if size > 0 else None
+                            for size in queue_sizes)
         # Rename pools: each pool's commit pushes in order (commit times
         # are monotone), pre-padded with ``cap`` never-binding -1 entries
         # and read at index ``-cap``.  An unbounded pool (cap 0) reads a
         # constant [-1] and discards its pushes.
-        rename_caps = {
-            RegFile.INT: cfg.phys_int_regs - cfg.arch_int_regs,
-            RegFile.MEDIA: cfg.phys_media_regs - cfg.arch_media_regs,
-            RegFile.MATRIX: cfg.phys_matrix_regs - cfg.arch_matrix_regs,
-            RegFile.ACC: cfg.phys_acc_regs - cfg.arch_acc_regs,
-            RegFile.VL: VL_RENAME_SLOTS,
-        }
         pools = []
         pushes = []
-        for file in REG_POOL_ORDER:
-            cap = rename_caps[file]
+        for cap in rename_caps:
             if cap > 0:
                 fifo = [-1] * cap
                 pools.append((fifo, -cap))
@@ -456,23 +433,12 @@ class OutOfOrderCore:
                 pushes.append([].append)
         heads = [0] * len(pools)
 
-        media_acc = OpClass.MEDIA_ACC
         resolved = []
-        for opclass, vly, non_pipelined in lowered.shapes:
-            occupancy = self._occupancy_of(opclass, vly, non_pipelined)
-            latency = self._completion_latency(opclass, vly, occupancy)
-            if opclass.is_memory:
-                kind, queue = 2, 1
-            elif opclass is OpClass.IMUL:
-                kind, queue = 1, 0
-            elif opclass.is_media:
-                kind, queue = 3, 2
-            else:
-                kind, queue = 0, 0
-            acc_forwarding = opclass is media_acc and vly <= 1
-            resolved.append((occupancy, latency, fu_busy[kind],
-                             fu_counts[kind], queue_heaps[queue],
-                             acc_forwarding))
+        for shape in lowered.shapes:
+            (occupancy, latency, kind, queue,
+             acc_forwarding) = resolve_shape(cfg, *shape)
+            resolved.append((occupancy, latency, fu_busy[kind], units[kind],
+                             queue_heaps[queue], acc_forwarding))
 
         # --- hot-loop locals ---------------------------------------------
         # Histories carry `pad` leading -1 entries, so the entries
@@ -492,11 +458,7 @@ class OutOfOrderCore:
         heapreplace_ = heapreplace
         opcodes = lowered.opcodes
 
-        stalls = self._stalls
-        stall_fetch_bw = stalls["fetch_bw"]
-        stall_rob = stalls["rob"]
-        stall_queue = stalls["issue_queue"]
-        stall_rename = stalls["rename_regs"]
+        stall_fetch_bw = stall_rob = stall_queue = stall_rename = 0
 
         rename_time = 0
         commit = 0
@@ -612,11 +574,6 @@ class OutOfOrderCore:
                 timeline_append((opcodes[oid], rename_time, ready,
                                  issue_time, complete, commit))
 
-        stalls["fetch_bw"] = stall_fetch_bw
-        stalls["rob"] = stall_rob
-        stalls["issue_queue"] = stall_queue
-        stalls["rename_regs"] = stall_rename
-
         return SimResult(
             cycles=commit,
             instructions=lowered.num_instructions,
@@ -626,7 +583,9 @@ class OutOfOrderCore:
             config_name=cfg.name,
             mem_latency=cfg.mem_latency,
             issue_width=cfg.issue_width,
-            stall_breakdown=dict(self._stalls),
+            stall_breakdown={"rob": stall_rob, "issue_queue": stall_queue,
+                             "rename_regs": stall_rename,
+                             "fetch_bw": stall_fetch_bw},
         )
 
 

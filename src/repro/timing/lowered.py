@@ -9,13 +9,12 @@ hashing frozen-dataclass :class:`~repro.trace.instruction.RegRef` keys into
 the register scoreboard dict.
 
 This module performs that work **once per trace**.  :func:`lower_trace`
-compiles a trace into a :class:`LoweredTrace` of parallel flat arrays:
+compiles a trace into a :class:`LoweredTrace` of parallel flat lists:
 
 * a *shape table* of the distinct ``(opclass, vly, non_pipelined)`` triples
-  (per configuration these resolve to occupancy, completion latency,
-  functional-unit pool and issue queue — the resolution happens once per
-  shape inside :meth:`~repro.timing.core.OutOfOrderCore.run_lowered`, not
-  once per instruction);
+  (per configuration :func:`~repro.timing.core.resolve_shape` turns each
+  into occupancy, completion latency, functional-unit kind and issue
+  queue — once per shape, not once per instruction);
 * one small-integer shape id per instruction;
 * source operands renumbered to dense integer register ids, so the register
   scoreboard becomes a plain list indexed by ``int`` instead of a dict keyed
@@ -39,18 +38,15 @@ suite and the equivalence tests in ``tests/timing/test_lowered.py`` pin that.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.isa.opclasses import OpClass, RegFile
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = ["REG_POOL_ORDER", "LoweredTrace", "lower_trace"]
 
-#: Fixed order in which :meth:`OutOfOrderCore.run_lowered` materialises the
-#: rename slot pools; a lowered destination's ``pool`` field is an index into
-#: this tuple.
+#: Fixed order of the rename slot pools: a lowered destination's ``pool``
+#: field is an index into this tuple, and
+#: :func:`~repro.timing.core.resource_counts` lists rename head-room in it.
 REG_POOL_ORDER: Tuple[RegFile, ...] = (RegFile.INT, RegFile.MEDIA,
                                        RegFile.MATRIX, RegFile.ACC,
                                        RegFile.VL)
@@ -61,15 +57,15 @@ _POOL_INDEX = {file: i for i, file in enumerate(REG_POOL_ORDER)}
 class LoweredTrace:
     """The flat-array compilation of one :class:`~repro.trace.container.Trace`.
 
-    All per-instruction sequences are parallel (index ``i`` describes dynamic
-    instruction ``i``); everything configuration-dependent is deferred to the
-    shape table, which :meth:`~repro.timing.core.OutOfOrderCore.run_lowered`
-    resolves once per simulation.
+    All per-instruction sequences are parallel lists (index ``i`` describes
+    dynamic instruction ``i``); everything configuration-dependent is
+    deferred to the shape table, which the fast backends resolve once per
+    simulation.
     """
 
     __slots__ = ("name", "isa", "num_instructions", "total_ops", "num_regs",
                  "shapes", "shape_ids", "srcs", "dsts", "opcodes",
-                 "opcode_ids", "_columns", "_same_pool_multi_dst")
+                 "opcode_ids", "_same_pool_multi_dst")
 
     def __init__(self, name: str, isa: str, num_instructions: int,
                  total_ops: int, num_regs: int,
@@ -96,99 +92,8 @@ class LoweredTrace:
         self.opcodes = opcodes
         #: Per instruction: index into :attr:`opcodes`.
         self.opcode_ids = opcode_ids
-        # Lazily-built ndarray columns / trace classifications (below).
-        self._columns = None
+        # Memoised by has_same_pool_multi_dst.
         self._same_pool_multi_dst = None
-
-    # ------------------------------------------------------------------
-    # ndarray columns
-    # ------------------------------------------------------------------
-    # The same data as flat NumPy columns, with the ragged srcs/dsts rows
-    # in CSR form (``*_flat`` values + an ``indptr`` of row boundaries:
-    # row ``i`` is ``flat[indptr[i]:indptr[i + 1]]``).  The vector batch
-    # backend (repro.timing.vector) consumes these; the list rows remain
-    # the canonical form for the per-config lowered interpreter, so the
-    # columns are built lazily on first use (and never on the
-    # lowered/object-only simulation paths, which therefore import no
-    # NumPy).
-
-    def _build_columns(self) -> dict:
-        cols = self._columns
-        if cols is not None:
-            return cols
-        import numpy as np
-
-        n = self.num_instructions
-        srcs, dsts = self.srcs, self.dsts
-        src_indptr = np.zeros(n + 1, dtype=np.int32)
-        dst_indptr = np.zeros(n + 1, dtype=np.int32)
-        if n:
-            np.cumsum(np.fromiter((len(row) for row in srcs),
-                                  dtype=np.int32, count=n),
-                      out=src_indptr[1:])
-            np.cumsum(np.fromiter((len(row) for row in dsts),
-                                  dtype=np.int32, count=n),
-                      out=dst_indptr[1:])
-        num_dsts = int(dst_indptr[-1])
-        cols = self._columns = {
-            "shape_id_col": np.asarray(self.shape_ids, dtype=np.int32),
-            "opcode_id_col": np.asarray(self.opcode_ids, dtype=np.int32),
-            "src_indptr": src_indptr,
-            "src_flat": np.fromiter(
-                (r for row in srcs for r in row), dtype=np.int32,
-                count=int(src_indptr[-1])),
-            "dst_indptr": dst_indptr,
-            "dst_reg_flat": np.fromiter(
-                (reg for row in dsts for reg, _pool, _acc in row),
-                dtype=np.int32, count=num_dsts),
-            "dst_pool_flat": np.fromiter(
-                (pool for row in dsts for _reg, pool, _acc in row),
-                dtype=np.int32, count=num_dsts),
-            "dst_acc_flat": np.fromiter(
-                (acc for row in dsts for _reg, _pool, acc in row),
-                dtype=np.bool_, count=num_dsts),
-        }
-        return cols
-
-    @property
-    def shape_id_col(self) -> np.ndarray:
-        """Per instruction: :attr:`shape_ids` as an int32 column."""
-        return self._build_columns()["shape_id_col"]
-
-    @property
-    def opcode_id_col(self) -> np.ndarray:
-        """Per instruction: :attr:`opcode_ids` as an int32 column."""
-        return self._build_columns()["opcode_id_col"]
-
-    @property
-    def src_flat(self) -> np.ndarray:
-        """CSR values of :attr:`srcs` (see :attr:`src_indptr`)."""
-        return self._build_columns()["src_flat"]
-
-    @property
-    def src_indptr(self) -> np.ndarray:
-        """CSR row boundaries of :attr:`srcs`."""
-        return self._build_columns()["src_indptr"]
-
-    @property
-    def dst_reg_flat(self) -> np.ndarray:
-        """CSR destination register ids (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_reg_flat"]
-
-    @property
-    def dst_pool_flat(self) -> np.ndarray:
-        """CSR destination rename-pool indices (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_pool_flat"]
-
-    @property
-    def dst_acc_flat(self) -> np.ndarray:
-        """CSR destination accumulator flags (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_acc_flat"]
-
-    @property
-    def dst_indptr(self) -> np.ndarray:
-        """CSR row boundaries of :attr:`dsts`."""
-        return self._build_columns()["dst_indptr"]
 
     @property
     def has_same_pool_multi_dst(self) -> bool:

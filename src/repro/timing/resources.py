@@ -11,12 +11,15 @@ Three small trackers capture every structural constraint the model applies:
   (issue-queue entries, rename head-room of a physical register file); a
   slot is freed when its holder reaches a known future time.
 
-These classes are the *reference* implementations, used by the object-level
-``OutOfOrderCore.run()`` loop.  The lowered backend
-(:meth:`~repro.timing.core.OutOfOrderCore.run_lowered`) inlines the same
-semantics as lists and heaps local to its hot loop — any behavioural change
-here must be mirrored there, and is pinned by the golden snapshots plus the
-equivalence suite in ``tests/timing/test_lowered.py``.
+These classes are the *reference* implementations: the object-level
+``OutOfOrderCore.run()`` loop builds one set per run.  The lowered backend
+(:meth:`~repro.timing.core.OutOfOrderCore.run_lowered`) and the vector
+backend (:mod:`repro.timing.vector`) inline the same semantics as lists,
+heaps and arrays local to their loops, sized from
+:func:`~repro.timing.core.resource_counts` — any behavioural change here
+must be mirrored there, and is pinned by the golden snapshots plus the
+equivalence suites in ``tests/timing/test_lowered.py`` and
+``tests/timing/test_vector.py``.
 """
 
 from __future__ import annotations

@@ -27,10 +27,10 @@ ndarray columns —
   releases at commit time are monotone, so the exact
   :class:`~repro.timing.resources.SlotPool` bound for the ``j``-th push is
   the value of push ``j - capacity``, one gather per destination;
-* the per-config ``(occupancy, latency, functional unit, issue queue)``
-  shape resolution one table built up front through the *same*
-  :func:`~repro.timing.core.occupancy_of` /
-  :func:`~repro.timing.core.completion_latency` the scalar backends use.
+* the per-config resources and ``(occupancy, latency, functional unit,
+  issue queue)`` shape resolution tables built up front through the
+  *same* :func:`~repro.timing.core.resource_counts` /
+  :func:`~repro.timing.core.resolve_shape` the lowered interpreter uses.
 
 Cycle counts, stall breakdowns and timelines are **bit-identical** to
 :meth:`~repro.timing.core.OutOfOrderCore.run_lowered` (and therefore to the
@@ -60,12 +60,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
-from repro.timing.core import (VL_RENAME_SLOTS, completion_latency,
-                               occupancy_of)
+from repro.timing.core import resolve_shape, resource_counts
 from repro.timing.dispatch import VECTOR_MIN_BATCH
-from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
+from repro.timing.lowered import LoweredTrace
 from repro.timing.results import SimResult
 
 __all__ = ["VECTOR_MIN_BATCH", "effective_min_batch"]
@@ -137,70 +135,48 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
     rob_size = col("rob_size")
     commit_width = col("commit_width")
 
-    # Functional-unit kinds in the grouping of the scalar backends
-    # (int ALU, int mul, memory ports, media units) plus one extra plane
-    # for issue bandwidth, stacked so the issue search gathers unit and
-    # bandwidth occupancy in one operation.  Busy counts never exceed the
-    # unit count of their pool, so the planes use the narrowest dtype the
-    # batch's largest pool fits (int8 keeps the growth copies and the
-    # gathered windows small).
-    fu_counts = (col("num_int_alu"), col("num_int_mul"),
-                 col("num_mem_ports"), col("num_media_fu"))
-    plane_limit = max(max(int(c.max()) for c in fu_counts),
-                      int(col("issue_width").max()))
+    # Structural resources per config, one row per resource:
+    # unit_counts[kind], queue_caps[queue], rename_caps[pool].
+    unit_counts, queue_caps, rename_caps = (
+        np.array(table, dtype=np.int64).T
+        for table in zip(*map(resource_counts, configs)))
+
+    # The functional-unit kinds plus one extra plane for issue bandwidth,
+    # stacked so the issue search gathers unit and bandwidth occupancy in
+    # one operation.  Busy counts never exceed the unit count of their
+    # pool, so the planes use the narrowest dtype the batch's largest pool
+    # fits (int8 keeps the growth copies and the gathered windows small).
+    issue_width = col("issue_width")
+    plane_limit = max(int(unit_counts.max()), int(issue_width.max()))
     if plane_limit < 120:
         plane_dtype = np.int8
     elif plane_limit < 32000:
         plane_dtype = np.int16
     else:
         plane_dtype = np.int32
-    bw_col = col("issue_width").astype(plane_dtype)[:, None]
-
-    queue_caps = (np.maximum(col("int_queue_size"), 0),
-                  np.maximum(col("mem_queue_size"), 0),
-                  np.maximum(col("media_queue_size"), 0))
-
-    rename_caps = [
-        np.maximum(col("phys_int_regs") - col("arch_int_regs"), 0),
-        np.maximum(col("phys_media_regs") - col("arch_media_regs"), 0),
-        np.maximum(col("phys_matrix_regs") - col("arch_matrix_regs"), 0),
-        np.maximum(col("phys_acc_regs") - col("arch_acc_regs"), 0),
-        np.full(num_configs, VL_RENAME_SLOTS, dtype=np.int64),
-    ]
-    assert len(rename_caps) == len(REG_POOL_ORDER)
+    bw_col = issue_width.astype(plane_dtype)[:, None]
 
     # --- per-(shape, config) resolution --------------------------------
     shape_recs = []
-    for opclass, vly, non_pipelined in lowered.shapes:
-        occ = np.fromiter(
-            (occupancy_of(c, opclass, vly, non_pipelined) for c in configs),
-            dtype=np.int64, count=num_configs)
-        lat = np.fromiter(
-            (completion_latency(c, opclass, vly, int(o))
-             for c, o in zip(configs, occ)),
-            dtype=np.int64, count=num_configs)
-        if opclass.is_memory:
-            kind, queue = 2, 1
-        elif opclass is OpClass.IMUL:
-            kind, queue = 1, 0
-        elif opclass.is_media:
-            kind, queue = 3, 2
-        else:
-            kind, queue = 0, 0
+    for shape in lowered.shapes:
+        per_config = [resolve_shape(c, *shape) for c in configs]
+        occ = np.array([r[0] for r in per_config], dtype=np.int64)
+        lat = np.array([r[1] for r in per_config], dtype=np.int64)
+        _occ, _lat, kind, queue, acc_fwd = per_config[0]
+        cnt_col = unit_counts[kind].astype(plane_dtype)[:, None]
         max_occ = int(occ.max())
         rec = {
             "occ": occ,
             "lat": lat,
             "kind": kind,
             "queue": queue,
-            "acc_fwd": opclass is OpClass.MEDIA_ACC and vly <= 1,
+            "acc_fwd": acc_fwd,
             "max_occ": max_occ,
             "occ1": max_occ == 1,
-            "cnt_col": fu_counts[kind].astype(plane_dtype)[:, None],
+            "cnt_col": cnt_col,
             # Unit count and issue width stacked to match the (2, N, W)
             # windows the search gathers: one comparison covers both.
-            "cnt2": np.stack([fu_counts[kind].astype(plane_dtype)[:, None],
-                              bw_col]),
+            "cnt2": np.stack([cnt_col, bw_col]),
             "sel2": np.array([[kind], [4]]),
             "epoch": -1,
         }
@@ -256,9 +232,11 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
     # capacity-0 (unconstrained) offset underflows far below zero and the
     # clamp lands it on a pad row.  The flat gather index of every future
     # push is precomputed in one vectorised shot per pool.
-    num_pools = len(REG_POOL_ORDER)
-    pool_pushes = [int(np.count_nonzero(lowered.dst_pool_flat == p))
-                   for p in range(num_pools)]
+    num_pools = len(rename_caps)
+    pool_pushes = [0] * num_pools
+    for row in lowered.dsts:
+        for _reg, pool, _acc in row:
+            pool_pushes[pool] += 1
     pool_pads = [max(1, int(caps.max())) for caps in rename_caps]
     pool_hist = [np.full((pool_pads[p] + pool_pushes[p], num_configs), -1,
                          dtype=np.int64)
@@ -338,13 +316,10 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
         tl = np.empty((5, n, num_configs), dtype=np.int64)
 
     zero_col = np.zeros((num_configs, 1), dtype=np.int64)
-    src_indptr = lowered.src_indptr.tolist()
-    src_list = lowered.src_flat.tolist()
-    src_flat = lowered.src_flat
-    rows = list(zip(lowered.shape_ids, lowered.dsts))
+    rows = zip(lowered.shape_ids, lowered.srcs, lowered.dsts)
     np_maximum = np.maximum
 
-    for i, (sid, dsts) in enumerate(rows):
+    for i, (sid, srcs, dsts) in enumerate(rows):
         rec = shape_recs[sid]
 
         # ---- rename ------------------------------------------------
@@ -376,12 +351,10 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
 
         # ---- ready (dataflow) ---------------------------------------
         ready = rename_time + 1
-        lo, hi = src_indptr[i], src_indptr[i + 1]
-        if hi - lo == 1:
-            np_maximum(ready, reg_ready[:, src_list[lo]], out=ready)
-        elif hi > lo:
-            operands = reg_ready[:, src_flat[lo:hi]]
-            np_maximum(ready, operands.max(1), out=ready)
+        if len(srcs) == 1:
+            np_maximum(ready, reg_ready[:, srcs[0]], out=ready)
+        elif srcs:
+            np_maximum(ready, reg_ready[:, srcs].max(1), out=ready)
 
         # ---- issue ---------------------------------------------------
         # Smallest cycle >= ready with a functional unit free for the

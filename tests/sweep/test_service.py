@@ -33,6 +33,7 @@ from repro.sweep.service import (JOB_TERMINAL_STATES, MAX_BODY_BYTES,
                                  ServiceHTTPServer, SweepService, UnknownJob,
                                  job_id_for, normalize_submission,
                                  submission_points)
+from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY
 
 #: A fast submission: 4 points (one kernel, one config, all four ISAs).
 SMALL = {"kernels": ["comp"], "ways": [1], "latencies": [1], "scale": 4}
@@ -124,6 +125,15 @@ class TestNormalizeSubmission:
     def test_nonphysical_machine_rejected(self, field, values):
         with pytest.raises(ValueError, match=f"{field} must all be >= 1"):
             normalize_submission({field: values})
+
+    @pytest.mark.parametrize("field, limit", [("ways", MAX_WAY),
+                                              ("latencies", MAX_MEM_LATENCY)])
+    def test_oversized_machine_rejected(self, field, limit):
+        assert normalize_submission({field: [1, limit]})[field] == [1, limit]
+        with pytest.raises(ValueError,
+                           match=f"{field} must all be <= {limit}, got "
+                                 f"{10 ** 9}"):
+            normalize_submission({field: [1, 10 ** 9]})
 
 
 class TestJobId:
@@ -555,6 +565,16 @@ class TestHTTP:
             client.submit(dict(SMALL, latencies=[-5]))
         assert excinfo.value.status == 400
         assert "latencies must all be >= 1" in str(excinfo.value)
+        assert service.list_jobs() == []
+
+    @pytest.mark.parametrize("field", ["ways", "latencies"])
+    def test_oversized_machine_is_400_before_any_job(self, http_stack,
+                                                     field):
+        service, _server, client = http_stack
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(SMALL, **{field: [10 ** 6]}))
+        assert excinfo.value.status == 400
+        assert f"{field} must all be <=" in str(excinfo.value)
         assert service.list_jobs() == []
 
     @pytest.mark.parametrize("field, value", [

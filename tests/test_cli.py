@@ -47,6 +47,22 @@ class TestParser:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--kernels", "comp", "--scale", "1", "--latencies",
+          "1000000000"], "mem_latency"),
+        (["sweep", "--kernels", "comp", "--scale", "1", "--ways", "100000"],
+         "way"),
+        (["run", "comp", "--way", "65"], "way"),
+    ])
+    def test_oversized_machine_exits_with_the_field(self, capsys, argv,
+                                                    field):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err and "<=" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, field", [
         (["sweep", "--kernels", "comp", "--jobs", "0"], "jobs"),
         (["figure4", "--kernels", "comp", "--jobs", "-3"], "jobs"),
         (["sweep", "--kernels", "comp", "--task-timeout", "-1"],

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.opclasses import OpClass
 from repro.kernels.registry import get_kernel
-from repro.timing.config import FIGURE5_LATENCIES, MachineConfig, WAY_CONFIGS
+from repro.timing.config import (FIGURE5_LATENCIES, MAX_MEM_LATENCY, MAX_WAY,
+                                 MachineConfig, WAY_CONFIGS)
 from repro.timing.dispatch import simulate_batch
 from repro.workloads.generators import WorkloadSpec
 
@@ -66,6 +67,18 @@ class TestForWay:
             MachineConfig.for_way(4, mem_latency=latency)
         with pytest.raises(ValueError, match="mem_latency"):
             MachineConfig(mem_latency=latency)
+
+    def test_way_and_mem_latency_are_bounded_above(self):
+        assert MachineConfig.for_way(MAX_WAY).issue_width == MAX_WAY
+        assert MachineConfig(mem_latency=MAX_MEM_LATENCY).mem_latency \
+            == MAX_MEM_LATENCY
+        with pytest.raises(ValueError, match=f"way .* must be <= {MAX_WAY}"):
+            MachineConfig.for_way(MAX_WAY + 1)
+        with pytest.raises(ValueError,
+                           match=f"mem_latency must be <= {MAX_MEM_LATENCY}"):
+            MachineConfig.for_way(4, mem_latency=MAX_MEM_LATENCY + 1)
+        with pytest.raises(ValueError, match="mem_latency"):
+            MachineConfig().with_updates(mem_latency=10 ** 9)
 
     @pytest.mark.parametrize("latency", [0, -1])
     def test_nonphysical_opclass_latency_rejected(self, latency):

@@ -5,8 +5,8 @@ must be *bit-identical* to the object-level ``run()`` — same cycles, same
 stall breakdown, same per-instruction timeline — for every trace and every
 machine configuration.  These tests pin that across all kernels x ISAs x a
 configuration grid, on adversarial hand-written traces, and on randomly
-generated ones; plus the lowering of a payload-revived trace and the
-single-use core guard.
+generated ones; plus the lowering of a payload-revived trace and core
+reuse.
 """
 
 from __future__ import annotations
@@ -164,12 +164,6 @@ def _vl_chain() -> Trace:
     return trace
 
 
-#: Physical == architectural in every file: no config-sized rename pool
-#: binds, so only the fixed-size VL pool can.
-NO_RENAME_LIMIT = MachineConfig.for_way(4, mem_latency=50).with_updates(
-    phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
-    phys_acc_regs=4)
-
 
 @pytest.mark.parametrize("trace", _adversarial_traces(),
                          ids=lambda t: t.name)
@@ -180,10 +174,14 @@ def test_lowered_equals_object_loop_on_adversarial_traces(trace):
 
 def test_vl_rename_pool_binds():
     """The VL pool's capacity is the one not taken from the config: with
-    every other pool unbounded it alone stalls rename, on both loops."""
+    physical == architectural in every file it alone stalls rename, on
+    both loops."""
     trace = _vl_chain()
-    _assert_equivalent(trace, NO_RENAME_LIMIT, label=trace.name)
-    result = simulate_trace(trace, NO_RENAME_LIMIT)
+    no_limit = MachineConfig.for_way(4, mem_latency=50).with_updates(
+        phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
+        phys_acc_regs=4)
+    _assert_equivalent(trace, no_limit, label=trace.name)
+    result = simulate_trace(trace, no_limit)
     assert result.stall_breakdown["rename_regs"] > 0
 
 
@@ -311,7 +309,7 @@ class TestLoweredPayload:
 
 
 # ----------------------------------------------------------------------
-# Trace.lower() memoisation and the single-use core guard.
+# Trace.lower() memoisation and core reuse.
 
 class TestLowerMemoisation:
     def test_lower_is_memoised(self):
@@ -329,60 +327,21 @@ class TestLowerMemoisation:
 
 
 class TestSingleUseCore:
-    def test_run_twice_raises(self):
+    def test_reused_core_matches_fresh_cores(self):
+        """A core keeps no run state: reused across ``run`` and
+        ``run_lowered`` it returns what a fresh core returns."""
         trace = _kernel_trace("comp", "scalar")
-        core = OutOfOrderCore(MachineConfig.for_way(4))
-        core.run(trace)
-        with pytest.raises(RuntimeError, match="single-use"):
-            core.run(trace)
-
-    def test_mixed_reuse_raises(self):
-        trace = _kernel_trace("comp", "scalar")
-        core = OutOfOrderCore(MachineConfig.for_way(4))
-        core.run_lowered(trace.lower())
-        with pytest.raises(RuntimeError, match="single-use"):
-            core.run(trace)
+        cfg = MachineConfig.for_way(4)
+        fresh = OutOfOrderCore(cfg)
+        want = fresh.run(trace, record_timeline=True)
+        core = OutOfOrderCore(cfg)
+        for _ in range(2):
+            assert core.run_lowered(trace.lower(), record_timeline=True) == want
+            assert core.timeline == fresh.timeline
+            assert core.run(trace, record_timeline=True) == want
+            assert core.timeline == fresh.timeline
 
     def test_simulate_trace_uses_fresh_cores(self):
         trace = _kernel_trace("comp", "scalar")
         cfg = MachineConfig.for_way(4)
         assert simulate_trace(trace, cfg) == simulate_trace(trace, cfg)
-
-
-class TestNdarrayColumns:
-    """The lowered form's NumPy columns (flat CSR srcs/dsts, shape/opcode
-    id columns) must mirror the canonical list rows exactly — the vector
-    batch backend consumes the columns, the lowered interpreter the lists."""
-
-    def test_columns_mirror_list_rows(self):
-        lowered = lower_trace(_kernel_trace("motion1", "mom"))
-        n = lowered.num_instructions
-        assert lowered.shape_id_col.tolist() == lowered.shape_ids
-        assert lowered.opcode_id_col.tolist() == lowered.opcode_ids
-        assert len(lowered.src_indptr) == len(lowered.dst_indptr) == n + 1
-        for i in range(n):
-            lo, hi = lowered.src_indptr[i], lowered.src_indptr[i + 1]
-            assert tuple(lowered.src_flat[lo:hi]) == lowered.srcs[i]
-            lo, hi = lowered.dst_indptr[i], lowered.dst_indptr[i + 1]
-            assert [(int(r), int(p), bool(a)) for r, p, a in
-                    zip(lowered.dst_reg_flat[lo:hi],
-                        lowered.dst_pool_flat[lo:hi],
-                        lowered.dst_acc_flat[lo:hi])] \
-                == [tuple(d) for d in lowered.dsts[i]]
-
-    def test_columns_survive_payload_round_trip(self):
-        trace = _kernel_trace("idct", "mdmx")
-        lowered = lower_trace(trace)
-        revived = Trace.from_payload(trace.to_payload()).lower()
-        assert (revived.src_flat == lowered.src_flat).all()
-        assert (revived.src_indptr == lowered.src_indptr).all()
-        assert (revived.dst_reg_flat == lowered.dst_reg_flat).all()
-        assert (revived.dst_pool_flat == lowered.dst_pool_flat).all()
-        assert (revived.dst_acc_flat == lowered.dst_acc_flat).all()
-
-    def test_empty_trace_columns(self):
-        lowered = lower_trace(Trace("empty", "test"))
-        assert lowered.src_indptr.tolist() == [0]
-        assert lowered.dst_indptr.tolist() == [0]
-        assert lowered.src_flat.size == 0
-        assert lowered.dst_reg_flat.size == 0

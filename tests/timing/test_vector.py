@@ -240,7 +240,7 @@ def test_vl_rename_pool_binds():
     no_limit = MachineConfig.for_way(4, mem_latency=50).with_updates(
         phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
         phys_acc_regs=4)
-    expected = _assert_batch_equivalent(vl_chain, (no_limit,) * 2,
+    expected = _assert_batch_equivalent(vl_chain, (no_limit,),
                                         label="vl_chain")
     assert expected[0].stall_breakdown["rename_regs"] > 0
 
