@@ -162,7 +162,7 @@ def _run_vector(lowered: LoweredTrace, configs: List[MachineConfig],
         per_config = [resolve_shape(c, *shape) for c in configs]
         occ = np.array([r[0] for r in per_config], dtype=np.int64)
         lat = np.array([r[1] for r in per_config], dtype=np.int64)
-        _occ, _lat, kind, queue, acc_fwd = per_config[0]
+        kind, queue, acc_fwd = per_config[0][2:]
         cnt_col = unit_counts[kind].astype(plane_dtype)[:, None]
         max_occ = int(occ.max())
         rec = {
