@@ -7,7 +7,7 @@ The sweep subsystem is the shared engine behind every experiment driver
   kernels x ISAs x machine configurations x workload specs;
 * :class:`~repro.sweep.engine.SweepEngine` — expands a spec into points and
   runs them, optionally over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (with a deterministic in-process fallback), with streaming results via
+  (or inline, in this process), with streaming results via
   :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``;
 * :class:`~repro.sweep.cache.ResultCache` — content-addressed storage of
   simulation results in an append-only JSONL segment log, keyed by a
@@ -16,9 +16,11 @@ The sweep subsystem is the shared engine behind every experiment driver
 * :class:`~repro.sweep.journal.SweepJournal` — a write-ahead JSONL journal
   of completed points enabling crash-safe, resumable sweeps
   (``repro sweep --resume``);
-* :class:`~repro.sweep.supervisor.PoolSupervisor` — supervised pool
-  execution: per-task deadlines, bounded pool restarts with backoff, and
-  poison-point quarantine; failed points surface as
+* :class:`~repro.sweep.supervisor.PoolSupervisor` — supervised
+  execution, one failure policy over two executors (inline and process
+  pool): group splitting and point retries everywhere, plus per-task
+  deadlines, bounded pool restarts with backoff and poison-point
+  quarantine under the pool; failed points surface as
   :class:`~repro.sweep.supervisor.PointFailure` records;
 * :mod:`~repro.sweep.faults` — the deterministic fault-injection harness
   (``REPRO_FAULT_INJECT``) that makes all of the above testable;

@@ -3,11 +3,12 @@
 The engine is the one place in the reproduction that knows *how* experiment
 points get executed:
 
-* serially in-process (the deterministic fallback, and the default),
+* in-process, on the inline executor (the default, and what a sweep with
+  one trace group and no task deadline gets at any ``jobs``),
 * or fanned out over a :class:`concurrent.futures.ProcessPoolExecutor` when
   ``jobs > 1`` — each worker rebuilds its kernel workload from the (seeded,
   deterministic) spec, so no large arrays cross the process boundary and
-  parallel results are bit-identical to serial ones,
+  parallel results are bit-identical to inline ones,
 * optionally backed (with a ``cache_dir``) by an on-disk result store — the
   append-only log of :class:`~repro.sweep.cache.ResultCache` (re-running a
   sweep whose points are already cached does zero simulations) — and an
@@ -34,10 +35,10 @@ them and the group's trace statistics are computed column-natively — no
 per-instruction Python objects exist anywhere on the path.  A trace-cache
 hit revives those same columns, so a warm-miss group creates no
 instruction objects either and imports no NumPy unless the group is large
-enough for the vector backend.  Under a worker pool one group
-is one task, so no two workers ever build the same trace concurrently (the
-old cold-cache duplicate-build race is gone by construction), and the
-build/lowering cost is amortised to ~zero per point.
+enough for the vector backend.  One group is one task, so no two
+workers ever build the same trace concurrently (the old cold-cache
+duplicate-build race is gone by construction), and the build/lowering
+cost is amortised to ~zero per point.
 
 Every build is verified against its NumPy golden reference
 (:func:`~repro.experiments.runner.build_kernel_variant` raises on a
@@ -52,17 +53,18 @@ accept an ``on_result`` callback for live progress reporting and incremental
 output.  :meth:`run` additionally reassembles the deterministic
 spec-expansion order, so existing barrier-style callers are unchanged.
 
-Execution failures are *supervised*, not fatal
-(:mod:`repro.sweep.supervisor`): pool-infrastructure failures (a sandbox
-that forbids fork, an unpicklable point at submit time, a pool that breaks
-mid-run) respawn the pool with bounded exponential backoff before the
-serial fallback takes over; a hung worker is detected by a per-task
-deadline (``task_timeout``) and its group re-submitted; a failing group
-is split into single points, and a point that repeatedly kills or hangs
-its worker is **quarantined**;
-and a point whose kernel raises — under the pool or on the serial path —
-becomes a structured :class:`~repro.sweep.supervisor.PointFailure` on its
-:class:`PointResult` instead of aborting the sweep.
+Execution failures are *supervised*, not fatal, by one policy over two
+executors (:mod:`repro.sweep.supervisor`): a failing group is split into
+single points, a single point is retried once, and a point that still
+fails becomes a structured :class:`~repro.sweep.supervisor.PointFailure`
+on its :class:`PointResult` instead of aborting the sweep — inline or
+under the pool alike.  The pool adds its own recovery: infrastructure
+failures (a sandbox that forbids fork, an unpicklable point at submit
+time, a pool that breaks mid-run) respawn it with bounded exponential
+backoff before the inline executor takes over the rest of the run; a hung
+worker is detected by a per-task deadline (``task_timeout``) and its group
+re-submitted; and a point that repeatedly kills or hangs its worker is
+**quarantined**.
 :attr:`SweepEngine.last_fallback_reason`, :attr:`SweepEngine.last_retries`,
 :attr:`SweepEngine.last_pool_restarts`, :attr:`SweepEngine.last_timeouts`
 and :attr:`SweepEngine.last_failures` record what supervision did.
@@ -75,7 +77,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Optional, Sequence, Set, Tuple, Union)
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
@@ -85,7 +87,7 @@ from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 
 if TYPE_CHECKING:
-    from repro.sweep.supervisor import PointFailure
+    from repro.sweep.supervisor import PointFailure, PoolSupervisor
     from repro.sweep.tracecache import TraceCache
     from repro.trace.container import Trace
 
@@ -96,7 +98,7 @@ def __getattr__(name: str) -> Any:
     # The pool executor loads with the pool path, not with the engine: a
     # run served from the result cache never imports concurrent.futures.
     # ``engine.ProcessPoolExecutor`` stays a module attribute that tests
-    # can patch (see :meth:`SweepEngine._iter_pool`).
+    # can patch (see :meth:`SweepEngine._iter_supervised`).
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -215,15 +217,20 @@ def _group_by_trace(points: Sequence[SweepPoint],
 
 
 def _acquire_trace(point: SweepPoint,
-                   traces: Optional[TraceCache]) -> Tuple[Trace, bool]:
-    """Fetch the point's functional trace from the cache or build it once.
+                   trace_dir: Optional[str]) -> Tuple[Trace, bool]:
+    """Fetch the point's functional trace from the trace store under
+    ``trace_dir`` (if any) or build it once.
 
     Returns ``(trace, from_cache)``.  A fresh build is verified against
     the golden reference (it raises otherwise) and stores its trace for
     every later run and worker.  Only a miss imports the kernels (and with
     them NumPy): a hit is a column-mode trace, simulated in pure Python.
     """
-    if traces is not None:
+    traces = None
+    if trace_dir:
+        from repro.sweep.tracecache import TraceCache
+
+        traces = TraceCache(trace_dir)
         trace = traces.get(point)
         if trace is not None:
             return trace, True
@@ -237,29 +244,32 @@ def _acquire_trace(point: SweepPoint,
     return build.trace, False
 
 
-def _simulate_group(points: Sequence[SweepPoint],
-                    traces: Optional[TraceCache],
+def _simulate_group(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
                     ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]],
                                int, Tuple[int, str]]:
-    """Run one trace-sharing group of resolved points in this process.
+    """Run one trace-sharing group of resolved points: the top-level
+    (picklable) task both executors run.
 
-    The trace is acquired once and lowered once; every configuration in
-    the group is simulated off the shared flat arrays through the timing
-    package's batch dispatch, whose ``auto`` rule picks the vector array
-    program for large groups and the lowered interpreter otherwise.  Returns
-    the per-point ``(sim, stats, trace_cached)`` rows, how many front-end
-    builds ran (0 or 1), and the group's ``(size, executed backend)``.
+    ``args`` is ``(points, trace_dir)``.  The trace is acquired once and
+    lowered once; every configuration in the group is simulated off the
+    shared flat arrays through the timing package's batch dispatch, whose
+    ``auto`` rule picks the vector array program for large groups and the
+    lowered interpreter otherwise.  The build and the lowering stay where
+    the task runs; it returns only the per-point ``(sim, stats,
+    trace_cached)`` rows, how many front-end builds ran (0 or 1), and the
+    group's ``(size, executed backend)``.
     """
     from repro.sweep import faults
     from repro.timing.dispatch import resolve_execution, simulate_batch
     from repro.trace.stats import summarize_trace
 
+    points, trace_dir = args
     # Deterministic fault injection (no-op unless REPRO_FAULT_INJECT is
     # set): every point gets its chance to crash/hang/raise before any
     # simulation work, in the process that would execute it.
     for point in points:
         faults.fire_faults(point)
-    trace, from_cache = _acquire_trace(points[0], traces)
+    trace, from_cache = _acquire_trace(points[0], trace_dir)
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points])
     rows = [(sim, stats, from_cache) for sim in sims]
@@ -270,32 +280,18 @@ def _simulate_group(points: Sequence[SweepPoint],
 
 
 def _init_pool_worker() -> None:
-    """Restore the default SIGTERM disposition in a fresh pool worker.
+    """Set up a fresh pool worker: restore the default SIGTERM disposition,
+    then mark the process for the fault harness.
 
     Forked workers inherit the parent's handlers, and the CLI's raises an
-    exception: without this, every pool recycle (which SIGTERMs the
-    workers) would print a traceback per worker on stderr.
+    exception: without the reset, every pool recycle (which SIGTERMs the
+    workers) would print a traceback per worker on stderr.  It comes
+    first, before anything a SIGTERM could interrupt.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
-                 ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
-                            Tuple[int, str]]:
-    """Top-level (picklable) worker for the process pool: one trace group.
-
-    The functional build and the lowered trace stay in the worker — only
-    the compact result rows (and whether the trace came from the shared
-    on-disk cache, plus the build count and backend execution record)
-    travel back to the parent.
-    """
     from repro.sweep import faults
-    from repro.sweep.tracecache import TraceCache
 
     faults.mark_worker()
-    points, trace_dir = args
-    traces = TraceCache(trace_dir) if trace_dir else None
-    return _simulate_group(points, traces)
 
 
 class SweepEngine:
@@ -304,9 +300,10 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Worker-process count, at least 1.  ``jobs == 1`` selects the
-        deterministic in-process path; ``jobs > 1`` uses a
-        ``ProcessPoolExecutor``.
+        Worker-process count, at least 1.  ``jobs > 1`` runs a sweep with
+        more than one trace group (or a ``task_timeout``) on a
+        ``ProcessPoolExecutor``; everything else runs in-process on the
+        inline executor, with bit-identical results.
     cache_dir:
         Root directory for the on-disk caches, or an open
         :class:`~repro.sweep.cache.ResultCache` to share (the sweep
@@ -381,16 +378,18 @@ class SweepEngine:
         #: a warm trace cache it is zero, and it never exceeds the number of
         #: distinct (kernel, ISA, workload) combinations in the sweep.
         self.last_trace_builds = 0
-        #: Tasks the most recent run submitted to the worker pool (0 when
-        #: everything ran serially): one per trace group, plus every
+        #: Tasks the most recent run submitted to the process pool (0 when
+        #: everything ran inline): one per trace group, plus every
         #: re-submission — the single points split from a failing group,
         #: retries, and tasks re-run after a pool restart.
         self.last_pool_tasks = 0
-        #: Why the most recent run fell back to serial execution (if it did).
+        #: Why the most recent run gave up its process pool and finished
+        #: on the inline executor (if it did).
         self.last_fallback_reason: Optional[str] = None
-        #: Task retries the most recent run's supervision performed (pool
-        #: re-submissions after crash/timeout/exception, plus serial
-        #: point-isolation re-runs).
+        #: Tasks the most recent run submitted because an earlier task
+        #: failed — the single points split from a failing group plus
+        #: single-point retries — on either executor.  Tasks re-run after
+        #: a pool restart (victims, probation suspects) are not retries.
         self.last_retries = 0
         #: Worker-pool respawns the most recent run performed.
         self.last_pool_restarts = 0
@@ -503,88 +502,11 @@ class SweepEngine:
                     continue
             todo.append(i)
 
-        if not todo:
-            return
-
-        # A set: results land in completion order under the pool, and a
-        # list's remove() would make every landing an O(n) scan.  Order for
-        # the serial path comes from sorting, not from insertion.
-        remaining: Set[int] = set(todo)
-        if self.jobs > 1 and len(todo) > 1:
-            for result in self._iter_pool(points, remaining):
+        if todo:
+            for result in self._iter_supervised(points, todo):
                 yield emit(self._record(result))
-            # On pool fallback `remaining` still holds what the pool did
-            # not finish; the serial loop below completes the sweep.
-
-        for result in self._iter_serial(points, remaining):
-            yield emit(self._record(result))
 
     # ------------------------------------------------------------------
-
-    def _iter_serial(self, points: Sequence[SweepPoint],
-                     remaining: Set[int]) -> Iterator[PointResult]:
-        """Yield the remaining points' results, simulated in this process.
-
-        Points are batched by trace identity — one trace acquisition and
-        one lowering per group, then one batch simulation through the
-        timing dispatch (all of a group's configurations at once, so the
-        vector backend can amortise the instruction walk), yielded one
-        point at a time.  The generator stays lazy at group granularity:
-        no group beyond the one being consumed is simulated ahead of the
-        consumer.
-
-        A group that raises is re-run point by point so one bad point
-        cannot abort the sweep (:meth:`_isolate_serial_group`).
-        """
-        for group in _group_by_trace(points, sorted(remaining)):
-            try:
-                rows, builds, execution = _simulate_group(
-                    [points[i] for i in group], self.trace_cache)
-            except Exception:
-                yield from self._isolate_serial_group(points, group,
-                                                      remaining)
-                continue
-            self.last_trace_builds += builds
-            self.last_batches.append(execution)
-            for i, (sim, stats, from_cache) in zip(group, rows):
-                remaining.discard(i)
-                yield PointResult(point=points[i], sim=sim, stats=stats,
-                                  trace_cached=from_cache, index=i)
-
-    def _isolate_serial_group(self, points: Sequence[SweepPoint],
-                              group: Sequence[int],
-                              remaining: Set[int]) -> Iterator[PointResult]:
-        """Re-run one raising serial group point by point.
-
-        The solo pass doubles as the retry — a transient exception
-        recovers here — and the points that *still* raise become
-        :class:`~repro.sweep.supervisor.PointFailure` records
-        (``phase="serial"``, two attempts) instead of aborting the sweep.
-        """
-        from repro.sweep.supervisor import PointFailure
-
-        for i in group:
-            self.last_retries += 1
-            try:
-                rows, builds, execution = _simulate_group(
-                    [points[i]], self.trace_cache)
-            except Exception as exc:
-                remaining.discard(i)
-                point = points[i]
-                yield PointResult(
-                    point=point, index=i,
-                    failure=PointFailure(
-                        index=i, kernel=point.kernel, isa=point.isa,
-                        config=point.config.name,
-                        error_type=type(exc).__name__, message=str(exc),
-                        phase="serial", attempts=2))
-                continue
-            self.last_trace_builds += builds
-            self.last_batches.append(execution)
-            sim, stats, from_cache = rows[0]
-            remaining.discard(i)
-            yield PointResult(point=points[i], sim=sim, stats=stats,
-                              trace_cached=from_cache, index=i)
 
     def _record(self, result: PointResult) -> PointResult:
         """Account for one fresh (non-result-cached) result and cache it."""
@@ -600,83 +522,96 @@ class SweepEngine:
             self.cache.put(result.point, result.sim, result.stats)
         return result
 
-    def _iter_pool(self, points: Sequence[SweepPoint],
-                   remaining: Set[int]) -> Iterator[PointResult]:
-        """Yield pool-computed results, discarding their indices from
-        ``remaining`` as they land.
+    def _iter_supervised(self, points: Sequence[SweepPoint],
+                         todo: Sequence[int]) -> Iterator[PointResult]:
+        """Yield the results of the ``todo`` points, run under supervision.
 
-        One submitted task is one *trace group* (see module docstring):
-        the worker acquires and lowers the group's trace once and
-        simulates all of its configurations, so each distinct trace is
-        built at most once across the whole pool — duplicate concurrent
-        builds of the same trace cannot happen — and a group of
-        ``VECTOR_MIN_BATCH`` or more configurations stays whole on the
-        vector backend.  A pool with fewer groups than workers runs one
-        worker per group.
+        One task is one *trace group* (see module docstring): it acquires
+        and lowers the group's trace once and simulates all of its
+        configurations, so each distinct trace is built at most once —
+        duplicate concurrent builds of the same trace cannot happen — and
+        a group of ``VECTOR_MIN_BATCH`` or more configurations stays whole
+        on the vector backend.
 
-        Execution is supervised (:class:`~repro.sweep.supervisor
-        .PoolSupervisor`): infrastructure failures respawn the pool with
-        backoff, hung tasks are detected by ``task_timeout`` deadlines and
-        re-submitted, and points that repeatedly kill or hang a worker are
-        quarantined — yielded as failed results — instead of costing the
-        run its parallelism.  Only when the restart budget is spent does
-        the generator stop with :attr:`last_fallback_reason` set and the
-        unfinished indices still in ``remaining``, for the caller's serial
-        path to finish.
+        :class:`~repro.sweep.supervisor.PoolSupervisor` applies the one
+        failure policy (split a failing group, retry a single point once,
+        then record a failure) over one of two executors: the process pool
+        when ``jobs > 1`` and there is more than one group or a
+        ``task_timeout`` to enforce, else the inline executor.  The pool
+        runs one worker per group at most; when it fails for good, the
+        supervisor finishes the run inline and says why in
+        :attr:`last_fallback_reason`.
+
+        The single points split from a failing group share its trace: with
+        a ``cache_dir`` through ``<cache_dir>/traces``, without one through
+        a scratch trace store made at the first split and removed when the
+        run ends.
         """
-        trace_dir = (self.trace_cache.cache_dir
-                     if self.trace_cache is not None else None)
-        groups = _group_by_trace(points, sorted(remaining))
-        workers = min(self.jobs, len(groups), (os.cpu_count() or 1) * 4)
-
-        def make_args(indices: Sequence[int]) -> tuple:
-            return (tuple(points[i] for i in indices), trace_dir)
-
         from repro.sweep.supervisor import PoolSupervisor
 
-        engine_module = sys.modules[__name__]
-        supervisor = PoolSupervisor(
-            points, groups, make_args, _pool_worker, workers,
+        groups = _group_by_trace(points, todo)
+        group_size = {i: len(group) for group in groups for i in group}
+        trace_dir = (self.trace_cache.cache_dir
+                     if self.trace_cache is not None else None)
+        scratch: Optional[str] = None
+
+        def make_args(indices: Sequence[int]) -> tuple:
+            nonlocal scratch
+            task_dir = trace_dir
+            if task_dir is None and len(indices) < group_size[indices[0]]:
+                if scratch is None:
+                    import tempfile
+
+                    scratch = tempfile.mkdtemp(prefix="repro-split-traces-")
+                task_dir = scratch
+            return (tuple(points[i] for i in indices), task_dir)
+
+        pool_factory = None
+        if self.jobs > 1 and (len(groups) > 1
+                              or self.task_timeout is not None):
+            module = sys.modules[__name__]
             # The lambda resolves the engine module's ProcessPoolExecutor
             # attribute per call, so tests that monkeypatch it keep working.
-            pool_factory=lambda n: engine_module.ProcessPoolExecutor(
-                max_workers=n, initializer=_init_pool_worker),
-            task_timeout=self.task_timeout)
+            pool_factory = lambda n: module.ProcessPoolExecutor(  # noqa: E731
+                max_workers=n, initializer=_init_pool_worker)
+        supervisor = PoolSupervisor(
+            points, groups, make_args, _simulate_group,
+            min(self.jobs, len(groups), (os.cpu_count() or 1) * 4),
+            pool_factory=pool_factory, task_timeout=self.task_timeout)
         events = supervisor.run()
         try:
             for kind, payload, extra in events:
                 # Fold the supervision telemetry in continuously, so the
                 # streaming callbacks (--stream-jsonl) see current counts
                 # with each result, not only the end-of-run totals.
-                self.last_pool_tasks = supervisor.tasks
-                self.last_retries = supervisor.retries
-                self.last_pool_restarts = supervisor.pool_restarts
-                self.last_timeouts = supervisor.timeouts
+                self._fold_telemetry(supervisor)
                 if kind == "failure":
                     failure: PointFailure = payload
-                    remaining.discard(failure.index)
                     yield PointResult(point=points[failure.index],
                                       failure=failure, index=failure.index)
                     continue
-                indices = payload
                 rows, builds, execution = extra
                 self.last_trace_builds += builds
                 self.last_batches.append(execution)
-                for i, (sim, stats, trace_cached) in zip(indices, rows):
-                    remaining.discard(i)
+                for i, (sim, stats, trace_cached) in zip(payload, rows):
                     yield PointResult(point=points[i], sim=sim, stats=stats,
                                       trace_cached=trace_cached, index=i)
         finally:
-            # Runs on normal completion, on fallback, and — crucially — when
-            # the consumer closes the generator early (GeneratorExit at a
-            # yield): closing the supervision loop tears its pool down, so
-            # queued points are cancelled instead of being executed to
-            # completion behind the caller's back.
+            # Runs on completion and — crucially — when the consumer closes
+            # the generator early (GeneratorExit at a yield): closing the
+            # supervision loop tears its pool down, so queued points are
+            # cancelled instead of being executed behind the caller's back.
             events.close()
-            self.last_pool_tasks = supervisor.tasks
-            self.last_retries = supervisor.retries
-            self.last_pool_restarts = supervisor.pool_restarts
-            self.last_timeouts = supervisor.timeouts
-            if supervisor.fallback_reason is not None:
-                self.last_fallback_reason = supervisor.fallback_reason
+            self._fold_telemetry(supervisor)
+            if scratch is not None:
+                import shutil
 
+                shutil.rmtree(scratch, ignore_errors=True)
+
+    def _fold_telemetry(self, supervisor: PoolSupervisor) -> None:
+        """Copy the supervisor's record into the ``last_*`` counters."""
+        self.last_pool_tasks = supervisor.tasks
+        self.last_retries = supervisor.retries
+        self.last_pool_restarts = supervisor.pool_restarts
+        self.last_timeouts = supervisor.timeouts
+        self.last_fallback_reason = supervisor.fallback_reason

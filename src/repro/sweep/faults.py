@@ -84,7 +84,7 @@ FAULT_ENV = "REPRO_FAULT_INJECT"
 FAULT_KINDS = ("crash", "hang", "raise", "slow")
 
 #: Process-local flag: are we inside a pool worker?  Workers are forked
-#: (or spawned) from the engine, which marks them in ``_pool_worker``.
+#: (or spawned) from the engine, which marks them in ``_init_pool_worker``.
 _IN_WORKER = False
 
 

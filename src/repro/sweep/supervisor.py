@@ -1,15 +1,18 @@
-"""Supervised worker-pool execution: deadlines, retries, quarantine.
+"""Supervised execution: one failure policy, two executors.
 
-The engine's original pool loop treated every failure as terminal: one
-``BrokenProcessPool`` collapsed the rest of the run to serial forever, one
-kernel exception aborted the sweep, and a hung worker blocked ``wait()``
-indefinitely.  This module is the missing supervisor — the part of a
-long-running sweep service that keeps *one* bad point or *one* transient
-infrastructure hiccup from costing the other 999,999 points their
-parallelism (or their results).
+Every simulated point of a sweep runs through :class:`PoolSupervisor`.  It
+owns the one failure policy of the engine — split a failing group into
+single points, retry a single point once, then give up on it as a
+structured :class:`PointFailure` — and applies it to task outcomes from
+either of two executors:
 
-The supervision loop (:class:`PoolSupervisor`) wraps a
-``ProcessPoolExecutor`` with four behaviours, all bounded and deterministic:
+* the **process pool** (a ``ProcessPoolExecutor``), for a sweep with
+  ``jobs > 1`` and more than one trace group or a task deadline;
+* the **inline executor** (:class:`InlineExecutor`), which runs each task
+  in this process at submit time.  It has no deadlines and no crash
+  isolation, so the only failure it reports is a raised exception.
+
+What the pool adds on top of the policy, all bounded and deterministic:
 
 **Per-task deadlines.**  With ``task_timeout`` set, every submitted group
 carries a wall-clock deadline.  The loop waits with a timeout instead of
@@ -26,9 +29,11 @@ respawn the pool, sleeping an exponentially growing delay
 (:func:`backoff_delay`) between attempts.  Only restarts made without
 progress count against the budget: after :data:`MAX_POOL_RESTARTS` of
 them in a row, with no task completing in between, the supervisor gives
-up and leaves the remainder to the engine's serial fallback.  Any
-completed task resets the count, so a transient hiccup costs one restart
-and any number of poison points among healthy work can be quarantined.
+up on the pool, records why in :attr:`PoolSupervisor.fallback_reason` and
+runs the rest of the queue on the inline executor.  A pool that cannot be
+created at all takes the same route at once.  Any completed task resets
+the count, so a transient hiccup costs one restart and any number of
+poison points among healthy work can be quarantined.
 
 **Probation (precise blame).**  When the pool breaks with several tasks in
 flight, the culprit is unknowable — the executor reports one aggregate
@@ -39,19 +44,15 @@ beyond doubt.  Only precisely-blamed failures count against a task.
 
 **Quarantine of single points.**  A multi-point group that raises, kills
 its worker alone or overruns its deadline is split into single-point
-tasks, each with fresh attempts; those split after a crash or a timeout
-stay on probation, so each runs alone.  A single point that still crashes
-or times out after :data:`QUARANTINE_RETRIES` retries is **quarantined**:
-it becomes a structured :class:`PointFailure` and the sweep finishes
-without it.  A single point that keeps *raising* (a kernel bug, a
-verification failure) takes the same route — minus the pool restarts,
-since the pool is healthy — and ends as a non-quarantined
+tasks, each with fresh attempts, that run one at a time on probation: the
+first to complete stores the group's trace for the rest (see
+:meth:`~repro.sweep.engine.SweepEngine._iter_supervised`).  A single
+point that still crashes or times out after :data:`QUARANTINE_RETRIES`
+retries is **quarantined**: it becomes a structured :class:`PointFailure`
+and the sweep finishes without it.  A single point that keeps *raising*
+(a kernel bug, a verification failure) takes the same route on either
+executor — minus the pool restarts — and ends as a non-quarantined
 :class:`PointFailure`.
-
-The serial path reuses :class:`PointFailure` directly: a group that raises
-in-process is re-run point by point, and the points that still raise are
-recorded as failures instead of aborting the sweep
-(:meth:`~repro.sweep.engine.SweepEngine._iter_serial`).
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-__all__ = ["PointFailure", "PoolSupervisor", "backoff_delay"]
+__all__ = ["InlineExecutor", "PointFailure", "PoolSupervisor",
+           "backoff_delay"]
 
 #: Retries of a *single* point before it is quarantined (crash or timeout)
 #: or recorded as failed (exception).
 QUARANTINE_RETRIES = 1
 
 #: Consecutive pool restarts with no task completed before the run falls
-#: back to serial execution.
+#: back to the inline executor.
 MAX_POOL_RESTARTS = 6
 
 #: Exponential-backoff schedule (seconds) for pool restarts and client
@@ -80,13 +82,13 @@ BACKOFF_CAP = 0.5
 
 def _pool_infra_errors() -> Tuple[type, ...]:
     """Pool-infrastructure failures the supervisor retries (and that, once
-    the restart budget is spent, degrade to the serial path instead of
-    failing the sweep): sandbox/fork problems, unpicklable work items, and
-    a pool whose workers died.  Everything else is a *task* failure
-    (quarantine route), not an infrastructure one.
+    the restart budget is spent, hand the run to the inline executor
+    instead of failing the sweep): sandbox/fork problems, unpicklable work
+    items, and a pool whose workers died.  Everything else is a *task*
+    failure (quarantine route), not an infrastructure one.
 
-    Built when a supervisor is, so that importing this module (the engine
-    does, for :class:`PointFailure`) loads no ``concurrent.futures``.
+    Built when a process pool is, so that an inline run loads no
+    ``concurrent.futures``.
     """
     import pickle
     from concurrent.futures.process import BrokenProcessPool
@@ -114,8 +116,8 @@ class PointFailure:
         timeouts, ``TimeoutError`` and the deadline that fired).
     phase:
         Where the final failure happened: ``"crash"`` (worker death),
-        ``"timeout"`` (deadline fired), ``"exception"`` (task raised under
-        the pool) or ``"serial"`` (raised on the in-process path).
+        ``"timeout"`` (deadline fired) or ``"exception"`` (the task
+        raised, on either executor).
     attempts:
         How many times this exact point was attempted before giving up.
     quarantined:
@@ -154,6 +156,43 @@ def backoff_delay(attempt: int) -> float:
     return min(BACKOFF_BASE * (2.0 ** max(0, attempt)), BACKOFF_CAP)
 
 
+class _Done:
+    """The settled future an :class:`InlineExecutor` submit returns."""
+
+    __slots__ = ("_value", "_exc")
+
+    def __init__(self, value: Any, exc: Optional[BaseException]) -> None:
+        self._value = value
+        self._exc = exc
+
+    def result(self) -> Any:
+        return self._value
+
+    def exception(self) -> Optional[BaseException]:
+        return self._exc
+
+
+class InlineExecutor:
+    """Runs each task in this process, at submit time.
+
+    It has no deadlines and no crash isolation: a task that hangs hangs
+    the run, and one that kills its process kills the run.  A task that
+    raises comes back as a settled future carrying the exception, which
+    the supervisor routes as ``phase="exception"`` — the pool's
+    infrastructure-error and restart route never applies here.
+    """
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> _Done:
+        try:
+            return _Done(fn(*args), None)
+        except Exception as exc:
+            return _Done(None, exc)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False
+                 ) -> None:
+        pass
+
+
 class _Task:
     """One schedulable unit: a list of point indices plus its blame count."""
 
@@ -164,42 +203,42 @@ class _Task:
         self.attempts = attempts
 
 
-class _RestartsExhausted(Exception):
-    """Internal: the pool-restart budget is spent; fall back to serial."""
-
-
 class PoolSupervisor:
-    """Drives one run's worth of pool tasks under supervision.
+    """Drives one run's worth of tasks under the one failure policy.
 
     Parameters
     ----------
     points:
         The sweep's resolved points (indexed by the groups).
     groups:
-        Lists of point indices; one group = one pool task.
+        Lists of point indices; one group = one task.
     make_args:
         Maps a list of indices to the picklable argument tuple of
         ``worker``.
     worker:
-        The top-level pool worker function.
+        The top-level task function; both executors run it.
     workers:
         Worker-process count (also the in-flight task cap).
     pool_factory:
         ``workers -> ProcessPoolExecutor`` (injected so the engine's
         module-level ``ProcessPoolExecutor`` symbol stays patchable by
-        tests, and so the supervisor itself is executor-agnostic).
+        tests), or ``None`` to run every task on the
+        :class:`InlineExecutor`.
     task_timeout:
-        Wall-clock seconds one task may *run* before its worker is
+        Wall-clock seconds one pool task may *run* before its worker is
         presumed hung and the pool recycled; ``None`` disables deadlines.
+        The inline executor has none.
     sleep:
         Backoff sleeper (tests inject a recorder).
 
-    After :meth:`run` finishes, the telemetry attributes hold the run's
-    supervision record: ``tasks`` (every submission to the pool, the
-    single points split from a failing group and each retry included),
-    ``retries``, ``pool_restarts``, ``timeouts``, ``failures`` (the
+    The telemetry attributes hold the run's supervision record as it
+    goes: ``tasks`` (every submission to the process pool, the single
+    points split from a failing group and each retry included),
+    ``retries`` (tasks submitted because an earlier task failed: split
+    singles plus single-point retries, on either executor),
+    ``pool_restarts``, ``timeouts``, ``failures`` (the
     :class:`PointFailure` list) and ``fallback_reason`` (non-``None`` when
-    the remainder needs the serial path).
+    the process pool was given up and the rest ran inline).
     """
 
     def __init__(self, points: Sequence["SweepPoint"],  # noqa: F821
@@ -207,7 +246,7 @@ class PoolSupervisor:
                  make_args: Callable[[Sequence[int]], tuple],
                  worker: Callable[..., Any],
                  workers: int,
-                 pool_factory: Callable[[int], Any],
+                 pool_factory: Optional[Callable[[int], Any]],
                  task_timeout: Optional[float] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.points = points
@@ -218,7 +257,9 @@ class PoolSupervisor:
         self.pool_factory = pool_factory
         self.task_timeout = task_timeout
         self.sleep = sleep
-        self._infra_errors = _pool_infra_errors()
+        #: Exceptions that mean pool trouble rather than a failed task;
+        #: none while the executor is inline.
+        self._infra_errors: Tuple[type, ...] = ()
         # Telemetry.
         self.tasks = 0
         self.retries = 0
@@ -236,15 +277,30 @@ class PoolSupervisor:
         self._deadlines: Dict[Any, float] = {}
         self._suspect: Any = None  # the future of the running probation task
 
-    # -- pool lifecycle ----------------------------------------------------
+    # -- executor lifecycle ------------------------------------------------
+
+    @property
+    def _inline(self) -> bool:
+        return isinstance(self._pool, InlineExecutor)
 
     def _make_pool(self) -> None:
-        try:
-            self._pool = self.pool_factory(self.workers)
-        except self._infra_errors as exc:
-            self.fallback_reason = f"{type(exc).__name__}: {exc}"
-            self._pool = None
-            raise _RestartsExhausted()
+        """Create the process pool, or hand the run to the inline executor
+        when there is none to create or it cannot be created."""
+        if self.pool_factory is not None:
+            self._infra_errors = _pool_infra_errors()
+            try:
+                self._pool = self.pool_factory(self.workers)
+                return
+            except self._infra_errors as exc:
+                self.fallback_reason = f"{type(exc).__name__}: {exc}"
+        self._go_inline()
+
+    def _go_inline(self) -> None:
+        """Run everything still to do in this process, one task at a time
+        (a task is simulated only when the consumer asks for more)."""
+        self._pool = InlineExecutor()
+        self._infra_errors = ()
+        self.workers = 1
 
     def _kill_pool(self) -> None:
         """Tear the pool down even when its workers are hung or dead."""
@@ -271,7 +327,8 @@ class PoolSupervisor:
                 pass
 
     def _restart_pool(self, exc: BaseException, where: str = "") -> None:
-        """Recycle the pool after an incident, honouring the budget.
+        """Recycle the pool after an incident, honouring the budget; once
+        it is spent, the inline executor takes over.
 
         Tasks still in flight are swept back to the *front* of the queue,
         blameless — callers that know better (crash suspects, hung tasks)
@@ -288,7 +345,8 @@ class PoolSupervisor:
             self.fallback_reason = (
                 f"{type(exc).__name__}{where}: {exc} (after "
                 f"{MAX_POOL_RESTARTS} pool restarts without progress)")
-            raise _RestartsExhausted()
+            self._go_inline()
+            return
         self.sleep(backoff_delay(self._stalled_restarts - 1))
         self._make_pool()
 
@@ -310,13 +368,16 @@ class PoolSupervisor:
                              phase: str) -> Iterator[Tuple[str, Any, Any]]:
         """Split, retry or quarantine one precisely-blamed failed task.
 
-        A multi-point task splits into single points with fresh attempts;
-        after a crash or a timeout they stay on probation, one at a time.
+        A multi-point task splits into single points with fresh attempts,
+        run one at a time on probation: the first to complete stores the
+        group's trace for the rest, and none shares a pool with another.
+        A single point retried after a crash or a timeout goes back on
+        probation too.
         """
         hostile = phase in ("crash", "timeout")
-        requeue = self._probation if hostile else self._queue
         if len(task.indices) > 1:
-            requeue.extend(_Task([i]) for i in task.indices)
+            self.retries += len(task.indices)
+            self._probation.extend(_Task([i]) for i in task.indices)
             return
         task.attempts += 1
         if task.attempts > QUARANTINE_RETRIES:
@@ -325,51 +386,29 @@ class PoolSupervisor:
                    None)
         else:
             self.retries += 1
-            requeue.append(task)
+            (self._probation if hostile else self._queue).append(task)
 
     # -- the supervision loop ----------------------------------------------
 
     def run(self) -> Iterator[Tuple[str, Any, Any]]:
         """Execute every group; yield ``("group", indices, payload)`` for
         completed tasks and ``("failure", PointFailure, None)`` for points
-        given up on.
-
-        Returns early (leaving un-yielded work to the caller's serial
-        fallback) only when the pool cannot be (re)created or the restart
-        budget is spent — :attr:`fallback_reason` says why.
+        given up on.  Every point of every group is yielded exactly once:
+        when the process pool fails for good, the inline executor finishes
+        the run (:attr:`fallback_reason` says why).
         """
-        from concurrent.futures import FIRST_COMPLETED, wait
-
         self._queue = deque(_Task(g) for g in self.groups)
         self._probation = deque()
         self._inflight = {}
         self._deadlines = {}
         self._suspect = None
-        try:
-            self._make_pool()
-        except _RestartsExhausted:
-            return
+        self._make_pool()
         try:
             while self._queue or self._probation or self._inflight:
-                try:
-                    self._fill()
-                except _RestartsExhausted:
-                    return
-                if not self._inflight:
-                    continue
-                timeout = None
-                if self.task_timeout is not None:
-                    now = time.monotonic()
-                    timeout = max(0.05,
-                                  min(self._deadlines.get(f, float("inf"))
-                                      for f in self._inflight) - now)
-                done, _ = wait(set(self._inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                try:
-                    yield from self._collect(done)
+                self._fill()
+                if self._inflight:
+                    yield from self._collect(self._wait())
                     yield from self._reap_overdue()
-                except _RestartsExhausted:
-                    return
         finally:
             if self._inflight:
                 self._inflight.clear()
@@ -382,6 +421,21 @@ class PoolSupervisor:
                 except Exception:
                     pass
                 self._pool = None
+
+    def _wait(self) -> set:
+        """The in-flight futures that are done, waiting for at least one
+        (inline futures are settled at submit)."""
+        if self._inline:
+            return set(self._inflight)
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        timeout = None
+        if self._deadlines:
+            timeout = max(0.05, min(self._deadlines.values())
+                          - time.monotonic())
+        done, _ = wait(set(self._inflight), timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        return done
 
     def _fill(self) -> None:
         """Submit work: probation tasks strictly one at a time, else up to
@@ -407,13 +461,14 @@ class PoolSupervisor:
                 source.appendleft(task)
                 self._restart_pool(exc, where=" at submit")
                 continue
-            self.tasks += 1
             self._inflight[future] = task
             if source is self._probation:
                 self._suspect = future
-            if self.task_timeout is not None:
-                self._deadlines[future] = (time.monotonic()
-                                           + self.task_timeout)
+            if not self._inline:
+                self.tasks += 1
+                if self.task_timeout is not None:
+                    self._deadlines[future] = (time.monotonic()
+                                               + self.task_timeout)
 
     def _collect(self, done) -> Iterator[Tuple[str, Any, Any]]:
         """Harvest finished futures: results first, then failures."""
@@ -445,14 +500,14 @@ class PoolSupervisor:
                     self._deadlines.clear()
                 infra_incident = exc
                 continue
-            # The task raised (pool healthy): split/retry/record.
+            # The task raised (pool healthy, or inline): split/retry/record.
             yield from self._handle_task_failure(task, exc, "exception")
         if infra_incident is not None:
             self._restart_pool(infra_incident)
 
     def _reap_overdue(self) -> Iterator[Tuple[str, Any, Any]]:
         """Handle tasks that outlived their deadline: presume hung."""
-        if not self._inflight:
+        if not self._deadlines:
             return
         now = time.monotonic()
         overdue = [f for f in list(self._inflight)
@@ -472,4 +527,3 @@ class PoolSupervisor:
         for task in hung:
             yield from self._handle_task_failure(task, timeout_exc, "timeout")
         self._restart_pool(timeout_exc)
-

@@ -30,6 +30,12 @@ _AT_LEAST_ONE = ("fetch_width", "issue_width", "commit_width", "rob_size",
 MAX_WAY = 64
 MAX_MEM_LATENCY = 1000
 
+#: Fields the fast backends size per-run state by (pre-padded histories,
+#: issue-queue heaps, rename FIFOs): each may not exceed its value on the
+#: widest machine, ``for_way(MAX_WAY)``.  Filled in below the class, so
+#: building that machine checks nothing.
+_AT_MOST: Dict[str, int] = {}
+
 
 def _check_at_least(name: str, value: int, low: int) -> None:
     if value < low:
@@ -100,6 +106,10 @@ class MachineConfig:
         if self.mem_latency > MAX_MEM_LATENCY:
             raise ValueError(f"mem_latency must be <= {MAX_MEM_LATENCY}, "
                              f"got {self.mem_latency}")
+        for name, high in _AT_MOST.items():
+            if getattr(self, name) > high:
+                raise ValueError(f"{name} must be <= {high}, "
+                                 f"got {getattr(self, name)}")
         for regs in ("int", "media", "matrix", "acc"):
             arch = getattr(self, f"arch_{regs}_regs")
             phys = getattr(self, f"phys_{regs}_regs")
@@ -173,6 +183,13 @@ class MachineConfig:
             cfg = cfg.with_updates(**overrides)
         return cfg
 
+
+_AT_MOST.update(
+    (name, getattr(MachineConfig.for_way(MAX_WAY), name))
+    for name in ("fetch_width", "issue_width", "commit_width", "rob_size",
+                 "int_queue_size", "mem_queue_size", "media_queue_size",
+                 "phys_int_regs", "phys_media_regs", "phys_matrix_regs",
+                 "phys_acc_regs"))
 
 #: The four issue-width configurations used by Figure 4 of the paper.
 WAY_CONFIGS: Dict[int, MachineConfig] = {

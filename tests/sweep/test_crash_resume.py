@@ -95,7 +95,7 @@ class TestCallbackCrash:
         assert engine.last_trace_builds == 0, "journaled points were rebuilt"
 
 
-def _sigkill_pool_worker(args):  # pragma: no cover - dies by design
+def _sigkill_pool_worker():  # pragma: no cover - dies by design
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -103,23 +103,25 @@ class TestWorkerDeath:
     def test_sigkilled_worker_falls_back_and_journal_survives(
             self, tmp_path, monkeypatch):
         """SIGKILL under the pool breaks it (BrokenProcessPool); the engine
-        finishes serially and the journal stays complete and parseable."""
+        finishes inline and the journal stays complete and parseable."""
         import repro.sweep.engine as engine_mod
 
         journal = str(tmp_path / "j.jsonl")
         sweep = _sweep()
         clean = SweepEngine().run(sweep)
 
-        # Workers are forked, so they inherit the patched module and die on
-        # their first task.
-        monkeypatch.setattr(engine_mod, "_pool_worker", _sigkill_pool_worker)
+        # Every pool worker runs the patched initializer and dies before its
+        # first task; the inline executor, which finishes the run, never
+        # calls it.
+        monkeypatch.setattr(engine_mod, "_init_pool_worker",
+                            _sigkill_pool_worker)
         engine = SweepEngine(jobs=2, journal=journal)
         results = engine.run(sweep)
         assert engine.last_fallback_reason is not None
         assert "BrokenProcessPool" in engine.last_fallback_reason
         assert _fingerprint(results) == _fingerprint(clean)
 
-        # Every point was journaled by the serial fallback; a resume
+        # Every point was journaled by the inline fallback; a resume
         # replays all of them without touching the (still-broken) pool.
         resumed_engine = SweepEngine(jobs=2, journal=journal)
         resumed = resumed_engine.run(sweep)

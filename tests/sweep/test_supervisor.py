@@ -36,6 +36,15 @@ def _sweep(kernels=("comp", "addblock"), isas=("scalar", "mom"), ways=(1, 2)):
                           spec=_SPEC)
 
 
+def _poison_group_sweep():
+    """One 16-config comp/scalar trace group (and its comp/mom twin)."""
+    configs = [dataclasses.replace(MachineConfig.for_way(4, mem_latency=lat),
+                                   name=f"lat{lat}")
+               for lat in range(1, 17)]
+    return SweepSpec.make(kernels=["comp"], isas=["scalar", "mom"],
+                          configs=configs, spec=_SPEC)
+
+
 def _fingerprint(results, skip=()):
     """Canonical bytes of the healthy results, index order."""
     return "\n".join(
@@ -124,6 +133,24 @@ class TestHungWorker:
         assert _fingerprint(results) == _fingerprint(clean)
 
 
+    def test_one_group_keeps_its_deadline(self, tmp_path, monkeypatch):
+        """One trace group needs no pool for parallelism, but a deadline
+        needs one: with ``task_timeout`` the group still runs under the
+        pool, and a hang is reaped."""
+        sweep = _sweep(kernels=("comp",), isas=("mom",))
+        clean = SweepEngine().run(sweep)
+        _inject(monkeypatch, tmp_path, [
+            {"kind": "hang", "kernel": "comp", "isa": "mom",
+             "seconds": 60, "times": 1},
+        ])
+        engine = SweepEngine(jobs=2, task_timeout=2.0)
+        results = engine.run(sweep)
+        assert engine.last_pool_tasks >= 1
+        assert engine.last_timeouts == 1
+        assert not engine.last_failures
+        assert _fingerprint(results) == _fingerprint(clean)
+
+
 class TestTransientCrash:
     def test_retry_succeeds_without_serial_fallback(self, tmp_path,
                                                     monkeypatch):
@@ -176,12 +203,7 @@ class TestPoisonPoint:
         halving and fell back to serial).  ``last_pool_tasks`` counts
         every submission: both groups, the 16 split points and the
         poison point's retry."""
-        configs = [dataclasses.replace(MachineConfig.for_way(4,
-                                                             mem_latency=lat),
-                                       name=f"lat{lat}")
-                   for lat in range(1, 17)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=["scalar", "mom"],
-                               configs=configs, spec=_SPEC)
+        sweep = _poison_group_sweep()
         clean = SweepEngine().run(sweep)
         _inject(monkeypatch, tmp_path, [
             {"kind": "crash", "kernel": "comp", "isa": "scalar",
@@ -200,6 +222,75 @@ class TestPoisonPoint:
         assert engine.last_quarantined == 1
         assert _fingerprint(results) == _fingerprint(clean,
                                                      skip={bad[0].index})
+
+
+class TestOnePolicyTwoExecutors:
+    """The inline executor, the process pool and a pool that falls back to
+    inline apply one failure policy to a poison point in a 16-config
+    group: the same healthy results, the same failure record and the same
+    retries — and, with no cache dir, the singles split from the group
+    share one trace build."""
+
+    def _poison_run(self, tmp_path, monkeypatch, kind, jobs,
+                    broken_pool=False):
+        import repro.sweep.engine as engine_mod
+
+        _inject(monkeypatch, tmp_path, [
+            {"kind": kind, "kernel": "comp", "isa": "scalar",
+             "config": "lat7", "times": -1},
+        ])
+        if broken_pool:
+            def no_pool(*args, **kwargs):
+                raise OSError("no fork for you")
+
+            monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+        engine = SweepEngine(jobs=jobs)
+        return engine, engine.run(_poison_group_sweep())
+
+    def test_raise_is_handled_alike_on_every_executor(self, tmp_path,
+                                                      monkeypatch):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        clean = SweepEngine().run(_poison_group_sweep())
+        runs = {name: self._poison_run(tmp_path / name, monkeypatch,
+                                       "raise", jobs, broken)
+                for name, jobs, broken in (("inline", 1, False),
+                                           ("pool", 2, False),
+                                           ("fallback", 2, True))}
+        inline, inline_results = runs["inline"]
+        (failure,) = inline.last_failures
+        assert (failure.config, failure.phase, failure.attempts,
+                failure.error_type, failure.quarantined) == \
+            ("lat7", "exception", 2, "InjectedFault", False)
+        for name, (engine, results) in runs.items():
+            assert [r.failure for r in results if not r.ok] == [failure], name
+            assert engine.last_failures == [failure], name
+            assert engine.last_retries == inline.last_retries, name
+            assert engine.last_trace_builds <= 2, name
+            assert _fingerprint(results) == _fingerprint(
+                clean, skip={failure.index}), name
+        # 16 split singles plus the poison point's one retry.
+        assert inline.last_retries == 17
+        assert inline.last_pool_tasks == 0
+        assert runs["pool"][0].last_pool_tasks > 0
+        assert runs["pool"][0].last_fallback_reason is None
+        assert "no fork for you" in runs["fallback"][0].last_fallback_reason
+        # The split singles' scratch trace store is gone with the run.
+        assert list(scratch.iterdir()) == []
+
+    def test_crash_split_shares_one_trace_build(self, tmp_path, monkeypatch):
+        clean = SweepEngine().run(_poison_group_sweep())
+        engine, results = self._poison_run(tmp_path, monkeypatch, "crash", 2)
+        (failure,) = engine.last_failures
+        assert (failure.config, failure.phase, failure.quarantined) == \
+            ("lat7", "crash", True)
+        assert engine.last_fallback_reason is None
+        assert engine.last_trace_builds <= 2
+        assert _fingerprint(results) == _fingerprint(clean,
+                                                     skip={failure.index})
 
 
 class TestSerialFailures:
@@ -230,7 +321,7 @@ class TestSerialFailures:
         bad = [r for r in results if not r.ok]
         assert len(bad) == 1
         failure = bad[0].failure
-        assert failure.phase == "serial"
+        assert failure.phase == "exception"
         assert failure.error_type == "InjectedFault"
         assert failure.attempts == 2
         assert _fingerprint(results) == _fingerprint(clean,

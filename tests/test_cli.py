@@ -200,7 +200,7 @@ class TestFailedPoints:
         rows = [line for line in out.splitlines() if "FAILED" in line]
         assert len(rows) == failed
         assert all(row.split()[:2] == ["comp", "mmx"]
-                   and row.endswith("failed: InjectedFault (serial)")
+                   and row.endswith("failed: InjectedFault (exception)")
                    for row in rows)
         assert f"{failed} point(s) failed" in out
 

@@ -28,21 +28,41 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 #: modules it imported as JSON to the file named by ``REPRO_MODULES_OUT``.
 #: Modules the interpreter loaded before the probe started (``site`` and
 #: whatever ``.pth`` files pull in) are not the command's and are left out.
+#: With ``REPRO_POOL_TASKS_OUT`` set, it also writes every engine's
+#: ``last_pool_tasks`` there.
 _PROBE = """
 import sys
 _before = set(sys.modules)
 import atexit, json, os, runpy
 
+_engines = []
+if os.environ.get("REPRO_POOL_TASKS_OUT"):
+    from repro.sweep.engine import SweepEngine
+
+    _init = SweepEngine.__init__
+
+    def _track(self, *args, **kwargs):
+        _init(self, *args, **kwargs)
+        _engines.append(self)
+
+    SweepEngine.__init__ = _track
+
 def _dump():
     with open(os.environ["REPRO_MODULES_OUT"], "w") as f:
         json.dump(sorted(set(sys.modules) - _before), f)
+    if _engines:
+        with open(os.environ["REPRO_POOL_TASKS_OUT"], "w") as f:
+            json.dump([e.last_pool_tasks for e in _engines], f)
 
 atexit.register(_dump)
 sys.argv = ["repro"] + sys.argv[1:]
 runpy.run_module("repro", run_name="__main__")
 """
 
-_FORBIDDEN = ("numpy", "concurrent.futures", "multiprocessing",
+#: What a process pool loads; an inline run needs none of it.
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+_FORBIDDEN = ("numpy", *_POOL_MODULES,
               "http.client", "urllib.request", "ssl", "tempfile",
               "repro.frontend", "repro.timing.core", "repro.timing.lowered",
               "repro.timing.vector", "repro.sweep.service",
@@ -55,13 +75,20 @@ def _forbidden(module: str) -> bool:
         # The catalog is the kernels' NumPy-free part; every kernel
         # module, the base class and the registry import NumPy.
         return module != "repro.kernels.catalog"
+    return _under(module, _FORBIDDEN)
+
+
+def _under(module: str, names) -> bool:
+    """Whether ``module`` is one of ``names`` or inside one of them."""
     return any(module == name or module.startswith(name + ".")
-               for name in _FORBIDDEN)
+               for name in names)
 
 
-def _run(args, tmp_path, probe=False):
+def _run(args, tmp_path, probe=False, pool_tasks=False):
     env = dict(os.environ, PYTHONPATH=_SRC,
                REPRO_MODULES_OUT=str(tmp_path / "modules.json"))
+    if pool_tasks:
+        env["REPRO_POOL_TASKS_OUT"] = str(tmp_path / "pool_tasks.json")
     argv = ([sys.executable, "-c", _PROBE] if probe
             else [sys.executable, "-m", "repro"])
     proc = subprocess.run(argv + list(args), env=env, capture_output=True,
@@ -113,8 +140,22 @@ def test_trace_hit_figure5_imports_no_numpy(tmp_path):
                 and m != "repro.kernels.catalog")
             or m.startswith("repro.frontend")
             or m == "repro.timing.vector"] == []
+    assert [m for m in modules if _under(m, _POOL_MODULES)] == []
     fresh = _run(_COMMANDS["figure5"], tmp_path)
     assert out.partition("\n[sweep] ")[0] == fresh
+
+
+def test_one_group_parallel_sweep_runs_inline(tmp_path):
+    """A sweep with one trace group has nothing to spread over workers:
+    even at ``--jobs 2`` it runs on the inline executor, so it submits no
+    pool task and loads neither ``concurrent.futures`` nor
+    ``multiprocessing``."""
+    _run(["sweep", "--kernels", "comp", "--isas", "mom", "--ways", "1", "2",
+          "4", "8", "--scale", "1", "--jobs", "2"], tmp_path, probe=True,
+         pool_tasks=True)
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert [m for m in modules if _under(m, _POOL_MODULES)] == []
+    assert set(json.loads((tmp_path / "pool_tasks.json").read_text())) == {0}
 
 
 def test_version_imports_no_compute(tmp_path):

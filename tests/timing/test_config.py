@@ -27,6 +27,14 @@ _LOWER_BOUNDS = {
     "mom_reduction_latency": 0,
 }
 _REG_FILES = ("int", "media", "matrix", "acc")
+#: Fields the fast backends size per-run state by: none may exceed its
+#: value on the widest machine.
+_UPPER_BOUNDS = {
+    name: getattr(MachineConfig.for_way(MAX_WAY), name) for name in (
+        "fetch_width", "issue_width", "commit_width", "rob_size",
+        "int_queue_size", "mem_queue_size", "media_queue_size",
+        "phys_int_regs", "phys_media_regs", "phys_matrix_regs",
+        "phys_acc_regs")}
 
 
 def _violations(config_fields):
@@ -36,6 +44,8 @@ def _violations(config_fields):
     bad += [f"phys_{regs}_regs" for regs in _REG_FILES
             if config_fields[f"phys_{regs}_regs"]
             < config_fields[f"arch_{regs}_regs"]]
+    bad += [name for name, high in _UPPER_BOUNDS.items()
+            if config_fields[name] > high]
     return bad
 
 
@@ -114,6 +124,20 @@ class TestValidation:
             MachineConfig.for_way(4).with_updates(**{field: low - 1})
         assert getattr(MachineConfig.for_way(4).with_updates(**{field: low}),
                        field) == low
+
+    @pytest.mark.parametrize("field", sorted(_UPPER_BOUNDS))
+    def test_each_padded_field_rejected_above_the_widest_machine(self,
+                                                                 field):
+        """A 10^6-entry ROB would cost megabytes of pre-padded history for
+        a few dozen cycles; no field may outgrow ``for_way(MAX_WAY)``."""
+        high = _UPPER_BOUNDS[field]
+        for value in (high + 1, 10 ** 6):
+            with pytest.raises(ValueError,
+                               match=f"{field} must be <= {high}, "
+                                     f"got {value}"):
+                MachineConfig.for_way(4).with_updates(**{field: value})
+        assert getattr(MachineConfig.for_way(4).with_updates(
+            **{field: high}), field) == high
 
     @pytest.mark.parametrize("regs", _REG_FILES)
     def test_fewer_physical_than_architectural_registers_rejected(self,

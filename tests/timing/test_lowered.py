@@ -88,95 +88,20 @@ def test_lowered_equals_object_loop_on_kernels(kernel, isa):
 
 
 # ----------------------------------------------------------------------
-# Hand-written adversarial traces: the special paths the kernels may not
-# cover in every combination.
+# Hand-written adversarial traces (the corpus shared with the vector suite,
+# tests/timing/conftest.py).
 
-def instr(opcode, opclass, srcs=(), dsts=(), ops=1, vlx=1, vly=1,
-          is_vector=False, non_pipelined=False):
-    return DynInstr(opcode=opcode, opclass=opclass, isa="test",
-                    srcs=tuple(srcs), dsts=tuple(dsts), ops=ops, vlx=vlx,
-                    vly=vly, is_vector=is_vector, non_pipelined=non_pipelined)
-
-
-def _adversarial_traces():
-    acc = RegRef(RegFile.ACC, 0)
-    med = [RegRef(RegFile.MEDIA, i) for i in range(4)]
-    mat = [RegRef(RegFile.MATRIX, i) for i in range(4)]
-    vl = RegRef(RegFile.VL, 0)
-    ints = [RegRef(RegFile.INT, i) for i in range(4)]
-
-    mdmx_chain = Trace("mdmx_chain", "test")
-    for _ in range(24):
-        mdmx_chain.append(instr("acc", OpClass.MEDIA_ACC,
-                                srcs=(med[0], med[1], acc), dsts=(acc,),
-                                ops=4, vlx=4, vly=1, is_vector=True))
-
-    mom_reduce = Trace("mom_reduce", "test")
-    mom_reduce.append(instr("setvl", OpClass.IALU, dsts=(vl,)))
-    for i in range(6):
-        mom_reduce.append(instr("macc", OpClass.MEDIA_ACC,
-                                srcs=(mat[i % 2], mat[(i + 1) % 2], acc, vl),
-                                dsts=(acc,), ops=64, vlx=4, vly=16,
-                                is_vector=True))
-
-    transpose = Trace("transpose", "test")
-    for i in range(4):
-        transpose.append(instr("mtrans", OpClass.MATRIX_MISC,
-                               srcs=(mat[i % 2],), dsts=(mat[2 + i % 2],),
-                               ops=64, vlx=8, vly=8, is_vector=True,
-                               non_pipelined=True))
-
-    mem_mix = Trace("mem_mix", "test")
-    for i in range(16):
-        mem_mix.append(instr("ldm", OpClass.MEDIA_LOAD, srcs=(ints[0],),
-                             dsts=(mat[i % 4],), ops=128, vlx=8, vly=16,
-                             is_vector=True))
-        mem_mix.append(instr("st", OpClass.STORE, srcs=(ints[1], ints[2])))
-        mem_mix.append(instr("mul", OpClass.IMUL, srcs=(ints[2],),
-                             dsts=(ints[3],)))
-        mem_mix.append(instr("br", OpClass.BRANCH, srcs=(ints[3],)))
-
-    multi_dst = Trace("multi_dst", "test")
-    for i in range(8):
-        # Two destinations in different register files on one instruction:
-        # both rename pools constrain, both scoreboard entries update.
-        multi_dst.append(instr("wide", OpClass.MEDIA_MISC,
-                               srcs=(med[0],), dsts=(med[1], acc),
-                               ops=8, vlx=8, is_vector=True))
-
-    return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst,
-            _vl_chain(), Trace("empty", "test")]
-
-
-def _vl_chain() -> Trace:
-    """Slow loads, each followed by a dozen vector-length writes: the VL
-    rename pool (``VL_RENAME_SLOTS`` entries whatever the machine) fills
-    behind every load, which commits last."""
-    ints = [RegRef(RegFile.INT, i) for i in range(3)]
-    vl = RegRef(RegFile.VL, 0)
-    trace = Trace("vl_chain", "test")
-    for _ in range(16):
-        trace.append(instr("ld", OpClass.LOAD, srcs=(ints[0],),
-                           dsts=(ints[1],)))
-        for _ in range(12):
-            trace.append(instr("setvl", OpClass.IALU, srcs=(ints[2],),
-                               dsts=(vl,)))
-    return trace
-
-
-
-@pytest.mark.parametrize("trace", _adversarial_traces(),
-                         ids=lambda t: t.name)
-def test_lowered_equals_object_loop_on_adversarial_traces(trace):
+def test_lowered_equals_object_loop_on_adversarial_traces(adversarial_trace):
     for config in CONFIG_GRID:
-        _assert_equivalent(trace, config, label=trace.name)
+        _assert_equivalent(adversarial_trace, config,
+                           label=adversarial_trace.name)
 
 
-def test_vl_rename_pool_binds():
+def test_vl_rename_pool_binds(vl_chain):
     """The VL pool's capacity is the one not taken from the config: with
     physical == architectural in every file it alone stalls rename, on
     both loops."""
-    trace = _vl_chain()
+    trace = vl_chain
     no_limit = MachineConfig.for_way(4, mem_latency=50).with_updates(
         phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
         phys_acc_regs=4)
@@ -246,7 +171,7 @@ def test_lowered_equals_object_loop_on_random_traces(trace):
 
 
 @pytest.mark.parametrize("vly", [1, 16], ids=["occupancy-1", "multi-cycle"])
-def test_issue_search_runs_past_the_scoreboard_horizon(vly):
+def test_issue_search_runs_past_the_scoreboard_horizon(vly, instr):
     """A dependent chain of slow loads issues ~50 cycles apart, far past
     the lowered loop's initial busy-count horizon (2n + 1024 cycles): the
     scoreboards must grow mid-search and stay exact, for single-cycle
@@ -316,7 +241,7 @@ class TestLowerMemoisation:
         trace = _kernel_trace("comp", "scalar")
         assert trace.lower() is trace.lower()
 
-    def test_mutation_invalidates_the_memo(self):
+    def test_mutation_invalidates_the_memo(self, instr):
         trace = Trace("t", "test")
         trace.append(instr("a", OpClass.IALU, dsts=(RegRef(RegFile.INT, 0),)))
         first = trace.lower()

@@ -29,7 +29,7 @@ from repro.timing.dispatch import (BACKENDS, resolve_execution,
 from repro.timing.lowered import lower_trace
 from repro.timing.vector import VECTOR_MIN_BATCH
 from repro.trace.container import Trace
-from repro.trace.instruction import DynInstr, RegRef
+from repro.trace.instruction import RegRef
 from repro.workloads.generators import WorkloadSpec
 
 #: A deliberately heterogeneous batch: every issue width, the paper's
@@ -160,83 +160,18 @@ def test_invalid_resources_raise_like_the_scalar_core():
 
 
 # ----------------------------------------------------------------------
-# Hand-written adversarial traces (same corpus as the lowered suite).
+# Hand-written adversarial traces (the corpus shared with the lowered
+# suite, tests/timing/conftest.py).
 
-def instr(opcode, opclass, srcs=(), dsts=(), ops=1, vlx=1, vly=1,
-          is_vector=False, non_pipelined=False):
-    return DynInstr(opcode=opcode, opclass=opclass, isa="test",
-                    srcs=tuple(srcs), dsts=tuple(dsts), ops=ops, vlx=vlx,
-                    vly=vly, is_vector=is_vector, non_pipelined=non_pipelined)
-
-
-def _adversarial_traces():
-    acc = RegRef(RegFile.ACC, 0)
-    med = [RegRef(RegFile.MEDIA, i) for i in range(4)]
-    mat = [RegRef(RegFile.MATRIX, i) for i in range(4)]
-    vl = RegRef(RegFile.VL, 0)
-    ints = [RegRef(RegFile.INT, i) for i in range(4)]
-
-    mdmx_chain = Trace("mdmx_chain", "test")
-    for _ in range(24):
-        mdmx_chain.append(instr("acc", OpClass.MEDIA_ACC,
-                                srcs=(med[0], med[1], acc), dsts=(acc,),
-                                ops=4, vlx=4, vly=1, is_vector=True))
-
-    mom_reduce = Trace("mom_reduce", "test")
-    mom_reduce.append(instr("setvl", OpClass.IALU, dsts=(vl,)))
-    for i in range(6):
-        mom_reduce.append(instr("macc", OpClass.MEDIA_ACC,
-                                srcs=(mat[i % 2], mat[(i + 1) % 2], acc, vl),
-                                dsts=(acc,), ops=64, vlx=4, vly=16,
-                                is_vector=True))
-
-    transpose = Trace("transpose", "test")
-    for i in range(4):
-        transpose.append(instr("mtrans", OpClass.MATRIX_MISC,
-                               srcs=(mat[i % 2],), dsts=(mat[2 + i % 2],),
-                               ops=64, vlx=8, vly=8, is_vector=True,
-                               non_pipelined=True))
-
-    mem_mix = Trace("mem_mix", "test")
-    for i in range(16):
-        mem_mix.append(instr("ldm", OpClass.MEDIA_LOAD, srcs=(ints[0],),
-                             dsts=(mat[i % 4],), ops=128, vlx=8, vly=16,
-                             is_vector=True))
-        mem_mix.append(instr("st", OpClass.STORE, srcs=(ints[1], ints[2])))
-        mem_mix.append(instr("mul", OpClass.IMUL, srcs=(ints[2],),
-                             dsts=(ints[3],)))
-        mem_mix.append(instr("br", OpClass.BRANCH, srcs=(ints[3],)))
-
-    multi_dst = Trace("multi_dst", "test")
-    for i in range(8):
-        multi_dst.append(instr("wide", OpClass.MEDIA_MISC,
-                               srcs=(med[0],), dsts=(med[1], acc),
-                               ops=8, vlx=8, is_vector=True))
-
-    vl_chain = Trace("vl_chain", "test")
-    for _ in range(16):
-        # A slow load, then a dozen vector-length writes that fill the
-        # fixed-size VL rename pool behind it.
-        vl_chain.append(instr("ld", OpClass.LOAD, srcs=(ints[0],),
-                              dsts=(ints[1],)))
-        for _ in range(12):
-            vl_chain.append(instr("setvl", OpClass.IALU, srcs=(ints[2],),
-                                  dsts=(vl,)))
-
-    return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst, vl_chain]
+def test_vector_equals_loop_on_adversarial_traces(adversarial_trace):
+    _assert_batch_equivalent(adversarial_trace, CONFIG_BATCH,
+                             label=adversarial_trace.name)
 
 
-@pytest.mark.parametrize("trace", _adversarial_traces(),
-                         ids=lambda t: t.name)
-def test_vector_equals_loop_on_adversarial_traces(trace):
-    _assert_batch_equivalent(trace, CONFIG_BATCH, label=trace.name)
-
-
-def test_vl_rename_pool_binds():
+def test_vl_rename_pool_binds(vl_chain):
     """The VL pool's capacity is the one not taken from the config: with
     physical == architectural in every file it alone stalls rename, and
     the array program agrees with the per-config interpreter."""
-    vl_chain = next(t for t in _adversarial_traces() if t.name == "vl_chain")
     no_limit = MachineConfig.for_way(4, mem_latency=50).with_updates(
         phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
         phys_acc_regs=4)
@@ -245,7 +180,8 @@ def test_vl_rename_pool_binds():
     assert expected[0].stall_breakdown["rename_regs"] > 0
 
 
-def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls):
+def test_same_pool_multi_dst_traces_decline_the_array_program(count_calls,
+                                                              instr):
     """Two destinations in one rename pool break the sliding-window pool
     premise (a full pool pops exactly once per push), so those traces must
     run the per-config interpreter even when the array program is forced —
