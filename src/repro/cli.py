@@ -57,9 +57,9 @@ import os
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from repro.analysis.metrics import compute_metrics
 from repro.analysis.report import (
     format_breakdown_table,
     format_latency_table,
@@ -67,7 +67,8 @@ from repro.analysis.report import (
 )
 from repro.experiments.figure4 import figure4_speedups, run_figure4
 from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
-from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
+from repro.experiments.tables import (TABLE_NUMBERS, breakdown_for_kernel,
+                                      run_breakdown_tables)
 from repro.kernels.catalog import ISA_VARIANTS, default_scale, kernel_names
 from repro.sweep.engine import PointResult, SweepEngine, SweepFailed
 from repro.sweep.spec import grid_points
@@ -129,33 +130,35 @@ def add_sweep_arguments(parser: argparse.ArgumentParser,
 def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     """Build a :class:`SweepEngine` from parsed ``--jobs``/``--cache-dir``
     (plus ``--resume`` and the supervision flags where the command
-    defines them)."""
-    return SweepEngine(jobs=args.jobs, cache_dir=args.cache_dir,
+    defines them); a command without engine flags gets the default one."""
+    return SweepEngine(jobs=getattr(args, "jobs", 1),
+                       cache_dir=getattr(args, "cache_dir", None),
                        journal=getattr(args, "resume", None),
                        task_timeout=getattr(args, "task_timeout", None))
 
 
 def engine_summary(engine: SweepEngine) -> str:
     """One-line account of the engine's most recent run."""
-    summary = (f"{engine.last_simulated} point(s) simulated, "
-               f"{engine.last_cached} from cache")
-    if engine.last_journaled:
-        summary += f", {engine.last_journaled} from journal"
-    if engine.last_failures:
-        summary += f", {len(engine.last_failures)} failed"
-        if engine.last_quarantined:
-            summary += f" ({engine.last_quarantined} quarantined)"
+    report = engine.report
+    summary = (f"{report.simulated} point(s) simulated, "
+               f"{report.cached} from cache")
+    if report.journaled:
+        summary += f", {report.journaled} from journal"
+    if report.failures:
+        summary += f", {len(report.failures)} failed"
+        if report.quarantined:
+            summary += f" ({report.quarantined} quarantined)"
     if engine.cache is not None:
-        summary += (f"; {engine.last_trace_hits} trace hit(s), "
-                    f"{engine.last_trace_builds} trace build(s)")
-    if engine.last_retries or engine.last_pool_restarts or engine.last_timeouts:
-        summary += (f"; supervision: {engine.last_retries} retr"
-                    f"{'y' if engine.last_retries == 1 else 'ies'}, "
-                    f"{engine.last_pool_restarts} pool restart(s), "
-                    f"{engine.last_timeouts} timeout(s)")
-    if engine.last_fallback_reason:
+        summary += (f"; {report.trace_hits} trace hit(s), "
+                    f"{report.trace_builds} trace build(s)")
+    if report.retries or report.pool_restarts or report.timeouts:
+        summary += (f"; supervision: {report.retries} retr"
+                    f"{'y' if report.retries == 1 else 'ies'}, "
+                    f"{report.pool_restarts} pool restart(s), "
+                    f"{report.timeouts} timeout(s)")
+    if report.fallback_reason:
         summary += (f"; worker pool unavailable, ran serially "
-                    f"({engine.last_fallback_reason})")
+                    f"({report.fallback_reason})")
     return summary
 
 
@@ -264,12 +267,11 @@ def make_on_result(args: argparse.Namespace, total: int,
                     "ipc": result.sim.ipc,
                 })
             if engine is not None:
-                record.update({
-                    "retries": engine.last_retries,
-                    "pool_restarts": engine.last_pool_restarts,
-                    "timeouts": engine.last_timeouts,
-                    "quarantined": engine.last_quarantined,
-                })
+                report = engine.report
+                record.update(retries=report.retries,
+                              pool_restarts=report.pool_restarts,
+                              timeouts=report.timeouts,
+                              quarantined=report.quarantined)
             # One write + flush per record: a crash mid-sweep leaves at
             # most one torn *trailing* line, which the journal/JSONL
             # readers detect and skip.
@@ -471,14 +473,14 @@ def _spec(scale: Optional[int], seed: int = 1999) -> Optional[WorkloadSpec]:
 
 def _print_engine_summary(engine: SweepEngine) -> None:
     """Print :func:`engine_summary` (the single formatter of the engine's
-    counters) plus the cache location, when there is anything to say."""
+    report) plus the cache location, when there is anything to say: a
+    cache-less run that only simulated says nothing."""
+    summary = engine_summary(engine)
     if engine.cache is not None:
-        print(f"\n[sweep] {engine_summary(engine)} "
-              f"({engine.cache.cache_dir})")
-    elif (engine.last_fallback_reason or engine.last_journaled
-          or engine.last_failures or engine.last_pool_restarts
-          or engine.last_retries):
-        print(f"\n[sweep] {engine_summary(engine)}")
+        summary += f" ({engine.cache.cache_dir})"
+    elif summary.endswith(" from cache"):
+        return
+    print(f"\n[sweep] {summary}")
 
 
 def _print_failed(result: PointResult) -> None:
@@ -491,17 +493,29 @@ def _print_failed(result: PointResult) -> None:
           f"{tag}: {result.failure.error_type} ({result.failure.phase})")
 
 
-def _report_sweep_failed(exc: SweepFailed, engine: SweepEngine) -> int:
-    """A figure or table whose sweep lost points cannot be drawn: list the
-    failed points as ``repro sweep`` does, and exit 1."""
-    print(f"{len(exc.failed)} point(s) failed; nothing to report:")
-    for result in exc.failed:
-        _print_failed(result)
+def _simulate(args: argparse.Namespace, total: int,
+              sweep: Callable[..., Any], render: Callable[[Any], None]) -> int:
+    """Run a simulating command: ``sweep(engine=, on_result=)`` on the
+    engine its flags describe, streaming ``total`` points, then ``render``
+    what it returned and print the engine footer.  A figure or table whose
+    sweep lost points cannot be drawn: the command lists the failed points
+    as ``repro sweep`` does, prints the footer and exits 1."""
+    engine = engine_from_args(args)
+    try:
+        with stream_sinks(args, total, engine=engine) as on_result:
+            output = sweep(engine=engine, on_result=on_result)
+    except SweepFailed as exc:
+        print(f"{len(exc.failed)} point(s) failed; nothing to report:")
+        for result in exc.failed:
+            _print_failed(result)
+        _print_engine_summary(engine)
+        return 1
+    render(output)
     _print_engine_summary(engine)
-    return 1
+    return 0
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.kernels.registry import KERNELS
 
     for name, kernel in KERNELS.items():
@@ -510,19 +524,18 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_kernel_all_isas
-
-    config = MachineConfig.for_way(args.way, mem_latency=args.mem_latency)
     spec = _spec(args.scale, args.seed) or WorkloadSpec(
         scale=default_scale(args.kernel), seed=args.seed)
-    runs = run_kernel_all_isas(args.kernel, config=config, spec=spec)
-    baseline = runs["scalar"].sim
-    metrics = {isa: compute_metrics(run.sim, run.stats, baseline)
-               for isa, run in runs.items()}
-    print(f"{args.kernel} on a {args.way}-way core, "
-          f"{args.mem_latency}-cycle memory, scale {spec.scale}")
-    print(format_breakdown_table(args.kernel, metrics))
-    return 0
+
+    def render(metrics) -> None:
+        print(f"{args.kernel} on a {args.way}-way core, "
+              f"{args.mem_latency}-cycle memory, scale {spec.scale}")
+        print(format_breakdown_table(args.kernel, metrics))
+
+    return _simulate(args, len(ISA_VARIANTS),
+                     partial(breakdown_for_kernel, args.kernel, way=args.way,
+                             mem_latency=args.mem_latency, spec=spec),
+                     render)
 
 
 def _kernel_count(kernels: Optional[Sequence[str]]) -> int:
@@ -530,79 +543,69 @@ def _kernel_count(kernels: Optional[Sequence[str]]) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
-    engine = engine_from_args(args)
-    total = _kernel_count(args.kernels) * len(args.ways) * len(ISA_VARIANTS)
-    try:
-        with stream_sinks(args, total, engine=engine) as on_result:
-            results = run_figure4(kernels=args.kernels,
-                                  ways=tuple(args.ways),
-                                  spec=_spec(args.scale), engine=engine,
-                                  on_result=on_result)
-    except SweepFailed as exc:
-        return _report_sweep_failed(exc, engine)
-    print(format_speedup_table(figure4_speedups(results), ways=tuple(args.ways)))
-    _print_engine_summary(engine)
-    return 0
+    ways = tuple(args.ways)
+    return _simulate(
+        args, _kernel_count(args.kernels) * len(ways) * len(ISA_VARIANTS),
+        partial(run_figure4, kernels=args.kernels, ways=ways,
+                spec=_spec(args.scale)),
+        lambda results: print(format_speedup_table(
+            figure4_speedups(results), ways=ways)))
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
-    engine = engine_from_args(args)
-    total = (_kernel_count(args.kernels) * len(args.latencies)
-             * len(ISA_VARIANTS))
-    try:
-        with stream_sinks(args, total, engine=engine) as on_result:
-            results = run_figure5(kernels=args.kernels,
-                                  latencies=tuple(args.latencies),
-                                  spec=_spec(args.scale), engine=engine,
-                                  on_result=on_result)
-    except SweepFailed as exc:
-        return _report_sweep_failed(exc, engine)
-    print(format_latency_table(figure5_cycles(results),
-                               latencies=tuple(args.latencies)))
-    print("\nSlow-down from the lowest to the highest latency:")
-    for kernel, per_isa in figure5_slowdowns(results).items():
-        cells = "  ".join(f"{isa}:{v:4.1f}x" for isa, v in per_isa.items())
-        print(f"  {kernel:10s} {cells}")
-    _print_engine_summary(engine)
-    return 0
+    latencies = tuple(args.latencies)
+
+    def render(results) -> None:
+        print(format_latency_table(figure5_cycles(results),
+                                   latencies=latencies))
+        print("\nSlow-down from the lowest to the highest latency:")
+        for kernel, per_isa in figure5_slowdowns(results).items():
+            cells = "  ".join(f"{isa}:{v:4.1f}x"
+                              for isa, v in per_isa.items())
+            print(f"  {kernel:10s} {cells}")
+
+    return _simulate(
+        args, _kernel_count(args.kernels) * len(latencies) * len(ISA_VARIANTS),
+        partial(run_figure5, kernels=args.kernels, latencies=latencies,
+                spec=_spec(args.scale)),
+        render)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    engine = engine_from_args(args)
-    total = _kernel_count(args.kernels) * len(ISA_VARIANTS)
-    try:
-        with stream_sinks(args, total, engine=engine) as on_result:
-            tables = run_breakdown_tables(kernels=args.kernels, way=args.way,
-                                          spec=_spec(args.scale),
-                                          engine=engine, on_result=on_result)
-    except SweepFailed as exc:
-        return _report_sweep_failed(exc, engine)
-    for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
-        print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
-        print(format_breakdown_table(kernel, tables[kernel]))
-    _print_engine_summary(engine)
-    return 0
+    def render(tables) -> None:
+        for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
+            print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
+            print(format_breakdown_table(kernel, tables[kernel]))
+
+    return _simulate(
+        args, _kernel_count(args.kernels) * len(ISA_VARIANTS),
+        partial(run_breakdown_tables, kernels=args.kernels, way=args.way,
+                spec=_spec(args.scale)),
+        render)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    engine = engine_from_args(args)
     points = grid_points(args.kernels, args.isas, args.ways, args.latencies,
                          args.scale, args.seed)
-    with stream_sinks(args, len(points), engine=engine) as on_result:
-        results = engine.run(points, on_result=on_result)
-    print(f"{'kernel':10s} {'isa':7s} {'config':8s} {'mem':>4s} "
-          f"{'cycles':>10s} {'instrs':>8s} {'IPC':>6s}  cached")
-    for r in results:
-        if r.failure is not None:
-            _print_failed(r)
-            continue
-        source = "journal" if r.journaled else ("yes" if r.cached else "no")
-        print(f"{r.kernel:10s} {r.isa:7s} {r.point.config.name:8s} "
-              f"{r.point.config.mem_latency:4d} {r.sim.cycles:10d} "
-              f"{r.sim.instructions:8d} {r.sim.ipc:6.2f}  "
-              f"{source}")
-    _print_engine_summary(engine)
-    return 0
+
+    def render(results) -> None:
+        print(f"{'kernel':10s} {'isa':7s} {'config':8s} {'mem':>4s} "
+              f"{'cycles':>10s} {'instrs':>8s} {'IPC':>6s}  cached")
+        for r in results:
+            if r.failure is not None:
+                _print_failed(r)
+                continue
+            source = "journal" if r.journaled else ("yes" if r.cached
+                                                    else "no")
+            print(f"{r.kernel:10s} {r.isa:7s} {r.point.config.name:8s} "
+                  f"{r.point.config.mem_latency:4d} {r.sim.cycles:10d} "
+                  f"{r.sim.instructions:8d} {r.sim.ipc:6.2f}  "
+                  f"{source}")
+
+    return _simulate(args, len(points),
+                     lambda engine, on_result: engine.run(
+                         points, on_result=on_result),
+                     render)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -794,25 +797,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figure4":
-        return _cmd_figure4(args)
-    if args.command == "figure5":
-        return _cmd_figure5(args)
-    if args.command == "tables":
-        return _cmd_tables(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "client":
-        return _cmd_client(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return {"list": _cmd_list, "run": _cmd_run, "figure4": _cmd_figure4,
+            "figure5": _cmd_figure5, "tables": _cmd_tables,
+            "sweep": _cmd_sweep, "serve": _cmd_serve, "client": _cmd_client,
+            "cache": _cmd_cache}[args.command](args)
 
 
 def _check_machine_args(parser: argparse.ArgumentParser,

@@ -74,9 +74,14 @@ def breakdown_for_kernel(
     mem_latency: int = 1,
     spec: Optional[WorkloadSpec] = None,
     engine: Optional[SweepEngine] = None,
+    on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> Dict[str, KernelMetrics]:
-    """Compute one breakdown table (IPC / OPI / R / S / F / VLx / VLy)."""
+    """Compute one breakdown table (IPC / OPI / R / S / F / VLx / VLy).
+
+    ``on_result`` (if given) streams each point's result as it completes.
+    Raises :class:`~repro.sweep.engine.SweepFailed` if any point failed.
+    """
     return run_breakdown_tables(
         kernels=[kernel_name], way=way, mem_latency=mem_latency, spec=spec,
-        engine=engine,
+        engine=engine, on_result=on_result,
     )[kernel_name]

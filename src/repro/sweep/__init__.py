@@ -8,7 +8,9 @@ The sweep subsystem is the shared engine behind every experiment driver
 * :class:`~repro.sweep.engine.SweepEngine` — expands a spec into points and
   runs them, optionally over a :class:`concurrent.futures.ProcessPoolExecutor`
   (or inline, in this process), with streaming results via
-  :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``;
+  :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``,
+  and accounts for each run in one frozen
+  :class:`~repro.sweep.engine.RunReport` (``engine.report``);
 * :class:`~repro.sweep.cache.ResultCache` — content-addressed storage of
   simulation results in an append-only JSONL segment log, keyed by a
   stable hash of (kernel, ISA, machine configuration, workload spec,
@@ -52,6 +54,7 @@ __all__ = [
     "PoolSupervisor",
     "QueueFull",
     "ResultCache",
+    "RunReport",
     "ServiceClient",
     "ServiceError",
     "ServiceHTTPServer",
@@ -81,7 +84,7 @@ __all__ = [
 __getattr__ = lazy_exports(__name__, {
     "repro.sweep.cache": ["ResultCache", "point_key"],
     "repro.sweep.client": ["ServiceClient", "ServiceError"],
-    "repro.sweep.engine": ["PointResult", "SweepEngine"],
+    "repro.sweep.engine": ["PointResult", "RunReport", "SweepEngine"],
     "repro.sweep.faults": ["FAULT_ENV", "FaultPlan", "FaultRule",
                            "InjectedFault"],
     "repro.sweep.journal": ["JournalLockedError", "SweepJournal",

@@ -65,9 +65,10 @@ backoff before the inline executor takes over the rest of the run; a hung
 worker is detected by a per-task deadline (``task_timeout``) and its group
 re-submitted; and a point that repeatedly kills or hangs its worker is
 **quarantined**.
-:attr:`SweepEngine.last_fallback_reason`, :attr:`SweepEngine.last_retries`,
-:attr:`SweepEngine.last_pool_restarts`, :attr:`SweepEngine.last_timeouts`
-and :attr:`SweepEngine.last_failures` record what supervision did.
+
+What a run did is one frozen :class:`RunReport`, read from
+:attr:`SweepEngine.report`: during a run it shows the run so far, after it
+the final record.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple, Union)
+                    List, NamedTuple, Optional, Sequence, Tuple, Union)
 
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
@@ -91,7 +92,8 @@ if TYPE_CHECKING:
     from repro.sweep.tracecache import TraceCache
     from repro.trace.container import Trace
 
-__all__ = ["PointResult", "SweepEngine", "SweepFailed", "require_complete"]
+__all__ = ["Batch", "PointResult", "RunReport", "SweepEngine", "SweepFailed",
+           "require_complete"]
 
 
 def __getattr__(name: str) -> Any:
@@ -107,6 +109,12 @@ def __getattr__(name: str) -> Any:
 
 #: Callback type for streaming results: called once per completed point.
 OnResult = Callable[["PointResult"], None]
+
+#: The ``last_*`` names ``perfbench`` reads after :meth:`SweepEngine.run`:
+#: its view of :attr:`SweepEngine.report`, kept until it reads the report.
+_PERFBENCH_VIEW = frozenset({
+    "last_batches", "last_trace_builds", "last_failures", "last_pool_tasks",
+    "last_retries", "last_pool_restarts", "last_timeouts"})
 
 
 @dataclass
@@ -197,6 +205,99 @@ def require_complete(results: List[PointResult]) -> List[PointResult]:
     return results
 
 
+class Batch(NamedTuple):
+    """One completed task of a run: a trace group, or a single point split
+    from one, simulated off one trace."""
+
+    #: The task's points in expansion order (while the run is yielding
+    #: them, those yielded so far).
+    points: Tuple[SweepPoint, ...]
+    #: The timing backend that executed them (``"lowered"`` or ``"vector"``).
+    backend: str
+    #: Whether the task built its trace (else a trace store served it).
+    built: bool
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """What one engine run did (:attr:`SweepEngine.report`).
+
+    It holds only state the run has: the result-cache and journal counts,
+    one :class:`Batch` per completed task, and the record of the run's
+    :class:`~repro.sweep.supervisor.PoolSupervisor`.  Every other count is
+    a property derived from those, so no two counts can disagree.
+
+    Attributes
+    ----------
+    cached / journaled:
+        Points served whole from the result cache / replayed from the
+        write-ahead journal (a resumed sweep; zero without a journal).
+    batches:
+        One :class:`Batch` per completed task, in completion order.
+    pool_tasks:
+        Tasks submitted to the process pool (0 when everything ran
+        inline): one per trace group, plus every re-submission — the
+        single points split from a failing group, retries, and tasks
+        re-run after a pool restart.
+    retries:
+        Tasks submitted because an earlier task failed — split singles
+        plus single-point retries — on either executor.  Tasks re-run
+        after a pool restart (victims, probation suspects) are not retries.
+    pool_restarts / timeouts:
+        Worker-pool respawns, and task deadlines that fired.
+    failures:
+        The :class:`~repro.sweep.supervisor.PointFailure` of every point
+        the run gave up on (also on those results' ``failure`` field).
+    fallback_reason:
+        Why the run gave up its process pool and finished on the inline
+        executor, or ``None``.
+    """
+
+    cached: int = 0
+    journaled: int = 0
+    batches: Tuple[Batch, ...] = ()
+    pool_tasks: int = 0
+    retries: int = 0
+    pool_restarts: int = 0
+    timeouts: int = 0
+    failures: Tuple[PointFailure, ...] = ()
+    fallback_reason: Optional[str] = None
+
+    @property
+    def simulated(self) -> int:
+        """Points simulated (every point of every batch)."""
+        return sum(len(batch.points) for batch in self.batches)
+
+    @property
+    def trace_builds(self) -> int:
+        """Front-end builds.  Points sharing a trace are batched, so this
+        counts distinct traces built: zero on a warm trace cache, and
+        never above the sweep's (kernel, ISA, workload) combinations."""
+        return sum(batch.built for batch in self.batches)
+
+    @property
+    def trace_hits(self) -> int:
+        """Simulated points whose trace came from a trace store."""
+        return sum(len(batch.points) for batch in self.batches
+                   if not batch.built)
+
+    @property
+    def quarantined(self) -> int:
+        """Failures quarantined for repeatedly killing or hanging their
+        worker."""
+        return sum(failure.quarantined for failure in self.failures)
+
+    def counts(self) -> Dict[str, int]:
+        """Every count of the run by name (a service job's ``telemetry``)."""
+        return {"simulated": self.simulated, "cached": self.cached,
+                "journaled": self.journaled, "trace_hits": self.trace_hits,
+                "trace_builds": self.trace_builds,
+                "pool_tasks": self.pool_tasks, "retries": self.retries,
+                "pool_restarts": self.pool_restarts,
+                "timeouts": self.timeouts, "failed": len(self.failures),
+                "quarantined": self.quarantined}
+
+
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
     """Grouping key of the functional trace behind a (resolved) point.
 
@@ -245,8 +346,7 @@ def _acquire_trace(point: SweepPoint,
 
 
 def _simulate_group(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
-                    ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]],
-                               int, Tuple[int, str]]:
+                    ) -> Tuple[List[SimResult], TraceStats, bool, str]:
     """Run one trace-sharing group of resolved points: the top-level
     (picklable) task both executors run.
 
@@ -255,9 +355,8 @@ def _simulate_group(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
     shared flat arrays through the timing package's batch dispatch, whose
     ``auto`` rule picks the vector array program for large groups and the
     lowered interpreter otherwise.  The build and the lowering stay where
-    the task runs; it returns only the per-point ``(sim, stats,
-    trace_cached)`` rows, how many front-end builds ran (0 or 1), and the
-    group's ``(size, executed backend)``.
+    the task runs; it returns only the per-point sims, the group's trace
+    statistics, whether it built the trace, and the executed backend.
     """
     from repro.sweep import faults
     from repro.timing.dispatch import resolve_execution, simulate_batch
@@ -272,11 +371,9 @@ def _simulate_group(args: Tuple[Tuple[SweepPoint, ...], Optional[str]]
     trace, from_cache = _acquire_trace(points[0], trace_dir)
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points])
-    rows = [(sim, stats, from_cache) for sim in sims]
-    execution = (len(points),
-                 resolve_execution("auto", len(points), len(trace),
-                                   lowered=trace.lower()))
-    return rows, 0 if from_cache else 1, execution
+    backend = resolve_execution("auto", len(points), len(trace),
+                                lowered=trace.lower())
+    return sims, stats, not from_cache, backend
 
 
 def _init_pool_worker() -> None:
@@ -326,7 +423,15 @@ class SweepEngine:
         Wall-clock seconds one pool task (a trace group) may run before its
         worker is presumed hung and the pool recycled; ``None`` (default)
         disables deadlines.  CLI: ``--task-timeout``.
+
+    What the current (or most recent) run did is :attr:`report`.
     """
+
+    # The run state :attr:`report` is built from; each run starts afresh.
+    _cached = 0
+    _journaled = 0
+    _batches: Sequence[Batch] = ()
+    _supervisor: Optional[PoolSupervisor] = None
 
     def __init__(self, jobs: int = 1,
                  cache_dir: Union[None, str, ResultCache] = None,
@@ -348,7 +453,6 @@ class SweepEngine:
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
         self.journal = journal
-        self._reset_counters()
 
     @property
     def trace_cache(self) -> Optional[TraceCache]:
@@ -362,51 +466,23 @@ class SweepEngine:
                 os.path.join(self.cache.cache_dir, TRACE_SUBDIR))
         return self._trace_cache
 
-    def _reset_counters(self) -> None:
-        """Zero the ``last_*`` record of the most recent run."""
-        #: Number of points actually simulated by the most recent run.
-        self.last_simulated = 0
-        #: Number of points served whole from the result cache.
-        self.last_cached = 0
-        #: Number of points replayed from the write-ahead journal by the
-        #: most recent run (a resumed sweep; zero without a journal).
-        self.last_journaled = 0
-        #: Of the simulated points, how many got their trace from the cache.
-        self.last_trace_hits = 0
-        #: Front-end builds the most recent run executed.  Points sharing a
-        #: trace are batched, so this counts *distinct traces built* — with
-        #: a warm trace cache it is zero, and it never exceeds the number of
-        #: distinct (kernel, ISA, workload) combinations in the sweep.
-        self.last_trace_builds = 0
-        #: Tasks the most recent run submitted to the process pool (0 when
-        #: everything ran inline): one per trace group, plus every
-        #: re-submission — the single points split from a failing group,
-        #: retries, and tasks re-run after a pool restart.
-        self.last_pool_tasks = 0
-        #: Why the most recent run gave up its process pool and finished
-        #: on the inline executor (if it did).
-        self.last_fallback_reason: Optional[str] = None
-        #: Tasks the most recent run submitted because an earlier task
-        #: failed — the single points split from a failing group plus
-        #: single-point retries — on either executor.  Tasks re-run after
-        #: a pool restart (victims, probation suspects) are not retries.
-        self.last_retries = 0
-        #: Worker-pool respawns the most recent run performed.
-        self.last_pool_restarts = 0
-        #: Task deadlines that fired during the most recent run.
-        self.last_timeouts = 0
-        #: Points the most recent run gave up on, as
-        #: :class:`~repro.sweep.supervisor.PointFailure` records (also
-        #: carried on the corresponding results' ``failure`` field).
-        self.last_failures: List[PointFailure] = []
-        #: Of those, how many were quarantined for repeatedly killing or
-        #: hanging their worker.
-        self.last_quarantined = 0
-        #: Per simulated trace group of the most recent run: ``(number of
-        #: configurations, executed timing backend)`` — the observable
-        #: record that groups were routed through the batch dispatch, and
-        #: which execution each one resolved to.
-        self.last_batches: List[Tuple[int, str]] = []
+    @property
+    def report(self) -> RunReport:
+        """The :class:`RunReport` of the run so far, or of the most recent
+        run once it has ended."""
+        sup = self._supervisor
+        supervised = () if sup is None else (
+            sup.tasks, sup.retries, sup.pool_restarts, sup.timeouts,
+            tuple(sup.failures), sup.fallback_reason)
+        return RunReport(self._cached, self._journaled, tuple(self._batches),
+                         *supervised)
+
+    def __getattr__(self, name: str) -> Any:
+        """perfbench's view: its ``last_*`` names read :attr:`report`."""
+        if name in _PERFBENCH_VIEW:
+            return getattr(self.report, name[len("last_"):])
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
 
@@ -450,7 +526,9 @@ class SweepEngine:
         """
         points = [p.resolved() for p in
                   (sweep.points() if isinstance(sweep, SweepSpec) else sweep)]
-        self._reset_counters()
+        self._cached = self._journaled = 0
+        self._batches = []
+        self._supervisor = None
         journal = self.journal
         completed = journal.load() if journal is not None else {}
 
@@ -488,7 +566,7 @@ class SweepEngine:
                 if record is not None:
                     sim = sim_from_dict(record["sim"])
                     stats = stats_from_dict(record["stats"])
-                    self.last_journaled += 1
+                    self._journaled += 1
                     yield emit(PointResult(point=point, sim=sim, stats=stats,
                                            journaled=True, index=i))
                     continue
@@ -496,7 +574,7 @@ class SweepEngine:
                 cached = self.cache.get(point)
                 if cached is not None:
                     sim, stats = cached
-                    self.last_cached += 1
+                    self._cached += 1
                     yield emit(PointResult(point=point, sim=sim, stats=stats,
                                            cached=True, index=i))
                     continue
@@ -504,23 +582,11 @@ class SweepEngine:
 
         if todo:
             for result in self._iter_supervised(points, todo):
-                yield emit(self._record(result))
+                if result.failure is None and self.cache is not None:
+                    self.cache.put(result.point, result.sim, result.stats)
+                yield emit(result)
 
     # ------------------------------------------------------------------
-
-    def _record(self, result: PointResult) -> PointResult:
-        """Account for one fresh (non-result-cached) result and cache it."""
-        if result.failure is not None:
-            self.last_failures.append(result.failure)
-            if result.failure.quarantined:
-                self.last_quarantined += 1
-            return result
-        self.last_simulated += 1
-        if result.trace_cached:
-            self.last_trace_hits += 1
-        if self.cache is not None:
-            self.cache.put(result.point, result.sim, result.stats)
-        return result
 
     def _iter_supervised(self, points: Sequence[SweepPoint],
                          todo: Sequence[int]) -> Iterator[PointResult]:
@@ -539,8 +605,8 @@ class SweepEngine:
         when ``jobs > 1`` and there is more than one group or a
         ``task_timeout`` to enforce, else the inline executor.  The pool
         runs one worker per group at most; when it fails for good, the
-        supervisor finishes the run inline and says why in
-        :attr:`last_fallback_reason`.
+        supervisor finishes the run inline and says why in the report's
+        ``fallback_reason``.
 
         The single points split from a failing group share its trace: with
         a ``cache_dir`` through ``<cache_dir>/traces``, without one through
@@ -578,40 +644,33 @@ class SweepEngine:
             points, groups, make_args, _simulate_group,
             min(self.jobs, len(groups), (os.cpu_count() or 1) * 4),
             pool_factory=pool_factory, task_timeout=self.task_timeout)
+        # The report reads the supervisor live, so the streaming callbacks
+        # (--stream-jsonl) see current counts with each result.
+        self._supervisor = supervisor
         events = supervisor.run()
         try:
             for kind, payload, extra in events:
-                # Fold the supervision telemetry in continuously, so the
-                # streaming callbacks (--stream-jsonl) see current counts
-                # with each result, not only the end-of-run totals.
-                self._fold_telemetry(supervisor)
                 if kind == "failure":
                     failure: PointFailure = payload
                     yield PointResult(point=points[failure.index],
                                       failure=failure, index=failure.index)
                     continue
-                rows, builds, execution = extra
-                self.last_trace_builds += builds
-                self.last_batches.append(execution)
-                for i, (sim, stats, trace_cached) in zip(payload, rows):
+                sims, stats, built, backend = extra
+                row, done = len(self._batches), ()
+                for i, sim in zip(payload, sims):
+                    # A batch holds the points yielded so far, so the
+                    # report counts each point as it is delivered.
+                    done += (points[i],)
+                    self._batches[row:] = [Batch(done, backend, built)]
                     yield PointResult(point=points[i], sim=sim, stats=stats,
-                                      trace_cached=trace_cached, index=i)
+                                      trace_cached=not built, index=i)
         finally:
             # Runs on completion and — crucially — when the consumer closes
             # the generator early (GeneratorExit at a yield): closing the
             # supervision loop tears its pool down, so queued points are
             # cancelled instead of being executed behind the caller's back.
             events.close()
-            self._fold_telemetry(supervisor)
             if scratch is not None:
                 import shutil
 
                 shutil.rmtree(scratch, ignore_errors=True)
-
-    def _fold_telemetry(self, supervisor: PoolSupervisor) -> None:
-        """Copy the supervisor's record into the ``last_*`` counters."""
-        self.last_pool_tasks = supervisor.tasks
-        self.last_retries = supervisor.retries
-        self.last_pool_restarts = supervisor.pool_restarts
-        self.last_timeouts = supervisor.timeouts
-        self.last_fallback_reason = supervisor.fallback_reason

@@ -538,16 +538,7 @@ class SweepService:
         status, error, telemetry = "done", None, None
         try:
             engine.run(submission_points(submission), on_result=on_result)
-            telemetry = {
-                "simulated": engine.last_simulated,
-                "cached": engine.last_cached,
-                "trace_hits": engine.last_trace_hits,
-                "trace_builds": engine.last_trace_builds,
-                "retries": engine.last_retries,
-                "pool_restarts": engine.last_pool_restarts,
-                "timeouts": engine.last_timeouts,
-                "quarantined": engine.last_quarantined,
-            }
+            telemetry = engine.report.counts()
         except _Interrupted:
             # Drain: the log holds everything completed so far; the job
             # re-queues on the next recover().

@@ -71,8 +71,8 @@ class TestCallbackCrash:
 
         engine = SweepEngine(journal=journal)
         resumed = engine.run(sweep)
-        assert engine.last_journaled == crash_after
-        assert engine.last_simulated == len(sweep) - crash_after
+        assert engine.report.journaled == crash_after
+        assert engine.report.simulated == len(sweep) - crash_after
         assert _fingerprint(resumed) == _fingerprint(clean)
 
     def test_journaled_points_are_not_rebuilt(self, tmp_path):
@@ -91,8 +91,8 @@ class TestCallbackCrash:
 
         engine = SweepEngine(journal=journal)
         engine.run(sweep)
-        assert engine.last_simulated == 0
-        assert engine.last_trace_builds == 0, "journaled points were rebuilt"
+        assert engine.report.simulated == 0
+        assert engine.report.trace_builds == 0, "journaled points were rebuilt"
 
 
 def _sigkill_pool_worker():  # pragma: no cover - dies by design
@@ -117,16 +117,16 @@ class TestWorkerDeath:
                             _sigkill_pool_worker)
         engine = SweepEngine(jobs=2, journal=journal)
         results = engine.run(sweep)
-        assert engine.last_fallback_reason is not None
-        assert "BrokenProcessPool" in engine.last_fallback_reason
+        assert engine.report.fallback_reason is not None
+        assert "BrokenProcessPool" in engine.report.fallback_reason
         assert _fingerprint(results) == _fingerprint(clean)
 
         # Every point was journaled by the inline fallback; a resume
         # replays all of them without touching the (still-broken) pool.
         resumed_engine = SweepEngine(jobs=2, journal=journal)
         resumed = resumed_engine.run(sweep)
-        assert resumed_engine.last_journaled == len(sweep)
-        assert resumed_engine.last_simulated == 0
+        assert resumed_engine.report.journaled == len(sweep)
+        assert resumed_engine.report.simulated == 0
         assert _fingerprint(resumed) == _fingerprint(clean)
 
 

@@ -107,7 +107,7 @@ class TestEquivalence:
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", broken_pool)
         engine = SweepEngine(jobs=4)
         results = engine.run(small_sweep())
-        assert engine.last_fallback_reason is not None
+        assert engine.report.fallback_reason is not None
         baseline = SweepEngine(jobs=1).run(small_sweep())
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
@@ -117,14 +117,14 @@ class TestCache:
         sweep = small_sweep()
         cold_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         cold = cold_engine.run(sweep)
-        assert cold_engine.last_simulated == len(sweep)
-        assert cold_engine.last_cached == 0
+        assert cold_engine.report.simulated == len(sweep)
+        assert cold_engine.report.cached == 0
         assert all(not r.cached for r in cold)
 
         warm_engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         warm = warm_engine.run(sweep)
-        assert warm_engine.last_simulated == 0, "warm re-run must do zero simulations"
-        assert warm_engine.last_cached == len(sweep)
+        assert warm_engine.report.simulated == 0, "warm re-run must do zero simulations"
+        assert warm_engine.report.cached == len(sweep)
         assert all(r.cached for r in warm)
         assert [r.sim for r in cold] == [r.sim for r in warm]
         assert [r.stats for r in cold] == [r.stats for r in warm]
@@ -136,18 +136,18 @@ class TestCache:
         sweep = small_sweep()
         v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         v1.run(sweep)
-        assert v1.last_simulated == len(sweep)
+        assert v1.report.simulated == len(sweep)
 
         still_v1 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         still_v1.run(sweep)
-        assert still_v1.last_simulated == 0
+        assert still_v1.report.simulated == 0
 
         # The live stamp is read at key time: an engine built before the
         # bump misses too.
         v2 = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         v2.run(sweep)
-        assert v2.last_simulated == len(sweep), "version bump must miss the cache"
+        assert v2.report.simulated == len(sweep), "version bump must miss the cache"
 
     def test_partial_cache(self, tmp_path):
         cfg = MachineConfig.for_way(4)
@@ -156,8 +156,8 @@ class TestCache:
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run([a])
         engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         results = engine.run([a, b])
-        assert engine.last_cached == 1
-        assert engine.last_simulated == 1
+        assert engine.report.cached == 1
+        assert engine.report.simulated == 1
         assert results[0].cached and not results[1].cached
 
     def test_key_is_stable_and_sensitive(self, monkeypatch):
@@ -196,7 +196,7 @@ class TestCache:
         segment.write_text("{not json\n")
         again = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         results = again.run([point])
-        assert again.last_simulated == 1
+        assert again.report.simulated == 1
         assert results[0].sim == cold[0].sim
 
     def test_warm_rerun_simulates_nothing(self, tmp_path):
@@ -205,8 +205,8 @@ class TestCache:
         engine = SweepEngine(cache_dir=str(tmp_path))
         assert isinstance(engine.cache, ResultCache)
         engine.run(sweep)
-        assert engine.last_cached == len(sweep)
-        assert engine.last_simulated == 0
+        assert engine.report.cached == len(sweep)
+        assert engine.report.simulated == 0
 
     def test_version_bump_resimulates(self, tmp_path, monkeypatch):
         sweep = _two_way_sweep(ways=(1,))
@@ -214,7 +214,7 @@ class TestCache:
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "bumped")
         engine = SweepEngine(cache_dir=str(tmp_path))
         engine.run(sweep)
-        assert engine.last_simulated == len(sweep)
+        assert engine.report.simulated == len(sweep)
 
     def test_warm_results_equal_cold(self, tmp_path):
         sweep = _two_way_sweep(ways=(1,))
@@ -247,7 +247,7 @@ class TestTraceBatching:
         assert sorted(build_counter) == sorted(set(build_counter))
         # one lowering per distinct trace, not per point
         assert len(lowering_counter) == distinct_traces
-        assert engine.last_trace_builds == distinct_traces
+        assert engine.report.trace_builds == distinct_traces
 
     def test_cold_parallel_sweep_builds_each_trace_once(self, tmp_path):
         """Under a pool each trace group is one task, so even a completely
@@ -258,7 +258,7 @@ class TestTraceBatching:
         engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert len(results) == distinct_traces * 3
-        assert engine.last_trace_builds == distinct_traces
+        assert engine.report.trace_builds == distinct_traces
         # and the batched results are bit-identical to unbatched direct runs
         direct = [run_kernel(r.point.kernel, r.point.isa,
                              config=r.point.config, spec=r.point.spec).sim
@@ -282,9 +282,9 @@ class TestTraceBatching:
                                configs=configs, spec=_SPEC)
         engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         engine.run(sweep)
-        if engine.last_fallback_reason is None:
-            assert engine.last_pool_tasks == 0
-        assert engine.last_trace_builds == 1
+        if engine.report.fallback_reason is None:
+            assert engine.report.pool_tasks == 0
+        assert engine.report.trace_builds == 1
 
 
 class TestFigure4ThroughEngine:
@@ -307,7 +307,7 @@ class TestFigure4ThroughEngine:
 
         warm = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         run_figure4(kernels=["comp", "h2v2"], ways=(4,), engine=warm)
-        assert warm.last_simulated == 0
+        assert warm.report.simulated == 0
 
 
 class TestBackendRouting:
@@ -341,11 +341,12 @@ class TestBackendRouting:
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         engine = SweepEngine(cache_dir=str(tmp_path))
         results = engine.run(sweep)
-        assert engine.last_trace_builds == 0, "trace cache must be warm"
+        assert engine.report.trace_builds == 0, "trace cache must be warm"
         groups = 4  # one kernel x four ISAs
         assert len(results) == groups * 4
         # the engine's own record: every group went through the dispatch
-        assert sorted(engine.last_batches) == [(4, "lowered")] * groups
+        assert sorted((len(b.points), b.backend) for b in
+                      engine.report.batches) == [(4, "lowered")] * groups
         # and the dispatch loop itself ran every group, none vectorised
         assert batches == [(4, False)] * groups
 
@@ -360,11 +361,11 @@ class TestBackendRouting:
         engine = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = engine.run(sweep)
         assert len(results) == 16
-        assert engine.last_trace_builds == 0
-        assert len(engine.last_batches) >= 4
-        assert all(mode in ("lowered", "vector")
-                   for _n, mode in engine.last_batches)
-        assert sum(n for n, _mode in engine.last_batches) == 16
+        assert engine.report.trace_builds == 0
+        assert len(engine.report.batches) >= 4
+        assert all(b.backend in ("lowered", "vector")
+                   for b in engine.report.batches)
+        assert sum(len(b.points) for b in engine.report.batches) == 16
         baseline = SweepEngine().run(sweep)
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
@@ -377,7 +378,8 @@ class TestBackendRouting:
                                configs=configs, spec=_SPEC)
         engine = SweepEngine()
         engine.run(sweep)
-        assert engine.last_batches == [(VECTOR_MIN_BATCH, "vector")]
+        assert [(len(b.points), b.backend) for b in engine.report.batches] == [
+            (VECTOR_MIN_BATCH, "vector")]
 
     def test_declined_vector_group_records_the_lowered_loop(
             self, count_calls):
@@ -394,7 +396,8 @@ class TestBackendRouting:
                                configs=configs, spec=_SPEC)
         engine = SweepEngine()
         engine.run(sweep)
-        assert engine.last_batches == [(VECTOR_MIN_BATCH, "lowered")]
+        assert [(len(b.points), b.backend) for b in engine.report.batches] == [
+            (VECTOR_MIN_BATCH, "lowered")]
         assert vector_runs == []
 
     def test_backend_is_not_an_engine_option(self):
@@ -464,8 +467,8 @@ class TestVerification:
             assert all(not r.ok and r.sim is None and r.stats is None
                        and r.failure.error_type == "AssertionError"
                        for r in results)
-            assert engine.last_simulated == 0
-            assert engine.last_cached == engine.last_journaled == 0
+            assert engine.report.simulated == 0
+            assert engine.report.cached == engine.report.journaled == 0
         assert not os.path.exists(cache_dir), "a failed build was stored"
 
 
@@ -483,7 +486,7 @@ class TestColumnFastPathAccounting:
         distinct = len(_KERNELS) * 4
         assert len(build_counter) == distinct, \
             "every column-path build must be counted"
-        assert engine.last_trace_builds == distinct
+        assert engine.report.trace_builds == distinct
         # the cache entries written from columns revive as full traces
         cache = TraceCache(os.path.join(str(tmp_path), "traces"))
         point = SweepPoint("comp", "mmx", MachineConfig.for_way(4), _SPEC)
@@ -503,8 +506,8 @@ class TestColumnFastPathAccounting:
         build_counter.clear()
         engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         results = engine.run(miss)
-        assert engine.last_cached == 0
-        assert engine.last_simulated == len(results)
+        assert engine.report.cached == 0
+        assert engine.report.simulated == len(results)
         assert build_counter == [], \
             "warm sweeps must do zero front-end builds"
-        assert engine.last_trace_builds == 0
+        assert engine.report.trace_builds == 0

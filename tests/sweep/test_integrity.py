@@ -139,7 +139,7 @@ class TestResultCacheQuarantine:
         assert cache.get(_POINT) is None
         assert cache.get(SweepPoint("comp", "mmx", _CFG, _SPEC)) is not None
         sims, engine = _sims(cache_dir, isas=("scalar", "mom", "mmx"))
-        assert engine.last_simulated == 1 and engine.last_cached == 2
+        assert engine.report.simulated == 1 and engine.report.cached == 2
         assert sims == fresh
 
     def test_checksum_mismatch_is_quarantined_miss(self, tmp_path):
@@ -156,7 +156,7 @@ class TestResultCacheQuarantine:
         assert cache.get(_POINT) is None
         assert cache.corrupt == 1, "a dropped record is not counted twice"
         sims, engine = _sims(cache_dir)
-        assert engine.last_simulated == 1
+        assert engine.report.simulated == 1
         assert sims == fresh
 
     def test_truncated_entry_is_quarantined_miss(self, tmp_path):
@@ -171,7 +171,7 @@ class TestResultCacheQuarantine:
         assert cache.get(_POINT) is None
         assert cache.corrupt == 0 and cache.misses == 1
         sims, engine = _sims(cache_dir)
-        assert engine.last_simulated == 1
+        assert engine.report.simulated == 1
         assert sims == fresh
 
     def test_legacy_entry_without_stamp_is_a_miss(self, tmp_path):
@@ -188,7 +188,7 @@ class TestResultCacheQuarantine:
         assert cache.get(_POINT) is None
         assert cache.hits == 0 and cache.corrupt == 1
         sims, engine = _sims(cache_dir)
-        assert engine.last_simulated == 1
+        assert engine.report.simulated == 1
         assert sims == fresh
         assert ResultCache(cache_dir).get(_POINT) is not None
 
@@ -214,7 +214,7 @@ class TestResultCacheQuarantine:
         _sims(cache_dir)
         assert len(os.listdir(tmp_path / "log")) == 2
         _, engine = _sims(cache_dir)
-        assert engine.last_cached == 1 and engine.last_simulated == 0
+        assert engine.report.cached == 1 and engine.report.simulated == 0
 
 
 class TestSegments:
@@ -310,7 +310,7 @@ class TestPreSegmentLayout:
         self._legacy_cache(cache_dir)
         assert ResultCache(cache_dir).get(_POINT) is None
         sims, engine = _sims(cache_dir)
-        assert engine.last_simulated == 1
+        assert engine.report.simulated == 1
         assert sims == fresh
 
     def test_stats_report_and_gc_removes_them(self, tmp_path):
@@ -388,7 +388,7 @@ class TestTraceCacheQuarantine:
         engine = SweepEngine(cache_dir=str(tmp_path))
         engine.run([SweepPoint("comp", "mom", MachineConfig.for_way(2),
                                _SPEC)])
-        assert engine.last_trace_builds == 1
+        assert engine.report.trace_builds == 1
         with open(path) as f:
             assert verify_checksum(json.load(f))
         assert TraceCache(os.path.join(str(tmp_path), "traces")).get(

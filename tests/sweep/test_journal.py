@@ -249,7 +249,7 @@ class TestWriterLock:
         # A second engine (same process, fresh instance) takes over cleanly.
         engine = SweepEngine(journal=path)
         engine.run(sweep)
-        assert engine.last_journaled == len(sweep)
+        assert engine.report.journaled == len(sweep)
         assert not os.path.exists(path + LOCK_SUFFIX)
 
     def test_engine_releases_lock_when_consumer_abandons(self, tmp_path):
@@ -362,12 +362,12 @@ class TestAppendFailure:
         engine = SweepEngine(journal=path)
         results = engine.run(sweep)
         assert len(results) == len(sweep)
-        assert engine.last_journaled == 2
-        assert engine.last_simulated == len(sweep) - 2
+        assert engine.report.journaled == 2
+        assert engine.report.simulated == len(sweep) - 2
         # And a third run replays everything.
         engine = SweepEngine(journal=path)
         engine.run(sweep)
-        assert engine.last_journaled == len(sweep)
+        assert engine.report.journaled == len(sweep)
 
 
 class TestEngineResume:
@@ -378,9 +378,9 @@ class TestEngineResume:
 
         engine = SweepEngine(journal=path)
         second = engine.run(sweep)
-        assert engine.last_journaled == len(sweep)
-        assert engine.last_simulated == 0
-        assert engine.last_trace_builds == 0
+        assert engine.report.journaled == len(sweep)
+        assert engine.report.simulated == 0
+        assert engine.report.trace_builds == 0
         assert all(r.journaled for r in second)
         assert [r.sim for r in second] == [r.sim for r in first]
         assert [r.stats for r in second] == [r.stats for r in first]
@@ -403,12 +403,12 @@ class TestEngineResume:
         engine = SweepEngine(journal=path)
         results = engine.run(larger)
         assert len(results) == len(larger)
-        assert engine.last_journaled == len(small)
-        assert engine.last_simulated == len(larger) - len(small)
+        assert engine.report.journaled == len(small)
+        assert engine.report.simulated == len(larger) - len(small)
         # The journal now covers the larger sweep completely.
         engine = SweepEngine(journal=path)
         engine.run(larger)
-        assert engine.last_journaled == len(larger)
+        assert engine.report.journaled == len(larger)
 
     def test_replayed_points_do_not_touch_the_result_cache(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -418,8 +418,8 @@ class TestEngineResume:
 
         engine = SweepEngine(cache_dir=cache_dir, journal=path)
         engine.run(sweep)
-        assert engine.last_journaled == len(sweep)
-        assert engine.last_cached == 0
+        assert engine.report.journaled == len(sweep)
+        assert engine.report.cached == 0
         assert engine.cache.hits == 0 and engine.cache.misses == 0
 
     def test_model_version_bump_invalidates_the_journal(self, tmp_path,
@@ -432,8 +432,8 @@ class TestEngineResume:
                             "some-other-model")
         engine = SweepEngine(journal=path)
         engine.run(sweep)
-        assert engine.last_journaled == 0
-        assert engine.last_simulated == len(sweep)
+        assert engine.report.journaled == 0
+        assert engine.report.simulated == len(sweep)
 
     def test_unverified_records_from_older_journals_rerun(self, tmp_path):
         """A journal written when verification could be switched off may
@@ -457,12 +457,12 @@ class TestEngineResume:
         engine = SweepEngine(journal=path)
         resumed, = engine.run([point])
         assert not resumed.journaled and resumed.ok
-        assert engine.last_journaled == 0 and engine.last_simulated == 1
+        assert engine.report.journaled == 0 and engine.report.simulated == 1
         assert resumed.sim == fresh.sim
         # The re-run's record is verified, so the next resume replays it.
         again = SweepEngine(journal=path)
         again.run([point])
-        assert again.last_journaled == 1
+        assert again.report.journaled == 1
 
     def test_tampered_record_is_resimulated(self, tmp_path):
         """A journaled result whose bytes changed after the write fails
@@ -478,7 +478,7 @@ class TestEngineResume:
 
         engine = SweepEngine(journal=str(path))
         resumed, = engine.run([point])
-        assert engine.last_journaled == 0 and engine.last_simulated == 1
+        assert engine.report.journaled == 0 and engine.report.simulated == 1
         golden = os.path.join(os.path.dirname(__file__), "..", "golden",
                               "paper_grid.json")
         with open(golden, encoding="utf-8") as f:
@@ -514,12 +514,12 @@ class TestEngineResume:
         engine = SweepEngine(journal=path)
         results = engine.run(sweep)
         assert len(results) == len(sweep)
-        assert engine.last_journaled == len(sweep) - 1
-        assert engine.last_simulated == 1
+        assert engine.report.journaled == len(sweep) - 1
+        assert engine.report.simulated == 1
         # And the healed journal is complete again.
         engine = SweepEngine(journal=path)
         engine.run(sweep)
-        assert engine.last_journaled == len(sweep)
+        assert engine.report.journaled == len(sweep)
 
 
 class TestCLIResume:

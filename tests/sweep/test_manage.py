@@ -152,7 +152,7 @@ class TestGC:
         gc_cache(str(tmp_path), max_bytes=0)
         engine = SweepEngine(cache_dir=str(tmp_path))
         after = engine.run(sweep)
-        assert engine.last_simulated == len(after)
+        assert engine.report.simulated == len(after)
         assert [r.sim for r in after] == [r.sim for r in before]
 
 

@@ -8,7 +8,8 @@ default scale and seed 1999) through one path and asserts four things:
 * every point's cycles, instructions and stall breakdown equal
   ``tests/golden/paper_grid.json``;
 * every point's ``SimResult`` and ``TraceStats`` equal the no-cache run's;
-* the path's own counts: what it simulated, built and served;
+* the path's own counts: what it simulated, built and served, and that
+  its report accounts for every point once;
 * on CLI paths, the figure on stdout without the ``[sweep]`` footer
   equals the no-cache run's byte for byte.
 
@@ -34,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -44,7 +45,7 @@ from repro.experiments.figure4 import figure4_sweep
 from repro.sweep import SweepJournal
 from repro.sweep.cache import ResultCache, sim_from_dict, stats_from_dict
 from repro.sweep.client import ServiceClient
-from repro.sweep.engine import PointResult, SweepEngine
+from repro.sweep.engine import PointResult, RunReport, SweepEngine
 from repro.sweep.service import (ServiceHTTPServer, SweepService,
                                  normalize_submission, submission_points)
 
@@ -70,6 +71,13 @@ class Run:
     results: List[PointResult]
     engine: Optional[SweepEngine] = None  # None for the service
     figure: Optional[str] = None  # CLI stdout without the footer
+    telemetry: Optional[Dict[str, int]] = None  # the service job's
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """The run's report counts: the engine's, or the job's telemetry."""
+        return (self.telemetry if self.engine is None
+                else self.engine.report.counts())
 
 
 def _cli(*flags: str) -> Run:
@@ -96,10 +104,11 @@ def _expect(run: Run, simulated=0, cached=0, journaled=0, trace_hits=0,
             builds=0) -> None:
     """The engine's counts, and each result's flags agreeing with them."""
     engine = run.engine
-    assert {"simulated": engine.last_simulated, "cached": engine.last_cached,
-            "journaled": engine.last_journaled,
-            "trace_hits": engine.last_trace_hits,
-            "builds": engine.last_trace_builds} == {
+    assert {"simulated": engine.report.simulated,
+            "cached": engine.report.cached,
+            "journaled": engine.report.journaled,
+            "trace_hits": engine.report.trace_hits,
+            "builds": engine.report.trace_builds} == {
         "simulated": simulated, "cached": cached, "journaled": journaled,
         "trace_hits": trace_hits, "builds": builds}
     assert [sum(getattr(r, flag) for r in run.results)
@@ -167,8 +176,8 @@ def _trace_only(tmp_path, shared) -> Run:
 def _jobs2(tmp_path, shared) -> Run:
     run = _cli("--jobs", "2", "--cache-dir", str(tmp_path / "cache"))
     _expect(run, simulated=16, builds=4)
-    assert run.engine.last_fallback_reason is None
-    assert run.engine.last_pool_tasks == 4  # one per trace group
+    assert run.engine.report.fallback_reason is None
+    assert run.engine.report.pool_tasks == 4  # one per trace group
     return run
 
 
@@ -233,13 +242,15 @@ def _served(tmp_path, shared) -> Run:
     assert created and body["job"]["status"] == "done"
     assert body["failures"] == []
     telemetry = body["job"]["telemetry"]
+    assert set(RunReport().counts()) <= set(telemetry)
     assert (telemetry["simulated"], telemetry["cached"],
             telemetry["trace_builds"]) == (16, 0, 4)
     points = submission_points(normalize_submission(SUBMISSION))
     return Run([PointResult(point=points[r["index"]],
                             sim=sim_from_dict(r["sim"]),
                             stats=stats_from_dict(r["stats"]),
-                            index=r["index"]) for r in body["results"]])
+                            index=r["index"]) for r in body["results"]],
+               telemetry=telemetry)
 
 
 PATHS = {
@@ -257,6 +268,10 @@ PATHS = {
 @pytest.mark.parametrize("path", list(PATHS))
 def test_result_path(path, tmp_path, shared):
     run = PATHS[path](tmp_path, shared)
+    counts = run.counts
+    assert (counts["simulated"] + counts["cached"] + counts["journaled"]
+            + counts["failed"]) == len(POINTS) == 16
+    assert counts["trace_builds"] <= 4
     _assert_golden(run.results)
     fresh = {_label(r.sim): (r.sim, r.stats) for r in shared.fresh.results}
     assert {_label(r.sim): (r.sim, r.stats) for r in run.results} == fresh

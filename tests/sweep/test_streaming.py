@@ -4,7 +4,7 @@
 sweep — whatever the completion order — and reassembling by ``index`` must
 reproduce the barrier ``run()`` output.  Pool-infrastructure failures at any
 stage (pool creation, submit time, mid-run) degrade to the serial path with
-``last_fallback_reason`` recorded, never to a failed sweep.
+``report.fallback_reason`` recorded, never to a failed sweep.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class TestIterResults:
         engine = SweepEngine()
         iterator = engine.iter_results(small_sweep())
         first = next(iterator)
-        assert engine.last_simulated == 1
+        assert engine.report.simulated == 1
         assert first.sim.cycles > 0
         rest = list(iterator)
-        assert engine.last_simulated == 1 + len(rest)
+        assert engine.report.simulated == 1 + len(rest)
 
     def test_early_close_is_clean(self):
         """Abandoning the stream mid-sweep (serial or pooled) must not
@@ -153,9 +153,9 @@ class TestPoolFallback:
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", Explodes)
         engine = SweepEngine(jobs=4)
         results = engine.run(small_sweep())
-        assert engine.last_fallback_reason is not None
-        assert name in engine.last_fallback_reason
-        assert "submit" in engine.last_fallback_reason
+        assert engine.report.fallback_reason is not None
+        assert name in engine.report.fallback_reason
+        assert "submit" in engine.report.fallback_reason
         baseline = SweepEngine().run(small_sweep())
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
@@ -168,7 +168,7 @@ class TestPoolFallback:
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", broken_pool)
         engine = SweepEngine(jobs=4)
         results = engine.run(small_sweep())
-        assert engine.last_fallback_reason is not None
+        assert engine.report.fallback_reason is not None
         baseline = SweepEngine().run(small_sweep())
         assert [r.sim for r in results] == [r.sim for r in baseline]
 

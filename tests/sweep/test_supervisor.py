@@ -126,9 +126,9 @@ class TestHungWorker:
         ])
         engine = SweepEngine(jobs=2, task_timeout=2.0)
         results = engine.run(sweep)
-        assert engine.last_timeouts >= 1
-        assert engine.last_fallback_reason is None
-        assert not engine.last_failures
+        assert engine.report.timeouts >= 1
+        assert engine.report.fallback_reason is None
+        assert not engine.report.failures
         assert all(r.ok for r in results)
         assert _fingerprint(results) == _fingerprint(clean)
 
@@ -145,9 +145,9 @@ class TestHungWorker:
         ])
         engine = SweepEngine(jobs=2, task_timeout=2.0)
         results = engine.run(sweep)
-        assert engine.last_pool_tasks >= 1
-        assert engine.last_timeouts == 1
-        assert not engine.last_failures
+        assert engine.report.pool_tasks >= 1
+        assert engine.report.timeouts == 1
+        assert not engine.report.failures
         assert _fingerprint(results) == _fingerprint(clean)
 
 
@@ -161,10 +161,10 @@ class TestTransientCrash:
         ])
         engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
-        assert engine.last_pool_restarts >= 1
-        assert engine.last_fallback_reason is None, \
+        assert engine.report.pool_restarts >= 1
+        assert engine.report.fallback_reason is None, \
             "a transient crash must be retried under the pool, not serially"
-        assert not engine.last_failures
+        assert not engine.report.failures
         assert _fingerprint(results) == _fingerprint(clean)
 
 
@@ -178,7 +178,7 @@ class TestPoisonPoint:
         ])
         engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
-        assert engine.last_fallback_reason is None
+        assert engine.report.fallback_reason is None
 
         bad = [r for r in results if not r.ok]
         assert len(bad) == 1
@@ -188,8 +188,8 @@ class TestPoisonPoint:
         assert failure.error_type == "BrokenProcessPool"
         assert (failure.kernel, failure.isa, failure.config) == \
             ("comp", "scalar", "way1")
-        assert engine.last_quarantined == 1
-        assert engine.last_failures == [failure]
+        assert engine.report.quarantined == 1
+        assert engine.report.failures == (failure,)
 
         # Quarantine is surgical: every other point is byte-identical.
         skip = {failure.index}
@@ -200,7 +200,7 @@ class TestPoisonPoint:
         """A failing group splits into single points, so one poison point
         in a 16-config trace group is quarantined under the pool within
         the default restart budget (bisection spent a restart per
-        halving and fell back to serial).  ``last_pool_tasks`` counts
+        halving and fell back to serial).  ``report.pool_tasks`` counts
         every submission: both groups, the 16 split points and the
         poison point's retry."""
         sweep = _poison_group_sweep()
@@ -211,15 +211,15 @@ class TestPoisonPoint:
         ])
         engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
-        assert engine.last_fallback_reason is None
-        assert engine.last_pool_restarts <= 4
-        assert engine.last_pool_tasks >= 2 + 16 + 1
+        assert engine.report.fallback_reason is None
+        assert engine.report.pool_restarts <= 4
+        assert engine.report.pool_tasks >= 2 + 16 + 1
 
         bad = [r for r in results if not r.ok]
         assert [(r.failure.kernel, r.failure.isa, r.failure.config,
                  r.failure.quarantined) for r in bad] == \
             [("comp", "scalar", "lat7", True)]
-        assert engine.last_quarantined == 1
+        assert engine.report.quarantined == 1
         assert _fingerprint(results) == _fingerprint(clean,
                                                      skip={bad[0].index})
 
@@ -261,34 +261,34 @@ class TestOnePolicyTwoExecutors:
                                            ("pool", 2, False),
                                            ("fallback", 2, True))}
         inline, inline_results = runs["inline"]
-        (failure,) = inline.last_failures
+        (failure,) = inline.report.failures
         assert (failure.config, failure.phase, failure.attempts,
                 failure.error_type, failure.quarantined) == \
             ("lat7", "exception", 2, "InjectedFault", False)
         for name, (engine, results) in runs.items():
             assert [r.failure for r in results if not r.ok] == [failure], name
-            assert engine.last_failures == [failure], name
-            assert engine.last_retries == inline.last_retries, name
-            assert engine.last_trace_builds <= 2, name
+            assert engine.report.failures == (failure,), name
+            assert engine.report.retries == inline.report.retries, name
+            assert engine.report.trace_builds <= 2, name
             assert _fingerprint(results) == _fingerprint(
                 clean, skip={failure.index}), name
         # 16 split singles plus the poison point's one retry.
-        assert inline.last_retries == 17
-        assert inline.last_pool_tasks == 0
-        assert runs["pool"][0].last_pool_tasks > 0
-        assert runs["pool"][0].last_fallback_reason is None
-        assert "no fork for you" in runs["fallback"][0].last_fallback_reason
+        assert inline.report.retries == 17
+        assert inline.report.pool_tasks == 0
+        assert runs["pool"][0].report.pool_tasks > 0
+        assert runs["pool"][0].report.fallback_reason is None
+        assert "no fork for you" in runs["fallback"][0].report.fallback_reason
         # The split singles' scratch trace store is gone with the run.
         assert list(scratch.iterdir()) == []
 
     def test_crash_split_shares_one_trace_build(self, tmp_path, monkeypatch):
         clean = SweepEngine().run(_poison_group_sweep())
         engine, results = self._poison_run(tmp_path, monkeypatch, "crash", 2)
-        (failure,) = engine.last_failures
+        (failure,) = engine.report.failures
         assert (failure.config, failure.phase, failure.quarantined) == \
             ("lat7", "crash", True)
-        assert engine.last_fallback_reason is None
-        assert engine.last_trace_builds <= 2
+        assert engine.report.fallback_reason is None
+        assert engine.report.trace_builds <= 2
         assert _fingerprint(results) == _fingerprint(clean,
                                                      skip={failure.index})
 
@@ -303,8 +303,8 @@ class TestSerialFailures:
         ])
         engine = SweepEngine(jobs=1)
         results = engine.run(sweep)
-        assert not engine.last_failures
-        assert engine.last_retries >= 1
+        assert not engine.report.failures
+        assert engine.report.retries >= 1
         assert _fingerprint(results) == _fingerprint(clean)
 
     def test_poison_exception_becomes_point_failure(self, tmp_path,
@@ -359,8 +359,8 @@ class TestJournalledFailures:
 
         engine = SweepEngine(jobs=1, journal=journal)  # fault env now clear
         resumed = engine.run(sweep)
-        assert engine.last_journaled == len(sweep) - 1
-        assert engine.last_simulated == 1
+        assert engine.report.journaled == len(sweep) - 1
+        assert engine.report.simulated == 1
         assert all(r.ok for r in resumed)
         assert _fingerprint(resumed) == _fingerprint(clean)
 
@@ -390,9 +390,9 @@ class TestChaosAcceptance:
         results = engine.run(sweep)
 
         # Survived without collapsing to the serial fallback.
-        assert engine.last_fallback_reason is None
-        assert engine.last_pool_restarts >= 1
-        assert engine.last_timeouts >= 1
+        assert engine.report.fallback_reason is None
+        assert engine.report.pool_restarts >= 1
+        assert engine.report.timeouts >= 1
 
         # Exactly the poison point failed, structurally.
         bad = [r for r in results if not r.ok]
@@ -417,8 +417,8 @@ class TestChaosAcceptance:
         monkeypatch.delenv(faults.FAULT_ENV)
         resumed_engine = SweepEngine(jobs=1, journal=journal)
         resumed = resumed_engine.run(sweep)
-        assert resumed_engine.last_journaled == len(sweep) - 1
-        assert resumed_engine.last_simulated == 1
+        assert resumed_engine.report.journaled == len(sweep) - 1
+        assert resumed_engine.report.simulated == 1
         assert all(r.ok for r in resumed)
         assert _fingerprint(resumed) == _fingerprint(clean)
 

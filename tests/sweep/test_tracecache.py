@@ -225,8 +225,8 @@ class TestEngineIntegration:
             self, tmp_path, build_counter):
         cold = SweepEngine(cache_dir=str(tmp_path))
         cold_results = cold.run(self._sweep())
-        assert cold.last_trace_builds == len(cold_results)
-        assert cold.last_trace_hits == 0
+        assert cold.report.trace_builds == len(cold_results)
+        assert cold.report.trace_hits == 0
         assert len(build_counter) == len(cold_results)
 
         # Same kernels/workload on a *different* machine configuration: the
@@ -234,10 +234,10 @@ class TestEngineIntegration:
         build_counter.clear()
         warm_miss = SweepEngine(cache_dir=str(tmp_path))
         results = warm_miss.run(self._sweep(MachineConfig.for_way(1)))
-        assert warm_miss.last_simulated == len(results)
-        assert warm_miss.last_cached == 0
-        assert warm_miss.last_trace_hits == len(results)
-        assert warm_miss.last_trace_builds == 0
+        assert warm_miss.report.simulated == len(results)
+        assert warm_miss.report.cached == 0
+        assert warm_miss.report.trace_hits == len(results)
+        assert warm_miss.report.trace_builds == 0
         assert build_counter == [], "warm miss must perform zero trace builds"
         assert all(r.trace_cached and not r.cached for r in results)
 
@@ -252,8 +252,8 @@ class TestEngineIntegration:
         build_counter.clear()
         warm = SweepEngine(cache_dir=str(tmp_path))
         results = warm.run(self._sweep())
-        assert warm.last_simulated == 0
-        assert warm.last_cached == len(results)
+        assert warm.report.simulated == 0
+        assert warm.report.cached == len(results)
         assert build_counter == []
 
     def test_corrupt_trace_entry_falls_back_to_rebuild(self, tmp_path,
@@ -269,7 +269,7 @@ class TestEngineIntegration:
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         again = SweepEngine(cache_dir=str(tmp_path))
         results = again.run([point])
-        assert again.last_trace_builds == 1
+        assert again.report.trace_builds == 1
         assert build_counter == [("comp", "mom")]
         assert results[0].sim.cycles > 0
 
@@ -295,8 +295,8 @@ class TestEngineIntegration:
         monkeypatch.setattr(repro.versions, "MODEL_VERSION", "v2")
         parallel = SweepEngine(jobs=2, cache_dir=str(tmp_path))
         results = parallel.run(sweep)
-        if parallel.last_fallback_reason is None:
-            assert parallel.last_trace_hits == len(results)
-            assert parallel.last_trace_builds == 0
+        if parallel.report.fallback_reason is None:
+            assert parallel.report.trace_hits == len(results)
+            assert parallel.report.trace_builds == 0
         serial = SweepEngine().run(sweep)
         assert [r.sim for r in results] == [r.sim for r in serial]

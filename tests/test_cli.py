@@ -204,6 +204,25 @@ class TestFailedPoints:
                    for row in rows)
         assert f"{failed} point(s) failed" in out
 
+    def test_run_lists_failed_builds_and_exits_1(self, capsys, monkeypatch):
+        """``repro run`` simulates through the engine like the figures: a
+        build that fails its golden check is a failed point, listed, and
+        the command exits 1 with the footer and no traceback."""
+        from repro.kernels.base import ISA_VARIANTS, KernelBuildResult
+
+        monkeypatch.setattr(KernelBuildResult, "correct",
+                            property(lambda self: False))
+        assert main(["run", "comp", "--scale", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        rows = [line for line in out.splitlines() if "FAILED" in line]
+        assert [row.split()[:2] for row in rows] == [
+            ["comp", isa] for isa in ISA_VARIANTS]
+        assert all(row.endswith("failed: AssertionError (exception)")
+                   for row in rows)
+        assert out.startswith("4 point(s) failed; nothing to report:")
+        assert "\n[sweep] 0 point(s) simulated, 0 from cache, 4 failed" in out
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -92,15 +92,16 @@ def _counts(run):
 
 @functools.lru_cache(maxsize=None)
 def _all_isas_counts(kernel_name):
-    """Counts per ISA from one ``run_kernel_all_isas`` call (the path
-    ``repro run`` takes), shared by the kernel's four golden points."""
+    """Counts per ISA from one ``run_kernel_all_isas`` call (the path the
+    examples take), shared by the kernel's four golden points."""
     config, spec = _golden_inputs(kernel_name)
     runs = run_kernel_all_isas(kernel_name, config=config, spec=spec)
     return {isa: _counts(run) for isa, run in runs.items()}
 
 
-# ``run_kernel`` keeps the plain ``kernel/isa`` ids; the ``repro run``
-# path is the same points under an ``-all_isas`` suffix.
+# ``run_kernel`` keeps the plain ``kernel/isa`` ids; the
+# ``run_kernel_all_isas`` path is the same points under an ``-all_isas``
+# suffix.
 @pytest.mark.parametrize(
     "point, all_isas",
     [pytest.param(p, False, id=p) for p in _POINTS]

@@ -255,9 +255,9 @@ def test_sweep_supervision_overhead():
     engine = SweepEngine(jobs=2, task_timeout=300.0)
     results, supervised_elapsed = _timed(lambda: engine.run(sweep))
 
-    assert engine.last_timeouts == 0
-    assert engine.last_pool_restarts == 0
-    assert not engine.last_failures
+    assert engine.report.timeouts == 0
+    assert engine.report.pool_restarts == 0
+    assert not engine.report.failures
     assert [r.sim.cycles for r in results] == [r.sim.cycles for r in plain]
     assert supervised_elapsed < plain_elapsed * 3.0 + 1.0, (
         "deadline bookkeeping should be noise on a healthy sweep "
@@ -283,9 +283,9 @@ def test_sweep_warm_miss_trace_cache(tmp_path):
     engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
     results, warm_elapsed = _timed(lambda: engine.run(miss_sweep))
 
-    assert engine.last_cached == 0, "a new config must miss the result cache"
-    assert engine.last_trace_builds == 0, "warm miss must do zero trace builds"
-    assert engine.last_trace_hits == len(results)
+    assert engine.report.cached == 0, "a new config must miss the result cache"
+    assert engine.report.trace_builds == 0, "warm miss must do zero trace builds"
+    assert engine.report.trace_hits == len(results)
     assert [r.sim for r in results] == [r.sim for r in uncached]
     assert warm_elapsed < uncached_elapsed * 4.0, (
         "trace-cache warm miss should not be drastically slower than an "

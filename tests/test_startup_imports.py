@@ -28,15 +28,15 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 #: modules it imported as JSON to the file named by ``REPRO_MODULES_OUT``.
 #: Modules the interpreter loaded before the probe started (``site`` and
 #: whatever ``.pth`` files pull in) are not the command's and are left out.
-#: With ``REPRO_POOL_TASKS_OUT`` set, it also writes every engine's
-#: ``last_pool_tasks`` there.
+#: With ``REPRO_REPORTS_OUT`` set, it first writes every engine's
+#: ``report.counts()`` there, so what reading the report imports counts too.
 _PROBE = """
 import sys
 _before = set(sys.modules)
 import atexit, json, os, runpy
 
 _engines = []
-if os.environ.get("REPRO_POOL_TASKS_OUT"):
+if os.environ.get("REPRO_REPORTS_OUT"):
     from repro.sweep.engine import SweepEngine
 
     _init = SweepEngine.__init__
@@ -48,11 +48,11 @@ if os.environ.get("REPRO_POOL_TASKS_OUT"):
     SweepEngine.__init__ = _track
 
 def _dump():
+    if _engines:
+        with open(os.environ["REPRO_REPORTS_OUT"], "w") as f:
+            json.dump([e.report.counts() for e in _engines], f)
     with open(os.environ["REPRO_MODULES_OUT"], "w") as f:
         json.dump(sorted(set(sys.modules) - _before), f)
-    if _engines:
-        with open(os.environ["REPRO_POOL_TASKS_OUT"], "w") as f:
-            json.dump([e.last_pool_tasks for e in _engines], f)
 
 atexit.register(_dump)
 sys.argv = ["repro"] + sys.argv[1:]
@@ -84,11 +84,11 @@ def _under(module: str, names) -> bool:
                for name in names)
 
 
-def _run(args, tmp_path, probe=False, pool_tasks=False):
+def _run(args, tmp_path, probe=False, reports=False):
     env = dict(os.environ, PYTHONPATH=_SRC,
                REPRO_MODULES_OUT=str(tmp_path / "modules.json"))
-    if pool_tasks:
-        env["REPRO_POOL_TASKS_OUT"] = str(tmp_path / "pool_tasks.json")
+    if reports:
+        env["REPRO_REPORTS_OUT"] = str(tmp_path / "reports.json")
     argv = ([sys.executable, "-c", _PROBE] if probe
             else [sys.executable, "-m", "repro"])
     proc = subprocess.run(argv + list(args), env=env, capture_output=True,
@@ -115,11 +115,19 @@ def warm_cache(tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_warm_paper_command_imports_no_compute(command, warm_cache,
                                                tmp_path):
+    """The engine's report says the cache served every point and nothing
+    else happened; reading it loads neither the supervisor nor the pool."""
     out = _run(_COMMANDS[command] + ["--cache-dir", str(warm_cache)],
-               tmp_path, probe=True)
+               tmp_path, probe=True, reports=True)
     assert "0 point(s) simulated" in out, "the cache must serve every point"
+    # The CLI builds one engine to check its flags, then the one it runs.
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert sum(counts.pop("cached") for counts in reports) > 0
+    assert {n for counts in reports for n in counts.values()} == {0}, reports
     modules = json.loads((tmp_path / "modules.json").read_text())
     assert [m for m in modules if _forbidden(m)] == []
+    assert [m for m in modules if _under(
+        m, ("repro.sweep.supervisor", "concurrent.futures"))] == []
 
 
 def test_trace_hit_figure5_imports_no_numpy(tmp_path):
@@ -152,10 +160,11 @@ def test_one_group_parallel_sweep_runs_inline(tmp_path):
     ``multiprocessing``."""
     _run(["sweep", "--kernels", "comp", "--isas", "mom", "--ways", "1", "2",
           "4", "8", "--scale", "1", "--jobs", "2"], tmp_path, probe=True,
-         pool_tasks=True)
+         reports=True)
     modules = json.loads((tmp_path / "modules.json").read_text())
     assert [m for m in modules if _under(m, _POOL_MODULES)] == []
-    assert set(json.loads((tmp_path / "pool_tasks.json").read_text())) == {0}
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert {counts["pool_tasks"] for counts in reports} == {0}
 
 
 def test_version_imports_no_compute(tmp_path):
