@@ -24,7 +24,8 @@ import time
 from repro.analysis.report import format_speedup_table
 from repro.cli import (add_sweep_arguments, engine_from_args, engine_summary,
                        stream_sinks)
-from repro.experiments.figure4 import figure4_speedups, run_figure4
+from repro.experiments.figure4 import (figure4_results, figure4_speedups,
+                                       figure4_sweep)
 from repro.workloads.generators import WorkloadSpec
 
 
@@ -32,10 +33,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Regenerate Figure 4")
     args = add_sweep_arguments(parser).parse_args()
     spec = WorkloadSpec(scale=args.scale) if args.scale else None
+    points = figure4_sweep(spec=spec)
     engine = engine_from_args(args)
     start = time.time()
-    with stream_sinks(args, total=9 * 4 * 4) as on_result:
-        results = run_figure4(spec=spec, engine=engine, on_result=on_result)
+    with stream_sinks(args, total=len(points)) as on_result:
+        results = figure4_results(engine.run(points, on_result=on_result))
     speedups = figure4_speedups(results)
     print(format_speedup_table(speedups))
     print(f"\n(regenerated in {time.time() - start:.1f}s: "

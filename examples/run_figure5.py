@@ -17,7 +17,8 @@ import time
 from repro.analysis.report import format_latency_table
 from repro.cli import (add_sweep_arguments, engine_from_args, engine_summary,
                        stream_sinks)
-from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
+from repro.experiments.figure5 import (figure5_cycles, figure5_results,
+                                       figure5_slowdowns, figure5_sweep)
 from repro.workloads.generators import WorkloadSpec
 
 
@@ -25,10 +26,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Regenerate Figure 5")
     args = add_sweep_arguments(parser).parse_args()
     spec = WorkloadSpec(scale=args.scale) if args.scale else None
+    points = figure5_sweep(spec=spec)
     engine = engine_from_args(args)
     start = time.time()
-    with stream_sinks(args, total=9 * 3 * 4) as on_result:
-        results = run_figure5(spec=spec, engine=engine, on_result=on_result)
+    with stream_sinks(args, total=len(points)) as on_result:
+        results = figure5_results(engine.run(points, on_result=on_result))
     print(format_latency_table(figure5_cycles(results)))
 
     print("\nSlow-down from 1-cycle to 50-cycle memory latency:")

@@ -14,7 +14,8 @@ import time
 from repro.analysis.report import format_breakdown_table
 from repro.cli import (add_sweep_arguments, engine_from_args, engine_summary,
                        stream_sinks)
-from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
+from repro.experiments.tables import (TABLE_NUMBERS, breakdown_tables,
+                                      tables_sweep)
 from repro.workloads.generators import WorkloadSpec
 
 
@@ -22,11 +23,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Regenerate Tables 1-9")
     args = add_sweep_arguments(parser).parse_args()
     spec = WorkloadSpec(scale=args.scale) if args.scale else None
+    points = tables_sweep(spec=spec)
     engine = engine_from_args(args)
     start = time.time()
-    with stream_sinks(args, total=9 * 4) as on_result:
-        tables = run_breakdown_tables(spec=spec, engine=engine,
-                                      on_result=on_result)
+    with stream_sinks(args, total=len(points)) as on_result:
+        tables = breakdown_tables(engine.run(points, on_result=on_result))
     for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
         print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
         print(format_breakdown_table(kernel, tables[kernel]))

@@ -58,25 +58,32 @@ import signal
 import sys
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import (
     format_breakdown_table,
     format_latency_table,
     format_speedup_table,
 )
-from repro.experiments.figure4 import figure4_speedups, run_figure4
-from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
-from repro.experiments.tables import (TABLE_NUMBERS, breakdown_for_kernel,
-                                      run_breakdown_tables)
-from repro.kernels.catalog import ISA_VARIANTS, default_scale, kernel_names
+from repro.experiments.figure4 import (figure4_results, figure4_speedups,
+                                       figure4_sweep)
+from repro.experiments.figure5 import (figure5_cycles, figure5_results,
+                                       figure5_slowdowns, figure5_sweep)
+from repro.experiments.tables import (TABLE_NUMBERS, breakdown_tables,
+                                      tables_sweep)
+from repro.kernels.catalog import ISA_VARIANTS, kernel_names
 from repro.sweep.engine import PointResult, SweepEngine, SweepFailed
-from repro.sweep.spec import grid_points
-from repro.timing.config import MachineConfig
+from repro.sweep.spec import SweepPoint, grid_points
 from repro.workloads.generators import WorkloadSpec
 
 if TYPE_CHECKING:
     from repro.sweep.manage import GCReport
+    from repro.sweep.service import SweepService
+
+#: What a simulating command runs: its points, the reduction of their
+#: results, and the renderer of what the reduction returns.
+_Plan = Tuple[List[SweepPoint], Callable[[List[PointResult]], Any],
+             Callable[[Any], None]]
 
 __all__ = ["add_sweep_arguments", "build_parser", "engine_from_args",
            "engine_summary", "main", "make_on_result", "stream_sinks",
@@ -465,10 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec(scale: Optional[int], seed: int = 1999) -> Optional[WorkloadSpec]:
-    if scale is None:
-        return None
-    return WorkloadSpec(scale=scale, seed=seed)
+def _spec(scale: Optional[int]) -> Optional[WorkloadSpec]:
+    return None if scale is None else WorkloadSpec(scale=scale)
 
 
 def _print_engine_summary(engine: SweepEngine) -> None:
@@ -493,17 +498,18 @@ def _print_failed(result: PointResult) -> None:
           f"{tag}: {result.failure.error_type} ({result.failure.phase})")
 
 
-def _simulate(args: argparse.Namespace, total: int,
-              sweep: Callable[..., Any], render: Callable[[Any], None]) -> int:
-    """Run a simulating command: ``sweep(engine=, on_result=)`` on the
-    engine its flags describe, streaming ``total`` points, then ``render``
-    what it returned and print the engine footer.  A figure or table whose
+def _simulate(args: argparse.Namespace, engine: SweepEngine,
+              points: List[SweepPoint],
+              reduce: Callable[[List[PointResult]], Any],
+              render: Callable[[Any], None]) -> int:
+    """Run a simulating command: ``points`` on its one ``engine``, streamed
+    to the sinks its flags name, then ``render`` what ``reduce`` makes of
+    the results and print the engine footer.  A figure or table whose
     sweep lost points cannot be drawn: the command lists the failed points
     as ``repro sweep`` does, prints the footer and exits 1."""
-    engine = engine_from_args(args)
     try:
-        with stream_sinks(args, total, engine=engine) as on_result:
-            output = sweep(engine=engine, on_result=on_result)
+        with stream_sinks(args, len(points), engine=engine) as on_result:
+            output = reduce(engine.run(points, on_result=on_result))
     except SweepFailed as exc:
         print(f"{len(exc.failed)} point(s) failed; nothing to report:")
         for result in exc.failed:
@@ -523,71 +529,53 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec(args.scale, args.seed) or WorkloadSpec(
-        scale=default_scale(args.kernel), seed=args.seed)
+def _plan_run(args: argparse.Namespace) -> _Plan:
+    points = grid_points([args.kernel], ISA_VARIANTS, [args.way],
+                         [args.mem_latency], args.scale, args.seed)
 
     def render(metrics) -> None:
         print(f"{args.kernel} on a {args.way}-way core, "
-              f"{args.mem_latency}-cycle memory, scale {spec.scale}")
+              f"{args.mem_latency}-cycle memory, "
+              f"scale {points[0].spec.scale}")
         print(format_breakdown_table(args.kernel, metrics))
 
-    return _simulate(args, len(ISA_VARIANTS),
-                     partial(breakdown_for_kernel, args.kernel, way=args.way,
-                             mem_latency=args.mem_latency, spec=spec),
-                     render)
+    return (points, lambda results: breakdown_tables(results)[args.kernel],
+            render)
 
 
-def _kernel_count(kernels: Optional[Sequence[str]]) -> int:
-    return len(kernels) if kernels is not None else len(kernel_names())
+def _plan_figure4(args: argparse.Namespace) -> _Plan:
+    return (figure4_sweep(args.kernels, args.ways, _spec(args.scale)),
+            figure4_results,
+            lambda results: print(format_speedup_table(
+                figure4_speedups(results), ways=tuple(args.ways))))
 
 
-def _cmd_figure4(args: argparse.Namespace) -> int:
-    ways = tuple(args.ways)
-    return _simulate(
-        args, _kernel_count(args.kernels) * len(ways) * len(ISA_VARIANTS),
-        partial(run_figure4, kernels=args.kernels, ways=ways,
-                spec=_spec(args.scale)),
-        lambda results: print(format_speedup_table(
-            figure4_speedups(results), ways=ways)))
-
-
-def _cmd_figure5(args: argparse.Namespace) -> int:
-    latencies = tuple(args.latencies)
-
+def _plan_figure5(args: argparse.Namespace) -> _Plan:
     def render(results) -> None:
         print(format_latency_table(figure5_cycles(results),
-                                   latencies=latencies))
+                                   latencies=tuple(args.latencies)))
         print("\nSlow-down from the lowest to the highest latency:")
         for kernel, per_isa in figure5_slowdowns(results).items():
             cells = "  ".join(f"{isa}:{v:4.1f}x"
                               for isa, v in per_isa.items())
             print(f"  {kernel:10s} {cells}")
 
-    return _simulate(
-        args, _kernel_count(args.kernels) * len(latencies) * len(ISA_VARIANTS),
-        partial(run_figure5, kernels=args.kernels, latencies=latencies,
-                spec=_spec(args.scale)),
-        render)
+    return (figure5_sweep(args.kernels, args.latencies,
+                          spec=_spec(args.scale)),
+            figure5_results, render)
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _plan_tables(args: argparse.Namespace) -> _Plan:
     def render(tables) -> None:
         for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
             print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
             print(format_breakdown_table(kernel, tables[kernel]))
 
-    return _simulate(
-        args, _kernel_count(args.kernels) * len(ISA_VARIANTS),
-        partial(run_breakdown_tables, kernels=args.kernels, way=args.way,
-                spec=_spec(args.scale)),
-        render)
+    return (tables_sweep(args.kernels, args.way, spec=_spec(args.scale)),
+            breakdown_tables, render)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    points = grid_points(args.kernels, args.isas, args.ways, args.latencies,
-                         args.scale, args.seed)
-
+def _plan_sweep(args: argparse.Namespace) -> _Plan:
     def render(results) -> None:
         print(f"{'kernel':10s} {'isa':7s} {'config':8s} {'mem':>4s} "
               f"{'cycles':>10s} {'instrs':>8s} {'IPC':>6s}  cached")
@@ -602,24 +590,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"{r.sim.instructions:8d} {r.sim.ipc:6.2f}  "
                   f"{source}")
 
-    return _simulate(args, len(points),
-                     lambda engine, on_result: engine.run(
-                         points, on_result=on_result),
-                     render)
+    return (grid_points(args.kernels, args.isas, args.ways, args.latencies,
+                        args.scale, args.seed),
+            lambda results: results, render)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+#: The simulating commands, each a point list, a reduction and a renderer.
+_PLANS = {"run": _plan_run, "figure4": _plan_figure4,
+          "figure5": _plan_figure5, "tables": _plan_tables,
+          "sweep": _plan_sweep}
+
+
+def _cmd_serve(args: argparse.Namespace, service: SweepService) -> int:
     # The service simulates: load the compute stack before answering
     # /readyz, so the first job does not pay for the imports.
     import repro.experiments.runner  # noqa: F401
     import repro.timing.vector  # noqa: F401
-    from repro.sweep.service import ServiceHTTPServer, SweepService
+    from repro.sweep.service import ServiceHTTPServer
 
-    service = SweepService(args.state_dir,
-                           cache_dir=args.cache_dir,
-                           jobs=args.jobs,
-                           max_queue=args.max_queue,
-                           task_timeout=args.task_timeout)
     resumed = service.recover()
     if resumed:
         print(f"[serve] resumed {len(resumed)} unfinished job(s): "
@@ -796,41 +784,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         f"unhandled cache command {args.cache_command!r}")  # pragma: no cover
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    return {"list": _cmd_list, "run": _cmd_run, "figure4": _cmd_figure4,
-            "figure5": _cmd_figure5, "tables": _cmd_tables,
-            "sweep": _cmd_sweep, "serve": _cmd_serve, "client": _cmd_client,
-            "cache": _cmd_cache}[args.command](args)
-
-
-def _check_machine_args(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> None:
-    """Reject machines, workloads and engine settings that make no sense
-    before any work runs: the message of the class that owns the rule
-    (:class:`MachineConfig`, :class:`WorkloadSpec`, :class:`SweepEngine`)
-    names the field.  A sweep command's ``--cache-dir`` is created here,
-    so a path that cannot hold a cache fails before the first build
-    instead of failing every point."""
-    ways = getattr(args, "ways", None) or [getattr(args, "way", 4)]
-    latencies = (getattr(args, "latencies", None)
-                 or [getattr(args, "mem_latency", 1)])
-    try:
-        for way in ways:
-            for latency in latencies:
-                MachineConfig.for_way(way, mem_latency=latency)
-        WorkloadSpec(**{field: getattr(args, field)
-                        for field in ("scale", "seed")
-                        if getattr(args, field, None) is not None})
-        if hasattr(args, "jobs"):
-            # Without a cache or journal the engine touches no file.
-            SweepEngine(jobs=args.jobs,
-                        task_timeout=getattr(args, "task_timeout", None))
-    except ValueError as exc:
-        parser.error(str(exc))
-    if hasattr(args, "jobs") and args.cache_dir:
-        _check_dir(parser, "--cache-dir", args.cache_dir)
-
-
 def _check_dir(parser: argparse.ArgumentParser, flag: str,
                path: str) -> None:
     """Create the directory a flag names, or exit 2 naming the flag."""
@@ -857,7 +810,47 @@ def _check_serve_args(parser: argparse.ArgumentParser,
     if not 0 <= args.port <= 65535:
         parser.error(f"--port must be an integer in 0..65535, "
                      f"got {args.port}")
-    _check_dir(parser, "--state-dir", args.state_dir)
+
+
+def _prepare(parser: argparse.ArgumentParser,
+             args: argparse.Namespace) -> Callable[[], int]:
+    """Build what the command runs and return the call that runs it.
+
+    A simulating command builds its point list and its one engine, ``repro
+    serve`` its service, ``repro client submit`` its grid.  Building them
+    is the check: a machine, workload or engine setting that makes no
+    sense raises :class:`ValueError` with the message of the class that
+    owns the rule (:class:`~repro.timing.config.MachineConfig`,
+    :class:`WorkloadSpec`, the engine), which names the field, before any
+    stream file, cache directory or socket is opened.  A ``--cache-dir``
+    or ``--state-dir`` is created here, after those checks, so a path that
+    cannot hold one exits 2 naming the flag instead of failing every
+    point."""
+    if args.command in _PLANS:
+        points, reduce, render = _PLANS[args.command](args)
+        engine = engine_from_args(args)
+        if getattr(args, "cache_dir", None):
+            _check_dir(parser, "--cache-dir", args.cache_dir)
+        return partial(_simulate, args, engine, points, reduce, render)
+    if args.command == "serve":
+        from repro.sweep.service import SweepService
+
+        _check_serve_args(parser, args)
+        try:
+            service = SweepService(args.state_dir, cache_dir=args.cache_dir,
+                                   jobs=args.jobs, max_queue=args.max_queue,
+                                   task_timeout=args.task_timeout)
+        except OSError:
+            _check_dir(parser, "--state-dir", args.state_dir)
+            raise
+        if args.cache_dir:
+            _check_dir(parser, "--cache-dir", args.cache_dir)
+        return partial(_cmd_serve, args, service)
+    if args.command == "client" and args.client_command == "submit":
+        grid_points(args.kernels, args.isas or ISA_VARIANTS, args.ways,
+                    args.latencies, args.scale, args.seed)
+    return partial({"list": _cmd_list, "client": _cmd_client,
+                    "cache": _cmd_cache}[args.command], args)
 
 
 class _Terminated(BaseException):
@@ -916,12 +909,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_machine_args(parser, args)
-    if args.command == "serve":
-        _check_serve_args(parser, args)
+    try:
+        command = _prepare(parser, args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         with _sigterm_raises():
-            return _dispatch(args)
+            return command()
     except KeyboardInterrupt:
         _print_interrupt(args, "interrupted")
         return 130

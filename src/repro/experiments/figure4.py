@@ -4,21 +4,24 @@ The paper evaluates all nine kernels on 1-, 2-, 4- and 8-way out-of-order
 cores with an idealized 1-cycle-latency memory and reports the speed-up of
 each multimedia ISA over the scalar (Alpha) code.
 
-The sweep itself is a :class:`~repro.sweep.SweepSpec` declaration executed
-by the shared :class:`~repro.sweep.SweepEngine`; pass a configured
-``engine`` to parallelise, cache or journal the regeneration.
+The sweep is the point list :func:`figure4_sweep` expands through
+:func:`~repro.sweep.spec.grid_points`, executed by the shared
+:class:`~repro.sweep.SweepEngine` and reduced by :func:`figure4_results`;
+pass a configured ``engine`` to parallelise, cache or journal the
+regeneration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.sweep.engine import PointResult, SweepEngine, require_complete
-from repro.sweep.spec import SweepSpec
-from repro.timing.config import MachineConfig
+from repro.sweep.spec import SweepPoint, grid_points
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["figure4_sweep", "run_figure4", "figure4_speedups"]
+__all__ = ["figure4_sweep", "figure4_results", "run_figure4",
+           "figure4_speedups"]
 
 
 def figure4_sweep(
@@ -26,14 +29,22 @@ def figure4_sweep(
     ways: Sequence[int] = (1, 2, 4, 8),
     spec: Optional[WorkloadSpec] = None,
     mem_latency: int = 1,
-) -> SweepSpec:
-    """The Figure 4 sweep as a declarative spec (kernels x widths x ISAs)."""
-    return SweepSpec.make(
-        kernels=kernels,
-        configs=[MachineConfig.for_way(way, mem_latency=mem_latency)
-                 for way in ways],
-        spec=spec,
-    )
+) -> List[SweepPoint]:
+    """The Figure 4 sweep as a point list (kernels x widths x ISAs)."""
+    return grid_points(kernels, ISA_VARIANTS, ways, [mem_latency],
+                       None if spec is None else spec.scale,
+                       (spec or WorkloadSpec()).seed)
+
+
+def figure4_results(results: List[PointResult],
+                    ) -> Dict[str, Dict[str, Dict[int, PointResult]]]:
+    """Reduce a Figure 4 run to ``results[kernel][isa][way]``; raises
+    :class:`~repro.sweep.engine.SweepFailed` if any point failed."""
+    reduced: Dict[str, Dict[str, Dict[int, PointResult]]] = {}
+    for result in require_complete(results):
+        per_isa = reduced.setdefault(result.kernel, {})
+        per_isa.setdefault(result.isa, {})[result.point.config.issue_width] = result
+    return reduced
 
 
 def run_figure4(
@@ -54,12 +65,8 @@ def run_figure4(
     :class:`~repro.sweep.engine.SweepFailed` if any point failed.
     """
     engine = engine or SweepEngine()
-    results: Dict[str, Dict[str, Dict[int, object]]] = {}
-    sweep = figure4_sweep(kernels, ways, spec, mem_latency)
-    for result in require_complete(engine.run(sweep, on_result=on_result)):
-        per_isa = results.setdefault(result.kernel, {})
-        per_isa.setdefault(result.isa, {})[result.point.config.issue_width] = result
-    return results
+    return figure4_results(engine.run(
+        figure4_sweep(kernels, ways, spec, mem_latency), on_result=on_result))
 
 
 def figure4_speedups(results) -> Dict[str, Dict[str, Dict[int, float]]]:

@@ -4,21 +4,24 @@ The paper varies the idealized memory latency over 1, 12 and 50 cycles
 (perfect L1, L2 hit, main memory) and reports execution cycles for the
 scalar, MMX, MDMX and MOM versions of every kernel on the 4-way core.
 
-The sweep is a :class:`~repro.sweep.SweepSpec` executed by the shared
-:class:`~repro.sweep.SweepEngine`; pass a configured ``engine`` to
-parallelise, cache or journal the regeneration.
+The sweep is the point list :func:`figure5_sweep` expands through
+:func:`~repro.sweep.spec.grid_points`, executed by the shared
+:class:`~repro.sweep.SweepEngine` and reduced by :func:`figure5_results`;
+pass a configured ``engine`` to parallelise, cache or journal the
+regeneration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.sweep.engine import PointResult, SweepEngine, require_complete
-from repro.sweep.spec import SweepSpec
-from repro.timing.config import MachineConfig
+from repro.sweep.spec import SweepPoint, grid_points
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["figure5_sweep", "run_figure5", "figure5_cycles", "figure5_slowdowns"]
+__all__ = ["figure5_sweep", "figure5_results", "run_figure5",
+           "figure5_cycles", "figure5_slowdowns"]
 
 
 def figure5_sweep(
@@ -26,14 +29,22 @@ def figure5_sweep(
     latencies: Sequence[int] = (1, 12, 50),
     way: int = 4,
     spec: Optional[WorkloadSpec] = None,
-) -> SweepSpec:
-    """The Figure 5 sweep as a declarative spec (kernels x latencies x ISAs)."""
-    return SweepSpec.make(
-        kernels=kernels,
-        configs=[MachineConfig.for_way(way, mem_latency=latency)
-                 for latency in latencies],
-        spec=spec,
-    )
+) -> List[SweepPoint]:
+    """The Figure 5 sweep as a point list (kernels x latencies x ISAs)."""
+    return grid_points(kernels, ISA_VARIANTS, [way], latencies,
+                       None if spec is None else spec.scale,
+                       (spec or WorkloadSpec()).seed)
+
+
+def figure5_results(results: List[PointResult],
+                    ) -> Dict[str, Dict[str, Dict[int, PointResult]]]:
+    """Reduce a Figure 5 run to ``results[kernel][isa][latency]``; raises
+    :class:`~repro.sweep.engine.SweepFailed` if any point failed."""
+    reduced: Dict[str, Dict[str, Dict[int, PointResult]]] = {}
+    for result in require_complete(results):
+        per_isa = reduced.setdefault(result.kernel, {})
+        per_isa.setdefault(result.isa, {})[result.point.config.mem_latency] = result
+    return reduced
 
 
 def run_figure5(
@@ -50,12 +61,8 @@ def run_figure5(
     Raises :class:`~repro.sweep.engine.SweepFailed` if any point failed.
     """
     engine = engine or SweepEngine()
-    results: Dict[str, Dict[str, Dict[int, object]]] = {}
-    sweep = figure5_sweep(kernels, latencies, way, spec)
-    for result in require_complete(engine.run(sweep, on_result=on_result)):
-        per_isa = results.setdefault(result.kernel, {})
-        per_isa.setdefault(result.isa, {})[result.point.config.mem_latency] = result
-    return results
+    return figure5_results(engine.run(
+        figure5_sweep(kernels, latencies, way, spec), on_result=on_result))
 
 
 def figure5_cycles(results) -> Dict[str, Dict[str, Dict[int, int]]]:

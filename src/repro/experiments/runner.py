@@ -99,8 +99,8 @@ def run_kernel_all_isas(
     The spec is resolved once by the same
     :func:`~repro.sweep.spec.resolve_spec` rule every sweep driver uses, so
     the seeded spec regenerates identical data for each variant.  For
-    parallel/cached multi-kernel sweeps use a :class:`~repro.sweep.SweepSpec`
-    and the engine directly.
+    parallel/cached multi-kernel sweeps hand a point list from
+    :func:`~repro.sweep.spec.grid_points` to the engine directly.
     """
     from repro.sweep.spec import resolve_spec
 

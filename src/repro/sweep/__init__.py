@@ -3,10 +3,11 @@
 The sweep subsystem is the shared engine behind every experiment driver
 (Figure 4, Figure 5, the breakdown tables and the ablations):
 
-* :class:`~repro.sweep.spec.SweepSpec` — a declarative cartesian product of
-  kernels x ISAs x machine configurations x workload specs;
-* :class:`~repro.sweep.engine.SweepEngine` — expands a spec into points and
-  runs them, optionally over a :class:`concurrent.futures.ProcessPoolExecutor`
+* :func:`~repro.sweep.spec.grid_points` — the one grid expansion: a sweep
+  is a list of :class:`~repro.sweep.spec.SweepPoint`\\ s over kernels x
+  ISAs x machine configurations x one workload;
+* :class:`~repro.sweep.engine.SweepEngine` — runs a list of points,
+  optionally over a :class:`concurrent.futures.ProcessPoolExecutor`
   (or inline, in this process), with streaming results via
   :meth:`~repro.sweep.engine.SweepEngine.iter_results` / ``on_result``,
   and accounts for each run in one frozen
@@ -63,12 +64,12 @@ __all__ = [
     "SweepJournal",
     "SweepPoint",
     "SweepService",
-    "SweepSpec",
     "TraceCache",
     "UnknownJob",
     "cache_stats",
     "clear_cache",
     "gc_cache",
+    "grid_points",
     "job_id_for",
     "normalize_submission",
     "point_key",
@@ -94,7 +95,7 @@ __getattr__ = lazy_exports(__name__, {
     "repro.sweep.service": ["QueueFull", "ServiceHTTPServer", "SweepService",
                             "UnknownJob", "job_id_for",
                             "normalize_submission", "submission_points"],
-    "repro.sweep.spec": ["SweepPoint", "SweepSpec", "resolve_spec"],
+    "repro.sweep.spec": ["SweepPoint", "grid_points", "resolve_spec"],
     "repro.sweep.supervisor": ["PointFailure", "PoolSupervisor"],
     "repro.sweep.tracecache": ["TraceCache", "trace_key"],
 })

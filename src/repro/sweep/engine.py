@@ -1,4 +1,4 @@
-"""The sweep engine: expand a spec, run its points, cache and stream results.
+"""The sweep engine: run a sweep's points, cache and stream results.
 
 The engine is the one place in the reproduction that knows *how* experiment
 points get executed:
@@ -50,8 +50,8 @@ Results stream: :meth:`SweepEngine.iter_results` yields each
 :class:`PointResult` the moment it completes (cache hits first, then
 simulations in completion order), and both it and :meth:`SweepEngine.run`
 accept an ``on_result`` callback for live progress reporting and incremental
-output.  :meth:`run` additionally reassembles the deterministic
-spec-expansion order, so existing barrier-style callers are unchanged.
+output.  :meth:`run` additionally returns the results in the order of
+the points it was given, so barrier-style callers see no completion order.
 
 Execution failures are *supervised*, not fatal, by one policy over two
 executors (:mod:`repro.sweep.supervisor`): a failing group is split into
@@ -83,7 +83,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
 from repro.sweep.journal import SweepJournal
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.spec import SweepPoint
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 
@@ -93,7 +93,7 @@ if TYPE_CHECKING:
     from repro.trace.container import Trace
 
 __all__ = ["Batch", "PointResult", "RunReport", "SweepEngine", "SweepFailed",
-           "require_complete"]
+           "check_engine_settings", "require_complete"]
 
 
 def __getattr__(name: str) -> Any:
@@ -297,6 +297,12 @@ class RunReport:
                 "timeouts": self.timeouts, "failed": len(self.failures),
                 "quarantined": self.quarantined}
 
+    def __repr__(self) -> str:
+        # Counts only: the batches hold every point of the run.
+        counts = ", ".join(f"{name}={n}" for name, n in self.counts().items())
+        return (f"RunReport({counts}, "
+                f"fallback_reason={self.fallback_reason!r})")
+
 
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
     """Grouping key of the functional trace behind a (resolved) point.
@@ -391,6 +397,19 @@ def _init_pool_worker() -> None:
     faults.mark_worker()
 
 
+def check_engine_settings(jobs: int, task_timeout: Optional[float]) -> None:
+    """Reject engine settings that make no sense with a :class:`ValueError`
+    naming the field: a worker count below 1, or a task deadline that is
+    not a positive number of seconds.  :class:`SweepEngine` and
+    :class:`~repro.sweep.service.SweepService` both call it first, so a
+    bad setting fails where it is given, before anything is written."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if task_timeout is not None and not task_timeout > 0:
+        raise ValueError(
+            f"task_timeout must be > 0 seconds, got {task_timeout}")
+
+
 class SweepEngine:
     """Runs sweep points with optional process parallelism and caching.
 
@@ -437,11 +456,7 @@ class SweepEngine:
                  cache_dir: Union[None, str, ResultCache] = None,
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if task_timeout is not None and not task_timeout > 0:
-            raise ValueError(
-                f"task_timeout must be > 0 seconds, got {task_timeout}")
+        check_engine_settings(jobs, task_timeout)
         self.jobs = int(jobs)
         self.task_timeout = task_timeout
         # A store opened here closes after each run; a shared one, never.
@@ -486,16 +501,16 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, sweep: Union[SweepSpec, Iterable[SweepPoint]],
+    def run(self, sweep: Iterable[SweepPoint],
             on_result: Optional[OnResult] = None) -> List[PointResult]:
         """Execute a sweep and return one :class:`PointResult` per point, in
-        the sweep's deterministic expansion order.
+        the order of the sweep's points.
 
         Parameters
         ----------
         sweep:
-            A :class:`~repro.sweep.spec.SweepSpec` or an iterable of
-            :class:`~repro.sweep.spec.SweepPoint`\\ s.
+            The :class:`~repro.sweep.spec.SweepPoint`\\ s to run (a list
+            from :func:`~repro.sweep.spec.grid_points`, or any iterable).
         on_result:
             Optional callback invoked with each :class:`PointResult` as it
             completes (completion order, not expansion order) — the barrier
@@ -505,7 +520,7 @@ class SweepEngine:
                    for r in self.iter_results(sweep, on_result=on_result)}
         return [results[i] for i in range(len(results))]
 
-    def iter_results(self, sweep: Union[SweepSpec, Iterable[SweepPoint]],
+    def iter_results(self, sweep: Iterable[SweepPoint],
                      on_result: Optional[OnResult] = None,
                      ) -> Iterator[PointResult]:
         """Yield one :class:`PointResult` per point *as each completes*.
@@ -524,8 +539,7 @@ class SweepEngine:
         appended to it *before* ``on_result`` runs — a crash inside the
         callback still leaves the point recorded for resume.
         """
-        points = [p.resolved() for p in
-                  (sweep.points() if isinstance(sweep, SweepSpec) else sweep)]
+        points = [p.resolved() for p in sweep]
         self._cached = self._journaled = 0
         self._batches = []
         self._supervisor = None

@@ -84,8 +84,8 @@ from repro.common.atomicio import atomic_write_text
 from repro import versions
 from repro.sweep import faults
 from repro.sweep.cache import ResultCache, point_key, point_record
-from repro.sweep.engine import PointResult, SweepEngine
-from repro.sweep.spec import SweepPoint, grid_points
+from repro.sweep.engine import PointResult, SweepEngine, check_engine_settings
+from repro.sweep.spec import MAX_SCALE, SweepPoint, grid_points
 from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
@@ -100,10 +100,6 @@ JOB_TERMINAL_STATES = ("done", "failed")
 #: Largest request body the service reads; a bigger ``Content-Length`` is
 #: answered 413 before any byte of the body is read.
 MAX_BODY_BYTES = 1 << 20
-
-#: Largest workload ``scale`` a submission may ask for (HTTP 400 above);
-#: head-room over 16, the largest scale any shipped command uses.
-MAX_SCALE = 64
 
 #: Most points one job may expand to (HTTP 422 above); head-room over the
 #: 2304-point dense grid, the largest sweep the repository runs.
@@ -266,7 +262,9 @@ class SweepService:
         ``jobs/``.
     cache_dir / jobs / task_timeout:
         Passed through to the :class:`~repro.sweep.engine.SweepEngine`
-        built for each job run.  The result store under ``cache_dir``
+        built for each job run; ``jobs`` and ``task_timeout`` are checked
+        by :func:`~repro.sweep.engine.check_engine_settings` before the
+        service writes anything.  The result store under ``cache_dir``
         (default ``<state_dir>/cache``) is opened once, and only the
         runner thread and :meth:`recover` use it.
     max_queue:
@@ -279,6 +277,7 @@ class SweepService:
                  jobs: int = 1,
                  max_queue: int = 16,
                  task_timeout: Optional[float] = None) -> None:
+        check_engine_settings(jobs, task_timeout)
         self.state_dir = os.fspath(state_dir)
         self.cache = ResultCache(cache_dir
                                  or os.path.join(self.state_dir, "cache"))

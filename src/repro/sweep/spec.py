@@ -1,23 +1,27 @@
-"""Declarative sweep specifications.
+"""What a sweep runs: a list of :class:`SweepPoint`\\ s.
 
-A :class:`SweepSpec` names *what* to run — the cartesian product of kernels,
-ISA variants, machine configurations and workload specs — without saying how
-(serially, in parallel, cached).  The :class:`~repro.sweep.engine.SweepEngine`
-expands it into :class:`SweepPoint`\\ s and executes them.
-:func:`grid_points` is the one expansion of the ``repro sweep`` / service
-grid (kernels x widths x memory latencies x ISAs with a seed override).
+A sweep names *what* to run without saying how (serially, in parallel,
+cached): it is a list of points, which the
+:class:`~repro.sweep.engine.SweepEngine` executes.  :func:`grid_points` is
+the one grid expansion (kernels x widths x memory latencies x ISAs with a
+workload scale and seed) behind Figure 4, Figure 5, Tables 1-9,
+``repro run``/``sweep`` and every service job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Optional, Sequence
 
-from repro.kernels.catalog import ISA_VARIANTS, default_scale, kernel_names
+from repro.kernels.catalog import default_scale, kernel_names
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["SweepPoint", "SweepSpec", "grid_points", "resolve_spec"]
+__all__ = ["MAX_SCALE", "SweepPoint", "grid_points", "resolve_spec"]
+
+#: Largest workload ``scale`` a sweep may ask for: head-room over 16, the
+#: largest scale any shipped command uses.
+MAX_SCALE = 64
 
 
 def resolve_spec(kernel_name: str, spec: Optional[WorkloadSpec]) -> WorkloadSpec:
@@ -62,84 +66,32 @@ class SweepPoint:
                 f"(mem {self.config.mem_latency}, scale {scale})")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A cartesian product of kernels x ISAs x configs x workload specs.
-
-    ``kernels=None`` means all registered kernels; ``spec=None`` means each
-    kernel's default workload.  Expansion order is deterministic
-    (kernel-major, then config, then ISA) so serial and parallel runs return
-    results in the same order.
-    """
-
-    kernels: Optional[Tuple[str, ...]] = None
-    isas: Tuple[str, ...] = ISA_VARIANTS
-    configs: Tuple[MachineConfig, ...] = field(
-        default_factory=lambda: (MachineConfig.for_way(4),))
-    spec: Optional[WorkloadSpec] = None
-
-    @classmethod
-    def make(cls,
-             kernels: Optional[Iterable[str]] = None,
-             isas: Iterable[str] = ISA_VARIANTS,
-             configs: Optional[Iterable[MachineConfig]] = None,
-             spec: Optional[WorkloadSpec] = None) -> "SweepSpec":
-        """Normalising constructor accepting any iterables.
-
-        Parameters
-        ----------
-        kernels:
-            Kernel names to sweep; ``None`` means every registered kernel.
-        isas:
-            ISA variant names (default: all four, in the paper's order).
-        configs:
-            Machine configurations; ``None`` means the paper's 4-way core.
-        spec:
-            Shared workload spec; ``None`` means each kernel's default
-            (resolved per kernel by :func:`resolve_spec`).
-        """
-        return cls(
-            kernels=tuple(kernels) if kernels is not None else None,
-            isas=tuple(isas),
-            configs=tuple(configs) if configs is not None else (
-                MachineConfig.for_way(4),),
-            spec=spec,
-        )
-
-    def kernel_names(self) -> Tuple[str, ...]:
-        """The concrete kernel names this sweep covers (``kernels`` or all)."""
-        return self.kernels if self.kernels is not None else tuple(kernel_names())
-
-    def points(self) -> Iterator[SweepPoint]:
-        """Expand the product into resolved points, deterministically ordered."""
-        for kernel in self.kernel_names():
-            spec = resolve_spec(kernel, self.spec)
-            for config in self.configs:
-                for isa in self.isas:
-                    yield SweepPoint(kernel=kernel, isa=isa, config=config,
-                                     spec=spec)
-
-    def __len__(self) -> int:
-        """Number of points :meth:`points` will expand to."""
-        return len(self.kernel_names()) * len(self.configs) * len(self.isas)
-
-
 def grid_points(kernels: Optional[Iterable[str]], isas: Sequence[str],
                 ways: Iterable[int], latencies: Sequence[int],
                 scale: Optional[int], seed: int) -> List[SweepPoint]:
-    """Expand a ``repro sweep`` (or service job) grid into resolved points.
+    """Expand a grid into resolved points: the only grid expansion.
 
     Kernel-major, then configuration (width-major, then memory latency),
     then ISA.  ``kernels=None`` means every registered kernel and
     ``scale=None`` each kernel's default scale; ``seed`` applies either
-    way.  The CLI and the service both expand through here, so a job's
-    results match ``repro sweep`` for the same parameters.
+    way.  The paper drivers, the CLI and the service all expand through
+    here, so a job's results match ``repro sweep`` for the same
+    parameters.  A machine, scale or seed that makes no sense raises
+    :class:`ValueError` naming the field (the message of
+    :class:`~repro.timing.config.MachineConfig` or
+    :class:`~repro.workloads.generators.WorkloadSpec`, or ``scale`` above
+    :data:`MAX_SCALE`).
     """
+    if scale is not None and scale > MAX_SCALE:
+        raise ValueError(f"scale must be <= {MAX_SCALE}, got {scale}")
     configs = [MachineConfig.for_way(way, mem_latency=latency)
                for way in ways for latency in latencies]
-    spec = WorkloadSpec(scale=scale, seed=seed) if scale is not None else None
+    # Checked even when the grid is empty; a default scale is filled in
+    # per kernel.
+    spec = WorkloadSpec(scale=1 if scale is None else scale, seed=seed)
     return [SweepPoint(kernel=kernel, isa=isa, config=config,
-                       spec=replace(resolve_spec(kernel, spec), seed=seed))
+                       spec=spec if scale is not None
+                       else replace(spec, scale=default_scale(kernel)))
             for kernel in (kernels if kernels is not None else kernel_names())
             for config in configs
             for isa in isas]

@@ -105,8 +105,9 @@ def paper_grid_layout() -> Tuple[Dict[str, List[str]], Dict[str, List]]:
     groups: Dict[str, List] = {}
     for figure, sweep in (("figure4", figure4_sweep()),
                           ("figure5", figure5_sweep())):
-        figures[figure] = [config_label(c) for c in sweep.configs]
-        for point in sweep.points():
+        figures[figure] = list(dict.fromkeys(config_label(p.config)
+                                             for p in sweep))
+        for point in sweep:
             group = groups.setdefault(f"{point.kernel}/{point.isa}",
                                       [point.spec])
             if point.config not in group[1:]:

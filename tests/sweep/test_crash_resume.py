@@ -23,18 +23,17 @@ import time
 
 import pytest
 
-from repro.sweep import SweepEngine, SweepJournal, SweepSpec
+from repro.kernels.catalog import ISA_VARIANTS
+from repro.sweep import SweepEngine, SweepJournal, grid_points
 from repro.sweep.cache import sim_to_dict, stats_to_dict
-from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
 _SPEC = WorkloadSpec(scale=1, seed=7)
 
 
-def _sweep(kernels=("comp", "addblock"), ways=(1, 2)) -> SweepSpec:
-    return SweepSpec.make(kernels=list(kernels),
-                          configs=[MachineConfig.for_way(w) for w in ways],
-                          spec=_SPEC)
+def _sweep(kernels=("comp", "addblock"), ways=(1, 2)) -> list:
+    return grid_points(kernels, ISA_VARIANTS, ways, [1], _SPEC.scale,
+                       _SPEC.seed)
 
 
 def _fingerprint(results):

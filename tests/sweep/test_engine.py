@@ -21,10 +21,11 @@ from repro.sweep import (
     ResultCache,
     SweepEngine,
     SweepPoint,
-    SweepSpec,
+    grid_points,
     point_key,
     resolve_spec,
 )
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -32,36 +33,33 @@ _SPEC = WorkloadSpec(scale=1, seed=7)
 _KERNELS = ("comp", "addblock")
 
 
-def _two_way_sweep(ways=(1, 2)) -> SweepSpec:
+def _grid(kernels, ways=(4,), latencies=(1,), isas=ISA_VARIANTS) -> list:
+    """The grid's points on the shared small workload."""
+    return grid_points(kernels, isas, ways, latencies, _SPEC.scale,
+                       _SPEC.seed)
+
+
+def _two_way_sweep(ways=(1, 2)) -> list:
     """One kernel on 1- and 2-wide cores: the result store's smallest
     non-trivial sweep."""
-    return SweepSpec.make(kernels=["comp"],
-                          configs=[MachineConfig.for_way(w) for w in ways],
-                          spec=_SPEC)
+    return _grid(["comp"], ways)
 
 
-def small_sweep() -> SweepSpec:
-    return SweepSpec.make(
-        kernels=_KERNELS,
-        configs=[MachineConfig.for_way(1), MachineConfig.for_way(4)],
-        spec=_SPEC,
-    )
+def small_sweep() -> list:
+    return _grid(_KERNELS, (1, 4))
 
 
 class TestSpecExpansion:
     def test_cartesian_product_size(self):
-        sweep = small_sweep()
-        points = list(sweep.points())
-        assert len(points) == len(sweep) == 2 * 2 * 4
+        assert len(small_sweep()) == 2 * 2 * 4
 
     def test_expansion_is_deterministic(self):
-        a = list(small_sweep().points())
-        b = list(small_sweep().points())
+        a = small_sweep()
+        b = small_sweep()
         assert a == b
 
     def test_kernels_none_means_all(self):
-        sweep = SweepSpec.make(spec=_SPEC)
-        assert len(sweep.kernel_names()) == 9
+        assert len({p.kernel for p in _grid(None)}) == 9
 
     def test_resolve_spec_defaults_to_kernel_scale(self):
         from repro.kernels.registry import get_kernel
@@ -71,7 +69,8 @@ class TestSpecExpansion:
         assert resolve_spec("comp", _SPEC) is _SPEC
 
     def test_points_are_resolved(self):
-        for point in SweepSpec.make(kernels=["comp"]).points():
+        for point in grid_points(["comp"], ISA_VARIANTS, [4], [1], None,
+                                 1999):
             assert point.spec is not None
 
 
@@ -79,8 +78,7 @@ class TestEquivalence:
     """Parallel engine == serial fallback == direct run_kernel calls."""
 
     def test_serial_equals_parallel_equals_direct(self):
-        sweep = small_sweep()
-        points = list(sweep.points())
+        sweep = points = small_sweep()
 
         serial_engine = SweepEngine(jobs=1)
         serial = serial_engine.run(sweep)
@@ -230,11 +228,7 @@ class TestTraceBatching:
     sweep, in any execution mode."""
 
     def _multi_config_sweep(self):
-        return SweepSpec.make(
-            kernels=_KERNELS,
-            configs=[MachineConfig.for_way(w) for w in (1, 2, 4)],
-            spec=_SPEC,
-        )
+        return _grid(_KERNELS, (1, 2, 4))
 
     def test_serial_sweep_builds_each_trace_once(self, build_counter,
                                                  lowering_counter):
@@ -277,9 +271,7 @@ class TestTraceBatching:
     def test_cold_groups_are_never_split(self, tmp_path):
         """An uncached group stays one task — splitting it would duplicate
         the front-end build.  One group needs no pool: it runs inline."""
-        configs = [MachineConfig.for_way(w) for w in (1, 2, 4, 8)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
+        sweep = _grid(["comp"], (1, 2, 4, 8), isas=("mom",))
         engine = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         engine.run(sweep)
         if engine.report.fallback_reason is None:
@@ -308,6 +300,18 @@ class TestFigure4ThroughEngine:
         warm = SweepEngine(jobs=4, cache_dir=str(tmp_path))
         run_figure4(kernels=["comp", "h2v2"], ways=(4,), engine=warm)
         assert warm.report.simulated == 0
+
+
+class TestRunReport:
+    def test_repr_shows_counts_not_points(self):
+        """A failing ``engine.report`` assertion stays readable: the repr
+        holds the run's counts, not every point of every batch."""
+        engine = SweepEngine()
+        engine.run(_grid(["comp"], latencies=range(1, 17)))
+        text = repr(engine.report)
+        assert engine.report.simulated == 64
+        assert len(text) < 1000, text
+        assert "simulated=64" in text
 
 
 class TestBackendRouting:
@@ -372,10 +376,8 @@ class TestBackendRouting:
     def test_auto_uses_vector_for_large_groups(self):
         from repro.timing.vector import VECTOR_MIN_BATCH
 
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in range(1, VECTOR_MIN_BATCH + 1)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
+        sweep = _grid(["comp"], latencies=range(1, VECTOR_MIN_BATCH + 1),
+                      isas=("mom",))
         engine = SweepEngine()
         engine.run(sweep)
         assert [(len(b.points), b.backend) for b in engine.report.batches] == [
@@ -390,10 +392,8 @@ class TestBackendRouting:
         from repro.timing.vector import VECTOR_MIN_BATCH
 
         vector_runs = count_calls(vector, "_run_vector")
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in range(1, VECTOR_MIN_BATCH + 1)]
-        sweep = SweepSpec.make(kernels=["idct"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
+        sweep = _grid(["idct"], latencies=range(1, VECTOR_MIN_BATCH + 1),
+                      isas=("mom",))
         engine = SweepEngine()
         engine.run(sweep)
         assert [(len(b.points), b.backend) for b in engine.report.batches] == [
@@ -450,10 +450,7 @@ class TestVerification:
 
         monkeypatch.setattr(KernelBuildResult, "correct",
                             property(lambda self: False))
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mmx", "mom"),
-                               configs=[MachineConfig.for_way(1),
-                                        MachineConfig.for_way(4)],
-                               spec=_SPEC)
+        sweep = _grid(["comp"], (1, 4), isas=("mmx", "mom"))
         cache_dir = str(tmp_path / "cache")
         journal = str(tmp_path / "sweep.jsonl")
         engines = [SweepEngine(), SweepEngine(jobs=2),
@@ -501,8 +498,7 @@ class TestColumnFastPathAccounting:
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run(small_sweep())
         # warm *miss*: a configuration the result cache has not seen, so
         # every point simulates — off cached traces, zero front-end builds
-        miss = SweepSpec.make(kernels=_KERNELS,
-                              configs=[MachineConfig.for_way(2)], spec=_SPEC)
+        miss = _grid(_KERNELS, (2,))
         build_counter.clear()
         engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
         results = engine.run(miss)

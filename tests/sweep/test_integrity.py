@@ -25,13 +25,14 @@ from repro.sweep import (
     ResultCache,
     SweepEngine,
     SweepPoint,
-    SweepSpec,
     TraceCache,
     cache_stats,
     clear_cache,
     gc_cache,
+    grid_points,
     point_key,
 )
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -42,7 +43,8 @@ _POINT = SweepPoint("comp", "mom", _CFG, _SPEC)
 
 def _populate(cache_dir: str) -> int:
     """One-point sweep into ``cache_dir`` (fills result + trace stores)."""
-    sweep = SweepSpec.make(kernels=["comp"], configs=[_CFG], spec=_SPEC)
+    sweep = grid_points(["comp"], ISA_VARIANTS, [_CFG.issue_width], [1],
+                        _SPEC.scale, _SPEC.seed)
     SweepEngine(cache_dir=cache_dir).run(sweep)
     return len(sweep)
 

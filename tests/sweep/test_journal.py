@@ -20,12 +20,13 @@ import pytest
 
 import repro.versions
 from repro.cli import main
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.sweep import (
     JournalLockedError,
     SweepEngine,
     SweepJournal,
     SweepPoint,
-    SweepSpec,
+    grid_points,
     point_key,
     read_jsonl,
 )
@@ -37,10 +38,9 @@ from repro.workloads.generators import WorkloadSpec
 _SPEC = WorkloadSpec(scale=1, seed=7)
 
 
-def _sweep(kernels=("comp",), ways=(1, 2)) -> SweepSpec:
-    return SweepSpec.make(kernels=list(kernels),
-                          configs=[MachineConfig.for_way(w) for w in ways],
-                          spec=_SPEC)
+def _sweep(kernels=("comp",), ways=(1, 2)) -> list:
+    return grid_points(kernels, ISA_VARIANTS, ways, [1], _SPEC.scale,
+                       _SPEC.seed)
 
 
 class TestReadJsonl:
@@ -440,7 +440,7 @@ class TestEngineResume:
         hold ``"checked": false`` records; they must not replay as
         verified — the point re-runs (and is verified) instead."""
         path = str(tmp_path / "j.jsonl")
-        point = next(iter(_sweep(ways=(1,)).points()))
+        point = _sweep(ways=(1,))[0]
         fresh, = SweepEngine().run([point])
         record = {"key": point_key(point), "index": 0,
                   "kernel": point.kernel, "isa": point.isa,

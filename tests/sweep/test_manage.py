@@ -14,12 +14,13 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.sweep import (
     SweepEngine,
-    SweepSpec,
     cache_stats,
     clear_cache,
     gc_cache,
+    grid_points,
 )
 from repro.sweep.manage import iter_cache_entries
 from repro.timing.config import MachineConfig
@@ -30,8 +31,8 @@ _SPEC = WorkloadSpec(scale=1, seed=7)
 
 def _populate(cache_dir: str, kernels=("comp", "addblock")) -> int:
     """Run a small sweep into ``cache_dir``; returns the point count."""
-    sweep = SweepSpec.make(kernels=kernels,
-                           configs=[MachineConfig.for_way(4)], spec=_SPEC)
+    sweep = grid_points(kernels, ISA_VARIANTS, [4], [1], _SPEC.scale,
+                        _SPEC.seed)
     SweepEngine(cache_dir=cache_dir).run(sweep)
     return len(sweep)
 
@@ -146,8 +147,8 @@ class TestGC:
 
     def test_engine_recovers_after_gc(self, tmp_path):
         """A GC'd cache is a cold cache, never a broken one."""
-        sweep = SweepSpec.make(kernels=["comp"],
-                               configs=[MachineConfig.for_way(4)], spec=_SPEC)
+        sweep = grid_points(["comp"], ISA_VARIANTS, [4], [1], _SPEC.scale,
+                            _SPEC.seed)
         before = SweepEngine(cache_dir=str(tmp_path)).run(sweep)
         gc_cache(str(tmp_path), max_bytes=0)
         engine = SweepEngine(cache_dir=str(tmp_path))

@@ -57,7 +57,7 @@ with open(os.path.join(os.path.dirname(__file__), "..", "golden",
 FIGURE = ["figure4", "--kernels", "comp"]
 #: The same slice as a service submission.
 SUBMISSION = {"kernels": ["comp"], "ways": [1, 2, 4, 8], "latencies": [1]}
-POINTS = list(figure4_sweep(kernels=["comp"]).points())
+POINTS = figure4_sweep(kernels=["comp"])
 #: ``(trace, machine) -> pinned counts`` of the slice's points.
 GOLDEN = {(trace, machine): GRID[trace][machine] for trace, machine in (
     (f"{p.kernel}/{p.isa}", f"{p.config.name}_lat{p.config.mem_latency}")

@@ -422,6 +422,18 @@ class TestServiceInProcess:
         assert sorted(os.listdir(state)) == ["cache", "jobs"]
         assert _logged(str(state), SMALL) == 4
 
+    @pytest.mark.parametrize("setting, field", [
+        ({"jobs": 0}, "jobs"),
+        ({"task_timeout": -1}, "task_timeout"),
+    ])
+    def test_bad_engine_setting_fails_before_writing(self, tmp_path,
+                                                     setting, field):
+        """A setting no job's engine could take fails at construction,
+        not in the runner thread, and leaves no state behind."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SweepService(str(tmp_path), **setting)
+        assert not (tmp_path / "jobs").exists()
+
     def test_results_shared_through_cache_across_jobs(self, tmp_path):
         """Jobs share the service's cache root: a second job covering the
         same points simulates nothing."""

@@ -14,19 +14,17 @@ import pickle
 
 import pytest
 
-from repro.sweep import SweepEngine, SweepPoint, SweepSpec
+from repro.kernels.catalog import ISA_VARIANTS
+from repro.sweep import SweepEngine, SweepPoint, grid_points
 from repro.timing.config import MachineConfig
 from repro.workloads.generators import WorkloadSpec
 
 _SPEC = WorkloadSpec(scale=1, seed=7)
 
 
-def small_sweep() -> SweepSpec:
-    return SweepSpec.make(
-        kernels=("comp", "addblock"),
-        configs=[MachineConfig.for_way(1), MachineConfig.for_way(4)],
-        spec=_SPEC,
-    )
+def small_sweep() -> list:
+    return grid_points(("comp", "addblock"), ISA_VARIANTS, [1, 4], [1],
+                       _SPEC.scale, _SPEC.seed)
 
 
 class TestIterResults:

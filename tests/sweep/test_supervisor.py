@@ -21,7 +21,8 @@ import pytest
 
 import repro.sweep.faults as faults
 import repro.sweep.supervisor as supervisor
-from repro.sweep import SweepEngine, SweepJournal, SweepService, SweepSpec
+from repro.sweep import (SweepEngine, SweepJournal, SweepPoint, SweepService,
+                         grid_points)
 from repro.sweep.cache import sim_to_dict, stats_to_dict
 from repro.sweep.supervisor import BACKOFF_BASE, BACKOFF_CAP, backoff_delay
 from repro.timing.config import MachineConfig
@@ -31,9 +32,7 @@ _SPEC = WorkloadSpec(scale=1, seed=7)
 
 
 def _sweep(kernels=("comp", "addblock"), isas=("scalar", "mom"), ways=(1, 2)):
-    return SweepSpec.make(kernels=list(kernels), isas=list(isas),
-                          configs=[MachineConfig.for_way(w) for w in ways],
-                          spec=_SPEC)
+    return grid_points(kernels, isas, ways, [1], _SPEC.scale, _SPEC.seed)
 
 
 def _poison_group_sweep():
@@ -41,8 +40,8 @@ def _poison_group_sweep():
     configs = [dataclasses.replace(MachineConfig.for_way(4, mem_latency=lat),
                                    name=f"lat{lat}")
                for lat in range(1, 17)]
-    return SweepSpec.make(kernels=["comp"], isas=["scalar", "mom"],
-                          configs=configs, spec=_SPEC)
+    return [SweepPoint("comp", isa, config, _SPEC)
+            for config in configs for isa in ("scalar", "mom")]
 
 
 def _fingerprint(results, skip=()):

@@ -17,10 +17,11 @@ from repro.common.atomicio import encode_stamped
 from repro.sweep import (
     SweepEngine,
     SweepPoint,
-    SweepSpec,
     TraceCache,
+    grid_points,
     trace_key,
 )
+from repro.kernels.catalog import ISA_VARIANTS
 from repro.timing.config import MachineConfig
 from repro.timing.core import simulate_trace
 from repro.workloads.generators import WorkloadSpec
@@ -217,9 +218,9 @@ class TestLoweredPayloadInCache:
 
 
 class TestEngineIntegration:
-    def _sweep(self, config=_CFG):
-        return SweepSpec.make(kernels=["comp", "addblock"], configs=[config],
-                              spec=_SPEC)
+    def _sweep(self, way=4):
+        return grid_points(["comp", "addblock"], ISA_VARIANTS, [way], [1],
+                           _SPEC.scale, _SPEC.seed)
 
     def test_cold_run_populates_then_warm_miss_does_zero_builds(
             self, tmp_path, build_counter):
@@ -233,7 +234,7 @@ class TestEngineIntegration:
         # result cache misses every point, the trace cache serves every trace.
         build_counter.clear()
         warm_miss = SweepEngine(cache_dir=str(tmp_path))
-        results = warm_miss.run(self._sweep(MachineConfig.for_way(1)))
+        results = warm_miss.run(self._sweep(1))
         assert warm_miss.report.simulated == len(results)
         assert warm_miss.report.cached == 0
         assert warm_miss.report.trace_hits == len(results)
@@ -242,7 +243,7 @@ class TestEngineIntegration:
         assert all(r.trace_cached and not r.cached for r in results)
 
         # And the numbers equal an uncached fresh run.
-        fresh = SweepEngine().run(self._sweep(MachineConfig.for_way(1)))
+        fresh = SweepEngine().run(self._sweep(1))
         assert [r.sim for r in results] == [r.sim for r in fresh]
         assert [r.stats for r in results] == [r.stats for r in fresh]
 
@@ -281,10 +282,10 @@ class TestEngineIntegration:
         engine.run(self._sweep())
         build_counter.clear()
         warm_miss = SweepEngine(cache_dir=str(tmp_path))
-        results = warm_miss.run(self._sweep(MachineConfig.for_way(2)))
+        results = warm_miss.run(self._sweep(2))
         assert build_counter == []
         assert all(r.ok and r.trace_cached for r in results)
-        fresh = SweepEngine().run(self._sweep(MachineConfig.for_way(2)))
+        fresh = SweepEngine().run(self._sweep(2))
         assert [r.sim for r in results] == [r.sim for r in fresh]
 
     def test_parallel_workers_share_the_trace_cache(self, tmp_path,

@@ -52,6 +52,9 @@ class TestParser:
         (["sweep", "--kernels", "comp", "--scale", "1", "--ways", "100000"],
          "way"),
         (["run", "comp", "--way", "65"], "way"),
+        (["sweep", "--kernels", "comp", "--scale", "65"], "scale"),
+        (["figure4", "--scale", "100000"], "scale"),
+        (["run", "comp", "--scale", "65"], "scale"),
     ])
     def test_oversized_machine_exits_with_the_field(self, capsys, argv,
                                                     field):
@@ -79,6 +82,7 @@ class TestParser:
          "seed"),
         (["run", "comp", "--seed", "-1"], "seed"),
         (["client", "submit", "--seed", "-1"], "seed"),
+        (["sweep", "--kernels", "--seed", "-1"], "seed"),
     ])
     def test_nonsense_engine_or_workload_exits_with_the_field(
             self, capsys, argv, field):
@@ -141,6 +145,17 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert "error: --cache-dir" in err and "Traceback" not in err
         assert build_counter == []
+
+    def test_serve_bad_jobs_exits_2_before_writing(self, capsys, tmp_path):
+        """``repro serve`` is checked by building its service, which
+        rejects the setting before it creates the state directory."""
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--state-dir", str(state), "--jobs", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: jobs must be >= 1" in err and "Traceback" not in err
+        assert not state.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--max-queue", "0"], "--max-queue must be an integer >= 1"),

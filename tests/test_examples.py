@@ -64,6 +64,18 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "alphablend" in out
 
+    def test_run_tables_end_to_end(self, capsys, tmp_path):
+        """The tables driver runs through the ``repro.cli`` helpers it
+        shares with the other drivers: its 9 x 4 points stream, reduce and
+        print with the engine footer."""
+        stream = tmp_path / "points.jsonl"
+        assert run_main("run_tables.py",
+                        ["1", "--stream-jsonl", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "(paper Table 9)" in out
+        assert "36 point(s) simulated, 0 from cache" in out
+        assert len(stream.read_text().splitlines()) == 36
+
     def test_figure_drivers_import(self):
         """The heavier figure/table drivers at least import and expose main()."""
         for name in ("run_figure4.py", "run_figure5.py", "run_tables.py",
