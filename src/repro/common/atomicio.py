@@ -19,12 +19,13 @@ protect against bytes that rot **after** the write (disk corruption, a
 truncating copy, an interrupted rsync).  For that, cache entries embed a
 content checksum: :func:`encode_stamped` hashes the entry's canonical
 JSON and returns that same text with the stamp appended — a put encodes
-its entry once — and :func:`verify_checksum` re-derives the hash on read.  A
-mismatched entry reads as a plain miss — recomputed, never trusted; the
-trace cache also moves the file aside (renamed to ``*.corrupt``, see
-:data:`CORRUPT_SUFFIX`).  An entry without a stamp cannot be verified
-(written before checksums existed, or its stamp itself was damaged), so
-it reads as a miss too and is rewritten stamped.
+its entry once — and :func:`verify_checksum` re-derives the hash on read
+(:func:`verify_stamped_bytes` checks that text as stored, without
+re-encoding it).  A mismatched entry reads as a plain miss — recomputed,
+never trusted; the trace cache also moves the file aside (renamed to
+``*.corrupt``, see :data:`CORRUPT_SUFFIX`).  An entry without a stamp
+cannot be verified (written before checksums existed, or its stamp itself
+was damaged), so it reads as a miss too and is rewritten stamped.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Any, Dict
 
 __all__ = ["CHECKSUM_FIELD", "CORRUPT_SUFFIX", "TMP_SUFFIX",
            "atomic_write_text", "encode_stamped", "payload_checksum",
-           "quarantine_corrupt", "verify_checksum"]
+           "quarantine_corrupt", "verify_checksum", "verify_stamped_bytes"]
 
 #: Suffix of in-flight temporary files; the cache manager recognises (and
 #: eventually sweeps) stale files carrying it.
@@ -53,6 +54,11 @@ CHECKSUM_FIELD = "checksum"
 
 #: How a checksum's canonical JSON is encoded.
 _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+#: How :func:`encode_stamped` ends its text, after the canonical JSON's
+#: last member: this head, 64 hex digits, and the closing quote and brace.
+_STAMP_HEAD = f',"{CHECKSUM_FIELD}":"sha256:'.encode()
+_STAMP_LEN = len(_STAMP_HEAD) + 64 + 2
 
 
 def _digest(canonical: str) -> str:
@@ -93,6 +99,23 @@ def verify_checksum(entry: Any) -> bool:
     """
     return (isinstance(entry, dict)
             and entry.get(CHECKSUM_FIELD) == payload_checksum(entry))
+
+
+def verify_stamped_bytes(data: bytes) -> bool:
+    """Whether ``data`` is :func:`encode_stamped` text as stored: bytes
+    that end in an appended stamp which is the SHA-256 of the rest.
+
+    The text minus its ``"checksum"`` member is the canonical JSON the
+    stamp hashed, so one hash checks it, with no decode or re-encode.
+    Text in any other layout (``", "`` separators, the stamp in sorted
+    position) is not vouched for here: decode it and ask
+    :func:`verify_checksum`.
+    """
+    head = len(data) - _STAMP_LEN
+    if head <= 0 or not data.startswith(_STAMP_HEAD, head):
+        return False
+    digest = hashlib.sha256(data[:head] + b"}").hexdigest()
+    return data[head + len(_STAMP_HEAD):] == digest.encode() + b'"}'
 
 
 def quarantine_corrupt(path: str) -> bool:

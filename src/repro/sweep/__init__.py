@@ -83,13 +83,12 @@ __all__ = [
 # path needs only ``cache``, ``spec`` and ``engine``) must not load the
 # service, the client or the trace cache.
 __getattr__ = lazy_exports(__name__, {
-    "repro.sweep.cache": ["ResultCache", "point_key"],
+    "repro.sweep.cache": ["ResultCache", "point_key", "read_jsonl"],
     "repro.sweep.client": ["ServiceClient", "ServiceError"],
     "repro.sweep.engine": ["PointResult", "RunReport", "SweepEngine"],
     "repro.sweep.faults": ["FAULT_ENV", "FaultPlan", "FaultRule",
                            "InjectedFault"],
-    "repro.sweep.journal": ["JournalLockedError", "SweepJournal",
-                            "read_jsonl"],
+    "repro.sweep.journal": ["JournalLockedError", "SweepJournal"],
     "repro.sweep.manage": ["CacheStats", "GCReport", "cache_stats",
                            "clear_cache", "gc_cache"],
     "repro.sweep.service": ["QueueFull", "ServiceHTTPServer", "SweepService",

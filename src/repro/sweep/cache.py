@@ -12,9 +12,22 @@ The store is an append-only log, ``<cache_dir>/log/<time_ns>-<pid>.jsonl``.
 Each writing store (the CLI and ``repro serve`` open one per process) owns
 one segment; a record is one line, the entry's
 :func:`~repro.common.atomicio.encode_stamped` text, written with one
-``write`` and flushed — the journal's framing — so no lock is needed.  The
-first lookup indexes every segment (:func:`scan_log`); a hit re-verifies
-the checksum.  Files of the older one-file-per-point layout
+``write`` and flushed (the framing :func:`read_jsonl` reads, which the
+journal and ``--stream-jsonl`` files share), so no lock is needed.
+
+The first lookup indexes every segment (:func:`scan_log`) by key without
+decoding it: a line as this store writes it names its key in one
+``"key":"..."`` token, so the index holds raw lines.  A hit decodes only
+the line it serves, which must carry the requested ``"key"``, and checks
+the stamp over the stored bytes
+(:func:`~repro.common.atomicio.verify_stamped_bytes`): the line minus its
+appended ``"checksum"`` member is the canonical JSON the stamp hashes, so
+one SHA-256 verifies it.  A line that fast path cannot read (``", "``
+separators, a stamp in sorted position, a foreign line) is checked by
+re-encoding its record (:func:`~repro.common.atomicio.verify_checksum`),
+so it hits or counts as corrupt as it always did.
+
+Files of the older one-file-per-point layout
 (``<cache_dir>/<key[:2]>/<key>.json``) are never read; ``repro cache
 gc|clear`` (:mod:`repro.sweep.manage`) remove them and evict whole
 segments, least recently hit first.
@@ -31,21 +44,19 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import fields
-from typing import IO, Any, Dict, Optional, Set, Tuple
+from typing import IO, Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.atomicio import encode_stamped, verify_checksum
+from repro.common.atomicio import (encode_stamped, verify_checksum,
+                                   verify_stamped_bytes)
 from repro import versions
 from repro.isa.opclasses import OpClass
-from repro.timing.config import MachineConfig
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
-from repro.sweep.journal import read_jsonl
 from repro.sweep.spec import SweepPoint
 
-__all__ = ["LOG_SUBDIR", "SEGMENT_SUFFIX", "ResultCache", "point_key",
-           "point_record", "scan_log", "sim_to_dict", "sim_from_dict",
-           "stats_to_dict", "stats_from_dict"]
+__all__ = ["LOG_SUBDIR", "SEGMENT_SUFFIX", "JsonlScan", "ResultCache",
+           "point_key", "point_record", "read_jsonl", "scan_log",
+           "sim_to_dict", "sim_from_dict", "stats_to_dict", "stats_from_dict"]
 
 #: Directory of the result log under a cache root.
 LOG_SUBDIR = "log"
@@ -53,36 +64,37 @@ LOG_SUBDIR = "log"
 #: File suffix of one log segment.
 SEGMENT_SUFFIX = ".jsonl"
 
+#: A record's key member, and its head as the canonical encoding spells it.
+_KEY_TOKEN = b'"key"'
+_KEY_HEAD = b'"key":"'
 
-def _config_to_dict(config: MachineConfig) -> Dict[str, Any]:
-    """Canonical, JSON-stable view of a machine configuration."""
-    out: Dict[str, Any] = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "latencies":
-            value = {op.value: int(lat) for op, lat in sorted(
-                value.items(), key=lambda kv: kv[0].value)}
-        out[f.name] = value
-    return out
+#: One indexed line: its bytes, its segment's path, and the line indexed
+#: under the same key before it (or ``None``).
+IndexedLine = Tuple[bytes, str, Optional[tuple]]
 
 
 def point_key(point: SweepPoint) -> str:
     """Stable content hash of a (resolved) sweep point.
 
-    The timing-model and builder versions are read at call time, so every
-    store and journal keyed here misses after either bump.
+    The hash is over the canonical JSON (sorted keys, no spaces) of the
+    point's ``model_version``, ``builder_version``, ``kernel``, ``isa``,
+    ``config`` and ``workload`` (``scale`` and ``seed``).  That text is
+    spelled out here so its ``config`` part can be the machine's cached
+    :attr:`~repro.timing.config.MachineConfig.canonical_json`; its bytes
+    are the ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of
+    that payload.  The timing-model and builder versions are read at call
+    time, so every store and journal keyed here misses after either bump.
     """
     point = point.resolved()
     spec = point.spec
-    payload = {
-        "model_version": versions.MODEL_VERSION,
-        "builder_version": versions.BUILDER_VERSION,
-        "kernel": point.kernel,
-        "isa": point.isa,
-        "config": _config_to_dict(point.config),
-        "workload": {"scale": spec.scale, "seed": spec.seed},
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    dumps = json.dumps
+    canonical = (
+        f'{{"builder_version":{dumps(versions.BUILDER_VERSION)},'
+        f'"config":{point.config.canonical_json},'
+        f'"isa":{dumps(point.isa)},"kernel":{dumps(point.kernel)},'
+        f'"model_version":{dumps(versions.MODEL_VERSION)},'
+        f'"workload":{{"scale":{dumps(spec.scale)},'
+        f'"seed":{dumps(spec.seed)}}}}}')
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -170,22 +182,122 @@ def stats_from_dict(data: Dict[str, Any]) -> TraceStats:
     )
 
 
-def scan_log(log_dir: str) -> Dict[str, Tuple[Dict[str, Any], str]]:
-    """``{key: (record, segment path)}`` over every segment in ``log_dir``,
-    oldest segment first (names start with the creation time), so a later
-    record for a key wins.  Torn tails and unparseable lines are skipped."""
+class JsonlScan:
+    """Outcome of one tolerant JSONL scan (see :func:`read_jsonl`).
+
+    Attributes
+    ----------
+    records:
+        The parsed objects, in file order.
+    good_end:
+        Byte offset just past the last complete (newline-terminated) line —
+        the truncation point that removes the torn tail, if any.
+    torn_bytes:
+        Length of the uncommitted tail after the last newline (0 = clean).
+    skipped_lines:
+        Complete lines that did not parse as JSON (corrupt middles; rare).
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Dict[str, Any]] = []
+        self.good_end = 0
+        self.torn_bytes = 0
+        self.skipped_lines = 0
+
+
+def _decode(line: bytes) -> Optional[Dict[str, Any]]:
+    """One line's JSON object, or ``None`` when it is not one."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_jsonl(path: str) -> JsonlScan:
+    """Read a JSONL file tolerating a torn trailing record.
+
+    A line is *committed* only when its trailing newline reached the file;
+    anything after the last newline is a partial record from an interrupted
+    writer and is reported via :attr:`JsonlScan.torn_bytes` instead of
+    raising ``json.JSONDecodeError``.  Complete lines that fail to parse
+    are counted in :attr:`JsonlScan.skipped_lines` and skipped.  A missing
+    file scans as empty.
+    """
+    scan = JsonlScan()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:
+        return scan
+    offset = 0
+    while True:
+        newline = data.find(b"\n", offset)
+        if newline < 0:
+            break
+        line = data[offset:newline]
+        offset = newline + 1
+        scan.good_end = offset
+        if not line.strip():
+            continue
+        record = _decode(line)
+        if record is None:
+            scan.skipped_lines += 1
+        else:
+            scan.records.append(record)
+    scan.torn_bytes = len(data) - scan.good_end
+    return scan
+
+
+def _line_key(line: bytes) -> Optional[str]:
+    """The key a log line is indexed under, or ``None``.
+
+    A line with one ``"key"`` token, which opens ``"key":"``, and no
+    backslash (so no escape can hide or fake a token) is read without
+    decoding: its key is the string after the token.  Every line this
+    store writes is one.  Any other line is decoded and filed under its
+    ``"key"`` member, if it has one.  :meth:`ResultCache.get` decodes the
+    line it serves and checks that member, so a ``"key"`` token nested in
+    a value never serves for its string.
+    """
+    at = line.find(_KEY_HEAD)
+    if at >= 0 and line.count(_KEY_TOKEN) == 1 and b"\\" not in line:
+        start = at + len(_KEY_HEAD)
+        end = line.find(b'"', start)
+        if end >= 0:
+            try:
+                return line[start:end].decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+    record = _decode(line)
+    key = record.get("key") if record is not None else None
+    return key if isinstance(key, str) else None
+
+
+def scan_log(log_dir: str) -> Dict[str, IndexedLine]:
+    """``{key: (line, segment path, older)}`` over every segment in
+    ``log_dir``, undecoded (see :func:`_line_key`), oldest segment first
+    (names start with the creation time), so a later line for a key wins;
+    ``older`` chains the lines it superseded.  Torn tails and lines with
+    no key are skipped."""
     try:
         names = sorted(name for name in os.listdir(log_dir)
                        if name.endswith(SEGMENT_SUFFIX))
     except OSError:
         names = []
-    index: Dict[str, Tuple[Dict[str, Any], str]] = {}
+    index: Dict[str, IndexedLine] = {}
     for name in names:
         path = os.path.join(log_dir, name)
-        for record in read_jsonl(path).records:
-            key = record.get("key")
-            if isinstance(key, str):
-                index[key] = (record, path)
+        try:
+            with open(path, "rb") as f:
+                lines = f.read().split(b"\n")
+        except OSError:
+            continue
+        del lines[-1]  # the torn tail after the last newline, if any
+        for line in lines:
+            key = _line_key(line)
+            if key is not None:
+                index[key] = (line, path, index.get(key))
     return index
 
 
@@ -195,7 +307,10 @@ class ResultCache:
     ``cache_dir`` is the root; the log lives in ``<cache_dir>/log/``,
     created on the first put.  :attr:`hits` and :attr:`misses` count this
     instance's :meth:`get` calls, and :attr:`corrupt` the misses whose
-    record failed its checksum.
+    record failed its checksum.  :meth:`get` and :meth:`put` take an
+    optional ``key``: a caller that already hashed the point (the engine
+    and the service, so a run hashes each point once) passes it, and it
+    must be ``point_key(point)``; without it the store hashes the point.
     """
 
     def __init__(self, cache_dir: str) -> None:
@@ -204,30 +319,38 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        #: ``key -> (entry, segment path)``, built by the first get.
-        self._index: Optional[Dict[str, Tuple[Dict[str, Any], str]]] = None
+        #: The raw-line index (:func:`scan_log`), built by the first get.
+        self._index: Optional[Dict[str, IndexedLine]] = None
         self._segment: Optional[IO[str]] = None
         self._touched: Set[str] = set()
 
-    def get(self, point: SweepPoint):
+    def get(self, point: SweepPoint, key: Optional[str] = None):
         """Return the cached ``(SimResult, TraceStats)`` pair, or None.
 
-        A record failing its checksum is dropped (counted in
-        :attr:`corrupt`) and a verified one in an older schema skipped:
-        either way the point recomputes and its new record supersedes the
-        bad one.  The first hit in each segment touches the segment's
-        mtime, so ``repro cache gc`` evicts the least recently *hit*
-        segment first.
+        The newest line indexed under the key that decodes to a record
+        with that ``"key"`` is the point's record.  A record failing its
+        checksum is dropped (counted in :attr:`corrupt`) and a verified one
+        in an older schema skipped: either way the point recomputes and its
+        new record supersedes the bad one.  The first hit in each segment
+        touches the segment's mtime, so ``repro cache gc`` evicts the least
+        recently *hit* segment first.  ``key``, if given, must be
+        ``point_key(point)``.
         """
         if self._index is None:
             self._index = scan_log(self.log_dir)
-        key = point_key(point)
-        found = self._index.get(key)
-        if found is None:
+        if key is None:
+            key = point_key(point)
+        entry = line = segment = None
+        older = self._index.get(key)
+        while entry is None and older is not None:
+            line, segment, older = older
+            entry = _decode(line)
+            if entry is not None and entry.get("key") != key:
+                entry = None
+        if entry is None:
             self.misses += 1
             return None
-        entry, segment = found
-        if not verify_checksum(entry):
+        if not (verify_stamped_bytes(line) or verify_checksum(entry)):
             del self._index[key]
             self.corrupt += 1
             self.misses += 1
@@ -247,20 +370,23 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, point: SweepPoint, sim: SimResult, stats: TraceStats) -> str:
+    def put(self, point: SweepPoint, sim: SimResult, stats: TraceStats,
+            key: Optional[str] = None) -> str:
         """Append one result to this store's segment; returns the key.
 
         One ``write`` and a flush per record: a crash leaves at most a
-        torn tail, which readers skip.
+        torn tail, which readers skip.  ``key``, if given, must be
+        ``point_key(point)``; the record is filed under it unchecked.
         """
         point = point.resolved()
-        key = point_key(point)
+        if key is None:
+            key = point_key(point)
         entry = {
             "key": key,
             "model_version": versions.MODEL_VERSION,
             "kernel": point.kernel,
             "isa": point.isa,
-            "config": _config_to_dict(point.config),
+            "config": point.config.canonical_dict(),
             "workload": {"scale": point.spec.scale, "seed": point.spec.seed},
             "sim": sim_to_dict(sim),
             "stats": stats_to_dict(stats),
@@ -270,10 +396,12 @@ class ResultCache:
             name = f"{time.time_ns()}-{os.getpid()}{SEGMENT_SUFFIX}"
             self._segment = open(os.path.join(self.log_dir, name), "a",
                                  encoding="utf-8")
-        self._segment.write(encode_stamped(entry) + "\n")
+        line = encode_stamped(entry)
+        self._segment.write(line + "\n")
         self._segment.flush()
         if self._index is not None:
-            self._index[key] = (entry, self._segment.name)
+            self._index[key] = (line.encode("utf-8"), self._segment.name,
+                                None)
         return key
 
     def close(self) -> None:

@@ -82,12 +82,12 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 
 from repro.sweep.cache import (ResultCache, point_key, sim_from_dict,
                                stats_from_dict)
-from repro.sweep.journal import SweepJournal
 from repro.sweep.spec import SweepPoint
 from repro.timing.results import SimResult
 from repro.trace.stats import TraceStats
 
 if TYPE_CHECKING:
+    from repro.sweep.journal import SweepJournal
     from repro.sweep.supervisor import PointFailure, PoolSupervisor
     from repro.sweep.tracecache import TraceCache
     from repro.trace.container import Trace
@@ -149,6 +149,9 @@ class PointResult:
         point has no numbers (quarantined poison point, kernel exception,
         …); ``sim`` and ``stats`` are ``None`` then — check :attr:`ok`
         before touching them.
+    key:
+        The point's :func:`~repro.sweep.cache.point_key`, hashed once per
+        run when the engine has a result store or a journal; else ``None``.
     """
 
     point: SweepPoint
@@ -159,6 +162,7 @@ class PointResult:
     trace_cached: bool = False
     index: int = -1
     failure: Optional[PointFailure] = None
+    key: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -466,6 +470,9 @@ class SweepEngine:
         self.cache = cache_dir
         self._trace_cache: Optional[TraceCache] = None
         if isinstance(journal, (str, os.PathLike)):
+            # Only a journaled run loads the journal module.
+            from repro.sweep.journal import SweepJournal
+
             journal = SweepJournal(journal)
         self.journal = journal
 
@@ -563,20 +570,27 @@ class SweepEngine:
                                 completed: Dict[str, Dict[str, Any]],
                                 on_result: Optional[OnResult],
                                 ) -> Iterator[PointResult]:
-        journal = self.journal
+        journal, cache = self.journal, self.cache
+        # Each point is hashed once per run, and only when a store or the
+        # journal reads the key.
+        keys: Sequence[Optional[str]] = (
+            [point_key(p) for p in points]
+            if cache is not None or journal is not None
+            else [None] * len(points))
 
         def emit(result: PointResult) -> PointResult:
+            result.key = keys[result.index]
             if journal is not None and not result.journaled:
-                journal.record(point_key(result.point), result)
+                journal.record(result.key, result)
             if on_result is not None:
                 on_result(result)
             return result
 
         # Serve what we can from the journal, then the result cache.
         todo: List[int] = []
-        for i, point in enumerate(points):
+        for i, (point, key) in enumerate(zip(points, keys)):
             if completed:
-                record = completed.get(point_key(point))
+                record = completed.get(key)
                 if record is not None:
                     sim = sim_from_dict(record["sim"])
                     stats = stats_from_dict(record["stats"])
@@ -584,8 +598,8 @@ class SweepEngine:
                     yield emit(PointResult(point=point, sim=sim, stats=stats,
                                            journaled=True, index=i))
                     continue
-            if self.cache is not None:
-                cached = self.cache.get(point)
+            if cache is not None:
+                cached = cache.get(point, key)
                 if cached is not None:
                     sim, stats = cached
                     self._cached += 1
@@ -596,8 +610,9 @@ class SweepEngine:
 
         if todo:
             for result in self._iter_supervised(points, todo):
-                if result.failure is None and self.cache is not None:
-                    self.cache.put(result.point, result.sim, result.stats)
+                if result.failure is None and cache is not None:
+                    cache.put(result.point, result.sim, result.stats,
+                              keys[result.index])
                 yield emit(result)
 
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ Each record is one JSON object on one line, written with a **single**
 ``write`` call followed by a flush — a record either lands whole (with its
 trailing newline) or is a torn tail.  A crashed writer therefore leaves at
 most one partial line at the end of the file.  The reader
-(:func:`read_jsonl`) treats any bytes after the last newline — and any line
-that does not parse — as uncommitted: they are skipped, counted, and never
-an exception.  Opening the journal for appending truncates the torn tail
+(:func:`~repro.sweep.cache.read_jsonl`, which the result log's framing
+shares) treats any bytes after the last newline — and any line that does
+not parse — as uncommitted: they are skipped, counted, and never an
+exception.  Opening the journal for appending truncates the torn tail
 first, so the file heals on resume and stays parseable by strict line
 readers from then on.
 
@@ -76,9 +77,10 @@ import os
 from typing import IO, Any, Dict, List, Optional
 
 from repro.common.atomicio import encode_stamped, verify_checksum
+from repro.sweep.cache import point_record, read_jsonl
 
-__all__ = ["JOURNAL_FORMAT", "LOCK_SUFFIX", "JournalLockedError", "JsonlScan",
-           "SweepJournal", "read_jsonl"]
+__all__ = ["JOURNAL_FORMAT", "LOCK_SUFFIX", "JournalLockedError",
+           "SweepJournal"]
 
 #: Version of the journal record layout; bump on incompatible changes.
 #: Readers skip header records of other formats (and their files' records),
@@ -128,68 +130,6 @@ def _pid_alive(pid: int) -> bool:
         # EPERM and friends: the process exists but is not ours.
         return True
     return True
-
-
-class JsonlScan:
-    """Outcome of one tolerant JSONL scan (see :func:`read_jsonl`).
-
-    Attributes
-    ----------
-    records:
-        The parsed objects, in file order.
-    good_end:
-        Byte offset just past the last complete (newline-terminated) line —
-        the truncation point that removes the torn tail, if any.
-    torn_bytes:
-        Length of the uncommitted tail after the last newline (0 = clean).
-    skipped_lines:
-        Complete lines that did not parse as JSON (corrupt middles; rare).
-    """
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-        self.good_end = 0
-        self.torn_bytes = 0
-        self.skipped_lines = 0
-
-
-def read_jsonl(path: str) -> JsonlScan:
-    """Read a JSONL file tolerating a torn trailing record.
-
-    A line is *committed* only when its trailing newline reached the file;
-    anything after the last newline is a partial record from an interrupted
-    writer and is reported via :attr:`JsonlScan.torn_bytes` instead of
-    raising ``json.JSONDecodeError``.  Complete lines that fail to parse
-    are counted in :attr:`JsonlScan.skipped_lines` and skipped.  A missing
-    file scans as empty.
-    """
-    scan = JsonlScan()
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
-        return scan
-    offset = 0
-    while True:
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            break
-        line = data[offset:newline]
-        offset = newline + 1
-        scan.good_end = offset
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            scan.skipped_lines += 1
-            continue
-        if isinstance(record, dict):
-            scan.records.append(record)
-        else:
-            scan.skipped_lines += 1
-    scan.torn_bytes = len(data) - scan.good_end
-    return scan
 
 
 class SweepJournal:
@@ -399,8 +339,6 @@ class SweepJournal:
         :class:`~repro.sweep.supervisor.PointFailure` (and no
         ``sim``/``stats``, so pre-failure readers simply skip it).
         """
-        from repro.sweep.cache import point_record
-
         self.append(point_record(key, result))
 
     def close(self) -> None:

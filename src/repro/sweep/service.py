@@ -85,11 +85,10 @@ from repro import versions
 from repro.sweep import faults
 from repro.sweep.cache import ResultCache, point_key, point_record
 from repro.sweep.engine import PointResult, SweepEngine, check_engine_settings
-from repro.sweep.spec import MAX_SCALE, SweepPoint, grid_points
-from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY
+from repro.sweep.spec import SweepPoint, grid_points
 
 __all__ = ["JOB_TERMINAL_STATES", "MAX_BODY_BYTES", "MAX_JOB_POINTS",
-           "MAX_SCALE", "QueueFull", "ServiceHTTPServer", "SweepService",
+           "QueueFull", "ServiceHTTPServer", "SweepService",
            "TooManyPoints", "UnknownJob", "job_id_for",
            "normalize_submission", "submission_points"]
 
@@ -155,6 +154,11 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     Every job verifies its builds against the golden reference; there is
     no field to switch that off, and a ``check`` field is rejected as
     unknown.
+
+    Only the JSON types are checked here: lists of integers and an
+    integer scale and seed, no booleans.  Their ranges are the machine's
+    and the workload's, checked where the points are built
+    (:func:`submission_points`), with the messages every front end gives.
     """
     from repro.kernels.catalog import ISA_VARIANTS, kernel_names
 
@@ -181,16 +185,10 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
 
     ways = data.get("ways", [4])
     latencies = data.get("latencies", [1])
-    for name, values, limit in (("ways", ways, MAX_WAY),
-                                ("latencies", latencies, MAX_MEM_LATENCY)):
+    for name, values in (("ways", ways), ("latencies", latencies)):
         if not isinstance(values, list) or not all(map(_is_int, values)):
             raise ValueError(f"{name} must be a list of integers, "
                              f"got {values!r}")
-        if any(v < 1 for v in values):
-            raise ValueError(f"{name} must all be >= 1, got {values}")
-        if values and max(values) > limit:
-            raise ValueError(f"{name} must all be <= {limit}, "
-                             f"got {max(values)}")
     points = len(kernels) * len(isas) * len(ways) * len(latencies)
     if not points:
         raise ValueError("submission expands to zero points")
@@ -198,13 +196,11 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
         raise TooManyPoints(f"submission expands to {points} points, over "
                             f"the {MAX_JOB_POINTS}-point limit")
     scale = data.get("scale")
-    if scale is not None and not (_is_int(scale)
-                                  and 1 <= scale <= MAX_SCALE):
-        raise ValueError(f"scale must be an integer in 1..{MAX_SCALE}, "
-                         f"got {scale!r}")
+    if scale is not None and not _is_int(scale):
+        raise ValueError(f"scale must be an integer, got {scale!r}")
     seed = data.get("seed", 1999)
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     deadline = data.get("deadline_seconds")
     if deadline is not None:
         deadline = float(deadline)
@@ -243,7 +239,9 @@ def job_id_for(submission: Dict[str, Any]) -> str:
 def submission_points(submission: Dict[str, Any]) -> List[SweepPoint]:
     """Expand a normalized submission into resolved sweep points, through
     the same :func:`~repro.sweep.spec.grid_points` as ``repro sweep``, so
-    a job's results match the CLI's for the same parameters."""
+    a job's results match the CLI's for the same parameters.  A machine,
+    scale or seed out of range raises its :class:`ValueError` here, naming
+    the field as the CLI does (``way (issue width) must be <= 64``)."""
     return grid_points(submission["kernels"], submission["isas"],
                        submission["ways"], submission["latencies"],
                        submission["scale"], submission["seed"])
@@ -323,9 +321,10 @@ class SweepService:
         """Records of the job's points the result log holds, by index."""
         events = []
         for i, point in enumerate(submission_points(job["submission"])):
-            hit = self.cache.get(point)
+            key = point_key(point)
+            hit = self.cache.get(point, key)
             if hit is not None:
-                events.append(point_record(point_key(point), PointResult(
+                events.append(point_record(key, PointResult(
                     point=point, sim=hit[0], stats=hit[1], index=i)))
         return events
 
@@ -410,6 +409,7 @@ class SweepService:
         :class:`ValueError` on a malformed submission.
         """
         submission = normalize_submission(data)
+        total = len(submission_points(submission))  # checks the ranges
         faults.fire_stage(STAGE_SUBMIT)
         job_id = job_id_for(submission)
         with self._lock:
@@ -429,7 +429,7 @@ class SweepService:
                 "id": job_id,
                 "status": "queued",
                 "submission": submission,
-                "total": len(submission_points(submission)),
+                "total": total,
                 "done": 0,
                 "failed_points": 0,
                 "created_at": time.time(),
@@ -525,7 +525,7 @@ class SweepService:
             # forward progress, not die again on the same record.
             if not result.cached:
                 faults.fire_stage(STAGE_RESULT, label=job_id)
-            record = point_record(point_key(result.point), result)
+            record = point_record(result.key, result)
             with self._lock:
                 events.append(record)
                 self._wake.notify_all()

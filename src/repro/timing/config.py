@@ -8,8 +8,10 @@ number of memory ports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+import json
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import Any, Dict
 
 from repro.isa.opclasses import OpClass, DEFAULT_LATENCIES
 
@@ -132,6 +134,27 @@ class MachineConfig:
         if opclass.is_store:
             return 1
         return self.latencies.get(opclass, 1)
+
+    def canonical_dict(self) -> Dict[str, Any]:
+        """JSON-stable view of every field, the latency table keyed by
+        op-class name in name order."""
+        out: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "latencies":
+                value = {op.value: int(lat) for op, lat in sorted(
+                    value.items(), key=lambda kv: kv[0].value)}
+            out[f.name] = value
+        return out
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """:meth:`canonical_dict` as sorted, compact JSON: what a result key
+        (:func:`repro.sweep.cache.point_key`) hashes for the machine.  It is
+        made once per object and kept on it, so the points of a grid, which
+        share their configs, encode each machine once."""
+        return json.dumps(self.canonical_dict(), sort_keys=True,
+                          separators=(",", ":"))
 
     def with_updates(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""

@@ -20,7 +20,7 @@ import pytest
 
 from repro.common.atomicio import (CORRUPT_SUFFIX, payload_checksum,
                                    quarantine_corrupt, encode_stamped,
-                                   verify_checksum)
+                                   verify_checksum, verify_stamped_bytes)
 from repro.sweep import (
     ResultCache,
     SweepEngine,
@@ -104,6 +104,21 @@ class TestChecksumHelpers:
         assert not verify_checksum([1, 2, 3])
         assert not verify_checksum(None)
         assert not verify_checksum("sha256:deadbeef")
+
+    def test_stored_bytes_verify_without_reencoding(self):
+        """The text :func:`encode_stamped` stores verifies as bytes; a
+        changed byte, or any other layout of the same entry, does not
+        (those take :func:`verify_checksum`)."""
+        entry = {"b": [1, 2], "a": {"nested": "x"}}
+        text = encode_stamped(entry).encode()
+        assert verify_stamped_bytes(text)
+        assert not verify_stamped_bytes(text.replace(b"[1,2]", b"[1,3]"))
+        assert not verify_stamped_bytes(text[:-1])
+        for other in (json.dumps(entry), json.dumps(entry, sort_keys=True)):
+            assert not verify_stamped_bytes(other.encode())
+            assert verify_checksum(json.loads(other))
+        assert not verify_stamped_bytes(encode_stamped({}).encode())
+        assert not verify_stamped_bytes(b"")
 
     def test_checksum_excludes_its_own_field(self):
         entry = {"a": 1}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -29,11 +30,16 @@ from repro.kernels.registry import kernel_names
 from repro.sweep.cache import ResultCache
 from repro.sweep.client import ServiceClient, ServiceError
 from repro.sweep.service import (JOB_TERMINAL_STATES, MAX_BODY_BYTES,
-                                 MAX_JOB_POINTS, MAX_SCALE, QueueFull,
+                                 MAX_JOB_POINTS, QueueFull,
                                  ServiceHTTPServer, SweepService, UnknownJob,
                                  job_id_for, normalize_submission,
                                  submission_points)
+from repro.sweep.spec import MAX_SCALE
 from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY
+
+#: The message a machine field out of range gets, from the machine
+#: (:class:`~repro.timing.config.MachineConfig`), as on the CLI.
+_MACHINE_FIELD = {"ways": "way (issue width)", "latencies": "mem_latency"}
 
 #: A fast submission: 4 points (one kernel, one config, all four ISAs).
 SMALL = {"kernels": ["comp"], "ways": [1], "latencies": [1], "scale": 4}
@@ -123,17 +129,23 @@ class TestNormalizeSubmission:
         ("ways", [4, 0]), ("ways", [-1]),
         ("latencies", [1, 0]), ("latencies", [-5])])
     def test_nonphysical_machine_rejected(self, field, values):
-        with pytest.raises(ValueError, match=f"{field} must all be >= 1"):
-            normalize_submission({field: values})
+        """A range is checked where the points are built, with the
+        machine's message: normalizing checks only the JSON types."""
+        submission = normalize_submission({field: values})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{_MACHINE_FIELD[field]} must be >= 1, got {min(values)}")):
+            submission_points(submission)
 
     @pytest.mark.parametrize("field, limit", [("ways", MAX_WAY),
                                               ("latencies", MAX_MEM_LATENCY)])
     def test_oversized_machine_rejected(self, field, limit):
-        assert normalize_submission({field: [1, limit]})[field] == [1, limit]
-        with pytest.raises(ValueError,
-                           match=f"{field} must all be <= {limit}, got "
-                                 f"{10 ** 9}"):
-            normalize_submission({field: [1, 10 ** 9]})
+        assert len(submission_points(normalize_submission(
+            {"kernels": ["comp"], field: [1, limit]}))) == 8
+        submission = normalize_submission({field: [1, 10 ** 9]})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{_MACHINE_FIELD[field]} must be <= {limit}, "
+                f"got {10 ** 9}")):
+            submission_points(submission)
 
 
 class TestJobId:
@@ -576,7 +588,7 @@ class TestHTTP:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(dict(SMALL, latencies=[-5]))
         assert excinfo.value.status == 400
-        assert "latencies must all be >= 1" in str(excinfo.value)
+        assert "mem_latency must be >= 1, got -5" in str(excinfo.value)
         assert service.list_jobs() == []
 
     @pytest.mark.parametrize("field", ["ways", "latencies"])
@@ -586,7 +598,7 @@ class TestHTTP:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(dict(SMALL, **{field: [10 ** 6]}))
         assert excinfo.value.status == 400
-        assert f"{field} must all be <=" in str(excinfo.value)
+        assert f"{_MACHINE_FIELD[field]} must be <=" in str(excinfo.value)
         assert service.list_jobs() == []
 
     @pytest.mark.parametrize("field, value", [

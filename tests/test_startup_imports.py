@@ -3,11 +3,12 @@
 A warm ``repro figure4|figure5|tables`` reads its points from the result
 cache and formats them; it needs neither NumPy nor the kernels, the
 builders, the timing backends, the pool, its supervisor, the fault
-harness, ``tempfile`` or the service.  A run served
-from the trace cache simulates, but in pure Python: it needs no NumPy,
-kernel, builder or vector backend either.  Each command
-runs here in a fresh interpreter that reports ``sys.modules`` at exit, so
-the guard counts what was imported, not how long it took.
+harness, the journal (it has no ``--resume``), ``tempfile`` or the
+service.  A run served from the trace cache simulates, but in pure
+Python: it needs no NumPy, kernel, builder or vector backend either.
+Each command runs here in a fresh interpreter that reports
+``sys.modules`` at exit, so the guard counts what was imported, not how
+long it took.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ _FORBIDDEN = ("numpy", *_POOL_MODULES,
               "repro.frontend", "repro.timing.core", "repro.timing.lowered",
               "repro.timing.vector", "repro.sweep.service",
               "repro.sweep.client", "repro.sweep.tracecache",
-              "repro.sweep.supervisor", "repro.sweep.faults")
+              "repro.sweep.supervisor", "repro.sweep.faults",
+              "repro.sweep.journal")
 
 
 def _forbidden(module: str) -> bool:
