@@ -8,9 +8,10 @@ cycles per memory latency).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.analysis.metrics import KernelMetrics
+if TYPE_CHECKING:  # the figures format plain numbers: no metrics import
+    from repro.analysis.metrics import KernelMetrics
 
 __all__ = [
     "format_breakdown_table",

@@ -58,19 +58,14 @@ import signal
 import sys
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, List, NoReturn, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.report import (
     format_breakdown_table,
     format_latency_table,
     format_speedup_table,
 )
-from repro.experiments.figure4 import (figure4_results, figure4_speedups,
-                                       figure4_sweep)
-from repro.experiments.figure5 import (figure5_cycles, figure5_results,
-                                       figure5_slowdowns, figure5_sweep)
-from repro.experiments.tables import (TABLE_NUMBERS, breakdown_tables,
-                                      tables_sweep)
 from repro.kernels.catalog import ISA_VARIANTS, kernel_names
 from repro.sweep.engine import PointResult, SweepEngine, SweepFailed
 from repro.sweep.spec import SweepPoint, grid_points
@@ -274,11 +269,7 @@ def make_on_result(args: argparse.Namespace, total: int,
                     "ipc": result.sim.ipc,
                 })
             if engine is not None:
-                report = engine.report
-                record.update(retries=report.retries,
-                              pool_restarts=report.pool_restarts,
-                              timeouts=report.timeouts,
-                              quarantined=report.quarantined)
+                record.update(engine.supervision())
             # One write + flush per record: a crash mid-sweep leaves at
             # most one torn *trailing* line, which the journal/JSONL
             # readers detect and skip.
@@ -318,23 +309,30 @@ def stream_sinks(args: argparse.Namespace, total: int,
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes no abbreviated long option: a typo
-    such as ``--job 2`` is an error, not ``--jobs 2``.  Subparsers are
-    built from the parent's class, so the rule holds for every command."""
+    such as ``--job 2`` is an error, not ``--jobs 2``.  Every subparser is
+    one, so the rule holds for every command."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="repro",
-        description="Reproduction of the MOM matrix SIMD ISA study (SC'99)",
-    )
-    parser.add_argument("--version", action="version", version=version_string())
-    sub = parser.add_subparsers(dest="command", required=True)
+class _OneCommandParser(_Parser):
+    """The top level of ``build_parser(command)``: it holds one command's
+    subparser, so its own usage would list only that command.  Every error
+    it reports (an unrecognized argument, or one :func:`main` raises
+    through it) is therefore the full parser's, word for word.  An error
+    inside the command is its subparser's, a plain :class:`_Parser` built
+    as the full parser builds it."""
 
+    def error(self, message: str) -> NoReturn:
+        build_parser().error(message)
+
+
+def _add_list(sub) -> None:
     sub.add_parser("list", help="list the available kernels")
 
+
+def _add_run(sub) -> None:
     run_p = sub.add_parser("run", help="run one kernel on all four ISAs")
     run_p.add_argument("kernel", choices=kernel_names())
     run_p.add_argument("--way", type=int, default=4, help="issue width (default 4)")
@@ -344,24 +342,32 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload scale (default: kernel-specific)")
     run_p.add_argument("--seed", type=int, default=1999, help="workload RNG seed")
 
+
+def _add_figure4(sub) -> None:
     fig4_p = sub.add_parser("figure4", help="regenerate Figure 4")
     fig4_p.add_argument("--kernels", nargs="*", default=None, choices=kernel_names())
     fig4_p.add_argument("--ways", nargs="*", type=int, default=[1, 2, 4, 8])
     fig4_p.add_argument("--scale", type=int, default=None)
     _add_engine_flags(fig4_p)
 
+
+def _add_figure5(sub) -> None:
     fig5_p = sub.add_parser("figure5", help="regenerate Figure 5")
     fig5_p.add_argument("--kernels", nargs="*", default=None, choices=kernel_names())
     fig5_p.add_argument("--latencies", nargs="*", type=int, default=[1, 12, 50])
     fig5_p.add_argument("--scale", type=int, default=None)
     _add_engine_flags(fig5_p)
 
+
+def _add_tables(sub) -> None:
     tables_p = sub.add_parser("tables", help="regenerate Tables 1-9")
     tables_p.add_argument("--kernels", nargs="*", default=None, choices=kernel_names())
     tables_p.add_argument("--way", type=int, default=4)
     tables_p.add_argument("--scale", type=int, default=None)
     _add_engine_flags(tables_p)
 
+
+def _add_sweep(sub) -> None:
     sweep_p = sub.add_parser(
         "sweep", help="run a custom kernels x ISAs x widths x latencies sweep")
     sweep_p.add_argument("--kernels", nargs="*", default=None, choices=kernel_names())
@@ -373,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=1999)
     _add_engine_flags(sweep_p)
 
+
+def _add_serve(sub) -> None:
     serve_p = sub.add_parser(
         "serve",
         help="run the crash-tolerant HTTP sweep service "
@@ -405,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per worker-pool task deadline (hung-worker "
                               "recovery; default: none)")
 
+
+def _add_client(sub) -> None:
     client_p = sub.add_parser(
         "client", help="talk to a running repro serve instance")
     client_p.add_argument("--server", default="http://127.0.0.1:8023",
@@ -447,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     fetch_p.add_argument("job_id")
     client_sub.add_parser("list", help="list the server's jobs")
 
+
+def _add_cache(sub) -> None:
     cache_p = sub.add_parser(
         "cache", help="inspect or prune the on-disk result/trace caches")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
@@ -469,6 +481,32 @@ def build_parser() -> argparse.ArgumentParser:
                                help="evict entries unused for more than this "
                                     "many days")
 
+
+#: Each command's subparser, in the order ``repro -h`` lists them.
+_COMMANDS = {"list": _add_list, "run": _add_run, "figure4": _add_figure4,
+             "figure5": _add_figure5, "tables": _add_tables,
+             "sweep": _add_sweep, "serve": _add_serve,
+             "client": _add_client, "cache": _add_cache}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    With no ``command`` it holds every command's subparser.  Given a
+    command name it holds the top level and that command's subparser
+    only: it parses an argv that starts with that command to the same
+    namespace, and reports the same errors, for a fraction of the set-up
+    (:func:`main` builds it for the command it runs)."""
+    parser = (_Parser if command is None else _OneCommandParser)(
+        prog="repro",
+        description="Reproduction of the MOM matrix SIMD ISA study (SC'99)",
+    )
+    parser.add_argument("--version", action="version", version=version_string())
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for add in (_COMMANDS.values() if command is None
+                else [_COMMANDS[command]]):
+        add(sub)
     return parser
 
 
@@ -530,6 +568,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _plan_run(args: argparse.Namespace) -> _Plan:
+    from repro.experiments.tables import breakdown_tables
+
     points = grid_points([args.kernel], ISA_VARIANTS, [args.way],
                          [args.mem_latency], args.scale, args.seed)
 
@@ -544,6 +584,9 @@ def _plan_run(args: argparse.Namespace) -> _Plan:
 
 
 def _plan_figure4(args: argparse.Namespace) -> _Plan:
+    from repro.experiments.figure4 import (figure4_results, figure4_speedups,
+                                           figure4_sweep)
+
     return (figure4_sweep(args.kernels, args.ways, _spec(args.scale)),
             figure4_results,
             lambda results: print(format_speedup_table(
@@ -551,6 +594,9 @@ def _plan_figure4(args: argparse.Namespace) -> _Plan:
 
 
 def _plan_figure5(args: argparse.Namespace) -> _Plan:
+    from repro.experiments.figure5 import (figure5_cycles, figure5_results,
+                                           figure5_slowdowns, figure5_sweep)
+
     def render(results) -> None:
         print(format_latency_table(figure5_cycles(results),
                                    latencies=tuple(args.latencies)))
@@ -566,6 +612,9 @@ def _plan_figure5(args: argparse.Namespace) -> _Plan:
 
 
 def _plan_tables(args: argparse.Namespace) -> _Plan:
+    from repro.experiments.tables import (TABLE_NUMBERS, breakdown_tables,
+                                          tables_sweep)
+
     def render(tables) -> None:
         for kernel in sorted(tables, key=lambda k: TABLE_NUMBERS[k]):
             print(f"\n(paper Table {TABLE_NUMBERS[kernel]})")
@@ -596,6 +645,7 @@ def _plan_sweep(args: argparse.Namespace) -> _Plan:
 
 
 #: The simulating commands, each a point list, a reduction and a renderer.
+#: A plan imports its own driver, so a command loads no other command's.
 _PLANS = {"run": _plan_run, "figure4": _plan_figure4,
           "figure5": _plan_figure5, "tables": _plan_tables,
           "sweep": _plan_sweep}
@@ -907,7 +957,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     every completed point is already in the journal and the exit message
     says how to pick up.
     """
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, --version and a missing or unknown command need every command.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         command = _prepare(parser, args)

@@ -1,4 +1,4 @@
-"""Operation classes and per-instruction metadata.
+"""Operation classes, their default latencies and register-file tags.
 
 Each dynamic instruction recorded by the front end carries an
 :class:`OpClass` that tells the timing model which functional-unit pool it
@@ -11,7 +11,6 @@ multimedia).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class OpClass(enum.Enum):
@@ -91,17 +90,3 @@ DEFAULT_LATENCIES: dict[OpClass, int] = {
     OpClass.MATRIX_MISC: 8,  # transpose: "8 + C cycles", non-pipelined
 }
 
-
-@dataclass(frozen=True)
-class OpSpec:
-    """Static metadata describing one opcode.
-
-    ``ops_per_row`` is the number of elemental operations performed per
-    dimension-Y row; the front end multiplies it by the sub-word lane count
-    (VLx) and the vector length (VLy) to obtain the operation count used for
-    the paper's OPI / R metrics.
-    """
-
-    name: str
-    opclass: OpClass
-    ops_per_row: int = 1

@@ -164,8 +164,14 @@ def stats_to_dict(stats: TraceStats) -> Dict[str, Any]:
     }
 
 
+#: Each :class:`OpClass` by its value: a dict lookup revives a stored
+#: histogram key for a fraction of what calling ``OpClass(value)`` costs.
+_OPCLASS_BY_VALUE = {opclass.value: opclass for opclass in OpClass}
+
+
 def stats_from_dict(data: Dict[str, Any]) -> TraceStats:
-    """Inverse of :func:`stats_to_dict` (opclass keys revived as enums)."""
+    """Inverse of :func:`stats_to_dict` (opclass keys revived as enums; an
+    unknown one raises :class:`KeyError`)."""
     return TraceStats(
         num_instructions=data["num_instructions"],
         num_operations=data["num_operations"],
@@ -177,7 +183,7 @@ def stats_from_dict(data: Dict[str, Any]) -> TraceStats:
         sum_vlx=data["sum_vlx"],
         sum_vly=data["sum_vly"],
         opcode_histogram=Counter(data.get("opcode_histogram", {})),
-        opclass_histogram=Counter({OpClass(k): v for k, v
+        opclass_histogram=Counter({_OPCLASS_BY_VALUE[k]: v for k, v
                                    in data.get("opclass_histogram", {}).items()}),
     )
 

@@ -289,7 +289,7 @@ class RunReport:
     def quarantined(self) -> int:
         """Failures quarantined for repeatedly killing or hanging their
         worker."""
-        return sum(failure.quarantined for failure in self.failures)
+        return _quarantined(self.failures)
 
     def counts(self) -> Dict[str, int]:
         """Every count of the run by name (a service job's ``telemetry``)."""
@@ -306,6 +306,10 @@ class RunReport:
         counts = ", ".join(f"{name}={n}" for name, n in self.counts().items())
         return (f"RunReport({counts}, "
                 f"fallback_reason={self.fallback_reason!r})")
+
+
+def _quarantined(failures: Iterable[PointFailure]) -> int:
+    return sum(failure.quarantined for failure in failures)
 
 
 def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
@@ -498,6 +502,19 @@ class SweepEngine:
             tuple(sup.failures), sup.fallback_reason)
         return RunReport(self._cached, self._journaled, tuple(self._batches),
                          *supervised)
+
+    def supervision(self) -> Dict[str, int]:
+        """:attr:`report`'s ``retries``, ``pool_restarts``, ``timeouts`` and
+        ``quarantined`` for the run so far, read off its supervisor without
+        building a :class:`RunReport` (every ``--stream-jsonl`` record
+        carries them)."""
+        sup = self._supervisor
+        if sup is None:
+            return {"retries": 0, "pool_restarts": 0, "timeouts": 0,
+                    "quarantined": 0}
+        return {"retries": sup.retries, "pool_restarts": sup.pool_restarts,
+                "timeouts": sup.timeouts,
+                "quarantined": _quarantined(sup.failures)}
 
     def __getattr__(self, name: str) -> Any:
         """perfbench's view: its ``last_*`` names read :attr:`report`."""

@@ -87,11 +87,13 @@ def grid_points(kernels: Optional[Iterable[str]], isas: Sequence[str],
     configs = [MachineConfig.for_way(way, mem_latency=latency)
                for way in ways for latency in latencies]
     # Checked even when the grid is empty; a default scale is filled in
-    # per kernel.
+    # once per kernel, and the kernel's points share that spec.
     spec = WorkloadSpec(scale=1 if scale is None else scale, seed=seed)
-    return [SweepPoint(kernel=kernel, isa=isa, config=config,
-                       spec=spec if scale is not None
+    points: List[SweepPoint] = []
+    for kernel in (kernels if kernels is not None else kernel_names()):
+        kernel_spec = (spec if scale is not None
                        else replace(spec, scale=default_scale(kernel)))
-            for kernel in (kernels if kernels is not None else kernel_names())
-            for config in configs
-            for isa in isas]
+        points.extend(SweepPoint(kernel=kernel, isa=isa, config=config,
+                                 spec=kernel_spec)
+                      for config in configs for isa in isas)
+    return points

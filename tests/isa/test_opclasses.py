@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.isa.opclasses import DEFAULT_LATENCIES, OpClass, OpSpec, RegFile
+from repro.isa.opclasses import DEFAULT_LATENCIES, OpClass, RegFile
 
 
 class TestOpClassPredicates:
@@ -33,13 +33,6 @@ class TestOpClassPredicates:
     def test_integer_multiply_is_long_latency(self):
         assert DEFAULT_LATENCIES[OpClass.IMUL] > DEFAULT_LATENCIES[OpClass.IALU]
         assert DEFAULT_LATENCIES[OpClass.MEDIA_MUL] < DEFAULT_LATENCIES[OpClass.IMUL]
-
-
-class TestOpSpec:
-    def test_defaults(self):
-        spec = OpSpec("padd", OpClass.MEDIA_ALU)
-        assert spec.ops_per_row == 1
-        assert spec.opclass is OpClass.MEDIA_ALU
 
 
 class TestRegFile:

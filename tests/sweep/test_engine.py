@@ -73,6 +73,19 @@ class TestSpecExpansion:
                                  1999):
             assert point.spec is not None
 
+    @pytest.mark.parametrize("scale", [None, 2])
+    def test_one_spec_per_kernel(self, scale):
+        """A kernel's points share one workload spec: the grid validates
+        one per kernel, not one per point."""
+        points = grid_points(["comp", "idct"], ISA_VARIANTS, [1, 4], [1, 50],
+                             scale, 7)
+        for kernel in ("comp", "idct"):
+            specs = {id(p.spec) for p in points if p.kernel == kernel}
+            assert len(specs) == 1, kernel
+        assert {(p.kernel, p.spec.scale, p.spec.seed) for p in points} == {
+            ("comp", scale or resolve_spec("comp", None).scale, 7),
+            ("idct", scale or resolve_spec("idct", None).scale, 7)}
+
 
 class TestEquivalence:
     """Parallel engine == serial fallback == direct run_kernel calls."""

@@ -280,6 +280,35 @@ class TestOnePolicyTwoExecutors:
         # The split singles' scratch trace store is gone with the run.
         assert list(scratch.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, jobs, final", [
+        ("raise", 1, {"retries": 17, "quarantined": 0}),
+        ("crash", 2, {"quarantined": 1}),
+    ])
+    def test_streamed_supervision_is_the_report_s(self, tmp_path, monkeypatch,
+                                                  kind, jobs, final):
+        """What each ``--stream-jsonl`` record carries, read off the
+        supervisor without building a report, is the report's four
+        supervision counts at that moment."""
+        _inject(monkeypatch, tmp_path, [
+            {"kind": kind, "kernel": "comp", "isa": "scalar",
+             "config": "lat7", "times": -1},
+        ])
+        engine = SweepEngine(jobs=jobs)
+        seen = []
+
+        def on_result(result):
+            report = engine.report
+            seen.append(engine.supervision())
+            assert seen[-1] == {"retries": report.retries,
+                                "pool_restarts": report.pool_restarts,
+                                "timeouts": report.timeouts,
+                                "quarantined": report.quarantined}
+
+        points = _poison_group_sweep()
+        engine.run(points, on_result=on_result)
+        assert len(seen) == len(points)
+        assert {name: seen[-1][name] for name in final} == final
+
     def test_crash_split_shares_one_trace_build(self, tmp_path, monkeypatch):
         clean = SweepEngine().run(_poison_group_sweep())
         engine, results = self._poison_run(tmp_path, monkeypatch, "crash", 2)

@@ -4,7 +4,8 @@ A warm ``repro figure4|figure5|tables`` reads its points from the result
 cache and formats them; it needs neither NumPy nor the kernels, the
 builders, the timing backends, the pool, its supervisor, the fault
 harness, the journal (it has no ``--resume``), ``tempfile`` or the
-service.  A run served from the trace cache simulates, but in pure
+service, nor another paper command's driver; the figures need no
+metrics either.  A run served from the trace cache simulates, but in pure
 Python: it needs no NumPy, kernel, builder or vector backend either.
 Each command runs here in a fresh interpreter that reports
 ``sys.modules`` at exit, so the guard counts what was imported, not how
@@ -22,6 +23,7 @@ import pytest
 
 import repro
 import repro.sweep
+import repro.timing
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -106,6 +108,17 @@ _COMMANDS = {
 }
 
 
+#: What each warm paper command must not load although the others do:
+#: their drivers, and for the figures the metrics only the tables compute.
+_OTHER_COMMANDS = {
+    "figure4": ("repro.experiments.figure5", "repro.experiments.tables",
+                "repro.analysis.metrics"),
+    "figure5": ("repro.experiments.figure4", "repro.experiments.tables",
+                "repro.analysis.metrics"),
+    "tables": ("repro.experiments.figure4", "repro.experiments.figure5"),
+}
+
+
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("warm") / "cache"
@@ -130,6 +143,7 @@ def test_warm_paper_command_imports_no_compute(command, warm_cache,
     assert [m for m in modules if _forbidden(m)] == []
     assert [m for m in modules if _under(
         m, ("repro.sweep.supervisor", "concurrent.futures"))] == []
+    assert [m for m in modules if _under(m, _OTHER_COMMANDS[command])] == []
 
 
 def test_trace_hit_figure5_imports_no_numpy(tmp_path):
@@ -176,8 +190,8 @@ def test_version_imports_no_compute(tmp_path):
     assert [m for m in modules if _forbidden(m)] == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.sweep],
-                         ids=["repro", "repro.sweep"])
+@pytest.mark.parametrize("package", [repro, repro.sweep, repro.timing],
+                         ids=["repro", "repro.sweep", "repro.timing"])
 def test_every_exported_name_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
