@@ -43,25 +43,6 @@ class KernelMetrics:
     instructions: int
     operations: int
 
-    @property
-    def opc(self) -> float:
-        """Operations per cycle (IPC x OPI)."""
-        return self.ipc * self.opi
-
-    def as_row(self) -> dict:
-        """Plain-dict view used by the report formatters."""
-        return {
-            "kernel": self.kernel,
-            "isa": self.isa,
-            "IPC": self.ipc,
-            "OPI": self.opi,
-            "R": self.r,
-            "S": self.speedup,
-            "F": self.f,
-            "VLx": self.vlx,
-            "VLy": self.vly,
-        }
-
 
 def compute_metrics(sim: SimResult, stats: TraceStats,
                     baseline: SimResult) -> KernelMetrics:

@@ -8,7 +8,7 @@ cycles per memory latency).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # the figures format plain numbers: no metrics import
     from repro.analysis.metrics import KernelMetrics
@@ -17,7 +17,6 @@ __all__ = [
     "format_breakdown_table",
     "format_speedup_table",
     "format_latency_table",
-    "format_csv",
 ]
 
 _ISA_LABELS = {"scalar": "Alpha", "mmx": "MMX", "mdmx": "MDMX", "mom": "MOM"}
@@ -75,10 +74,3 @@ def format_latency_table(results: Mapping[str, Mapping[str, Mapping[int, int]]],
             lines.append(f"  {_ISA_LABELS[isa]:8s}{cells}")
     return "\n".join(lines)
 
-
-def format_csv(rows: Iterable[Mapping[str, object]], columns: Sequence[str]) -> str:
-    """Minimal CSV rendering (no external dependencies)."""
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(str(row.get(col, "")) for col in columns))
-    return "\n".join(out)

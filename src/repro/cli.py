@@ -862,6 +862,19 @@ def _check_serve_args(parser: argparse.ArgumentParser,
                      f"got {args.port}")
 
 
+def _check_gc_args(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> None:
+    """Reject ``repro cache gc`` bounds before anything is evicted: a
+    negative bound would evict every entry, and one that is not finite in
+    bytes or seconds cannot be applied.  Zero is a legal bound."""
+    for flag, value, unit, what in (
+            ("--max-mb", args.max_mb, 1024 * 1024, "bytes"),
+            ("--max-age-days", args.max_age_days, 86400, "seconds")):
+        if value is not None and not 0 <= value * unit < math.inf:
+            parser.error(f"{flag} must be >= 0 and finite in {what}, "
+                         f"got {value}")
+
+
 def _prepare(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> Callable[[], int]:
     """Build what the command runs and return the call that runs it.
@@ -896,6 +909,8 @@ def _prepare(parser: argparse.ArgumentParser,
         if args.cache_dir:
             _check_dir(parser, "--cache-dir", args.cache_dir)
         return partial(_cmd_serve, args, service)
+    if args.command == "cache" and args.cache_command == "gc":
+        _check_gc_args(parser, args)
     if args.command == "client" and args.client_command == "submit":
         grid_points(args.kernels, args.isas or ISA_VARIANTS, args.ways,
                     args.latencies, args.scale, args.seed)

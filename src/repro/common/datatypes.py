@@ -20,7 +20,7 @@ layout of MMX/MDMX registers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,26 +76,10 @@ class ElementType:
 
 
 U8 = ElementType(8, signed=False)
-S8 = ElementType(8, signed=True)
 U16 = ElementType(16, signed=False)
 S16 = ElementType(16, signed=True)
 U32 = ElementType(32, signed=False)
 S32 = ElementType(32, signed=True)
-
-_BY_NAME = {t.name: t for t in (U8, S8, U16, S16, U32, S32)}
-
-
-def element_type(name: str) -> ElementType:
-    """Look an :class:`ElementType` up by its short name (e.g. ``"s16"``)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise KeyError(f"unknown element type {name!r}") from exc
-
-
-def lanes_per_word(etype: ElementType) -> int:
-    """Number of lanes of ``etype`` in a 64-bit word."""
-    return etype.lanes
 
 
 def _as_word(value: int) -> int:
@@ -139,29 +123,6 @@ def pack_word(lanes: Sequence[int] | np.ndarray, etype: ElementType) -> int:
     for i in range(etype.lanes):
         word |= (int(arr[i]) & mask) << (i * etype.bits)
     return word
-
-
-def unpack_words(words: Iterable[int], etype: ElementType) -> np.ndarray:
-    """Unpack a sequence of packed words into a 2-D lane matrix.
-
-    Row ``i`` of the result holds the lanes of ``words[i]``; this is the
-    natural "matrix" view used by the MOM register file.
-    """
-    rows = [unpack_word(w, etype) for w in words]
-    if not rows:
-        return np.empty((0, etype.lanes), dtype=np.int64)
-    return np.stack(rows)
-
-
-def pack_words(matrix: np.ndarray, etype: ElementType) -> list[int]:
-    """Pack a 2-D lane matrix back into a list of 64-bit words."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[1] != etype.lanes:
-        raise ValueError(
-            f"expected (rows, {etype.lanes}) matrix for {etype.name}, "
-            f"got shape {matrix.shape}"
-        )
-    return [pack_word(row, etype) for row in matrix]
 
 
 # -- lane planes (batched pack/unpack) -------------------------------------
@@ -241,15 +202,3 @@ def pack_planes(planes: np.ndarray, etype: ElementType) -> np.ndarray:
         return out
     u = arr.astype(np.uint64) & np.uint64(etype.mask)
     return np.bitwise_or.reduce(u << _LANE_SHIFTS[etype.bits], axis=-1)
-
-
-def word_to_bytes(word: int) -> bytes:
-    """Little-endian byte representation of a packed 64-bit word."""
-    return _as_word(word).to_bytes(8, "little")
-
-
-def bytes_to_word(data: bytes) -> int:
-    """Inverse of :func:`word_to_bytes`."""
-    if len(data) != 8:
-        raise ValueError(f"expected 8 bytes, got {len(data)}")
-    return int.from_bytes(data, "little")

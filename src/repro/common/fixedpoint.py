@@ -1,10 +1,10 @@
-"""Fixed-point helpers used by the image kernels (idct, rgb2ycc).
+"""Fixed-point rounding for the idct kernel.
 
 The MediaBench kernels the paper studies use 16-bit fixed-point constants and
-"multiply, add rounding constant, shift right" sequences.  These helpers
-centralise that arithmetic so that the scalar, MMX, MDMX and MOM kernel
-variants (and the NumPy golden references) all share identical rounding
-behaviour and therefore produce bit-identical results.
+"multiply, add rounding constant, shift right" sequences.  The idct kernel's
+scalar, MMX, MDMX and MOM variants and its NumPy golden reference all descale
+through :func:`round_half_up`, so they share identical rounding behaviour and
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,35 +25,3 @@ def round_half_up(values: np.ndarray | int, shift: int) -> np.ndarray | int:
         return (int(values) + bias) >> shift
     arr = np.asarray(values, dtype=np.int64)
     return (arr + bias) >> shift
-
-
-def round_to_even(values: np.ndarray | int, shift: int) -> np.ndarray | int:
-    """Arithmetic shift right with round-half-to-even (banker's rounding)."""
-    if shift == 0:
-        return values
-    scalar = isinstance(values, (int, np.integer))
-    arr = np.asarray(values, dtype=np.int64).reshape(-1) if scalar else np.asarray(
-        values, dtype=np.int64
-    )
-    bias = 1 << (shift - 1)
-    shifted = (arr + bias) >> shift
-    # A tie occurred when the discarded bits are exactly 0.5; force even.
-    remainder = arr & ((1 << shift) - 1)
-    tie = remainder == bias
-    shifted = np.where(tie & (shifted & 1 == 1), shifted - 1, shifted)
-    if scalar:
-        return int(shifted[0])
-    return shifted
-
-
-def fixed_mul_round(a: np.ndarray | int, const: int, shift: int) -> np.ndarray | int:
-    """``(a * const)`` descaled by ``shift`` bits with round-half-up."""
-    if isinstance(a, (int, np.integer)):
-        return round_half_up(int(a) * const, shift)
-    prod = np.asarray(a, dtype=np.int64) * const
-    return round_half_up(prod, shift)
-
-
-def descale(values: np.ndarray | int, shift: int) -> np.ndarray | int:
-    """Alias of :func:`round_half_up`, named after the libjpeg DESCALE macro."""
-    return round_half_up(values, shift)

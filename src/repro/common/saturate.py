@@ -14,15 +14,6 @@ import numpy as np
 from repro.common.datatypes import ElementType
 
 
-def clamp_scalar(value: int, lo: int, hi: int) -> int:
-    """Clamp a single integer to ``[lo, hi]``."""
-    if value < lo:
-        return lo
-    if value > hi:
-        return hi
-    return value
-
-
 def saturate_signed(values: np.ndarray, bits: int) -> np.ndarray:
     """Saturate lane values to the signed ``bits``-wide range."""
     lo = -(1 << (bits - 1))

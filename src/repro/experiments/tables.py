@@ -21,8 +21,7 @@ from repro.sweep.engine import PointResult, SweepEngine, require_complete
 from repro.sweep.spec import SweepPoint, grid_points
 from repro.workloads.generators import WorkloadSpec
 
-__all__ = ["tables_sweep", "breakdown_tables", "run_breakdown_tables",
-           "breakdown_for_kernel"]
+__all__ = ["tables_sweep", "breakdown_tables", "run_breakdown_tables"]
 
 #: Paper table number for each kernel (Tables 1-9).
 TABLE_NUMBERS = {
@@ -86,21 +85,3 @@ def run_breakdown_tables(
     return breakdown_tables(engine.run(
         tables_sweep(kernels, way, mem_latency, spec), on_result=on_result))
 
-
-def breakdown_for_kernel(
-    kernel_name: str,
-    way: int = 4,
-    mem_latency: int = 1,
-    spec: Optional[WorkloadSpec] = None,
-    engine: Optional[SweepEngine] = None,
-    on_result: Optional[Callable[[PointResult], None]] = None,
-) -> Dict[str, KernelMetrics]:
-    """Compute one breakdown table (IPC / OPI / R / S / F / VLx / VLy).
-
-    ``on_result`` (if given) streams each point's result as it completes.
-    Raises :class:`~repro.sweep.engine.SweepFailed` if any point failed.
-    """
-    return run_breakdown_tables(
-        kernels=[kernel_name], way=way, mem_latency=mem_latency, spec=spec,
-        engine=engine, on_result=on_result,
-    )[kernel_name]

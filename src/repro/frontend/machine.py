@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.datatypes import ElementType, WORD_MASK
+from repro.common.datatypes import ElementType
 from repro.isa.registers import (
     AccumulatorFile,
     MatrixRegisterFile,
@@ -220,6 +220,3 @@ class FunctionalMachine:
 
     def read_array(self, addr: int, count: int, etype: ElementType) -> np.ndarray:
         return self.memory.read_array(addr, count, etype)
-
-    def read_media_word(self, index: int) -> int:
-        return self.media_regs.read(index) & WORD_MASK

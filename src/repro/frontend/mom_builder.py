@@ -166,9 +166,9 @@ class MOMBuilder(ScalarBuilder):
                       mrb: int, etype: ElementType, fn, *args,
                       rowbcast: bool = False, **kwargs) -> None:
         # The simdops functions are array-polymorphic: one call over a
-        # (vl,) word array applies the packed op to every dimension-Y row
-        # (the per-row loop lives on as matrixops.map_rows, the pinned
-        # reference used by the differential tests).
+        # (vl,) word array applies the packed op to every dimension-Y row.
+        # tests/isa/test_simdops_planes.py pins that array form against
+        # simdops_ref word by word.
         vl = self.vl
         aw = np.asarray(self.mr.read(mra)[:vl], dtype=np.uint64)
         if rowbcast:

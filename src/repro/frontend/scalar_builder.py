@@ -353,25 +353,3 @@ class ScalarBuilder:
     def stq(self, rs: int, base: int, offset: int = 0) -> None:
         """Store 64-bit quadword."""
         self._store("stq", rs, base, offset, 8)
-
-    # ------------------------------------------------------------------
-    # structured loop helper
-    # ------------------------------------------------------------------
-
-    def loop(self, count_reg: int, body, step: int = 1):
-        """Emit a counted loop: run ``body(iteration)`` then the loop-control
-        overhead (decrement + branch) that a compiled scalar loop carries.
-
-        ``count_reg`` must already hold the trip count.  The helper is a
-        convenience used by the scalar kernel variants; the multimedia
-        variants typically use explicit unrolling instead.
-        """
-        trip = self.regs.read(count_reg)
-        iteration = 0
-        while self.regs.read(count_reg) > 0:
-            body(iteration)
-            self.subi(count_reg, count_reg, step)
-            self.branch(count_reg, "bgt")
-            iteration += 1
-            if iteration > trip + 1:  # pragma: no cover - defensive
-                raise RuntimeError("loop failed to terminate")

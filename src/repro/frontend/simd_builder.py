@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.datatypes import ElementType, U8, S16, U16, S32, pack_word, unpack_word
+from repro.common.datatypes import ElementType, U8, S16, S32, pack_word, unpack_word
 from repro.frontend.scalar_builder import ScalarBuilder, _ref_int
 from repro.isa import accum, simdops
 from repro.isa.opclasses import OpClass, RegFile

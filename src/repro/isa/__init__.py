@@ -10,6 +10,6 @@ The sub-modules are organised by ISA layer:
 * :mod:`repro.isa.simdops` — packed (sub-word, dimension X) operation
   semantics shared by MMX, MDMX and MOM.
 * :mod:`repro.isa.accum` — packed-accumulator semantics (MDMX §3.1).
-* :mod:`repro.isa.matrixops` — matrix (dimension Y) operations: row-mapped
-  packed ops, strided loads/stores, transpose and pipelined reductions.
+* :mod:`repro.isa.matrixops` — matrix (dimension Y) operations: transpose
+  and pipelined reductions.
 """

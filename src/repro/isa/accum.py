@@ -23,7 +23,6 @@ from repro.common.datatypes import ElementType, pack_word, unpack_word_fast
 from repro.common.saturate import saturate
 
 __all__ = [
-    "acc_zero",
     "acc_mul_add",
     "acc_mul_sub",
     "acc_add",
@@ -32,11 +31,6 @@ __all__ = [
     "acc_read",
     "acc_read_scalar",
 ]
-
-
-def acc_zero(lanes: int) -> np.ndarray:
-    """A cleared accumulator with ``lanes`` lane positions."""
-    return np.zeros(lanes, dtype=object)
 
 
 def _lanes(word: int, etype: ElementType) -> np.ndarray:

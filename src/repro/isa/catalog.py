@@ -25,7 +25,7 @@ from repro.frontend.simd_builder import MDMXBuilder, MMXBuilder
 __all__ = ["CatalogEntry", "builder_operations", "instruction_catalog", "catalog_summary"]
 
 #: Builder methods that are plumbing, not instruction emitters.
-_NON_INSTRUCTION_METHODS = {"loop", "build", "vl", "unroll", "replay"}
+_NON_INSTRUCTION_METHODS = {"build", "vl", "unroll", "replay"}
 
 
 @dataclass(frozen=True)

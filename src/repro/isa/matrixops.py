@@ -2,21 +2,18 @@
 
 A MOM matrix instruction applies a packed (dimension X) operation to the
 first ``vl`` rows of its matrix-register operands — i.e. it is a vector of
-MMX-like operations.  The helpers here map the single-word semantics from
-:mod:`repro.isa.simdops` across rows, and add the operations that only make
-sense at matrix granularity: strided loads/stores, the matrix transpose and
-the pipelined dimension-Y reductions into packed accumulators.
+MMX-like operations.  The MOM builder maps the packed semantics of
+:mod:`repro.isa.simdops` across rows itself; this module holds the
+operations that only make sense at matrix granularity: the matrix transpose
+and the pipelined dimension-Y reductions into packed accumulators.
 
-The transpose and reduction helpers (and the MOM builder's row-mapped ops)
-process all ``vl`` rows as one ``(vl, lanes)`` lane plane per operand —
-one NumPy call instead of a Python loop per row.  :func:`map_rows` /
-:func:`map_rows_scalar_operand` keep the original per-row loop as the
-pinned reference path for the differential tests.
+Each helper processes all ``vl`` rows as one ``(vl, lanes)`` lane plane per
+operand — one NumPy call instead of a Python loop per row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,67 +22,15 @@ from repro.common.datatypes import (
     pack_planes,
     unpack_planes,
 )
-from repro.isa import simdops
 from repro.isa.registers import MAX_MATRIX_ROWS
 
 __all__ = [
-    "map_rows",
-    "map_rows_scalar_operand",
     "transpose",
     "transpose_pair",
     "reduce_mul_add",
     "reduce_add",
     "reduce_abs_diff_add",
-    "rows_to_matrix",
-    "matrix_to_rows",
 ]
-
-
-def map_rows(
-    op: Callable[..., int],
-    a_rows: Sequence[int],
-    b_rows: Sequence[int] | None,
-    vl: int,
-    *args,
-    **kwargs,
-) -> list[int]:
-    """Apply a packed operation row by row over the first ``vl`` rows.
-
-    ``b_rows`` may be ``None`` for unary operations, or a single-word splat
-    (length-1 sequence is *not* broadcast — pass an explicit row list).
-    Rows beyond ``vl`` of the destination are returned as zero, matching a
-    destination register that is fully rewritten by the instruction.
-    """
-    if not 1 <= vl <= MAX_MATRIX_ROWS:
-        raise ValueError(f"vector length {vl} out of range")
-    out = [0] * MAX_MATRIX_ROWS
-    for row in range(vl):
-        if b_rows is None:
-            out[row] = op(a_rows[row], *args, **kwargs)
-        else:
-            out[row] = op(a_rows[row], b_rows[row], *args, **kwargs)
-    return out
-
-
-def map_rows_scalar_operand(
-    op: Callable[..., int],
-    a_rows: Sequence[int],
-    b_word: int,
-    vl: int,
-    *args,
-    **kwargs,
-) -> list[int]:
-    """Apply a packed operation between each row and a broadcast packed word.
-
-    This models MOM's vector-scalar forms (e.g. add the same packed constant
-    to every row), which the paper's example in Figure 2 relies on.
-    """
-    if not 1 <= vl <= MAX_MATRIX_ROWS:
-        raise ValueError(f"vector length {vl} out of range")
-    out = [0] * MAX_MATRIX_ROWS
-    for row in range(vl):
-        out[row] = op(a_rows[row], b_word, *args, **kwargs)
-    return out
 
 
 def transpose(rows: Sequence[int], etype: ElementType, vl: int) -> list[int]:
@@ -137,19 +82,6 @@ def transpose_pair(
     lo_out[:width] = [int(w) for w in lo_words]
     hi_out[:width] = [int(w) for w in hi_words]
     return lo_out, hi_out
-
-
-def rows_to_matrix(rows: Sequence[int], etype: ElementType, vl: int) -> np.ndarray:
-    """Unpack matrix-register rows into a (vl, lanes) NumPy matrix."""
-    return unpack_planes(np.asarray(rows[:vl], dtype=np.uint64), etype)
-
-
-def matrix_to_rows(matrix: np.ndarray, etype: ElementType) -> list[int]:
-    """Pack a (rows, lanes) matrix into matrix-register words (zero padded)."""
-    matrix = np.asarray(matrix)
-    out = [0] * MAX_MATRIX_ROWS
-    out[: matrix.shape[0]] = [int(w) for w in pack_planes(matrix, etype)]
-    return out
 
 
 def reduce_mul_add(
@@ -205,31 +137,3 @@ def reduce_abs_diff_add(
     out = acc.astype(object).copy()
     out[: etype.lanes] = out[: etype.lanes] + sums
     return out
-
-
-# Re-exported row-mapped convenience wrappers used by the MOM builder.  Each
-# wrapper fixes the packed operation and leaves element type / saturation to
-# the caller.
-
-def rows_padd(a, b, vl, etype, saturating="wrap"):
-    return map_rows(simdops.padd, a, b, vl, etype, saturating)
-
-
-def rows_psub(a, b, vl, etype, saturating="wrap"):
-    return map_rows(simdops.psub, a, b, vl, etype, saturating)
-
-
-def rows_pmull(a, b, vl, etype):
-    return map_rows(simdops.pmull, a, b, vl, etype)
-
-
-def rows_pmulh(a, b, vl, etype, rounding=False):
-    return map_rows(simdops.pmulh, a, b, vl, etype, rounding)
-
-
-def rows_pavg(a, b, vl, etype):
-    return map_rows(simdops.pavg, a, b, vl, etype)
-
-
-def rows_pabsdiff(a, b, vl, etype):
-    return map_rows(simdops.pabsdiff, a, b, vl, etype)

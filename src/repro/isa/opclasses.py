@@ -56,10 +56,6 @@ class OpClass(enum.Enum):
             OpClass.MATRIX_MISC,
         )
 
-    @property
-    def is_integer(self) -> bool:
-        return self in (OpClass.IALU, OpClass.IMUL, OpClass.BRANCH)
-
 
 class RegFile(enum.Enum):
     """Architectural register file an operand belongs to."""

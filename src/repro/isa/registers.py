@@ -8,7 +8,7 @@ The paper's enhanced ISA models provide (section 4.1):
   accumulators and one vector-length register for MOM.
 
 These classes hold *architectural* state only; renaming and physical
-registers live in :mod:`repro.timing.rename`.
+registers are modelled by the timing model (:mod:`repro.timing`).
 """
 
 from __future__ import annotations
@@ -17,17 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common.datatypes import WORD_MASK, ElementType, unpack_word, pack_word
+from repro.common.datatypes import WORD_MASK, ElementType, unpack_word
 
 #: Maximum MOM vector length along dimension Y (paper section 4.1).
 MAX_MATRIX_ROWS = 16
-
-#: Width (bits) of one packed-accumulator lane group; MDMX accumulators are
-#: 192 bits wide: 8 lanes of 24 bits for byte data or 4 lanes of 48 bits for
-#: halfword data.  We store each lane as a Python int and clip on read-out,
-#: so the only width that matters architecturally is the per-lane saturation
-#: applied by the read-out instructions.
-ACC_LANE_BITS = {8: 24, 16: 48, 32: 64}
 
 
 class ScalarRegisterFile:
@@ -77,9 +70,6 @@ class MultimediaRegisterFile:
 
     def read_lanes(self, index: int, etype: ElementType) -> np.ndarray:
         return unpack_word(self.read(index), etype)
-
-    def write_lanes(self, index: int, lanes: Sequence[int], etype: ElementType) -> None:
-        self.write(index, pack_word(lanes, etype))
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_regs:

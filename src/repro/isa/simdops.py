@@ -28,9 +28,7 @@ import numpy as np
 from repro.common.datatypes import (
     ElementType,
     U8,
-    U16,
     S16,
-    S32,
     WORD_MASK,
     pack_planes,
     unpack_planes,

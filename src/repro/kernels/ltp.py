@@ -18,7 +18,6 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.common.datatypes import S16, S32, pack_word
-from repro.common.saturate import clamp_scalar
 from repro.kernels.base import Kernel
 from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_s16_samples

@@ -22,7 +22,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.common.datatypes import U8, U16, S16, S32, U32, pack_word
+from repro.common.datatypes import U8, S16, S32, U32, pack_word
 from repro.kernels.base import Kernel
 from repro.kernels.catalog import DEFAULT_SCALES
 from repro.workloads.generators import WorkloadSpec, random_u8_block

@@ -71,7 +71,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["FAULT_ENV", "FAULT_KINDS", "FaultPlan", "FaultRule",
            "InjectedFault", "fire_faults", "fire_stage", "in_worker",

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Any, Dict, List, Optional
+from typing import IO, Any, Dict, Optional
 
 from repro.common.atomicio import encode_stamped, verify_checksum
 from repro.sweep.cache import point_record, read_jsonl

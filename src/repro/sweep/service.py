@@ -73,11 +73,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.atomicio import atomic_write_text
@@ -145,6 +146,21 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _names(data: Dict[str, Any], field: str, what: str,
+           known: Sequence[str]) -> List[str]:
+    """``data[field]`` as a list of names from ``known`` (all of them if
+    the field is omitted)."""
+    names = data.get(field)
+    if names is None:
+        return list(known)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{field} must be a list of strings, got {names!r}")
+    bad = [n for n in names if n not in known]
+    if bad:
+        raise ValueError(f"unknown {what}(s): {bad}")
+    return names
+
+
 def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     """Canonical form of a submission: defaults filled, junk rejected.
 
@@ -155,9 +171,10 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     no field to switch that off, and a ``check`` field is rejected as
     unknown.
 
-    Only the JSON types are checked here: lists of integers and an
-    integer scale and seed, no booleans.  Their ranges are the machine's
-    and the workload's, checked where the points are built
+    Only the JSON types (and the kernel and ISA names) are checked here:
+    lists of strings and of integers, an integer scale and seed and a
+    numeric deadline, no booleans.  Their ranges are the machine's and the
+    workload's, checked where the points are built
     (:func:`submission_points`), with the messages every front end gives.
     """
     from repro.kernels.catalog import ISA_VARIANTS, kernel_names
@@ -170,18 +187,8 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown submission field(s): {sorted(unknown)}")
 
-    kernels = data.get("kernels")
-    if kernels is None:
-        kernels = list(kernel_names())
-    bad = [k for k in kernels if k not in kernel_names()]
-    if bad:
-        raise ValueError(f"unknown kernel(s): {bad}")
-    isas = data.get("isas")
-    if isas is None:
-        isas = list(ISA_VARIANTS)
-    bad = [i for i in isas if i not in ISA_VARIANTS]
-    if bad:
-        raise ValueError(f"unknown isa(s): {bad}")
+    kernels = _names(data, "kernels", "kernel", kernel_names())
+    isas = _names(data, "isas", "isa", ISA_VARIANTS)
 
     ways = data.get("ways", [4])
     latencies = data.get("latencies", [1])
@@ -203,10 +210,13 @@ def normalize_submission(data: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     deadline = data.get("deadline_seconds")
     if deadline is not None:
-        deadline = float(deadline)
-        if not (math.isfinite(deadline) and deadline > 0):
+        # The upper bound also refuses inf, NaN and an int too big for a
+        # float; a bool is not a number of seconds.
+        if (not isinstance(deadline, (int, float)) or isinstance(deadline, bool)
+                or not 0 < deadline <= sys.float_info.max):
             raise ValueError(f"deadline_seconds must be a finite number "
-                             f"> 0, got {deadline}")
+                             f"> 0, got {deadline!r}")
+        deadline = float(deadline)
     return {
         "kernels": list(kernels),
         "isas": list(isas),

@@ -16,7 +16,7 @@ completes.
 """
 
 from repro._lazy import lazy_exports
-from repro.timing.config import MachineConfig, WAY_CONFIGS
+from repro.timing.config import MachineConfig
 from repro.timing.dispatch import (BACKENDS, VECTOR_MIN_BATCH,
                                    resolve_execution, simulate_batch)
 from repro.timing.results import SimResult
@@ -26,7 +26,6 @@ __all__ = [
     "LoweredTrace",
     "MachineConfig",
     "VECTOR_MIN_BATCH",
-    "WAY_CONFIGS",
     "OutOfOrderCore",
     "lower_trace",
     "resolve_execution",

@@ -213,11 +213,3 @@ _AT_MOST.update(
                  "int_queue_size", "mem_queue_size", "media_queue_size",
                  "phys_int_regs", "phys_media_regs", "phys_matrix_regs",
                  "phys_acc_regs"))
-
-#: The four issue-width configurations used by Figure 4 of the paper.
-WAY_CONFIGS: Dict[int, MachineConfig] = {
-    way: MachineConfig.for_way(way) for way in (1, 2, 4, 8)
-}
-
-#: The three memory latencies used by Figure 5 of the paper (4-way core).
-FIGURE5_LATENCIES = (1, 12, 50)

@@ -47,7 +47,6 @@ class FunctionalUnitPool:
         self.name = name
         self.count = count
         self._busy: Dict[int, int] = {}
-        self._busy_cycles = 0
 
     def find_start(self, ready: int, occupancy: int) -> int:
         """Earliest start cycle >= ``ready`` with a unit free for the whole
@@ -79,18 +78,6 @@ class FunctionalUnitPool:
         busy_get = busy.get
         for cycle in range(start, start + occupancy):
             busy[cycle] = busy_get(cycle, 0) + 1
-        self._busy_cycles += occupancy
-
-    def acquire(self, ready: int, occupancy: int) -> int:
-        """Find and reserve the earliest feasible start cycle."""
-        start = self.find_start(ready, occupancy)
-        self.reserve(start, occupancy)
-        return start
-
-    @property
-    def busy_cycles(self) -> int:
-        """Total unit-cycles reserved so far (diagnostics / utilisation)."""
-        return self._busy_cycles
 
 
 class BandwidthLimiter:

@@ -44,14 +44,3 @@ class SimResult:
     def opi(self) -> float:
         """Elemental operations per instruction."""
         return self.operations / self.instructions if self.instructions else 0.0
-
-    @property
-    def opc(self) -> float:
-        """Elemental operations per cycle (IPC x OPI)."""
-        return self.operations / self.cycles if self.cycles else 0.0
-
-    def speedup_over(self, baseline: "SimResult") -> float:
-        """Speed-up of this run relative to ``baseline`` (cycles ratio)."""
-        if self.cycles == 0:
-            return float("inf")
-        return baseline.cycles / self.cycles

@@ -15,7 +15,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WorkloadSpec",
-    "random_u8_image",
     "random_u8_block",
     "random_s16_block",
     "random_dct_block",
@@ -50,24 +49,6 @@ class WorkloadSpec:
         import numpy as np
 
         return np.random.default_rng(self.seed)
-
-
-def random_u8_image(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
-    """A synthetic 8-bit luminance image with smooth structure plus noise.
-
-    Smooth gradients plus noise give realistic motion-estimation behaviour
-    (non-degenerate SAD surfaces) while staying deterministic.
-    """
-    import numpy as np
-
-    y, x = np.mgrid[0:height, 0:width]
-    base = (
-        128
-        + 64 * np.sin(2 * np.pi * x / max(width, 1) * 1.7)
-        + 48 * np.cos(2 * np.pi * y / max(height, 1) * 2.3)
-    )
-    noise = rng.integers(-24, 25, size=(height, width))
-    return np.clip(base + noise, 0, 255).astype(np.int64)
 
 
 def random_u8_block(rng: np.random.Generator, rows: int = 8, cols: int = 8) -> np.ndarray:

@@ -47,13 +47,6 @@ class TestMetricValues:
         assert comp_metrics["mom"].opi > comp_metrics["mmx"].opi
         assert comp_metrics["mom"].r >= comp_metrics["mmx"].r * 0.9
 
-    def test_opc_property(self, comp_metrics):
-        m = comp_metrics["mom"]
-        assert m.opc == pytest.approx(m.ipc * m.opi)
-
-    def test_as_row_keys(self, comp_metrics):
-        row = comp_metrics["mmx"].as_row()
-        assert set(row) == {"kernel", "isa", "IPC", "OPI", "R", "S", "F", "VLx", "VLy"}
 
 
 class TestDecompositionIdentity:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.metrics import KernelMetrics
 from repro.analysis.report import (
     format_breakdown_table,
-    format_csv,
     format_latency_table,
     format_speedup_table,
 )
@@ -47,12 +46,3 @@ class TestFigureTables:
         assert "lat 1" in text and "lat 50" in text
         assert "400" in text
 
-
-class TestCsv:
-    def test_rows_and_columns(self):
-        rows = [{"a": 1, "b": 2}, {"a": 3}]
-        text = format_csv(rows, ["a", "b"])
-        lines = text.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2"
-        assert lines[2] == "3,"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.datatypes import (
-    S8,
     S16,
     S32,
     U8,
@@ -15,16 +14,11 @@ from repro.common.datatypes import (
     U32,
     WORD_MASK,
     ElementType,
-    bytes_to_word,
-    element_type,
-    lanes_per_word,
     pack_word,
-    pack_words,
     unpack_word,
-    unpack_words,
-    word_to_bytes,
 )
 
+S8 = ElementType(8, signed=True)
 ALL_TYPES = [U8, S8, U16, S16, U32, S32]
 
 
@@ -50,20 +44,9 @@ class TestElementType:
         with pytest.raises(ValueError):
             ElementType(12, signed=False)
 
-    def test_lookup_by_name(self):
-        assert element_type("s16") is not None
-        assert element_type("s16").bits == 16
-        assert element_type("u8").signed is False
-        with pytest.raises(KeyError):
-            element_type("q7")
-
     def test_names(self):
         assert U8.name == "u8"
         assert S32.name == "s32"
-
-    def test_lanes_per_word_helper(self):
-        for etype in ALL_TYPES:
-            assert lanes_per_word(etype) == 64 // etype.bits
 
 
 class TestPackUnpack:
@@ -91,29 +74,6 @@ class TestPackUnpack:
             unpack_word(1 << 64, U8)
         with pytest.raises(ValueError):
             unpack_word(-1, U8)
-
-    def test_pack_words_matrix_roundtrip(self):
-        matrix = np.arange(32).reshape(4, 8)
-        words = pack_words(matrix, U8)
-        assert len(words) == 4
-        back = unpack_words(words, U8)
-        assert np.array_equal(back, matrix)
-
-    def test_unpack_words_empty(self):
-        assert unpack_words([], U8).shape == (0, 8)
-
-    def test_pack_words_shape_check(self):
-        with pytest.raises(ValueError):
-            pack_words(np.zeros((2, 3)), U8)
-
-    def test_bytes_roundtrip(self):
-        word = 0x1122334455667788
-        assert bytes_to_word(word_to_bytes(word)) == word
-        assert word_to_bytes(word)[0] == 0x88  # little endian
-
-    def test_bytes_wrong_length(self):
-        with pytest.raises(ValueError):
-            bytes_to_word(b"\x00" * 7)
 
 
 @st.composite

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.common.fixedpoint import descale, fixed_mul_round, round_half_up, round_to_even
+from repro.common.fixedpoint import round_half_up
 
 
 class TestRoundHalfUp:
@@ -26,52 +26,11 @@ class TestRoundHalfUp:
         arr = np.array([5, 4, -3, -4])
         assert list(round_half_up(arr, 1)) == [3, 2, -1, -2]
 
-    def test_descale_alias(self):
-        assert descale(100, 3) == round_half_up(100, 3)
-
-
-class TestRoundToEven:
-    def test_ties_go_to_even(self):
-        assert round_to_even(5, 1) == 2       # 2.5 -> 2
-        assert round_to_even(7, 1) == 4       # 3.5 -> 4
-        assert round_to_even(3, 1) == 2       # 1.5 -> 2
-
-    def test_non_ties_match_half_up(self):
-        for value in (0, 1, 4, 9, 100, 1001):
-            assert round_to_even(value, 2) == round_half_up(value, 2) or \
-                abs(round_to_even(value, 2) - round_half_up(value, 2)) <= 1
-
-    def test_zero_shift(self):
-        assert round_to_even(9, 0) == 9
-
-    def test_array_matches_scalar(self):
-        arr = np.array([5, 7, 3, 8, 12])
-        out = round_to_even(arr, 1)
-        assert list(out) == [round_to_even(int(v), 1) for v in arr]
-
-
-class TestFixedMulRound:
-    def test_scalar(self):
-        # 3 * 10 = 30, descaled by 2 bits with rounding: (30 + 2) >> 2 = 8
-        assert fixed_mul_round(3, 10, 2) == 8
-
-    def test_array(self):
-        arr = np.array([1, 2, 3])
-        assert list(fixed_mul_round(arr, 4, 1)) == [2, 4, 6]
-
 
 @given(value=st.integers(min_value=-(1 << 50), max_value=1 << 50),
        shift=st.integers(min_value=1, max_value=20))
 def test_round_half_up_error_bound(value, shift):
     """Rounded result is within half a unit of the exact quotient."""
     result = round_half_up(value, shift)
-    exact = value / (1 << shift)
-    assert abs(result - exact) <= 0.5 + 1e-9
-
-
-@given(value=st.integers(min_value=-(1 << 50), max_value=1 << 50),
-       shift=st.integers(min_value=1, max_value=20))
-def test_round_to_even_error_bound(value, shift):
-    result = round_to_even(value, shift)
     exact = value / (1 << shift)
     assert abs(result - exact) <= 0.5 + 1e-9

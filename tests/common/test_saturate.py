@@ -6,25 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.datatypes import S8, S16, U8, U16
+from repro.common.datatypes import S16, U8, U16, ElementType
 from repro.common.saturate import (
-    clamp_scalar,
     saturate,
     saturate_signed,
     saturate_unsigned,
     wrap,
 )
 
-
-class TestClampScalar:
-    def test_within_range(self):
-        assert clamp_scalar(5, 0, 255) == 5
-
-    def test_below(self):
-        assert clamp_scalar(-3, 0, 255) == 0
-
-    def test_above(self):
-        assert clamp_scalar(300, 0, 255) == 255
+S8 = ElementType(8, signed=True)
 
 
 class TestSaturate:

@@ -22,7 +22,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figure4 import figure4_speedups, run_figure4
 from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
-from repro.experiments.tables import TABLE_NUMBERS, breakdown_for_kernel, run_breakdown_tables
+from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
 from repro.workloads.generators import WorkloadSpec
 
 _SPEC = WorkloadSpec(scale=1, seed=2)
@@ -110,7 +110,7 @@ class TestFigure5:
 
 class TestBreakdownTables:
     def test_single_kernel_breakdown(self):
-        table = breakdown_for_kernel("comp", spec=_SPEC)
+        table = run_breakdown_tables(kernels=["comp"], spec=_SPEC)["comp"]
         assert set(table) == {"scalar", "mmx", "mdmx", "mom"}
         assert table["scalar"].speedup == pytest.approx(1.0)
         assert table["mom"].opi > table["mmx"].opi

@@ -30,7 +30,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figure4 import figure4_speedups, run_figure4
 from repro.experiments.figure5 import figure5_cycles, figure5_slowdowns, run_figure5
-from repro.experiments.tables import breakdown_for_kernel
+from repro.experiments.tables import run_breakdown_tables
 from repro.kernels.registry import kernel_names
 from repro.workloads.generators import WorkloadSpec
 
@@ -74,8 +74,8 @@ def test_figure5_kernel(kernel_name):
 
 @pytest.mark.parametrize("kernel_name", kernel_names())
 def test_breakdown_table(kernel_name):
-    table = breakdown_for_kernel(kernel_name, way=4, mem_latency=1,
-                                 spec=WorkloadSpec())
+    table = run_breakdown_tables(kernels=[kernel_name], way=4, mem_latency=1,
+                                 spec=WorkloadSpec())[kernel_name]
 
     scalar, mom = table["scalar"], table["mom"]
     assert scalar.speedup == pytest.approx(1.0)

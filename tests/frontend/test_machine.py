@@ -96,8 +96,6 @@ class TestFunctionalMachine:
         m = FunctionalMachine()
         addr = m.alloc_array(np.array([1, 2, 3]), U8)
         assert list(m.read_array(addr, 3, U8)) == [1, 2, 3]
-        m.media_regs.write(0, 0x1234)
-        assert m.read_media_word(0) == 0x1234
 
 
 class TestVectorizedArrayAccess:

@@ -137,15 +137,6 @@ class TestControlFlow:
         assert b.trace[-2].opclass is OpClass.BRANCH
         assert b.trace[-1].opclass is OpClass.BRANCH
 
-    def test_loop_helper_emits_control_overhead(self, scalar_builder):
-        b = scalar_builder
-        b.li(1, 4)
-        seen = []
-        b.loop(1, lambda i: seen.append(i))
-        assert seen == [0, 1, 2, 3]
-        # each iteration adds a decrement and a branch
-        branches = [i for i in b.trace if i.opclass is OpClass.BRANCH]
-        assert len(branches) == 4
 
 
 class TestTraceMetadata:

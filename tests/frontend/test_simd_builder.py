@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.datatypes import S8, S16, S32, U8, U16, U32
+from repro.common.datatypes import S16, S32, U8, U16, U32, ElementType
 from repro.isa.opclasses import OpClass, RegFile
+
+S8 = ElementType(8, signed=True)
 
 
 def lanes(builder, reg, etype):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.datatypes import S16, U8, pack_word, unpack_word
-from repro.isa import matrixops, simdops
-from repro.isa.registers import MAX_MATRIX_ROWS
+from repro.isa import matrixops
 
 
 def rows_of(matrix, etype):
@@ -22,41 +21,6 @@ def matrix_strategy(etype, rows, cols=None):
                  min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     )
-
-
-class TestMapRows:
-    def test_binary_map(self):
-        a = rows_of([[1, 2, 3, 4]] * 3, S16)
-        b = rows_of([[10, 20, 30, 40]] * 3, S16)
-        out = matrixops.map_rows(simdops.padd, a, b, 3, S16, "wrap")
-        assert list(unpack_word(out[0], S16)) == [11, 22, 33, 44]
-        assert out[3] == 0  # rows beyond VL are cleared
-
-    def test_unary_map(self):
-        a = rows_of([[4, 8, 12, 16]] * 2, S16)
-        out = matrixops.map_rows(simdops.psra, a, None, 2, 1, S16)
-        assert list(unpack_word(out[0], S16)) == [2, 4, 6, 8]
-
-    def test_scalar_operand_broadcast(self):
-        a = rows_of([[1, 1, 1, 1], [2, 2, 2, 2]], S16)
-        b_word = pack_word([10, 20, 30, 40], S16)
-        out = matrixops.map_rows_scalar_operand(simdops.padd, a, b_word, 2, S16, "wrap")
-        assert list(unpack_word(out[0], S16)) == [11, 21, 31, 41]
-        assert list(unpack_word(out[1], S16)) == [12, 22, 32, 42]
-
-    def test_vl_out_of_range(self):
-        a = rows_of([[0] * 4], S16)
-        with pytest.raises(ValueError):
-            matrixops.map_rows(simdops.padd, a, a, 0, S16)
-        with pytest.raises(ValueError):
-            matrixops.map_rows(simdops.padd, a, a, MAX_MATRIX_ROWS + 1, S16)
-
-    @given(m=matrix_strategy(S16, 4))
-    def test_map_rows_equals_per_row_op(self, m):
-        a = rows_of(m, S16)
-        out = matrixops.map_rows(simdops.padd, a, a, 4, S16, "wrap")
-        for row in range(4):
-            assert out[row] == simdops.padd(a[row], a[row], S16, "wrap")
 
 
 class TestTranspose:
@@ -143,22 +107,3 @@ class TestReductions:
         expected = np.abs(np.array(a) - np.array(b)).sum(axis=0)
         assert list(out[: len(expected[0:])][:8]) == list(expected)
 
-
-class TestConversionHelpers:
-    def test_rows_to_matrix_and_back(self):
-        matrix = np.arange(32).reshape(4, 8)
-        rows = matrixops.matrix_to_rows(matrix, U8)
-        back = matrixops.rows_to_matrix(rows, U8, 4)
-        assert np.array_equal(back, matrix)
-
-    def test_row_mapped_wrappers(self):
-        a = rows_of([[1, 2, 3, 4]] * 2, S16)
-        b = rows_of([[1, 1, 1, 1]] * 2, S16)
-        out = matrixops.rows_padd(a, b, 2, S16)
-        assert list(unpack_word(out[0], S16)) == [2, 3, 4, 5]
-        out = matrixops.rows_psub(a, b, 2, S16)
-        assert list(unpack_word(out[0], S16)) == [0, 1, 2, 3]
-        out = matrixops.rows_pmull(a, b, 2, S16)
-        assert list(unpack_word(out[0], S16)) == [1, 2, 3, 4]
-        out = matrixops.rows_pabsdiff(a, b, 2, S16)
-        assert list(unpack_word(out[0], S16)) == [0, 1, 2, 3]

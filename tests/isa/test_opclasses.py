@@ -22,8 +22,7 @@ class TestOpClassPredicates:
 
     def test_integer_classes(self):
         for opclass in (OpClass.IALU, OpClass.IMUL, OpClass.BRANCH):
-            assert opclass.is_integer
-        assert not OpClass.MEDIA_ALU.is_integer
+            assert not opclass.is_media and not opclass.is_memory
 
     def test_every_class_has_a_default_latency(self):
         for opclass in OpClass:

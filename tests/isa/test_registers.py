@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.datatypes import S16, U8
+from repro.common.datatypes import S16, U8, pack_word
 from repro.isa.registers import (
     AccumulatorFile,
     MatrixRegisterFile,
@@ -50,7 +50,7 @@ class TestMultimediaRegisterFile:
 
     def test_lane_views(self):
         rf = MultimediaRegisterFile()
-        rf.write_lanes(2, [1, 2, 3, 4], S16)
+        rf.write(2, pack_word([1, 2, 3, 4], S16))
         assert list(rf.read_lanes(2, S16)) == [1, 2, 3, 4]
 
     def test_out_of_range(self):

@@ -19,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.datatypes import U8, S8, U16, S16, U32, S32, pack_word
+from repro.common.datatypes import U8, U16, S16, U32, S32, ElementType, pack_word
 from repro.isa import simdops, simdops_ref
 
+S8 = ElementType(8, signed=True)
 _ALL_ETYPES = [U8, S8, U16, S16, U32, S32]
 _WIDE_ETYPES = [U16, S16, U32, S32]  # legal pack sources (narrow to half)
 

@@ -21,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.datatypes import U8, S8, U16, S16, U32, S32
+from repro.common.datatypes import U8, U16, S16, U32, S32, ElementType
 from repro.isa import simdops, simdops_ref
 
+S8 = ElementType(8, signed=True)
 _ALL_ETYPES = [U8, S8, U16, S16, U32, S32]
 _WIDE_ETYPES = [U16, S16, U32, S32]
 

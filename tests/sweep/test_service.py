@@ -621,6 +621,16 @@ class TestHTTP:
         ("seed", 1.5),
         ("seed", True),
         ("seed", "7"),
+        pytest.param("deadline_seconds", 10 ** 400,
+                     id="deadline_seconds-int_over_float_max"),
+        ("deadline_seconds", True),
+        ("deadline_seconds", "5"),
+        ("deadline_seconds", [1]),
+        ("kernels", 5),
+        ("kernels", "comp"),
+        ("kernels", [5]),
+        ("isas", "mom"),
+        ("isas", [None]),
     ])
     def test_out_of_bounds_field_is_400_naming_it(self, http_stack, field,
                                                   value):

@@ -133,6 +133,15 @@ class TestParser:
             capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A cache directory holding one result and one trace."""
+    cache_dir = tmp_path_factory.mktemp("cache")
+    assert main(["sweep", "--kernels", "comp", "--isas", "mom",
+                 "--scale", "1", "--cache-dir", str(cache_dir)]) == 0
+    return cache_dir
+
+
 class TestBoundary:
     def test_uncreatable_cache_dir_exits_2_before_any_build(
             self, capsys, tmp_path, build_counter):
@@ -181,6 +190,22 @@ class TestBoundary:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-mb", "nan"], ["--max-mb", "inf"], ["--max-mb", "-1"],
+        ["--max-mb", "1e308"], ["--max-age-days", "-1"],
+        ["--max-age-days", "nan"],
+    ], ids=" ".join)
+    def test_nonsense_gc_bound_exits_2_and_evicts_nothing(
+            self, capsys, filled_cache, flags):
+        before = sorted(filled_cache.rglob("*"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "gc", "--cache-dir", str(filled_cache)] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flags[0]} must be >= 0 and finite" in err
+        assert "Traceback" not in err
+        assert sorted(filled_cache.rglob("*")) == before
 
     def test_abbreviated_jobs_is_not_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

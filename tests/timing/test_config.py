@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.opclasses import OpClass
 from repro.kernels.registry import get_kernel
-from repro.timing.config import (FIGURE5_LATENCIES, MAX_MEM_LATENCY, MAX_WAY,
-                                 MachineConfig, WAY_CONFIGS)
+from repro.timing.config import MAX_MEM_LATENCY, MAX_WAY, MachineConfig
 from repro.timing.dispatch import simulate_batch
 from repro.workloads.generators import WorkloadSpec
 
@@ -204,12 +203,3 @@ class TestLatencyOf:
         assert cfg.latency_of(OpClass.IMUL) > 1
         assert cfg.latency_of(OpClass.MEDIA_MUL) >= 1
 
-
-class TestPresets:
-    def test_way_configs_cover_figure4(self):
-        assert sorted(WAY_CONFIGS) == [1, 2, 4, 8]
-        for way, cfg in WAY_CONFIGS.items():
-            assert cfg.issue_width == way
-
-    def test_figure5_latencies(self):
-        assert FIGURE5_LATENCIES == (1, 12, 50)

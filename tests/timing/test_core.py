@@ -286,10 +286,3 @@ class TestStructuralLimits:
         assert result.instructions == 10
         assert set(result.stall_breakdown) == {"rob", "issue_queue", "rename_regs",
                                                "fetch_bw"}
-
-    def test_speedup_helper(self):
-        trace = independent_trace(64)
-        slow = simulate_trace(trace, MachineConfig.for_way(1))
-        fast = simulate_trace(trace, MachineConfig.for_way(8))
-        assert fast.speedup_over(slow) > 1.0
-        assert slow.speedup_over(fast) < 1.0

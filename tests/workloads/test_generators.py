@@ -12,7 +12,6 @@ from repro.workloads.generators import (
     random_s16_block,
     random_s16_samples,
     random_u8_block,
-    random_u8_image,
 )
 
 
@@ -44,11 +43,6 @@ class TestWorkloadSpec:
 
 
 class TestGenerators:
-    def test_u8_image_range_and_shape(self):
-        img = random_u8_image(np.random.default_rng(0), 32, 48)
-        assert img.shape == (32, 48)
-        assert img.min() >= 0 and img.max() <= 255
-
     def test_u8_block(self):
         blk = random_u8_block(np.random.default_rng(0), 16, 16)
         assert blk.shape == (16, 16)
