@@ -43,7 +43,8 @@ Wire format (all JSON)::
                            "latencies": [...], "scale": N|null, "seed": N,
                            "deadline_seconds": S|null}
                           -> 201 {job} new, 200 {job} attached,
-                             400 bad submission or Content-Length,
+                             400 bad submission or Content-Length
+                             (or a body nested too deeply to parse),
                              413 body over MAX_BODY_BYTES,
                              422 more than MAX_JOB_POINTS points,
                              429 queue full (Retry-After), 503 draining
@@ -60,12 +61,16 @@ Wire format (all JSON)::
     GET  /healthz         -> 200 (the process is up)
     GET  /readyz          -> 200 accepting, 503 draining
 
+Any route answers 500 ``{"error": ...}`` naming an unexpected exception.
+
 A *job* object carries ``id``, ``status`` (``queued`` / ``running`` /
 ``done`` / ``failed`` / ``interrupted``), the normalized submission, point
 counts, timestamps, engine telemetry for finished runs, and the error for
 failed ones.  Job records are written with the same atomic tempfile+rename
 discipline as every other store, so a crash can never leave a torn job
-file.
+file.  A record is written when a run is queued (submission, resubmission,
+recovery) and when it ends, never at ``running``: recovery re-runs a
+``queued`` job as it would a ``running`` one.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.atomicio import atomic_write_text
@@ -498,13 +503,13 @@ class SweepService:
 
     # -- the runner --------------------------------------------------------
 
-    def _update(self, job_id: str, **fields: Any) -> Dict[str, Any]:
+    def _finish(self, job_id: str, **fields: Any) -> None:
+        """Record a run's end: the job record's second write."""
         with self._lock:
             job = self._jobs[job_id]
             job.update(fields)
             self._persist(job)
             self._wake.notify_all()
-            return dict(job)
 
     def _run_loop(self) -> None:
         """Consume the queue until drained, one engine run per job; then
@@ -520,8 +525,15 @@ class SweepService:
         self.cache.close()
 
     def _run_job(self, job_id: str) -> None:
-        job = self._update(job_id, status="running", started_at=time.time())
-        submission = job["submission"]
+        # Not persisted: the record on disk keeps ``queued`` until the run
+        # ends, which is all recover() needs (it re-runs either state and
+        # counts the interruption).  Rewriting a just-written file can stall
+        # in the filesystem, and the end-of-job rewrite holds the lock.
+        with self._lock:
+            job = self._jobs[job_id]
+            job.update(status="running", started_at=time.time())
+            self._wake.notify_all()
+            submission, total = job["submission"], job["total"]
         engine = SweepEngine(jobs=self.engine_jobs, cache_dir=self.cache,
                              task_timeout=self.task_timeout)
         deadline = submission.get("deadline_seconds")
@@ -556,7 +568,7 @@ class SweepService:
             status, error = "failed", {
                 "type": "deadline",
                 "message": (f"job exceeded its deadline of {deadline:.1f}s "
-                            f"after {len(events)}/{job['total']} point(s); "
+                            f"after {len(events)}/{total} point(s); "
                             f"completed points are in the result log — "
                             f"resubmit with a longer deadline to continue "
                             f"from them"),
@@ -566,7 +578,7 @@ class SweepService:
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             status, error = "failed", {"type": type(exc).__name__,
                                        "message": str(exc)}
-        self._update(
+        self._finish(
             job_id, status=status, error=error, telemetry=telemetry,
             done=len(events),
             failed_points=sum("failure" in r for r in events),
@@ -654,11 +666,31 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
-        return json.loads(raw.decode("utf-8"))
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body nests too deeply to parse "
+                             "(a submission is one flat JSON object)") from None
+
+    def _guarded(self, route: Callable[[], None]) -> None:
+        """Run one route; an exception it lets through is answered with a
+        JSON ``500`` naming it, and the connection closed, instead of
+        dropping the connection with a traceback on the server's stderr."""
+        try:
+            route()
+        except Exception as exc:  # noqa: BLE001 - last resort
+            self.close_connection = True
+            self._error(500, f"internal error: {type(exc).__name__}: {exc}")
 
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._guarded(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._guarded(self._post)
+
+    def _get(self) -> None:
         parsed = urlsplit(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         query = parse_qs(parsed.query)
@@ -709,7 +741,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, {"events": events, "next": since + len(events),
                          "job": job, "boot": service.boot_id})
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+    def _post(self) -> None:
         parsed = urlsplit(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         service = self.server.service

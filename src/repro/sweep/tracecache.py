@@ -33,7 +33,9 @@ rebuilt rather than crashing the sweep.
 Writing an entry is object-free on the cold path: a column-built trace
 (:mod:`repro.trace.columns`) serializes its payload straight from the
 emission record pool, and the entry is encoded once — the checksum hashes
-the very text that is written.  Reading one is object-free too: a hit
+the very text that is written, and a read checks that text as stored with
+one hash (:func:`~repro.common.atomicio.verify_stamped_bytes`), as the
+result log does.  Reading one is object-free too: a hit
 revives a column-mode trace (:meth:`Trace.from_payload
 <repro.trace.container.Trace.from_payload>`), whose lowering is the
 zero-copy adoption of its columns, and imports no NumPy, no kernel and no
@@ -52,7 +54,8 @@ import os
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.common.atomicio import (atomic_write_text, encode_stamped,
-                                   quarantine_corrupt, verify_checksum)
+                                   quarantine_corrupt, verify_checksum,
+                                   verify_stamped_bytes)
 from repro import versions
 from repro.sweep.spec import SweepPoint
 from repro.trace.container import Trace
@@ -146,14 +149,19 @@ class TraceCache:
         """
         path = self._path(self.key_for(point))
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                entry = json.load(f)
+            with open(path, "rb") as f:
+                data = f.read()
         except OSError:
             self.misses += 1
             return None
+        try:
+            entry = json.loads(data)
         except ValueError:
             entry = None  # unparseable bytes: quarantine below
-        if entry is None or not verify_checksum(entry):
+        # One hash over the bytes as stored; an entry in another layout
+        # (an older writer's) is checked by re-encoding it.
+        if entry is None or not (verify_stamped_bytes(data)
+                                 or verify_checksum(entry)):
             quarantine_corrupt(path)
             self.corrupt += 1
             self.misses += 1

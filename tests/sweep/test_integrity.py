@@ -412,6 +412,58 @@ class TestTraceCacheQuarantine:
             _POINT) is not None
 
 
+    def test_stored_bytes_are_checked_without_re_encoding(self, tmp_path,
+                                                          monkeypatch):
+        """A fresh entry hits on one hash over its bytes as stored; a
+        digit changed in those bytes (still valid JSON) is quarantined."""
+        import repro.sweep.tracecache as tracecache
+
+        _populate(str(tmp_path))
+        path = _trace_path(str(tmp_path))
+
+        def re_encoded(_entry):
+            raise AssertionError("a stamped entry was re-encoded")
+
+        monkeypatch.setattr(tracecache, "verify_checksum", re_encoded)
+        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
+        assert cache.get(_POINT) is not None
+        monkeypatch.undo()
+
+        with open(path, "rb") as f:
+            data = f.read()
+        at = data.index(b'"instrs":') + len(b'"instrs":')
+        at = next(i for i in range(at, len(data)) if data[i:i + 1].isdigit())
+        digit = str((int(data[at:at + 1]) + 1) % 10).encode()
+        with open(path, "wb") as f:
+            f.write(data[:at] + digit + data[at + 1:])
+        json.loads(data[:at] + digit + data[at + 1:])  # still valid JSON
+        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
+        assert cache.get(_POINT) is None
+        assert cache.corrupt == 1
+        assert os.path.exists(path + CORRUPT_SUFFIX)
+
+    @pytest.mark.parametrize("layout", [
+        {},  # ", " separators, the stamp where the writer left it
+        {"sort_keys": True},  # the stamp in sorted position
+        {"indent": 1},
+    ])
+    def test_older_layouts_still_hit(self, tmp_path, layout):
+        """Text the byte check cannot read is checked by re-encoding its
+        record, so an older writer's stamped entry still hits."""
+        _populate(str(tmp_path))
+        path = _trace_path(str(tmp_path))
+        with open(path) as f:
+            entry = json.load(f)
+        with open(path, "w") as f:
+            json.dump(entry, f, **layout)
+        with open(path, "rb") as f:
+            assert not verify_stamped_bytes(f.read())
+
+        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
+        assert cache.get(_POINT) is not None
+        assert cache.hits == 1 and cache.corrupt == 0
+
+
 class TestManageCorruptSweep:
     def _quarantine_one(self, cache_dir: str) -> str:
         path = _trace_path(cache_dir)

@@ -17,6 +17,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -227,11 +229,28 @@ class TestOneKeyPerPoint:
         assert len(key_calls) == len(set(key_calls)) == 8
 
 
+def _child_repro(argv, env):
+    """Run ``python -m repro ARGV`` in a process group of its own; return
+    it once it exited, with no process of its group left behind."""
+    proc = subprocess.Popen([sys.executable, "-m", "repro", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    out, err = proc.communicate(timeout=300)
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+    os.killpg(proc.pid, signal.SIGKILL)
+    raise AssertionError(f"a process of {argv} outlived it")
+
+
 def test_warm_process_exit_loses_no_output(tmp_path):
-    """``python -m repro`` freezes the collector before it exits, and
-    ``main()`` never does: a child's stream file is complete and its
-    buffered stdout equals an in-process ``main()`` run's, and the
-    in-process runs leave the collector's frozen set as they found it."""
+    """``python -m repro`` leaves through ``os._exit`` once ``main()``
+    returns, and ``main()`` never does: a child's buffered stdout equals an
+    in-process ``main()`` run's, its stream file, result log and journal
+    are complete, and no process it started outlives it -- warm, cold with
+    ``--resume``, and cold on a ``--jobs 2`` pool.  The in-process runs
+    leave the collector's frozen set as they found it."""
     cache_dir = str(tmp_path / "cache")
     argv = ["tables", "--kernels", "comp", "--scale", "1",
             "--cache-dir", cache_dir]
@@ -245,9 +264,7 @@ def test_warm_process_exit_loses_no_output(tmp_path):
     env = dict(os.environ, PYTHONPATH=_SRC)
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as piped
     stream = tmp_path / "child.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *argv, "--stream-jsonl", str(stream)],
-        env=env, capture_output=True, timeout=300)
+    proc = _child_repro(argv + ["--stream-jsonl", str(stream)], env)
     assert proc.returncode == 0, proc.stderr
     assert b"0 point(s) simulated, 4 from cache" in proc.stdout
     assert proc.stdout == out.getvalue().encode()
@@ -255,3 +272,34 @@ def test_warm_process_exit_loses_no_output(tmp_path):
     assert scan.torn_bytes == scan.skipped_lines == 0
     assert sorted(r["index"] for r in scan.records) == [0, 1, 2, 3]
     assert all(r["cached"] for r in scan.records)
+
+    # Cold: the in-process run and the child each start from an empty
+    # cache at one path, so both print the same footer.
+    journal = str(tmp_path / "journal.jsonl")
+
+    def empty() -> None:
+        shutil.rmtree(cache_dir)
+        for path in (journal, str(stream)):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+
+    for extra in (["--resume", journal], ["--jobs", "2"]):
+        cold = argv + extra + ["--stream-jsonl", str(stream)]
+        empty()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(cold) == 0
+        empty()
+        proc = _child_repro(cold, env)
+        assert proc.returncode == 0, proc.stderr
+        assert b"4 point(s) simulated, 0 from cache" in proc.stdout
+        assert proc.stdout == out.getvalue().encode()
+        (segment,) = os.listdir(os.path.join(cache_dir, "log"))
+        written = {"stream": str(stream),
+                   "log": os.path.join(cache_dir, "log", segment)}
+        if "--resume" in extra:
+            written["journal"] = journal
+        for name, path in written.items():
+            scan = read_jsonl(path)
+            assert scan.torn_bytes == scan.skipped_lines == 0, name
+            isas = sorted(r["isa"] for r in scan.records if "isa" in r)
+            assert isas == sorted(ISA_VARIANTS), name

@@ -228,6 +228,73 @@ class TestServiceInProcess:
         with open(service.job_path(job["id"]), encoding="utf-8") as f:
             assert json.load(f)["status"] == "done"
 
+    def test_clean_job_writes_its_record_at_creation_and_end(
+            self, tmp_path, monkeypatch):
+        """Two job-record writes per clean job: ``queued`` at creation and
+        ``done`` at the end; ``running`` stays in memory."""
+        import repro.sweep.service as service_module
+
+        writes = []
+        write = service_module.atomic_write_text
+
+        def counting(path, text):
+            writes.append((path, json.loads(text)["status"]))
+            write(path, text)
+
+        monkeypatch.setattr(service_module, "atomic_write_text", counting)
+        service = SweepService(str(tmp_path / "state"))
+        job, _created = service.submit(dict(SMALL))
+        service.start()
+        final = _wait_terminal(service, job["id"])
+        service.drain(timeout=10)
+        assert final["status"] == "done"
+        path = service.job_path(job["id"])
+        assert writes == [(path, "queued"), (path, "done")]
+
+    def test_sigkill_mid_job_reruns_with_one_interruption(self, tmp_path):
+        """A server SIGKILLed mid-job leaves the record at ``queued``; a
+        restart re-runs the job, counts one interruption and serves the
+        logged points as hits."""
+        import signal
+
+        state = str(tmp_path / "state")
+        env = dict(_cli_env(), REPRO_FAULT_INJECT=json.dumps({
+            "state_dir": str(tmp_path / "fault-state"),
+            "faults": [{"kind": "crash", "stage": "service.result",
+                        "times": 1}]}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--state-dir", state],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "listening on " in line, line
+            client = ServiceClient(line.split("listening on ")[1].split()[0],
+                                   retries=3, sleep=lambda _s: None)
+            job, _created = client.submit(dict(SMALL))
+            assert proc.wait(timeout=120) == -signal.SIGKILL
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        with open(os.path.join(state, "jobs", job["id"] + ".json"),
+                  encoding="utf-8") as f:
+            assert json.load(f)["status"] == "queued"
+        logged = _logged(state, SMALL)
+        assert logged >= 1
+
+        revived = SweepService(state)
+        assert revived.recover() == [job["id"]]
+        assert revived.job(job["id"])["interruptions"] == 1
+        revived.start()
+        final = _wait_terminal(revived, job["id"])
+        revived.drain(timeout=10)
+        assert final["status"] == "done"
+        assert final["interruptions"] == 1
+        assert final["telemetry"]["cached"] == logged
+        assert final["telemetry"]["simulated"] == 4 - logged
+
     def test_wrong_builds_yield_only_failures(self, tmp_path, monkeypatch):
         """Every job verifies its builds: a build that fails its golden
         check gives a failure record, never numbers."""
@@ -684,6 +751,50 @@ class TestHTTP:
             return response.status, json.loads(response.read())
         finally:
             conn.close()
+
+    def test_deeply_nested_body_is_400_naming_the_nesting(self, http_stack,
+                                                          capsys):
+        """A body under the size limit that nests past the parser's
+        recursion limit is answered, not dropped with a traceback."""
+        service, server, _client = http_stack
+        depth = 200_000
+        body = b"[" * depth + b"]" * depth
+        assert len(body) <= MAX_BODY_BYTES
+        status, payload = self._post_with_length(server, str(len(body)), body)
+        assert status == 400
+        assert "nests too deeply" in payload["error"]
+        assert service.list_jobs() == []
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unexpected_error_is_json_500(self, http_stack, monkeypatch,
+                                          capsys, method):
+        """An exception no route expects is answered with a JSON 500 that
+        names it, and the connection is closed."""
+        import http.client
+
+        service, server, _client = http_stack
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(service, "list_jobs", broken)
+        monkeypatch.setattr(service, "submit", broken)
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          server.server_address[1],
+                                          timeout=10)
+        try:
+            body = json.dumps(SMALL).encode() if method == "POST" else None
+            conn.request(method, "/jobs", body=body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 500
+        assert response.getheader("Connection") == "close"
+        assert payload["error"] == \
+            "internal error: RuntimeError: broken on purpose"
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("length", ["-1", "12abc"])
     def test_invalid_content_length_is_400(self, http_stack, length):
